@@ -116,7 +116,8 @@ def _merge(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         cfg.update(_read_config(args.config))
     for key, value in vars(args).items():
-        if key == "config" or value in (None, False):
+        # `is`: a flag set to 0 overrides too, although 0 == False
+        if key == "config" or value is None or value is False:
             continue
         cfg[key] = value
     cfg.setdefault("output_dir", ".")
@@ -149,6 +150,22 @@ def _as_int(cfg, key, default=None):
         return int(cfg[key])
     except (TypeError, ValueError):
         raise ConfigError(f"option {key} must be an integer, got {cfg[key]!r}")
+
+
+def _epsilon(cfg) -> float:
+    epsilon = _as_float(cfg, "epsilon")
+    if not epsilon >= 0.0:
+        raise ConfigError(f"option epsilon must be nonnegative, got {epsilon!r}")
+    return epsilon
+
+
+def _twin_spec(cfg) -> ex.TwinSpec:
+    _require(cfg, "case")
+    try:
+        return ex.TwinSpec(cfg["case"], _as_float(cfg, "noise_level", 0.0),
+                           _as_int(cfg, "seed", 0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_mesh(cfg):
@@ -202,7 +219,7 @@ def _cmd_complete(cfg) -> int:
     mesh = _load_mesh(cfg)
     _require(cfg, "data_path")
     data = fio.read_cauchy_csv(cfg["data_path"], mesh)
-    epsilon = _as_float(cfg, "epsilon")
+    epsilon = _epsilon(cfg)
     A = assemble_stiffness(mesh)
     system = cp.assemble_kv(mesh, A, data)
     result = cp.solve_completion(system, epsilon)
@@ -215,16 +232,14 @@ def _cmd_complete(cfg) -> int:
 def _cmd_twin(cfg) -> int:
     out = _outdir(cfg)
     mesh = _load_mesh(cfg)
-    seed = _as_int(cfg, "seed", 0)
     if cfg.get("table1"):
-        text, rows = ex.table1_grid(mesh, seed=seed)
+        text, rows = ex.table1_grid(mesh, seed=_as_int(cfg, "seed", 0))
         with open(os.path.join(out, "table1.txt"), "w", encoding="ascii") as fh:
             fh.write(text)
         print(text, end="")
         return EXIT_OK
-    _require(cfg, "case")
-    spec = ex.TwinSpec(cfg["case"], _as_float(cfg, "noise_level", 0.0), seed)
-    epsilon = _as_float(cfg, "epsilon")
+    spec = _twin_spec(cfg)
+    epsilon = _epsilon(cfg)
     report = ex.run_twin(mesh, spec, epsilon)
     fio.write_report(os.path.join(out, "twin_report.txt"), {
         "case": spec.case, "noise_level": spec.noise_level, "seed": spec.seed,
@@ -250,16 +265,17 @@ def _cmd_lcurve(cfg) -> int:
     if "data_path" in cfg:
         data = fio.read_cauchy_csv(cfg["data_path"], mesh)
     else:
-        _require(cfg, "case")
-        spec = ex.TwinSpec(cfg["case"], _as_float(cfg, "noise_level", 0.0),
-                           _as_int(cfg, "seed", 0))
+        spec = _twin_spec(cfg)
         _, clean = ex.generate_reference(mesh, A, spec)
         data = ex.add_noise(clean, spec.noise_level, spec.seed)
-    grid = reg.default_grid(_as_int(cfg, "eps_count", 20),
-                            _as_float(cfg, "eps_min", 1e-6),
-                            _as_float(cfg, "eps_max", 1e-1))
     system = cp.assemble_kv(mesh, A, data)
-    curve = reg.sweep(system, data, grid)
+    try:
+        # the grid options are the only ValueError source in the sweep
+        curve = reg.sweep(system, data, reg.default_grid(
+            _as_int(cfg, "eps_count", 20), _as_float(cfg, "eps_min", 1e-6),
+            _as_float(cfg, "eps_max", 1e-1)))
+    except ValueError as exc:
+        raise ConfigError(f"epsilon grid: {exc}") from None
     fio.write_lcurve_csv(os.path.join(out, "lcurve.csv"), curve)
     print(f"corner epsilon = {curve.corner_epsilon:g} "
           f"({len(curve)} points, {len(curve.dropped)} dropped)")

@@ -9,7 +9,10 @@ term.  The optimality condition collapses to a small dense linear system
 
 on the inner-boundary degrees of freedom, where S_D and S_N are the two
 Dirichlet-to-Neumann (interface) matrices.  S_D and S_N depend on geometry
-only and are assembled once; only l changes with the data.
+only, and are decomposed once per geometry: S_N V = S_D V diag(lam) with
+V' S_D V = I.  Every data set and eps then has the closed (filter-factor)
+form u(eps) = V diag(1 / (1 + eps - lam)) V' l, at O(n_i^2) per data set
+and O(n_i) per eps for J and R_D, n_i being the inner-boundary node count.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+from scipy.linalg import eigh
 
 from . import fem
 from .fem import FluxField, StiffnessMatrix, weighted_normal_derivative
@@ -29,7 +32,7 @@ class KVAssemblyError(RuntimeError):
 
 
 class NearSingularError(RuntimeError):
-    """Unregularized interface system could not be factored."""
+    """Interface system too close to singular for its eigenvalues to resolve."""
 
 
 @dataclass(frozen=True)
@@ -73,23 +76,28 @@ class CompletionResult:
     J_eps: float
     epsilon: float
     residual_norm: float
-    condition_estimate: float | None = None
+    condition_estimate: float
 
 
 @dataclass
 class KVSystem:
-    """Assembled interface matrices, load vector and factorization caches."""
+    """Interface matrices and their eigendecomposition, with one data set.
+
+    s_d, s_n and the ascending eigenpairs of S_N v = lam S_D v (eigvecs
+    S_D-orthonormal, as columns) depend on the geometry only; `reuse` shares
+    them.  load, data and the lifted data fields belong to one data set.
+    """
 
     s_d: np.ndarray
     s_n: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     load: np.ndarray
     mesh: Mesh
     stiffness: StiffnessMatrix
     data: CauchyData
     tilde_d: FluxField
     tilde_n: FluxField
-    epsilon: float | None = None
-    _factors: dict = field(default_factory=dict, repr=False)
     _constant: float | None = field(default=None, repr=False)
 
     @property
@@ -107,13 +115,6 @@ class KVSystem:
                 self.tilde_d, self.tilde_n, self.stiffness)
         return self._constant
 
-    def load_for(self, data: CauchyData) -> np.ndarray:
-        """Load vector for other Cauchy data (matrices are reused as-is)."""
-        if data is self.data:
-            return self.load
-        _, _, load = _data_terms(self.mesh, self.stiffness, data)
-        return load
-
 
 def _harmonic_columns(reduced, n: int, boundary_cols: np.ndarray) -> np.ndarray:
     """Batched solves: one column per inner-boundary basis function."""
@@ -124,33 +125,6 @@ def _harmonic_columns(reduced, n: int, boundary_cols: np.ndarray) -> np.ndarray:
     return x
 
 
-def _objective_terms(system: KVSystem, data: CauchyData, u: np.ndarray,
-                     epsilon: float, psi_n: FluxField | None = None):
-    """J, R_D, J_eps at a control, reusing psi_n if given.
-
-    J comes from the direct volume integral of the two solutions' gradient
-    gap.  R_D = s_D(u, u) / 2 uses the interface matrix, which equals the
-    lifted field's energy exactly (the lift pairs against itself).
-    """
-    A = system.stiffness
-    psi_d = fem.solve_dirichlet(A, data.f, u)
-    if psi_n is None:
-        psi_n = fem.solve_neumann(A, data.g, u)
-    J = 0.5 * fem.energy_norm_sq(psi_d, psi_n, A)
-    R_D = 0.5 * float(u @ (system.s_d @ u))
-    return J, R_D, J + epsilon * R_D
-
-
-def _data_terms(mesh: Mesh, A: StiffnessMatrix, data: CauchyData):
-    """Lifted data fields and the resulting interface load vector."""
-    data.check(mesh)
-    tilde_d = fem.solve_dirichlet(A, data.f, 0.0)
-    tilde_n = fem.solve_neumann(A, data.g, 0.0)
-    inner = mesh.boundary.inner_nodes
-    load = -(A.matrix @ (tilde_d.values - tilde_n.values))[inner]
-    return tilde_d, tilde_n, load
-
-
 def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
                 reuse: KVSystem | None = None) -> KVSystem:
     """Build the interface system for the given mesh and Cauchy data.
@@ -159,11 +133,13 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
     on the outer loop) and a Neumann solve (zero weighted flux there); the
     matrices pair the lifted fields against the trivial extension, which
     collapses to rows of A times the lifted columns.  Invariants (symmetry,
-    S_D positive definite, S_D - S_N positive semidefinite) are verified
-    here and violations raise KVAssemblyError.
+    S_D positive definite, S_D - S_N positive semidefinite) are verified,
+    the last two on the generalized eigendecomposition computed here: its
+    Cholesky factorization of S_D must succeed, and no eigenvalue may exceed
+    1 + 1e-10.  Violations raise KVAssemblyError.
 
     Pass a previously assembled system as `reuse` to skip the geometry part
-    and recompute only the data-dependent load.
+    (eigendecomposition included) and recompute only the data-dependent load.
     """
     b = mesh.boundary
     ni = len(b.inner_nodes)
@@ -174,6 +150,7 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
         if reuse.mesh is not mesh or reuse.stiffness is not A:
             raise ValueError("reuse system was assembled on a different mesh")
         s_d, s_n = reuse.s_d, reuse.s_n
+        eigvals, eigvecs = reuse.eigvals, reuse.eigvecs
     else:
         n = mesh.node_count
         no = len(b.outer_nodes)
@@ -192,37 +169,75 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
                     f"{name} asymmetry {asym:.3e} exceeds 1e-12 relative")
         s_d = 0.5 * (s_d + s_d.T)
         s_n = 0.5 * (s_n + s_n.T)
-        norm_d = np.linalg.norm(s_d, 2)
-        if eigvalsh(s_d).min() <= 0.0:
-            raise KVAssemblyError("S_D is not positive definite")
-        gap_min = eigvalsh(s_d - s_n).min()
-        if gap_min < -1e-10 * norm_d:
+        try:
+            eigvals, eigvecs = eigh(s_n, s_d)
+        except np.linalg.LinAlgError as exc:
             raise KVAssemblyError(
-                f"S_D - S_N has eigenvalue {gap_min:.3e} below -1e-10 ||S_D||")
+                f"S_D is not positive definite: {exc}") from exc
+        if 1.0 - eigvals[-1] < -1e-10:
+            raise KVAssemblyError(
+                f"S_D - S_N is indefinite: generalized eigenvalue "
+                f"{eigvals[-1]:.12g} exceeds 1 + 1e-10")
 
-    tilde_d, tilde_n, load = _data_terms(mesh, A, data)
-    return KVSystem(s_d, s_n, load, mesh, A, data, tilde_d, tilde_n)
+    data.check(mesh)
+    tilde_d = fem.solve_dirichlet(A, data.f, 0.0)
+    tilde_n = fem.solve_neumann(A, data.g, 0.0)
+    load = -(A.matrix @ (tilde_d.values - tilde_n.values))[b.inner_nodes]
+    return KVSystem(s_d, s_n, eigvals, eigvecs, load, mesh, A, data,
+                    tilde_d, tilde_n)
 
 
-def evaluate(system: KVSystem, data: CauchyData, u,
-             epsilon: float | None = None):
+def _spectral_solve(system: KVSystem, epsilon: float):
+    """Closed-form optimum at one epsilon: (u, J, R_D, condition).
+
+    With c = V'l, d = 1 + eps - lam and a = c / d: u = V a, R_D = |a|^2 / 2,
+    J = sum((1 - lam) a^2) / 2 - c'a + C (the quadratic identity, C the
+    constant term) and condition = max(d) / min(d).  J is a difference of
+    terms of size C, so it carries a roundoff floor of a few ulps of C, of
+    either sign: for noise-free MANUFACTURED:one on the desk mesh (C = 0.42)
+    the true J is 4.2e-13 at eps = 1e-6 and 4e-17 at 1e-8, where the closed
+    form reads 1.1e-16.  The eigenvalues carry an absolute error of about
+    n_i ulps, so a condition above 1 / (n_i * machine epsilon) raises
+    NearSingularError; eps = 0 always does, as min(1 - lam) is 0 to roundoff.
+    """
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be nonnegative")
+    d = 1.0 + epsilon - system.eigvals
+    if not d.min() > system.size * np.finfo(float).eps * d.max():
+        raise NearSingularError(
+            f"interface system at epsilon {epsilon:g} is near singular: "
+            f"smallest 1 + eps - lambda is {d.min():.3e}, condition "
+            f"{d.max() / abs(d.min()):.3e}")
+    c = system.eigvecs.T @ system.load
+    a = c / d
+    J = 0.5 * ((1.0 - system.eigvals) * a) @ a - c @ a + system.constant_term()
+    return (system.eigvecs @ a, float(J), 0.5 * float(a @ a),
+            float(d.max() / d.min()))
+
+
+def evaluate(system: KVSystem, data: CauchyData, u, epsilon: float = 0.0):
     """Misfit J, regularizer R_D and total J_eps at a given control.
 
     J is computed by the direct volume integral (two solves plus the energy
-    norm), not through the quadratic form, so it can cross-check the
-    identity J(v) = (s_D(v,v) - s_N(v,v))/2 - l(v) + c.
+    norm), not through the quadratic form, so it is the reference for the
+    identity J(v) = (s_D(v,v) - s_N(v,v))/2 - l(v) + c and for the closed
+    form of solve_completion.  R_D = s_D(u, u) / 2 uses the interface
+    matrix, which equals the lifted field's energy exactly (the lift pairs
+    against itself).
     """
     u = fem._boundary_values(u, system.size, "u")
-    if epsilon is None:
-        epsilon = system.epsilon if system.epsilon is not None else 0.0
-    return _objective_terms(system, data, u, epsilon)
+    A = system.stiffness
+    psi_d = fem.solve_dirichlet(A, data.f, u)
+    psi_n = fem.solve_neumann(A, data.g, u)
+    J = 0.5 * fem.energy_norm_sq(psi_d, psi_n, A)
+    R_D = 0.5 * float(u @ (system.s_d @ u))
+    return J, R_D, J + epsilon * R_D
 
 
-def quadratic_misfit(system: KVSystem, u, data: CauchyData | None = None) -> float:
+def quadratic_misfit(system: KVSystem, u) -> float:
     """J through the interface quadratic form: v'(S_D - S_N)v/2 - l'v + c."""
     u = fem._boundary_values(u, system.size, "u")
-    load = system.load if data is None else system.load_for(data)
-    return float(0.5 * u @ ((system.s_d - system.s_n) @ u) - load @ u
+    return float(0.5 * u @ ((system.s_d - system.s_n) @ u) - system.load @ u
                  + system.constant_term())
 
 
@@ -230,57 +245,23 @@ def solve_completion(system: KVSystem, epsilon: float,
                      data: CauchyData | None = None) -> CompletionResult:
     """Solve the regularized interface system and reconstruct the flux.
 
-    epsilon > 0 gives a symmetric positive definite system solved by a
-    cached Cholesky factorization with iterative refinement.  epsilon = 0 is
-    attempted anyway; if the factorization fails the system is reported as
-    near singular (the unregularized operator is expected to be almost
-    singular).
+    u, J and R_D come in closed form (see _spectral_solve); epsilon = 0
+    raises NearSingularError.  Data other than system.data are assembled
+    with reuse=system first.  The flux costs one sparse solve.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    if data is None:
-        data = system.data
-        load = system.load
-    else:
-        load = system.load_for(data)
-
-    S = system.system_matrix(epsilon)
-    condition = None
-    key = float(epsilon)
-    try:
-        factor = system._factors.get(key)
-        if factor is None:
-            factor = cho_factor(S)
-            system._factors[key] = factor
-        solve = lambda rhs: cho_solve(factor, rhs)
-    except np.linalg.LinAlgError as exc:
-        if epsilon > 0.0:
-            raise
-        eigvals = np.abs(np.linalg.eigvalsh(S))
-        condition = float(eigvals.max() / max(eigvals.min(), 1e-300))
-        raise NearSingularError(
-            f"unregularized system is numerically singular "
-            f"(condition estimate {condition:.3e}): {exc}") from exc
-    if epsilon == 0.0:
-        condition = float(np.linalg.cond(S))
-
-    u = solve(load)
-    for _ in range(2):
-        r = load - S @ u
-        u = u + solve(r)
-    denom = np.linalg.norm(load)
-    residual = float(np.linalg.norm(S @ u - load) / denom) if denom > 0 \
-        else float(np.linalg.norm(S @ u))
-
-    system.epsilon = float(epsilon)
-    psi_opt = fem.solve_neumann(system.stiffness, data.g, u)
-    J, R_D, J_eps = _objective_terms(system, data, u, epsilon, psi_n=psi_opt)
-    return CompletionResult(u, psi_opt, J, R_D, J_eps, float(epsilon),
+    epsilon = float(epsilon)
+    if data is not None and data is not system.data:
+        system = assemble_kv(system.mesh, system.stiffness, data, reuse=system)
+    u, J, R_D, condition = _spectral_solve(system, epsilon)
+    r = system.system_matrix(epsilon) @ u - system.load
+    residual = float(np.linalg.norm(r) / (np.linalg.norm(system.load) or 1.0))
+    psi_opt = fem.solve_neumann(system.stiffness, system.data.g, u)
+    return CompletionResult(u, psi_opt, J, R_D, J + epsilon * R_D, epsilon,
                             residual, condition)
 
 
-def optimality_residual(system: KVSystem, u_opt, data: CauchyData | None = None,
-                        epsilon: float | None = None) -> np.ndarray:
+def optimality_residual(system: KVSystem, u_opt, epsilon: float,
+                        data: CauchyData | None = None) -> np.ndarray:
     """Inner-boundary flux mismatch at a control; near zero at the optimum.
 
     Recovers the weighted normal derivatives of the Dirichlet solution, the
@@ -288,10 +269,6 @@ def optimality_residual(system: KVSystem, u_opt, data: CauchyData | None = None,
     it checks the optimality condition independently of the assembled
     interface matrices.
     """
-    if epsilon is None:
-        epsilon = system.epsilon
-    if epsilon is None:
-        raise ValueError("epsilon not set; solve first or pass it explicitly")
     if data is None:
         data = system.data
     A = system.stiffness

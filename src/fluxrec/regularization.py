@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completion import CauchyData, KVSystem, solve_completion
+from .completion import CauchyData, KVSystem, _spectral_solve, assemble_kv
 
 
 class DegenerateCurveError(RuntimeError):
@@ -54,23 +54,26 @@ def default_grid(count: int = 20, lo: float = 1e-6, hi: float = 1e-1) -> np.ndar
 
 
 def sweep(system: KVSystem, data: CauchyData | None, eps_grid) -> LCurve:
-    """Solve the completion problem on every grid value and detect the corner.
+    """J and R_D on every grid value, and the L-curve corner.
 
-    The interface matrices are reused across the sweep; only the small dense
-    factorization is redone per epsilon.  Points whose solve fails are
-    dropped and recorded.
+    Each point comes in closed form from the system's eigendecomposition,
+    with no sparse solve and no flux field per epsilon.  Data other than
+    system.data are first assembled with reuse=system.  Points whose solve
+    fails are dropped and recorded.
     """
     grid = _check_grid(eps_grid)
+    if data is not None and data is not system.data:
+        system = assemble_kv(system.mesh, system.stiffness, data, reuse=system)
     eps_ok, js, rds, dropped = [], [], [], []
     for eps in grid:
         try:
-            res = solve_completion(system, float(eps), data)
-        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            _, J, R_D, _ = _spectral_solve(system, float(eps))
+        except RuntimeError as exc:
             dropped.append((float(eps), str(exc)))
             continue
         eps_ok.append(float(eps))
-        js.append(res.J)
-        rds.append(res.R_D)
+        js.append(J)
+        rds.append(R_D)
     if len(eps_ok) < 5:
         raise RuntimeError(
             f"only {len(eps_ok)} sweep points succeeded; need at least 5")

@@ -3,6 +3,20 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criterion 2's noise-free TC2 cell is exercised by a companion test
 marked xfail; see the decisions ledger for the analysis.
+
+Decisions ledger, criterion 2.  The errors are max|u - u_ref| / max|u_ref|,
+the normalization of criterion 1, which stays finite for sign-changing
+references.  Measured means on the iter-like mesh (reference in brackets):
+TC1 0.0112 (0.0131), 0.0752 (0.0659), 0.2469 (0.1526) at 0%, 1%, 5% noise;
+TC2 1.0e-5 (0.0055), 0.0764 (0.017), 0.1657 (0.0405).  All ratios lie in
+[0.86, 4.50] except the noise-free TC2 cell.  Its twin data are made by the
+same discrete Neumann solve the reconstruction inverts, so they are exactly
+compatible and only the regularization bias is left; a constant inner value
+is the lambda = 0 eigenvector of the pencil (S_N, S_D) (its Neumann lift is
+the constant field, of zero energy), so the solve returns it scaled by
+1/(1 + eps) and the error is eps = 1e-5 itself.  The published 0.0055 must
+come from data not exactly compatible with the discrete operator, which the
+twin pipeline does not model, so that cell is xfail rather than tuned.
 """
 
 import time
@@ -148,10 +162,11 @@ def test_criterion_05_discrete_optimality(iter_mesh, iter_A):
     system = None
     for case in ("TC1", "TC2"):
         for p in (0.0, 0.01, 0.05):
-            rep = run_twin(iter_mesh, TwinSpec(case, p, 3),
-                           TABLE_EPSILONS[case][p], A=iter_A, system=system)
+            eps = TABLE_EPSILONS[case][p]
+            rep = run_twin(iter_mesh, TwinSpec(case, p, 3), eps, A=iter_A,
+                           system=system)
             system = rep.system
-            opt = optimality_residual(system, rep.u_opt)
+            opt = optimality_residual(system, rep.u_opt, eps)
             rel_opt = np.linalg.norm(opt) / np.linalg.norm(system.load)
             run_ok = rep.result.residual_norm < 1e-10 and rel_opt < 1e-8
             ok &= run_ok

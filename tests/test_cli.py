@@ -145,6 +145,41 @@ def test_config_file_with_cli_override(desk_mesh_file, tmp_path):
     assert not (tmp_path / "from_cfg").exists()
 
 
+def test_zero_epsilon_reaches_solver(desk_mesh_file, tmp_path, capsys):
+    rc = main(["twin", "--mesh", desk_mesh_file, "--case", "TC1",
+               "--epsilon", "0", "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert "near singular" in capsys.readouterr().err
+
+
+def test_zero_flags_override_config(desk_mesh_file, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh_path = {desk_mesh_file}\n"
+                   "case = TC2\nepsilon = 1e-3\nnoise_level = 0.05\nseed = 3\n")
+    rc = main(["twin", "--config", str(cfg), "--noise", "0", "--seed", "0",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    report = dict(line.split(" = ") for line in
+                  (tmp_path / "twin_report.txt").read_text().strip().splitlines())
+    assert float(report["noise_level"]) == 0.0
+    assert int(report["seed"]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["twin", "--case", "TC1", "--noise", "0.9", "--epsilon", "1e-3"],
+    ["twin", "--case", "TC1", "--epsilon=-1e-3"],
+    ["twin", "--case", "TC9", "--epsilon", "1e-3"],
+    ["lcurve", "--case", "TC1", "--eps-count", "3"],
+    ["lcurve", "--case", "TC1", "--eps-min", "0"],
+])
+def test_option_domain_error_gives_config_exit(desk_mesh_file, tmp_path,
+                                               capsys, command):
+    rc = main([*command, "--mesh", desk_mesh_file,
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cauchy_csv_roundtrip(desk_mesh_file, tmp_path):
     mesh = load_mesh(desk_mesh_file)
     A = assemble_stiffness(mesh)

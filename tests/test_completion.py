@@ -83,6 +83,27 @@ def test_misfit_at_zero_dominates_and_orders_by_case(iter_mesh, iter_A):
     assert J1 > J2 > 0
 
 
+# Decisions ledger for the two xfails below.  Both pin magnitudes from the
+# paper's tables that this pipeline cannot reproduce; they stay xfail, not
+# deleted, so that a change which does reproduce them shows up as XPASS.
+#
+# Zero-control misfit J(0).  J(0) is the constant term, half the weighted
+# energy of the gap between the two data-only lifts, so it is quadratic in
+# the data.  TC1 (u = 50 sin(r)^2 + 50, g of psi = r^2) gives J(0) = 2.36e3
+# on the iter-like mesh, 1.95e3 on the desk annulus (1.95e3 again at
+# refine=1, so it is mesh-converged) and 5.65e3 on the wide annulus: 40 to
+# 120 times the published ~47.  Reaching ~47 would need data about 7 times
+# smaller, i.e. other units or another inner profile than the table states.
+#
+# Noise-free TC2 error.  The twin data are made by the same discrete Neumann
+# solve the reconstruction inverts, so without noise they are exactly
+# compatible and only the regularization bias is left.  A constant inner
+# value is the lambda = 0 eigenvector of the pencil (S_N, S_D), since its
+# Neumann lift is the constant field with zero energy, so the solve returns
+# it scaled by 1/(1 + eps): the error is eps itself, 1.0e-5 at the table's
+# eps = 1e-5 (and 1e-6, 1e-4, 1e-3 at those eps), against the published
+# 0.0055.  The published figure must come from data not exactly compatible
+# with the discrete operator, which this twin pipeline does not model.
 @pytest.mark.xfail(reason="the published zero-control misfit magnitude "
                           "(~47) is not reproducible on any annulus of this "
                           "geometry class; see decisions ledger",
@@ -157,7 +178,7 @@ def test_total_cost_consistency(desk_system):
 def test_optimality_residual_near_zero_at_optimum(desk_system):
     system, data = desk_system
     res = solve_completion(system, 1e-5)
-    r = optimality_residual(system, res.u_opt)
+    r = optimality_residual(system, res.u_opt, 1e-5)
     assert np.linalg.norm(r) < 1e-8 * np.linalg.norm(system.load)
 
 
@@ -166,7 +187,7 @@ def test_optimality_residual_linearity(desk_system):
     res = solve_completion(system, 1e-4)
     rng = np.random.default_rng(9)
     delta = rng.standard_normal(system.size)
-    r = optimality_residual(system, res.u_opt + delta)
+    r = optimality_residual(system, res.u_opt + delta, 1e-4)
     predicted = system.system_matrix(1e-4) @ delta
     scale = max(np.abs(predicted).max(), 1.0)
     assert np.abs(r - predicted).max() < 1e-8 * scale

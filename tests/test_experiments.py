@@ -82,6 +82,15 @@ def test_twin_manufactured_quartic(desk_mesh, desk_A):
     assert report.max_rel_err_u < 1e-2
 
 
+@pytest.mark.filterwarnings("error")
+def test_twin_sign_changing_reference_gives_finite_error(desk_mesh, desk_A):
+    # u_ref = z changes sign on the inner contour, where a per-node relative
+    # error divides by zero
+    report = run_twin(desk_mesh, TwinSpec("MANUFACTURED:z"), 1e-5, A=desk_A)
+    assert np.isfinite(report.max_rel_err_u)
+    assert report.max_rel_err_u < 1e-2
+
+
 def test_mean_error_nondecreasing_in_noise(iter_mesh, iter_A):
     means = []
     system = None

@@ -118,9 +118,10 @@ def test_radial_field_has_no_transition(desk_mesh):
 
 def test_pure_quadratic_saddle_has_no_closed_contours(desk_mesh):
     # a pure saddle admits no closed level curves at all (no interior
-    # extremum), so the boundary search must report no transition; see the
-    # decisions ledger for the contrast with the loop-plus-vertical field
-    # used to exercise saddle recovery
+    # extremum), so the boundary search must report no transition.  The
+    # X-point tests use a current loop plus a vertical field instead: the
+    # loop's flux closes around the hole, and the saddle of the sum is the
+    # level at which those closed surfaces open to the wall
     fld = interpolate(desk_mesh, lambda r, z: (r - 7.0) ** 2 - z ** 2 + 3.0)
     with pytest.raises(NoTransitionError):
         find_plasma_boundary(fld)

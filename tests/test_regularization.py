@@ -77,15 +77,15 @@ def test_sweep_drops_failed_points(desk_mesh, desk_A, monkeypatch):
     _, data = generate_reference(desk_mesh, desk_A, TwinSpec("MANUFACTURED:r2"))
     system = assemble_kv(desk_mesh, desk_A, data)
     import fluxrec.regularization as reg
-    real = reg.solve_completion
+    real = reg._spectral_solve
     bad = float(default_grid(8, 1e-6, 1e-2)[3])
 
-    def flaky(system, eps, data=None):
+    def flaky(system, eps):
         if eps == bad:
             raise RuntimeError("injected failure")
-        return real(system, eps, data)
+        return real(system, eps)
 
-    monkeypatch.setattr(reg, "solve_completion", flaky)
+    monkeypatch.setattr(reg, "_spectral_solve", flaky)
     curve = reg.sweep(system, data, default_grid(8, 1e-6, 1e-2))
     assert len(curve) == 7
     assert len(curve.dropped) == 1
