@@ -8,13 +8,15 @@ useful for auxiliary verification domains.
 
 Meshes are plain node/triangle/boundary-edge arrays, immutable after
 construction, with a line-oriented text serialization that round-trips
-coordinates bit-exactly.
+coordinates bit-exactly.  Validation builds, once per mesh, the table of
+unique edges with their owning triangles and boundary labels, which the
+post-processing reads instead of rebuilding edge maps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -149,23 +151,27 @@ class Mesh:
         Node pairs lying on the domain boundary.
     boundary_labels : (K,) str array
         One of ``"outer"`` / ``"inner"`` per boundary edge.
+    edges : EdgeTable
+        Every unique edge with its owners and label, built once by validation.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_labels: np.ndarray
+    edges: "EdgeTable" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
         tris = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
         edges = np.ascontiguousarray(np.asarray(self.boundary_edges, dtype=np.int64))
         labels = np.asarray(self.boundary_labels)
-        validate_mesh(nodes, tris, edges, labels)
+        table = validate_mesh(nodes, tris, edges, labels)
         for name, arr in (("nodes", nodes), ("triangles", tris),
                           ("boundary_edges", edges), ("boundary_labels", labels)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "edges", table)
 
     @property
     def node_count(self) -> int:
@@ -186,13 +192,101 @@ class Mesh:
         return float(np.max(np.linalg.norm(e, axis=1)))
 
 
-def _edge_usage(triangles: np.ndarray) -> dict[tuple[int, int], int]:
-    usage: dict[tuple[int, int], int] = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            usage[key] = usage.get(key, 0) + 1
-    return usage
+@dataclass(frozen=True)
+class EdgeTable:
+    """Unique edges of a triangulation, one row each, sorted by node pair.
+
+    Attributes
+    ----------
+    nodes : (E, 2) int array
+        Node pairs, lower index first, rows in lexicographic order.
+    triangles : (E, 2) int array
+        Owning triangles in increasing order; the second is -1 on a
+        boundary edge.
+    labels : (E,) str array
+        Boundary label, ``""`` on interior edges.
+    """
+
+    nodes: np.ndarray
+    triangles: np.ndarray
+    labels: np.ndarray
+
+    def find(self, pairs) -> np.ndarray:
+        """Row of each node pair, given in either order.
+
+        Raises KeyError if some pair is not an edge.
+        """
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        base = int(self.nodes.max(initial=0)) + 1
+        codes = self.nodes[:, 0] * base + self.nodes[:, 1]
+        rows = np.minimum(np.searchsorted(codes, pairs[:, 0] * base + pairs[:, 1]),
+                          len(codes) - 1)
+        missing = np.flatnonzero(np.any(self.nodes[rows] != pairs, axis=1))
+        if len(missing):
+            raise KeyError(f"{tuple(pairs[missing[0]].tolist())} is not a mesh edge")
+        return rows
+
+
+def build_edge_table(triangles: np.ndarray, boundary_edges: np.ndarray,
+                     boundary_labels: np.ndarray) -> EdgeTable:
+    """Edge table of a triangulation whose boundary edges carry labels.
+
+    Raises MeshValidationError when a boundary edge is listed twice, an edge
+    is shared by more than two triangles, an edge of one triangle is
+    unlabeled, an edge of two triangles is labeled, or a labeled edge is no
+    triangle edge; checked in that order, and within the middle three the
+    edge that the triangle list reaches first is reported.
+    """
+    a = triangles.ravel()
+    b = triangles[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    blo = np.minimum(boundary_edges[:, 0], boundary_edges[:, 1])
+    bhi = np.maximum(boundary_edges[:, 0], boundary_edges[:, 1])
+    base = int(max(hi.max(initial=0), bhi.max(initial=0))) + 1
+    bcodes = blo * base + bhi
+
+    border = np.argsort(bcodes, kind="stable")
+    repeats = border[1:][bcodes[border[1:]] == bcodes[border[:-1]]]
+    if len(repeats):
+        i = repeats.min()
+        raise MeshValidationError(
+            f"boundary edge {(int(blo[i]), int(bhi[i]))} listed twice")
+
+    # the stable sort keeps each edge's uses in triangle order, so the first
+    # use of a run is where the triangle list reaches the edge
+    codes = lo * base + hi
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    counts = np.diff(np.r_[starts, len(order)])
+    first = order[starts]
+    unique_codes = codes[first]
+    rows = np.searchsorted(unique_codes, bcodes)
+    matched = np.r_[unique_codes, -1][rows] == bcodes    # -1 is no edge's code
+    labeled = np.zeros(len(starts), dtype=bool)
+    labeled[rows[matched]] = True
+
+    bad = (counts > 2) | ((counts == 1) & ~labeled) | ((counts == 2) & labeled)
+    if bad.any():
+        k = np.flatnonzero(bad)[np.argmin(first[bad])]
+        key = (int(lo[first[k]]), int(hi[first[k]]))
+        if counts[k] > 2:
+            raise MeshValidationError(f"edge {key} shared by {counts[k]} triangles")
+        if counts[k] == 1:
+            raise MeshValidationError(f"edge {key} is on the boundary but unlabeled")
+        raise MeshValidationError(f"interior edge {key} carries a boundary label")
+    if not matched.all():
+        i = int(np.argmin(matched))
+        raise MeshValidationError(
+            f"boundary edge {(int(blo[i]), int(bhi[i]))} is not a triangle edge")
+
+    second = order[np.minimum(starts + 1, len(order) - 1)]
+    owners = np.column_stack([first // 3, np.where(counts == 2, second // 3, -1)])
+    labels = np.zeros(len(starts), dtype="U5")       # wide enough for both labels
+    labels[rows] = boundary_labels
+    nodes = np.column_stack([lo[first], hi[first]])
+    for arr in (nodes, owners, labels):
+        arr.setflags(write=False)
+    return EdgeTable(nodes, owners, labels)
 
 
 def chain_loop(edges: np.ndarray, label: str) -> np.ndarray:
@@ -230,8 +324,11 @@ def chain_loop(edges: np.ndarray, label: str) -> np.ndarray:
     return np.asarray(loop, dtype=np.int64)
 
 
-def validate_mesh(nodes, triangles, edges, labels) -> None:
-    """Check all structural mesh invariants, raising on the first violation."""
+def validate_mesh(nodes, triangles, edges, labels) -> EdgeTable:
+    """Check all structural mesh invariants, raising on the first violation.
+
+    Returns the edge table, which the edge checks build.
+    """
     if nodes.ndim != 2 or nodes.shape[1] != 2:
         raise MeshValidationError("nodes must be (N, 2)")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -259,23 +356,7 @@ def validate_mesh(nodes, triangles, edges, labels) -> None:
     if unknown:
         raise MeshValidationError(f"unknown boundary labels {sorted(unknown)}")
 
-    usage = _edge_usage(triangles)
-    labeled = {}
-    for (a, b), lab in zip(edges, labels):
-        key = (int(min(a, b)), int(max(a, b)))
-        if key in labeled:
-            raise MeshValidationError(f"boundary edge {key} listed twice")
-        labeled[key] = str(lab)
-    for key, count in usage.items():
-        if count > 2:
-            raise MeshValidationError(f"edge {key} shared by {count} triangles")
-        if count == 1 and key not in labeled:
-            raise MeshValidationError(f"edge {key} is on the boundary but unlabeled")
-        if count == 2 and key in labeled:
-            raise MeshValidationError(f"interior edge {key} carries a boundary label")
-    for key in labeled:
-        if key not in usage:
-            raise MeshValidationError(f"boundary edge {key} is not a triangle edge")
+    table = build_edge_table(triangles, edges, labels)
 
     outer_edges = edges[labels == OUTER]
     inner_edges = edges[labels == INNER]
@@ -290,6 +371,7 @@ def validate_mesh(nodes, triangles, edges, labels) -> None:
         outer_in_inner = points_in_polygon(nodes[outer_loop], nodes[inner_loop])
         if outer_in_inner.any():
             raise MeshValidationError("outer loop nodes lie inside the inner loop")
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Physical outputs from a reconstructed flux.
 
 Per-triangle magnetic field components, isoflux contours by marching
-triangles, and the plasma-boundary level search.  The boundary search
-classifies the inner-boundary-attached region of each flux level on the
-triangle graph (exact for P1 fields at sub-triangle resolution) and bisects
-for the level at which that region stops escaping through the outer wall.
+triangles, and the plasma-boundary level search.  The boundary search takes
+the exact bottleneck level in one pass over the mesh edges: the highest
+level at which the inner-boundary-attached region of {psi > level} still
+escapes through the outer wall, on the triangle graph (exact for P1 fields
+at sub-triangle resolution).  That is the join level of the two walls in the
+field's merge tree (Carr, Snoeyink & Axen, Comput. Geom. 24(2), 2003), read
+off one maximum spanning tree.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .fem import FluxField, triangle_gradients
 from .mesh import INNER, OUTER, Mesh, points_in_polygon
@@ -134,8 +137,6 @@ def _chain(iso: Isoline, seg_edges, edge_point, edge_ids, mesh: Mesh) -> None:
         adjacency.setdefault(ea, []).append(si)
         adjacency.setdefault(eb, []).append(si)
 
-    boundary_keys = {(int(min(a, b)), int(max(a, b))): lab
-                     for (a, b), lab in zip(mesh.boundary_edges, mesh.boundary_labels)}
     seen = [False] * len(seg_edges)
 
     def walk(start_edge):
@@ -155,7 +156,7 @@ def _chain(iso: Isoline, seg_edges, edge_point, edge_ids, mesh: Mesh) -> None:
 
     # open chains first: start from crossed edges used once (contour endpoints)
     degree = {k: len(v) for k, v in adjacency.items()}
-    touches_outer = False
+    endpoints = []
     for start in sorted((k for k, d in degree.items() if d == 1),
                         key=lambda k: edge_ids[k]):
         if all(seen[s] for s in adjacency[start]):
@@ -164,9 +165,7 @@ def _chain(iso: Isoline, seg_edges, edge_point, edge_ids, mesh: Mesh) -> None:
         pts = np.array([edge_point[e] for e in path])
         iso.polylines.append(pts)
         iso.polyline_closed.append(False)
-        for endpoint in (path[0], path[-1]):
-            if boundary_keys.get(endpoint) == OUTER:
-                touches_outer = True
+        endpoints += [path[0], path[-1]]
     for start in sorted(adjacency, key=lambda k: edge_ids[k]):
         if all(seen[s] for s in adjacency[start]):
             continue
@@ -174,73 +173,68 @@ def _chain(iso: Isoline, seg_edges, edge_point, edge_ids, mesh: Mesh) -> None:
         pts = np.array([edge_point[e] for e in path])
         if is_closed:
             pts = np.vstack([pts, pts[:1]])
+        else:
+            endpoints += [path[0], path[-1]]
         iso.polylines.append(pts)
         iso.polyline_closed.append(bool(is_closed))
-        if not is_closed:
-            for endpoint in (path[0], path[-1]):
-                if boundary_keys.get(endpoint) == OUTER:
-                    touches_outer = True
     iso.closed = all(iso.polyline_closed) and bool(iso.polylines)
-    iso.inside_domain = not touches_outer
+    iso.inside_domain = not (endpoints and bool(np.any(
+        mesh.edges.labels[mesh.edges.find(endpoints)] == OUTER)))
 
 
 # ---------------------------------------------------------------------------
 # plasma boundary search
 # ---------------------------------------------------------------------------
 
-class _RegionClassifier:
-    """Classify the inner-attached region of {psi > level} on the triangle graph.
+def _bottleneck_level(mesh: Mesh, values: np.ndarray) -> float:
+    """Highest level at which {values > level} joins the two walls.
 
-    Two triangles are connected when their shared edge carries values above
-    the level somewhere (max endpoint value > level), which is exactly the
-    connectivity of the P1 superlevel set.  States:
-
-      'empty'  - no inner-boundary edge reaches above the level;
-      'closed' - the attached region exists and avoids the outer boundary;
-      'open'   - the attached region touches the outer boundary.
+    On the triangle graph, two triangles are joined above a level when the
+    top endpoint value of their shared edge exceeds it, which is exactly the
+    connectivity of the P1 superlevel set.  A source is linked to the
+    triangles on inner-boundary edges and a sink to those on outer-boundary
+    edges, each link weighted by its edge's top value.  The returned level B
+    is the max-min weight over source-sink paths, so the inner-attached
+    region at a level L escapes through the wall exactly when B > L.  It is
+    the smallest weight on the source-sink path of a maximum spanning tree,
+    built by ranking the weights so that no float arithmetic can tie them;
+    -inf when no path exists.
     """
-
-    def __init__(self, mesh: Mesh, values: np.ndarray):
-        self.values = values
-        tri = mesh.triangles
-        owners: dict[tuple[int, int], list[int]] = {}
-        for ti, (a, b, c) in enumerate(tri):
-            for p, q in ((a, b), (b, c), (c, a)):
-                key = (int(min(p, q)), int(max(p, q)))
-                owners.setdefault(key, []).append(ti)
-        inter = [(k, o) for k, o in owners.items() if len(o) == 2]
-        self.edge_nodes = np.array([k for k, _ in inter], dtype=np.int64)
-        self.edge_tris = np.array([o for _, o in inter], dtype=np.int64)
-
-        def boundary_rows(label):
-            mask = mesh.boundary_labels == label
-            rows = []
-            for a, b in mesh.boundary_edges[mask]:
-                key = (int(min(a, b)), int(max(a, b)))
-                rows.append((key[0], key[1], owners[key][0]))
-            return np.array(rows, dtype=np.int64).reshape(-1, 3)
-
-        self.inner_rows = boundary_rows(INNER)
-        self.outer_rows = boundary_rows(OUTER)
-        self.n_tris = len(tri)
-
-    def state(self, level: float) -> str:
-        v = self.values
-        seeds = self.inner_rows[
-            np.maximum(v[self.inner_rows[:, 0]], v[self.inner_rows[:, 1]]) > level, 2]
-        if len(seeds) == 0:
-            return "empty"
-        emax = np.maximum(v[self.edge_nodes[:, 0]], v[self.edge_nodes[:, 1]])
-        open_edges = self.edge_tris[emax > level]
-        graph = coo_matrix(
-            (np.ones(len(open_edges)), (open_edges[:, 0], open_edges[:, 1])),
-            shape=(self.n_tris, self.n_tris))
-        _, labels = connected_components(graph, directed=False)
-        region = np.zeros(self.n_tris, dtype=bool)
-        region[np.isin(labels, np.unique(labels[seeds]))] = True
-        wall = self.outer_rows[
-            np.maximum(v[self.outer_rows[:, 0]], v[self.outer_rows[:, 1]]) > level, 2]
-        return "open" if region[wall].any() else "closed"
+    e = mesh.edges
+    m = mesh.triangle_count
+    source, sink = m, m + 1
+    top = np.maximum(values[e.nodes[:, 0]], values[e.nodes[:, 1]])
+    interior = e.triangles[:, 1] >= 0
+    rows = [e.triangles[interior, 0]]
+    cols = [e.triangles[interior, 1]]
+    weights = [top[interior]]
+    for end, label in ((source, INNER), (sink, OUTER)):
+        # one link per triangle, as the sparse matrix would sum duplicates: a
+        # triangle owning two edges of one wall links with the higher value
+        link = np.full(m, -np.inf)
+        on_wall = e.labels == label
+        np.maximum.at(link, e.triangles[on_wall, 0], top[on_wall])
+        linked = np.flatnonzero(link > -np.inf)
+        rows.append(np.full(len(linked), end))
+        cols.append(linked)
+        weights.append(link[linked])
+    weights = np.concatenate(weights)
+    order = np.argsort(-weights, kind="stable")
+    rank = np.empty(len(order))
+    rank[order] = np.arange(1, len(order) + 1)     # 1 = top weight; 0 is no edge
+    graph = coo_matrix((rank, (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(m + 2, m + 2)).tocsr()
+    tree = minimum_spanning_tree(graph)
+    tree = (tree + tree.T).tocsr()
+    _, pred = breadth_first_order(tree, source, directed=False,
+                                  return_predecessors=True)
+    if pred[sink] < 0:
+        return -np.inf
+    path = [sink]
+    while path[-1] != source:
+        path.append(int(pred[path[-1]]))
+    worst = int(np.asarray(tree[path[:-1], path[1:]]).max())
+    return float(weights[order[worst - 1]])
 
 
 def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
@@ -248,16 +242,19 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
                          tol_factor: float = 1e-6):
     """Plasma boundary flux value and its isoline.
 
-    Without a limiter, bisects between the boundary trace extremes for the
-    topological transition at which the inner-attached flux region changes
-    from closed inside the domain to escaping through the outer wall (the
-    X-point level).  With a limiter polyline, the boundary value is the
-    extremal flux sampled along the limiter whose isoline is still closed
-    around the inner boundary.
+    In a sign convention where the plasma (inner) side is high, the
+    inner-attached region of {psi > L} is 'open' (escapes through the outer
+    wall) for L below the bottleneck level B, 'closed' for B <= L < s_max and
+    'empty' from s_max, the top of the inner-boundary trace, up.  Without a
+    limiter, the boundary value is B itself, the level at which the closed
+    flux surfaces open to the wall (the X-point level); its isoline is drawn
+    2 * tol_factor of the field range inside the closed band.  With a
+    limiter polyline, the boundary value is the extremal flux sampled along
+    the limiter, provided its surface is closed around the inner boundary.
 
     Returns (psi_p, Isoline, mode) with mode 'xpoint' or 'limiter'.  Raises
     NoTransitionError when the closed state never occurs (every level's
-    contour escapes), meaning no X-point exists in the domain.
+    contour escapes, or none does), meaning no X-point exists in the domain.
     """
     mesh = mesh or fld.mesh
     b = mesh.boundary
@@ -270,64 +267,45 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
     # sign convention where the plasma side is high
     sign = 1.0 if inner_trace.mean() >= outer_trace.mean() else -1.0
     values = sign * fld.values
-    cls = _RegionClassifier(mesh, values)
     rng = float(values.max() - values.min())
     tol = tol_factor * rng
+    bottleneck = _bottleneck_level(mesh, values)
+    s_max = float((sign * inner_trace).max())
 
     if limiter is not None:
         psi_lim = sign * _sample_field(fld, mesh, np.asarray(limiter, dtype=float))
         level = float(psi_lim.max())
-        if cls.state(level + 1e-9 * rng) != "closed":
+        if not bottleneck <= level + 1e-9 * rng < s_max:
             raise NoTransitionError(
                 "no closed flux surface encircling the inner boundary "
                 "inside the limiter")
         iso = extract_isoline(fld, sign * (level + 1e-9 * rng), mesh)
         return sign * level, iso, "limiter"
 
-    hi = float((sign * inner_trace).max())
     lo = float((sign * outer_trace).min())
-    state_lo = cls.state(lo)
-    if state_lo != "open":
+    if bottleneck <= lo:
+        state = "closed" if lo < s_max else "empty"
         raise NoTransitionError(
-            f"contours never escape through the outer wall (state {state_lo!r} "
+            f"contours never escape through the outer wall (state {state!r} "
             "at the wall extreme); no X-point in the domain")
-
-    # levels sweep monotonically through empty -> closed -> open as they
-    # drop; locate the top of the non-empty range, then check whether a
-    # closed band exists at all
-    lo_e, hi_e = lo, hi
-    while hi_e - lo_e > tol:
-        mid = 0.5 * (lo_e + hi_e)
-        if cls.state(mid) == "empty":
-            hi_e = mid
-        else:
-            lo_e = mid
-    found = lo_e
-    if cls.state(found) != "closed":
+    if bottleneck >= s_max:
         raise NoTransitionError(
             "the inner-attached flux region is never closed: contours are "
             "open at every level; no X-point in the domain")
 
-    lo_b, hi_b = lo, found
-    while hi_b - lo_b > tol:
-        mid = 0.5 * (lo_b + hi_b)
-        if cls.state(mid) == "closed":
-            hi_b = mid
-        else:
-            lo_b = mid
-    psi_p = 0.5 * (lo_b + hi_b)
-    if cls.state(hi_b) != "closed" or (lo_b > lo and cls.state(lo_b) == "closed"):
-        raise NoTransitionError("classifier is not monotone across the bracket")
-
-    iso = extract_isoline(fld, sign * (psi_p + 2.0 * tol), mesh)
-    return sign * psi_p, iso, "xpoint"
+    iso = extract_isoline(fld, sign * (bottleneck + 2.0 * tol), mesh)
+    return sign * bottleneck, iso, "xpoint"
 
 
 def _sample_field(fld: FluxField, mesh: Mesh, polyline: np.ndarray) -> np.ndarray:
     """P1 field values at points of a polyline (subdivided per segment).
 
     Points inside the inner hole are skipped; points outside the outer
-    boundary raise.
+    boundary raise.  Each point takes the lowest-index triangle whose
+    barycentric coordinates pass a 1e-12 tolerance.  Candidates are the
+    triangles with centroid within the longest mesh edge of the point, which
+    misses none: every point of a triangle lies within 2/3 of its longest
+    edge of its centroid.
     """
     h = mesh.max_edge_length
     samples = []
@@ -348,21 +326,29 @@ def _sample_field(fld: FluxField, mesh: Mesh, polyline: np.ndarray) -> np.ndarra
     if len(pts) == 0:
         raise ValueError("limiter lies entirely inside the plasma hole")
 
+    # imported here, as it adds about 7 MiB to every process that loads it
+    from scipy.spatial import cKDTree
+
     tri_pts = mesh.nodes[mesh.triangles]            # (M, 3, 2)
-    v0 = tri_pts[:, 0]
-    d1 = tri_pts[:, 1] - v0
-    d2 = tri_pts[:, 2] - v0
+    near = cKDTree(tri_pts.mean(axis=1)).query_ball_point(pts, h)
+    pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
+    ti = np.concatenate(near).astype(np.int64)
+    v0 = tri_pts[ti, 0]
+    d1 = tri_pts[ti, 1] - v0
+    d2 = tri_pts[ti, 2] - v0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    out = np.empty(len(pts))
-    for i, p in enumerate(pts):
-        rel = p - v0
-        l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
-        l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
-        ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
-        cand = np.flatnonzero(ok)
-        if len(cand) == 0:
-            raise ValueError(f"limiter point {p} is outside the mesh")
-        t = cand[0]
-        vals = fld.values[mesh.triangles[t]]
-        out[i] = vals[0] * (1 - l1[t] - l2[t]) + vals[1] * l1[t] + vals[2] * l2[t]
-    return out
+    rel = pts[pi] - v0
+    l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
+    ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
+
+    # lowest-index containing triangle per point: sort the hits by (point, triangle)
+    hits = np.flatnonzero(ok)
+    hits = hits[np.lexsort((ti[hits], pi[hits]))]
+    first = hits[np.diff(pi[hits], prepend=-1) != 0]
+    if len(first) < len(pts):
+        missing = np.setdiff1d(np.arange(len(pts)), pi[first])[0]
+        raise ValueError(f"limiter point {pts[missing]} is outside the mesh")
+    vals = fld.values[mesh.triangles[ti[first]]]
+    l1, l2 = l1[first], l2[first]
+    return vals[:, 0] * (1 - l1 - l2) + vals[:, 1] * l1 + vals[:, 2] * l2

@@ -41,6 +41,8 @@ def _check_grid(eps_grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(eps_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 5:
         raise ValueError("eps_grid must hold at least 5 values")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("eps_grid values must be finite")
     if np.any(grid <= 0.0):
         raise ValueError("eps_grid values must be positive")
     if np.any(np.diff(grid) >= 0.0):

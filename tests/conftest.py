@@ -3,7 +3,7 @@ import pytest
 
 from fluxrec import assemble_stiffness
 from fluxrec.experiments import desk_annulus_mesh, iter_like_mesh
-from fluxrec.mesh import OUTER, Mesh, circle_loop, generate_annulus_mesh
+from fluxrec.mesh import INNER, OUTER, Mesh, circle_loop, generate_annulus_mesh
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +61,27 @@ def build_square_mesh(n: int = 10, r0: float = 1.0, size: float = 1.0) -> Mesh:
         edges.append(((j + 1) * (n + 1), j * (n + 1)))
     labels = [OUTER] * len(edges)
     return Mesh(nodes, np.array(tris), np.array(edges), np.array(labels))
+
+
+def l_hole_square_mesh(n: int = 6) -> Mesh:
+    """build_square_mesh(n) with an L-shaped hole of three cells.
+
+    At the hole's reflex corner one triangle owns two inner-boundary edges;
+    at two corners of the square one triangle owns two outer edges.
+    """
+    m = build_square_mesh(n)
+    hole = [(2, 2), (3, 2), (3, 3)]              # (column, row) of each cell
+    tris = np.delete(m.triangles, [2 * (j * n + i) + k for i, j in hole
+                                   for k in (0, 1)], axis=0)
+    uses: dict[tuple[int, int], int] = {}
+    for t in tris.tolist():
+        for p, q in zip(t, t[1:] + t[:1]):
+            key = (min(p, q), max(p, q))
+            uses[key] = uses.get(key, 0) + 1
+    outer = {tuple(sorted(e)) for e in m.boundary_edges.tolist()}
+    inner = [k for k, count in uses.items() if count == 1 and k not in outer]
+    return Mesh(m.nodes, tris, np.vstack([m.boundary_edges, inner]),
+                np.array([OUTER] * len(outer) + [INNER] * len(inner)))
 
 
 def strip_mesh() -> Mesh:

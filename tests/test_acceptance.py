@@ -34,9 +34,10 @@ from fluxrec.experiments import (MANUFACTURED, TABLE_EPSILONS, TwinSpec,
                                  add_noise, generate_reference, loop_flux_field,
                                  refined_desk_mesh, run_twin)
 from fluxrec.mesh import INNER, OUTER, polygon_centroid, save_mesh
-from fluxrec.postprocess import _RegionClassifier, find_plasma_boundary
+from fluxrec.postprocess import find_plasma_boundary
 from fluxrec.regularization import LCurve, default_grid
 from conftest import build_square_mesh, strip_mesh
+from oracles import bisect_transition
 
 TABLE1_REFERENCE = {("TC1", 0.0): 0.0131, ("TC1", 0.01): 0.0659,
                     ("TC1", 0.05): 0.1526, ("TC2", 0.0): 0.0055,
@@ -253,16 +254,7 @@ def test_criterion_09_plasma_boundary(desk_mesh, iter_mesh, iter_A):
     psi_p, iso, mode = find_plasma_boundary(fld)
     rng = float(fld.values.max() - fld.values.min())
 
-    cls = _RegionClassifier(desk_mesh, fld.values)
-    a = float(fld.values[desk_mesh.boundary.outer_nodes].min())
-    b = float(fld.values[desk_mesh.boundary.inner_nodes].max())
-    while b - a > 1e-9 * rng:
-        mid = 0.5 * (a + b)
-        if cls.state(mid) == "open":
-            a = mid
-        else:
-            b = mid
-    oracle_gap = abs(psi_p - 0.5 * (a + b)) / rng
+    oracle_gap = abs(psi_p - bisect_transition(desk_mesh, fld.values, 1e-9)) / rng
 
     hole = polygon_centroid(iter_mesh.nodes[iter_mesh.boundary.inner_nodes])
     loop = loop_flux_field(hole[0], hole[1], 3.0, 0.0)
@@ -271,8 +263,8 @@ def test_criterion_09_plasma_boundary(desk_mesh, iter_mesh, iter_A):
     rep = run_twin(iter_mesh, spec, 1e-3, A=iter_A)
     _, iso2, mode2 = find_plasma_boundary(rep.psi_opt)
     closed = iso2.encircles(hole)
-    _report(9, oracle_gap < 1e-6 and closed,
-            f"saddle transition vs scan oracle {oracle_gap:.1e} (< 1e-6 of range, "
+    _report(9, oracle_gap < 1e-9 and closed,
+            f"saddle transition vs scan oracle {oracle_gap:.1e} (< 1e-9 of range, "
             f"mode {mode}); twin boundary closed around the hole: {closed}")
 
 

@@ -171,6 +171,7 @@ def test_zero_flags_override_config(desk_mesh_file, tmp_path):
     ["twin", "--case", "TC9", "--epsilon", "1e-3"],
     ["lcurve", "--case", "TC1", "--eps-count", "3"],
     ["lcurve", "--case", "TC1", "--eps-min", "0"],
+    ["lcurve", "--case", "TC1", "--eps-min", "nan"],
 ])
 def test_option_domain_error_gives_config_exit(desk_mesh_file, tmp_path,
                                                capsys, command):

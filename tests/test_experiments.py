@@ -89,6 +89,10 @@ def test_twin_sign_changing_reference_gives_finite_error(desk_mesh, desk_A):
     report = run_twin(desk_mesh, TwinSpec("MANUFACTURED:z"), 1e-5, A=desk_A)
     assert np.isfinite(report.max_rel_err_u)
     assert report.max_rel_err_u < 1e-2
+    # the field error shares the normalization by the reference's maximum
+    field_err = report.field_rel_err.values
+    assert np.all(np.isfinite(field_err))
+    assert field_err.max() < 10.0 * report.max_rel_err_u
 
 
 def test_mean_error_nondecreasing_in_noise(iter_mesh, iter_A):

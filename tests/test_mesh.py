@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
                           MeshTopologyError, MeshValidationError, chain_loop,
@@ -7,6 +9,7 @@ from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError
                           load_mesh, polygon_area, save_mesh,
                           scale_toward_centroid, triangle_areas)
 from conftest import build_square_mesh, strip_mesh
+from oracles import edge_table_dict
 
 STRIP_FILE = """\
 # minimal strip
@@ -185,3 +188,61 @@ def test_inverted_triangle_rejected():
     tris[0] = tris[0][::-1]
     with pytest.raises(MeshValidationError, match="area"):
         Mesh(m.nodes, tris, m.boundary_edges, m.boundary_labels)
+
+
+def _strip_with(extra_edges=(), extra_labels=(), nodes=None, tris=None):
+    m = strip_mesh()
+    edges = np.vstack([m.boundary_edges, np.reshape(extra_edges, (-1, 2))])
+    labels = np.concatenate([m.boundary_labels, np.asarray(extra_labels, dtype="U8")])
+    return Mesh(m.nodes if nodes is None else nodes,
+                m.triangles if tris is None else tris, edges, labels)
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    m = strip_mesh()
+    nodes = np.vstack([m.nodes, [[3.0, 0.0]]])
+    tris = np.vstack([m.triangles, [[0, 4, 2]]])
+    with pytest.raises(MeshValidationError,
+                       match=r"^edge \(0, 2\) shared by 3 triangles$"):
+        _strip_with(nodes=nodes, tris=tris)
+
+
+def test_boundary_edge_listed_twice_rejected():
+    with pytest.raises(MeshValidationError,
+                       match=r"^boundary edge \(0, 1\) listed twice$"):
+        _strip_with([[1, 0]], [OUTER])
+
+
+def test_labeled_interior_edge_rejected():
+    with pytest.raises(MeshValidationError,
+                       match=r"^interior edge \(0, 2\) carries a boundary label$"):
+        _strip_with([[2, 0]], [OUTER])
+
+
+def test_labeled_non_triangle_edge_rejected():
+    with pytest.raises(MeshValidationError,
+                       match=r"^boundary edge \(1, 3\) is not a triangle edge$"):
+        _strip_with([[1, 3]], [INNER])
+
+
+@settings(max_examples=30, deadline=None)
+@given(r0=st.floats(5.0, 8.0), a=st.floats(1.0, 3.0), b=st.floats(1.0, 4.0),
+       triangularity=st.floats(0.0, 0.5), count=st.integers(12, 60),
+       shrink=st.floats(0.3, 0.7), h_over_a=st.floats(0.15, 0.4))
+def test_edge_table_matches_dict_reference(r0, a, b, triangularity, count,
+                                           shrink, h_over_a):
+    outer = dee_loop(r0, a, b, triangularity, count)
+    m = generate_annulus_mesh(outer, scale_toward_centroid(outer, shrink),
+                              a * h_over_a)
+    nodes, owners, labels = edge_table_dict(m)
+    assert np.array_equal(m.edges.nodes, nodes)
+    assert np.array_equal(m.edges.triangles, owners)
+    assert np.array_equal(m.edges.labels, labels)
+    rows = m.edges.find(m.boundary_edges[:, ::-1])
+    assert np.array_equal(m.edges.labels[rows], m.boundary_labels)
+
+
+def test_edge_find_rejects_a_non_edge():
+    m = strip_mesh()
+    with pytest.raises(KeyError, match=r"\(1, 3\) is not a mesh edge"):
+        m.edges.find([[3, 1]])

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from fluxrec import FluxField, interpolate
 from fluxrec.experiments import TwinSpec, loop_flux_field, run_twin
-from fluxrec.mesh import polygon_centroid
+from fluxrec.mesh import circle_loop, polygon_centroid
 from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
-                                 _RegionClassifier, extract_isoline,
-                                 find_plasma_boundary, magnetic_field)
+                                 _bottleneck_level, _sample_field,
+                                 extract_isoline, find_plasma_boundary,
+                                 magnetic_field)
+from oracles import (STATE_ORDER, RegionClassifier, bisect_transition,
+                     sample_field_scan)
 
 
 @pytest.fixture(scope="module")
@@ -134,22 +139,130 @@ def test_xpoint_transition_matches_scan_oracle(desk_mesh, xpoint_field):
     assert mode == "xpoint"
     rngspan = fld.values.max() - fld.values.min()
 
-    # independent oracle: exhaustive bisection of the region classifier
-    cls = _RegionClassifier(desk_mesh, fld.values)
-    a = float(fld.values[desk_mesh.boundary.outer_nodes].min())
-    b = float(fld.values[desk_mesh.boundary.inner_nodes].max())
-    assert cls.state(a) == "open"
-    while b - a > 1e-9 * rngspan:
-        mid = 0.5 * (a + b)
-        if cls.state(mid) == "open":
-            a = mid
-        else:
-            b = mid
-    oracle = 0.5 * (a + b)
-    assert abs(psi_p - oracle) < 1e-6 * rngspan
+    # independent oracle: exhaustive bisection of the region classifier,
+    # bracketing the exact level to within 1e-9 of the range
+    oracle = bisect_transition(desk_mesh, fld.values, 1e-9)
+    assert abs(psi_p - oracle) < 1e-9 * rngspan
     # the discrete transition sits at the interpolant's saddle, within
     # discretization error of the analytic saddle value
     assert abs(psi_p - psi_x) < 1e-3 * rngspan
+
+
+def _saddle_field(mesh, r_x, strength, tilt):
+    """Loop flux plus a vertical field; tilt = 1 puts the saddle at (r_x, 0)."""
+    bare = loop_flux_field(6.0, 0.0, strength, 0.0)
+    gamma = tilt * -(bare.grad(r_x, 0.0)[0] / r_x) / 2.0
+    return interpolate(mesh, loop_flux_field(6.0, 0.0, strength, gamma).psi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(r_x=st.floats(7.3, 8.1), strength=st.floats(0.5, 2.0),
+       tilt=st.floats(0.9, 1.1))
+def test_exact_level_matches_bisection_oracle(desk_mesh, r_x, strength, tilt):
+    fld = _saddle_field(desk_mesh, r_x, strength, tilt)
+    psi_p, _, mode = find_plasma_boundary(fld)
+    assert mode == "xpoint"
+    rngspan = fld.values.max() - fld.values.min()
+    assert abs(psi_p - bisect_transition(desk_mesh, fld.values, 1e-9)) \
+        < 1e-9 * rngspan
+
+
+def _check_states_against_oracle(mesh, values, rng):
+    """The oracle's states run open -> closed -> empty as the level rises,
+    switching exactly at the bottleneck level B and at the inner-trace top."""
+    cls = RegionClassifier(mesh, values)
+    bottleneck = _bottleneck_level(mesh, values)
+    s_max = values[mesh.boundary.inner_nodes].max()
+    levels = np.sort(np.concatenate([
+        rng.uniform(values.min(), values.max(), 12),
+        [bottleneck, np.nextafter(bottleneck, -np.inf), s_max,
+         np.nextafter(s_max, -np.inf)]]))
+    states = [cls.state(level) for level in levels]
+    assert np.all(np.diff([STATE_ORDER[s] for s in states]) >= 0)
+    exact = ["open" if bottleneck > level else "closed" if level < s_max
+             else "empty" for level in levels]
+    assert states == exact
+
+
+@settings(max_examples=20, deadline=None)
+@given(r_x=st.floats(7.3, 8.1), strength=st.floats(0.5, 2.0),
+       tilt=st.floats(0.9, 1.1), roughness=st.sampled_from([0.0, 1e-3, 3e-2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_oracle_state_is_monotone_and_matches_the_bottleneck(
+        desk_mesh, r_x, strength, tilt, roughness, seed):
+    # nodal noise adds many local extrema, so superlevel sets merge and
+    # split at many levels
+    rng = np.random.default_rng(seed)
+    values = _saddle_field(desk_mesh, r_x, strength, tilt).values
+    values = values + roughness * np.ptp(values) * rng.standard_normal(len(values))
+    _check_states_against_oracle(desk_mesh, values, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_bottleneck_with_corner_triangles_matches_oracle(seed):
+    # triangles owning two edges of one wall link to the source or sink once
+    from conftest import l_hole_square_mesh
+    mesh = l_hole_square_mesh()
+    rng = np.random.default_rng(seed)
+    _check_states_against_oracle(mesh, rng.uniform(size=mesh.node_count), rng)
+
+
+def _limiter_on_nodes_and_edges(mesh, rng):
+    """Seeded limiter circle with a third of its vertices moved onto mesh
+    nodes and a third onto midpoints of interior edges, where more than one
+    triangle contains the sample point."""
+    limiter = circle_loop(6.0 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1),
+                          rng.uniform(1.0, 2.0), 48)
+    e = mesh.edges
+    pairs = e.nodes[e.triangles[:, 1] >= 0]
+    mids = 0.5 * (mesh.nodes[pairs[:, 0]] + mesh.nodes[pairs[:, 1]])
+    for k in range(0, 48, 3):
+        limiter[k] = mesh.nodes[np.argmin(np.linalg.norm(mesh.nodes - limiter[k], axis=1))]
+        limiter[k + 1] = mids[np.argmin(np.linalg.norm(mids - limiter[k + 1], axis=1))]
+    return limiter
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_field_matches_per_point_scan(desk_mesh, seed):
+    rng = np.random.default_rng(seed)
+    fld = interpolate(desk_mesh, lambda r, z: np.sin(r) * np.cos(2.0 * z) + r * z)
+    limiter = _limiter_on_nodes_and_edges(desk_mesh, rng)
+    fast = _sample_field(fld, desk_mesh, limiter)
+    slow = sample_field_scan(fld.values, desk_mesh, limiter)
+    assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("centre, radius, message", [
+    ((6.0, 0.0), 5.0, "limiter leaves the outer boundary"),
+    ((6.0, 0.0), 0.5, "limiter lies entirely inside the plasma hole"),
+])
+def test_limiter_sampling_errors(desk_mesh, centre, radius, message):
+    fld = interpolate(desk_mesh, lambda r, z: r * z)
+    limiter = circle_loop(*centre, radius, 16)
+    for sample in (lambda: _sample_field(fld, desk_mesh, limiter),
+                   lambda: sample_field_scan(fld.values, desk_mesh, limiter)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample()
+
+
+def test_limiter_point_outside_the_mesh_is_named(monkeypatch):
+    # on a valid mesh every point inside the outer loop lies in a triangle,
+    # so the outer-loop test is stubbed to let points beyond the mesh through
+    from conftest import build_square_mesh
+    mesh = build_square_mesh(4)
+    fld = interpolate(mesh, lambda r, z: r + z)
+    limiter = np.array([[1.5, 0.5], [1.9, 0.5], [2.5, 0.5]])
+    messages = []
+    for module, sample in (
+            ("fluxrec.postprocess", lambda: _sample_field(fld, mesh, limiter)),
+            ("oracles", lambda: sample_field_scan(fld.values, mesh, limiter))):
+        monkeypatch.setattr(f"{module}.points_in_polygon",
+                            lambda pts, loop: np.ones(len(pts), dtype=bool))
+        with pytest.raises(ValueError, match="is outside the mesh") as err:
+            sample()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_limiter_mode_recovers_touch_value(desk_mesh):

@@ -53,6 +53,18 @@ def test_small_grid_rejected(desk_mesh, desk_A):
         sweep(system, data, np.array([1e-6, 1e-5, 1e-4, 1e-3, 1e-2]))  # increasing
 
 
+@pytest.mark.parametrize("grid", [
+    [1e-1, np.nan, 1e-2, 1e-3, 1e-4, 1e-5],
+    [np.inf, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5],
+    [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, -np.inf],
+])
+def test_non_finite_grid_rejected(desk_mesh, desk_A, grid):
+    _, data = generate_reference(desk_mesh, desk_A, TwinSpec("MANUFACTURED:r2"))
+    system = assemble_kv(desk_mesh, desk_A, data)
+    with pytest.raises(ValueError, match="finite"):
+        sweep(system, data, np.array(grid))
+
+
 def test_sweep_noise_free_misfit_decreases(desk_mesh, desk_A):
     _, data = generate_reference(desk_mesh, desk_A, TwinSpec("MANUFACTURED:r2z"))
     system = assemble_kv(desk_mesh, desk_A, data)
