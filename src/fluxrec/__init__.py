@@ -13,9 +13,9 @@ from .fem import (FluxField, StiffnessMatrix, assemble_stiffness,
                   boundary_flux_load, energy_norm_sq, interpolate,
                   solve_dirichlet, solve_neumann, trace,
                   weighted_normal_derivative)
-from .mesh import (INNER, OUTER, BoundaryIndex, Mesh, build_boundary_index,
-                   circle_loop, dee_loop, generate_annulus_mesh, load_mesh,
-                   save_mesh, scale_toward_centroid)
+from .mesh import (INNER, OUTER, BoundaryIndex, Mesh, circle_loop, dee_loop,
+                   generate_annulus_mesh, load_mesh, save_mesh,
+                   scale_toward_centroid)
 from .postprocess import (FieldSample, Isoline, extract_isoline,
                           find_plasma_boundary, magnetic_field)
 from .regularization import LCurve, default_grid, find_corner, sweep
@@ -28,9 +28,8 @@ __all__ = [
     "FluxField", "StiffnessMatrix", "assemble_stiffness", "boundary_flux_load",
     "energy_norm_sq", "interpolate", "solve_dirichlet", "solve_neumann",
     "trace", "weighted_normal_derivative",
-    "INNER", "OUTER", "BoundaryIndex", "Mesh", "build_boundary_index",
-    "circle_loop", "dee_loop", "generate_annulus_mesh", "load_mesh",
-    "save_mesh", "scale_toward_centroid",
+    "INNER", "OUTER", "BoundaryIndex", "Mesh", "circle_loop", "dee_loop",
+    "generate_annulus_mesh", "load_mesh", "save_mesh", "scale_toward_centroid",
     "FieldSample", "Isoline", "extract_isoline", "find_plasma_boundary",
     "magnetic_field",
     "LCurve", "default_grid", "find_corner", "sweep",

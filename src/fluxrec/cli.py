@@ -299,7 +299,11 @@ def _cmd_contour(cfg) -> int:
         return EXIT_OK
     if "level" not in cfg:
         raise ConfigError("contour needs --level or --plasma-boundary")
-    iso = pp.extract_isoline(fld, _as_float(cfg, "level"), mesh)
+    level = _as_float(cfg, "level")
+    try:
+        iso = pp.extract_isoline(fld, level, mesh)
+    except pp.EmptyIsolineError as exc:
+        raise ConfigError(str(exc)) from None
     fio.write_isoline_csv(os.path.join(out, "isoline.csv"), iso)
     print(f"{len(iso.polylines)} polyline(s), closed = {iso.closed}")
     return EXIT_OK

@@ -116,15 +116,6 @@ class KVSystem:
         return self._constant
 
 
-def _harmonic_columns(reduced, n: int, boundary_cols: np.ndarray) -> np.ndarray:
-    """Batched solves: one column per inner-boundary basis function."""
-    x = np.zeros((n, boundary_cols.shape[1]))
-    x[reduced.constrained] = boundary_cols
-    rhs = -np.asarray(reduced.coupling @ boundary_cols)
-    x[reduced.free] = reduced.factor.solve(rhs)
-    return x
-
-
 def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
                 reuse: KVSystem | None = None) -> KVSystem:
     """Build the interface system for the given mesh and Cauchy data.
@@ -152,12 +143,10 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
         s_d, s_n = reuse.s_d, reuse.s_n
         eigvals, eigvecs = reuse.eigvals, reuse.eigvecs
     else:
-        n = mesh.node_count
         no = len(b.outer_nodes)
         basis = np.eye(ni)
-        cols_d = _harmonic_columns(
-            A._dirichlet, n, np.vstack([np.zeros((no, ni)), basis]))
-        cols_n = _harmonic_columns(A._neumann, n, basis)
+        cols_d = A._dirichlet.solve(np.vstack([np.zeros((no, ni)), basis]), None)
+        cols_n = A._neumann.solve(basis, None)
         s_d = (A.matrix @ cols_d)[b.inner_nodes, :]
         s_n = (A.matrix @ cols_n)[b.inner_nodes, :]
 

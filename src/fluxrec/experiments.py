@@ -194,7 +194,12 @@ class TwinSpec:
     def __post_init__(self):
         if not (0.0 <= self.noise_level <= 0.5):
             raise ValueError("noise_level must lie in [0, 0.5]")
-        if self.case not in TEST_CASES and not self.case.startswith("MANUFACTURED:"):
+        if self.case.startswith("MANUFACTURED:"):
+            try:
+                manufactured(self.case)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
+        elif self.case not in TEST_CASES:
             raise ValueError(f"unknown test case {self.case!r}")
 
 

@@ -135,8 +135,10 @@ class _ReducedSystem:
             raise FemError(f"singular reduced system: {exc}") from exc
 
     def solve(self, boundary_values: np.ndarray, load: np.ndarray | None) -> np.ndarray:
+        """Nodal solution for the constrained values, or one column per
+        column of a 2-D block of them."""
         n = len(self.free) + len(self.constrained)
-        x = np.zeros(n)
+        x = np.zeros((n,) + np.shape(boundary_values)[1:])
         x[self.constrained] = boundary_values
         rhs = -(self.coupling @ boundary_values)
         if load is not None:

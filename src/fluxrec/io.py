@@ -41,11 +41,15 @@ def read_flux_csv(path, mesh: Mesh) -> FluxField:
         header = fh.readline().strip()
         if header != "node_index,r,z,psi":
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             idx, _, _, v = line.split(",")
-            values[int(idx)] = float(v)
+            i = int(idx)
+            if not 0 <= i < len(values):
+                raise ValueError(f"{path}:{lineno}: node index {i} outside "
+                                 f"[0, {len(values)})")
+            values[i] = float(v)
     if np.any(np.isnan(values)):
         raise ValueError(f"{path}: missing node values")
     return FluxField(values, mesh)

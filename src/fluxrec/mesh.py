@@ -9,8 +9,11 @@ useful for auxiliary verification domains.
 Meshes are plain node/triangle/boundary-edge arrays, immutable after
 construction, with a line-oriented text serialization that round-trips
 coordinates bit-exactly.  Validation builds, once per mesh, the table of
-unique edges with their owning triangles and boundary labels, which the
-post-processing reads instead of rebuilding edge maps.
+unique edges with their owning triangles and boundary labels and the edges
+of each triangle, and chains each boundary loop once; the post-processing
+reads the table instead of rebuilding edge maps.  One walk over graphs of
+degree at most 2 (`chain_walk`) chains both the boundary loops and the
+isoflux contours.
 """
 
 from __future__ import annotations
@@ -153,6 +156,8 @@ class Mesh:
         One of ``"outer"`` / ``"inner"`` per boundary edge.
     edges : EdgeTable
         Every unique edge with its owners and label, built once by validation.
+    boundary : BoundaryIndex
+        Ordered boundary loops, chained once by validation.
     """
 
     nodes: np.ndarray
@@ -160,18 +165,23 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_labels: np.ndarray
     edges: "EdgeTable" = field(init=False, repr=False, compare=False)
+    boundary: "BoundaryIndex" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
         tris = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
         edges = np.ascontiguousarray(np.asarray(self.boundary_edges, dtype=np.int64))
         labels = np.asarray(self.boundary_labels)
-        table = validate_mesh(nodes, tris, edges, labels)
+        table, outer_loop, inner_loop = validate_mesh(nodes, tris, edges, labels)
         for name, arr in (("nodes", nodes), ("triangles", tris),
                           ("boundary_edges", edges), ("boundary_labels", labels)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "edges", table)
+        outer_loop, outer_arcs, outer_per = _orient_and_anchor(nodes, outer_loop, ccw=True)
+        inner_loop, inner_arcs, inner_per = _orient_and_anchor(nodes, inner_loop, ccw=False)
+        object.__setattr__(self, "boundary", BoundaryIndex(
+            outer_loop, inner_loop, outer_arcs, inner_arcs, outer_per, inner_per))
 
     @property
     def node_count(self) -> int:
@@ -180,10 +190,6 @@ class Mesh:
     @property
     def triangle_count(self) -> int:
         return self.triangles.shape[0]
-
-    @cached_property
-    def boundary(self) -> "BoundaryIndex":
-        return build_boundary_index(self)
 
     @cached_property
     def max_edge_length(self) -> float:
@@ -205,26 +211,15 @@ class EdgeTable:
         boundary edge.
     labels : (E,) str array
         Boundary label, ``""`` on interior edges.
+    triangle_rows : (M, 3) int array
+        Row of each triangle's edges (a, b), (b, c), (c, a), for its
+        vertices (a, b, c).
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     labels: np.ndarray
-
-    def find(self, pairs) -> np.ndarray:
-        """Row of each node pair, given in either order.
-
-        Raises KeyError if some pair is not an edge.
-        """
-        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
-        base = int(self.nodes.max(initial=0)) + 1
-        codes = self.nodes[:, 0] * base + self.nodes[:, 1]
-        rows = np.minimum(np.searchsorted(codes, pairs[:, 0] * base + pairs[:, 1]),
-                          len(codes) - 1)
-        missing = np.flatnonzero(np.any(self.nodes[rows] != pairs, axis=1))
-        if len(missing):
-            raise KeyError(f"{tuple(pairs[missing[0]].tolist())} is not a mesh edge")
-        return rows
+    triangle_rows: np.ndarray
 
 
 def build_edge_table(triangles: np.ndarray, boundary_edges: np.ndarray,
@@ -284,50 +279,85 @@ def build_edge_table(triangles: np.ndarray, boundary_edges: np.ndarray,
     labels = np.zeros(len(starts), dtype="U5")       # wide enough for both labels
     labels[rows] = boundary_labels
     nodes = np.column_stack([lo[first], hi[first]])
-    for arr in (nodes, owners, labels):
+    triangle_rows = np.empty(len(order), dtype=np.int64)
+    triangle_rows[order] = np.repeat(np.arange(len(starts)), counts)
+    triangle_rows = triangle_rows.reshape(-1, 3)
+    for arr in (nodes, owners, labels, triangle_rows):
         arr.setflags(write=False)
-    return EdgeTable(nodes, owners, labels)
+    return EdgeTable(nodes, owners, labels, triangle_rows)
+
+
+def chain_walk(links: np.ndarray) -> list[tuple[list[int], bool]]:
+    """Walk a graph of degree at most 2 into its paths and cycles.
+
+    links is a (K, 2) array of vertex pairs; the vertices are 0..n-1 and
+    each is an end of some link.  Paths come first, walked from their
+    degree-1 ends in ascending order, then cycles, each from its lowest
+    vertex not yet visited; every step takes the lowest-index unused link.
+    Returns (vertices, closed) per chain; a cycle's start is not repeated.
+    """
+    ends = np.asarray(links, dtype=np.int64).ravel()
+    degree = np.bincount(ends)
+    start = np.cumsum(degree) - degree
+    # each vertex's links in index order, then a -1 sentinel
+    by_vertex = np.r_[np.argsort(ends, kind="stable") // 2, -1]
+    first = by_vertex[start].tolist()
+    second = np.where(degree == 2, by_vertex[start + 1], -1).tolist()
+    ends = ends.tolist()
+    seen = [False] * len(degree)
+    chains = []
+
+    def walk(v):
+        path, link = [v], first[v]
+        seen[v] = True
+        while True:
+            w = ends[2 * link] + ends[2 * link + 1] - v
+            if w == path[0]:
+                return path, True
+            path.append(w)
+            seen[w] = True
+            v, link = w, second[w] if first[w] == link else first[w]
+            if link < 0:
+                return path, False
+
+    for v in np.flatnonzero(degree == 1).tolist():
+        if not seen[v]:
+            chains.append(walk(v))
+    for v in range(len(degree)):
+        if not seen[v]:
+            chains.append(walk(v))
+    return chains
 
 
 def chain_loop(edges: np.ndarray, label: str) -> np.ndarray:
-    """Chain undirected edges into one closed simple loop of node indices.
+    """Chain undirected edges into one closed simple loop of node indices,
+    from the lowest node along its first listed edge.
 
     Raises MeshTopologyError if the edges do not form exactly one cycle.
     """
     if len(edges) < 3:
         raise MeshTopologyError(f"boundary '{label}': fewer than 3 edges")
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(int(a), []).append(int(b))
-        adj.setdefault(int(b), []).append(int(a))
-    for node, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise MeshTopologyError(
-                f"boundary '{label}': node {node} has degree {len(nbrs)}, expected 2")
-    start = min(adj)
-    loop = [start]
-    prev, cur = -1, start
-    while True:
-        nxt = [n for n in adj[cur] if n != prev]
-        if not nxt:
-            raise MeshTopologyError(f"boundary '{label}': dead end at node {cur}")
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            break
-        loop.append(cur)
-        if len(loop) > len(edges):
-            raise MeshTopologyError(f"boundary '{label}': edges do not close")
-    if len(loop) != len(edges):
+    nodes, ids = np.unique(edges, return_inverse=True)
+    ids = ids.ravel()
+    degree = np.bincount(ids)
+    bad = degree[ids] != 2
+    if bad.any():
+        k = ids[np.argmax(bad)]               # the bad node listed first
+        raise MeshTopologyError(
+            f"boundary '{label}': node {nodes[k]} has degree {degree[k]}, expected 2")
+    chains = chain_walk(ids.reshape(-1, 2))
+    if len(chains) > 1:
         raise MeshTopologyError(
             f"boundary '{label}': {len(edges)} edges chain into a loop of "
-            f"{len(loop)} nodes; multiple components?")
-    return np.asarray(loop, dtype=np.int64)
+            f"{len(chains[0][0])} nodes; multiple components?")
+    return nodes[chains[0][0]]
 
 
-def validate_mesh(nodes, triangles, edges, labels) -> EdgeTable:
+def validate_mesh(nodes, triangles, edges, labels) -> tuple:
     """Check all structural mesh invariants, raising on the first violation.
 
-    Returns the edge table, which the edge checks build.
+    Returns the edge table and the outer and inner loops of node indices
+    (the inner one empty without an inner boundary), which the checks build.
     """
     if nodes.ndim != 2 or nodes.shape[1] != 2:
         raise MeshValidationError("nodes must be (N, 2)")
@@ -363,6 +393,7 @@ def validate_mesh(nodes, triangles, edges, labels) -> EdgeTable:
     if len(outer_edges) == 0:
         raise MeshValidationError("no outer boundary edges")
     outer_loop = chain_loop(outer_edges, OUTER)
+    inner_loop = np.zeros(0, dtype=np.int64)
     if len(inner_edges):
         inner_loop = chain_loop(inner_edges, INNER)
         inside = points_in_polygon(nodes[inner_loop], nodes[outer_loop])
@@ -371,7 +402,7 @@ def validate_mesh(nodes, triangles, edges, labels) -> EdgeTable:
         outer_in_inner = points_in_polygon(nodes[outer_loop], nodes[inner_loop])
         if outer_in_inner.any():
             raise MeshValidationError("outer loop nodes lie inside the inner loop")
-    return table
+    return table, outer_loop, inner_loop
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +438,8 @@ class BoundaryIndex:
 
 
 def _orient_and_anchor(nodes: np.ndarray, loop: np.ndarray, ccw: bool):
+    if len(loop) == 0:
+        return loop, np.zeros(0), 0.0
     pts = nodes[loop]
     if (polygon_area(pts) > 0.0) != ccw:
         loop = loop[::-1].copy()
@@ -418,23 +451,6 @@ def _orient_and_anchor(nodes: np.ndarray, loop: np.ndarray, ccw: bool):
     arcs = np.concatenate([[0.0], np.cumsum(seg)])
     perimeter = float(arcs[-1] + np.linalg.norm(pts[0] - pts[-1]))
     return loop, arcs, perimeter
-
-
-def build_boundary_index(mesh: Mesh) -> BoundaryIndex:
-    """Canonically ordered boundary traversals (orientation recomputed)."""
-    labels = mesh.boundary_labels
-    outer_loop = chain_loop(mesh.boundary_edges[labels == OUTER], OUTER)
-    outer_loop, outer_arcs, outer_per = _orient_and_anchor(mesh.nodes, outer_loop, ccw=True)
-    inner_edges = mesh.boundary_edges[labels == INNER]
-    if len(inner_edges):
-        inner_loop = chain_loop(inner_edges, INNER)
-        inner_loop, inner_arcs, inner_per = _orient_and_anchor(mesh.nodes, inner_loop, ccw=False)
-    else:
-        inner_loop = np.zeros(0, dtype=np.int64)
-        inner_arcs = np.zeros(0)
-        inner_per = 0.0
-    return BoundaryIndex(outer_loop, inner_loop, outer_arcs, inner_arcs,
-                         outer_per, inner_per)
 
 
 def boundary_node_normals(mesh: Mesh, where: str) -> np.ndarray:

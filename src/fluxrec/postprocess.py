@@ -1,7 +1,9 @@
 """Physical outputs from a reconstructed flux.
 
 Per-triangle magnetic field components, isoflux contours by marching
-triangles, and the plasma-boundary level search.  The boundary search takes
+triangles, and the plasma-boundary level search.  Contours are cut from the
+mesh's edge table: one crossing point per crossed edge, computed for all
+edges at once, chained by the mesh module's walk.  The boundary search takes
 the exact bottleneck level in one pass over the mesh edges: the highest
 level at which the inner-boundary-attached region of {psi > level} still
 escapes through the outer wall, on the triangle graph (exact for P1 fields
@@ -19,7 +21,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .fem import FluxField, triangle_gradients
-from .mesh import INNER, OUTER, Mesh, points_in_polygon
+from .mesh import INNER, OUTER, Mesh, chain_walk, points_in_polygon
 
 
 class EmptyIsolineError(ValueError):
@@ -82,7 +84,10 @@ def extract_isoline(fld: FluxField, level: float,
     A level hitting a nodal value exactly is perturbed upward by
     1e-12 * (flux range) to avoid degenerate crossings.  Crossing points are
     computed once per mesh edge, so shared endpoints match bit-exactly and
-    segments chain into polylines without tolerance games.
+    segments chain into polylines without tolerance games.  The crossed
+    edges are numbered in the order the triangle list first reaches them,
+    and `chain_walk` chains them: open polylines first, from their ends on
+    the boundary, then closed ones.
     """
     mesh = mesh or fld.mesh
     values = fld.values
@@ -95,91 +100,35 @@ def extract_isoline(fld: FluxField, level: float,
     while np.any(values == lev):
         lev += 1e-12 * rng
 
-    tri = mesh.triangles
-    below = values[tri] < lev                     # (M, 3) strict by construction
-    crossed_tris = np.flatnonzero(below.any(axis=1) & (~below).any(axis=1))
+    e = mesh.edges
+    below = values < lev                          # strict by construction
+    crossed = below[e.nodes[:, 0]] != below[e.nodes[:, 1]]
+    cut = crossed[e.triangle_rows]
+    hit = cut.any(axis=1)
+    # a crossed triangle has exactly two crossed edges, kept in local order
+    seg_rows = e.triangle_rows[hit][cut[hit]]
+    iso = Isoline(level=float(level), segments=[])
+    if len(seg_rows) == 0:
+        return iso
 
-    edge_point: dict[tuple[int, int], np.ndarray] = {}
-    edge_ids: dict[tuple[int, int], int] = {}
+    rows, first, inverse = np.unique(seg_rows, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)                   # ids by first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    links = rank[inverse].reshape(-1, 2)
+    lo, hi = e.nodes[rows[order]].T
+    va, vb = values[lo], values[hi]
+    t = ((lev - va) / (vb - va))[:, None]
+    points = (1.0 - t) * mesh.nodes[lo] + t * mesh.nodes[hi]
 
-    def crossing(a: int, b: int):
-        key = (a, b) if a < b else (b, a)
-        if key not in edge_point:
-            va, vb = values[key[0]], values[key[1]]
-            t = (lev - va) / (vb - va)
-            edge_point[key] = (1.0 - t) * mesh.nodes[key[0]] + t * mesh.nodes[key[1]]
-            edge_ids[key] = len(edge_ids)
-        return key
-
-    segments = []
-    seg_edges = []
-    for ti in crossed_tris:
-        a, b, c = tri[ti]
-        cut = []
-        for (p, q) in ((a, b), (b, c), (c, a)):
-            if (values[p] < lev) != (values[q] < lev):
-                cut.append(crossing(p, q))
-        if len(cut) == 2:
-            segments.append((edge_point[cut[0]].copy(), edge_point[cut[1]].copy()))
-            seg_edges.append((cut[0], cut[1]))
-
-    iso = Isoline(level=float(level), segments=segments)
-    _chain(iso, seg_edges, edge_point, edge_ids, mesh)
+    iso.segments = list(zip(points[links[:, 0]], points[links[:, 1]]))
+    for path, is_closed in chain_walk(links):
+        iso.polylines.append(points[path + path[:1] if is_closed else path])
+        iso.polyline_closed.append(is_closed)
+    iso.closed = all(iso.polyline_closed)
+    iso.inside_domain = not np.any(e.labels[crossed] == OUTER)
     return iso
-
-
-def _chain(iso: Isoline, seg_edges, edge_point, edge_ids, mesh: Mesh) -> None:
-    """Chain segments into polylines via shared crossed mesh edges."""
-    if not seg_edges:
-        return
-    adjacency: dict[tuple, list[int]] = {}
-    for si, (ea, eb) in enumerate(seg_edges):
-        adjacency.setdefault(ea, []).append(si)
-        adjacency.setdefault(eb, []).append(si)
-
-    seen = [False] * len(seg_edges)
-
-    def walk(start_edge):
-        path = [start_edge]
-        cur = start_edge
-        while True:
-            nxt_seg = [s for s in adjacency[cur] if not seen[s]]
-            if not nxt_seg:
-                return path, False
-            s = nxt_seg[0]
-            seen[s] = True
-            ea, eb = seg_edges[s]
-            cur = eb if ea == cur else ea
-            if cur == start_edge:
-                return path, True
-            path.append(cur)
-
-    # open chains first: start from crossed edges used once (contour endpoints)
-    degree = {k: len(v) for k, v in adjacency.items()}
-    endpoints = []
-    for start in sorted((k for k, d in degree.items() if d == 1),
-                        key=lambda k: edge_ids[k]):
-        if all(seen[s] for s in adjacency[start]):
-            continue
-        path, _ = walk(start)
-        pts = np.array([edge_point[e] for e in path])
-        iso.polylines.append(pts)
-        iso.polyline_closed.append(False)
-        endpoints += [path[0], path[-1]]
-    for start in sorted(adjacency, key=lambda k: edge_ids[k]):
-        if all(seen[s] for s in adjacency[start]):
-            continue
-        path, is_closed = walk(start)
-        pts = np.array([edge_point[e] for e in path])
-        if is_closed:
-            pts = np.vstack([pts, pts[:1]])
-        else:
-            endpoints += [path[0], path[-1]]
-        iso.polylines.append(pts)
-        iso.polyline_closed.append(bool(is_closed))
-    iso.closed = all(iso.polyline_closed) and bool(iso.polylines)
-    iso.inside_domain = not (endpoints and bool(np.any(
-        mesh.edges.labels[mesh.edges.find(endpoints)] == OUTER)))
 
 
 # ---------------------------------------------------------------------------

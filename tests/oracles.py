@@ -1,6 +1,6 @@
 """Slow reference implementations that the fast library paths are checked
-against.  They build their own adjacency from the triangle list, so they
-share no code with ``Mesh.edges``."""
+against.  They build their own adjacency from the triangle list and their
+own boundary-label dicts, so they share no code with ``Mesh.edges``."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from fluxrec.mesh import INNER, OUTER, Mesh, points_in_polygon
+from fluxrec.fem import FluxField
+from fluxrec.mesh import INNER, OUTER, Mesh, points_in_polygon, polygon_area
+from fluxrec.postprocess import EmptyIsolineError, Isoline
 
 STATE_ORDER = {"open": 0, "closed": 1, "empty": 2}   # as the level rises
 
@@ -129,8 +131,9 @@ def sample_field_scan(values: np.ndarray, mesh: Mesh,
 
 
 def edge_table_dict(mesh: Mesh):
-    """Sorted unique edges with owners (-1 padded) and labels ("" interior),
-    built with a dict over the triangle list."""
+    """Sorted unique edges with owners (-1 padded), labels ("" interior) and
+    the row of each triangle's edges (a,b), (b,c), (c,a), built with a dict
+    over the triangle list."""
     owners: dict[tuple[int, int], list[int]] = {}
     for ti, (a, b, c) in enumerate(mesh.triangles.tolist()):
         for p, q in ((a, b), (b, c), (c, a)):
@@ -138,6 +141,138 @@ def edge_table_dict(mesh: Mesh):
     labels = {(min(a, b), max(a, b)): str(lab) for (a, b), lab
               in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)}
     keys = sorted(owners)
+    row = {k: i for i, k in enumerate(keys)}
+    tri_rows = [[row[(min(p, q), max(p, q))] for p, q in ((a, b), (b, c), (c, a))]
+                for a, b, c in mesh.triangles.tolist()]
     return (np.array(keys), np.array([owners[k] + [-1] * (2 - len(owners[k]))
                                       for k in keys]),
-            np.array([labels.get(k, "") for k in keys]))
+            np.array([labels.get(k, "") for k in keys]),
+            np.array(tri_rows, dtype=np.int64).reshape(-1, 3))
+
+
+def chain_loop_dict(edges: np.ndarray) -> np.ndarray:
+    """One closed loop of node indices from the smallest node, leaving it
+    along its first listed edge; a dict adjacency walk.  The edges must form
+    a single cycle."""
+    adj: dict[int, list[int]] = {}
+    for a, b in edges.tolist():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    start = min(adj)
+    loop, prev, cur = [start], -1, start
+    while True:
+        prev, cur = cur, [n for n in adj[cur] if n != prev][0]
+        if cur == start:
+            return np.asarray(loop, dtype=np.int64)
+        loop.append(cur)
+
+
+def boundary_index_dict(mesh: Mesh):
+    """(nodes, arcs, perimeter) of the outer and the inner loop, in the
+    documented BoundaryIndex order: outer counter-clockwise, inner
+    clockwise, each from its minimum-z (then minimum-r) node."""
+    out = []
+    for label, ccw in ((OUTER, True), (INNER, False)):
+        edges = mesh.boundary_edges[mesh.boundary_labels == label]
+        if len(edges) == 0:
+            out.append((np.zeros(0, dtype=np.int64), np.zeros(0), 0.0))
+            continue
+        loop = chain_loop_dict(edges)
+        if (polygon_area(mesh.nodes[loop]) > 0.0) != ccw:
+            loop = loop[::-1]
+        pts = mesh.nodes[loop]
+        start = min(range(len(loop)), key=lambda i: (pts[i, 1], pts[i, 0]))
+        loop = np.roll(loop, -start)
+        pts = mesh.nodes[loop]
+        arcs = np.concatenate([[0.0], np.cumsum(
+            np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+        out.append((loop, arcs, float(arcs[-1] + np.linalg.norm(pts[0] - pts[-1]))))
+    return out
+
+
+def extract_isoline_dict(fld: FluxField, level: float, mesh: Mesh) -> Isoline:
+    """Marching triangles with a Python loop over crossed triangles, crossing
+    points and ids kept in dicts keyed by node pair, and a dict adjacency
+    walk: open chains from their contour endpoints first, in order of first
+    crossing, then closed chains.  Boundary labels come from a dict over the
+    boundary edge list."""
+    values = fld.values
+    vmin, vmax = float(values.min()), float(values.max())
+    if not (vmin <= level <= vmax):
+        raise EmptyIsolineError(
+            f"level {level} outside field range [{vmin}, {vmax}]")
+    rng = max(vmax - vmin, 1e-300)
+    lev = float(level)
+    while np.any(values == lev):
+        lev += 1e-12 * rng
+
+    tri = mesh.triangles
+    below = values[tri] < lev
+    crossed_tris = np.flatnonzero(below.any(axis=1) & (~below).any(axis=1))
+    edge_point: dict[tuple[int, int], np.ndarray] = {}
+    edge_ids: dict[tuple[int, int], int] = {}
+
+    def crossing(a: int, b: int):
+        key = (a, b) if a < b else (b, a)
+        if key not in edge_point:
+            va, vb = values[key[0]], values[key[1]]
+            t = (lev - va) / (vb - va)
+            edge_point[key] = (1.0 - t) * mesh.nodes[key[0]] + t * mesh.nodes[key[1]]
+            edge_ids[key] = len(edge_ids)
+        return key
+
+    segments, seg_edges = [], []
+    for ti in crossed_tris:
+        a, b, c = tri[ti]
+        cut = [crossing(p, q) for p, q in ((a, b), (b, c), (c, a))
+               if (values[p] < lev) != (values[q] < lev)]
+        segments.append((edge_point[cut[0]].copy(), edge_point[cut[1]].copy()))
+        seg_edges.append((cut[0], cut[1]))
+
+    iso = Isoline(level=float(level), segments=segments)
+    if not seg_edges:
+        return iso
+    adjacency: dict[tuple, list[int]] = {}
+    for si, (ea, eb) in enumerate(seg_edges):
+        adjacency.setdefault(ea, []).append(si)
+        adjacency.setdefault(eb, []).append(si)
+    seen = [False] * len(seg_edges)
+
+    def walk(start_edge):
+        path, cur = [start_edge], start_edge
+        while True:
+            nxt_seg = [s for s in adjacency[cur] if not seen[s]]
+            if not nxt_seg:
+                return path, False
+            seen[nxt_seg[0]] = True
+            ea, eb = seg_edges[nxt_seg[0]]
+            cur = eb if ea == cur else ea
+            if cur == start_edge:
+                return path, True
+            path.append(cur)
+
+    endpoints = []
+    for start in sorted((k for k, v in adjacency.items() if len(v) == 1),
+                        key=lambda k: edge_ids[k]):
+        if all(seen[s] for s in adjacency[start]):
+            continue
+        path, _ = walk(start)
+        iso.polylines.append(np.array([edge_point[e] for e in path]))
+        iso.polyline_closed.append(False)
+        endpoints += [path[0], path[-1]]
+    for start in sorted(adjacency, key=lambda k: edge_ids[k]):
+        if all(seen[s] for s in adjacency[start]):
+            continue
+        path, is_closed = walk(start)
+        pts = np.array([edge_point[e] for e in path])
+        if is_closed:
+            pts = np.vstack([pts, pts[:1]])
+        else:
+            endpoints += [path[0], path[-1]]
+        iso.polylines.append(pts)
+        iso.polyline_closed.append(bool(is_closed))
+    labels = {(min(a, b), max(a, b)): str(lab) for (a, b), lab
+              in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)}
+    iso.closed = all(iso.polyline_closed) and bool(iso.polylines)
+    iso.inside_domain = not any(labels.get(k) == OUTER for k in endpoints)
+    return iso

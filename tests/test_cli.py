@@ -172,6 +172,8 @@ def test_zero_flags_override_config(desk_mesh_file, tmp_path):
     ["lcurve", "--case", "TC1", "--eps-count", "3"],
     ["lcurve", "--case", "TC1", "--eps-min", "0"],
     ["lcurve", "--case", "TC1", "--eps-min", "nan"],
+    ["twin", "--case", "MANUFACTURED:bogus", "--epsilon", "1e-3"],
+    ["lcurve", "--case", "MANUFACTURED:bogus"],
 ])
 def test_option_domain_error_gives_config_exit(desk_mesh_file, tmp_path,
                                                capsys, command):
@@ -199,6 +201,44 @@ def test_flux_csv_roundtrip(desk_mesh_file, tmp_path):
     write_flux_csv(path, fld)
     back = read_flux_csv(path, mesh)
     assert np.array_equal(back.values, fld.values)
+
+
+def _contour(desk_mesh_file, tmp_path, edit, *options):
+    """Run contour on the r*z flux file of the desk mesh after edit(lines)."""
+    mesh = load_mesh(desk_mesh_file)
+    path = tmp_path / "f.csv"
+    write_flux_csv(path, interpolate(mesh, lambda r, z: r * z))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return main(["contour", "--mesh", desk_mesh_file, "--field", str(path),
+                 *options, "--output-dir", str(tmp_path)]), path, len(lines)
+
+
+def test_contour_level_outside_field_range_gives_config_exit(
+        desk_mesh_file, tmp_path, capsys):
+    rc, _, _ = _contour(desk_mesh_file, tmp_path, lambda lines: lines,
+                        "--level", "1e6")
+    assert rc == 2
+    assert "config error: level 1000000.0 outside field range" \
+        in capsys.readouterr().err
+
+
+def _renumber_last_row(index):
+    def edit(lines):
+        _, *rest = lines[-1].split(",")
+        return lines[:-1] + [",".join([str(index), *rest])]
+    return edit
+
+
+@pytest.mark.parametrize("index", [-1, 1005])
+def test_flux_csv_node_index_outside_mesh_gives_io_exit(
+        desk_mesh_file, tmp_path, capsys, index):
+    # -1 once filled the last node, so a file missing its row was accepted
+    rc, path, count = _contour(desk_mesh_file, tmp_path,
+                               _renumber_last_row(index), "--level", "0.5")
+    assert rc == 4
+    assert (f"{path}:{count}: node index {index} outside [0, 1000)"
+            in capsys.readouterr().err)
 
 
 def test_mesh_from_polyline_csv(tmp_path):

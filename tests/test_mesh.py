@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
@@ -8,8 +8,8 @@ from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError
                           circle_loop, dee_loop, generate_annulus_mesh,
                           load_mesh, polygon_area, save_mesh,
                           scale_toward_centroid, triangle_areas)
-from conftest import build_square_mesh, strip_mesh
-from oracles import edge_table_dict
+from conftest import build_square_mesh, l_hole_square_mesh, strip_mesh
+from oracles import boundary_index_dict, edge_table_dict
 
 STRIP_FILE = """\
 # minimal strip
@@ -225,6 +225,63 @@ def test_labeled_non_triangle_edge_rejected():
         _strip_with([[1, 3]], [INNER])
 
 
+def _assert_boundary_matches_dict_reference(m):
+    b = m.boundary
+    for nodes, arcs, perimeter, (ref_nodes, ref_arcs, ref_perimeter) in zip(
+            (b.outer_nodes, b.inner_nodes), (b.outer_arcs, b.inner_arcs),
+            (b.outer_perimeter, b.inner_perimeter), boundary_index_dict(m)):
+        assert nodes.dtype == np.int64
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(arcs, ref_arcs)
+        assert perimeter == ref_perimeter
+
+
+@pytest.mark.parametrize("fixture", ["desk_mesh", "iter_mesh", "wide_mesh"])
+def test_boundary_matches_dict_reference(fixture, request):
+    _assert_boundary_matches_dict_reference(request.getfixturevalue(fixture))
+
+
+@pytest.mark.parametrize("build", [strip_mesh, build_square_mesh,
+                                   l_hole_square_mesh])
+def test_small_mesh_boundary_matches_dict_reference(build):
+    _assert_boundary_matches_dict_reference(build())
+
+
+def _triangles_mesh(corners):
+    """Mesh of counter-clockwise triangles given by their corners, which
+    share no edge; every edge is labeled outer."""
+    nodes, index = [], {}
+    for p in (tuple(c) for tri in corners for c in tri):
+        if p not in index:
+            index[p] = len(nodes)
+            nodes.append(p)
+    tris = np.array([[index[tuple(c)] for c in tri] for tri in corners])
+    edges = np.array([(t[k], t[(k + 1) % 3]) for t in tris for k in range(3)])
+    return Mesh(np.array(nodes, dtype=float), tris, edges,
+                np.array([OUTER] * len(edges)))
+
+
+def _relabeled_strip(labels):
+    m = strip_mesh()
+    return Mesh(m.nodes, m.triangles, m.boundary_edges, np.array(labels))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _relabeled_strip([OUTER, OUTER, INNER, INNER]),
+     "boundary 'outer': fewer than 3 edges"),
+    (lambda: _relabeled_strip([INNER, OUTER, OUTER, OUTER]),
+     "boundary 'outer': node 1 has degree 1, expected 2"),
+    (lambda: _triangles_mesh([[(2, 1), (1, 0), (3, 0)], [(2, 1), (3, 2), (1, 2)]]),
+     "boundary 'outer': node 0 has degree 4, expected 2"),
+    (lambda: _triangles_mesh([[(1, 0), (2, 0), (1, 1)], [(3, 0), (4, 0), (3, 1)]]),
+     "boundary 'outer': 6 edges chain into a loop of 3 nodes; multiple components?"),
+])
+def test_boundary_topology_errors(build, message):
+    with pytest.raises(MeshTopologyError) as err:
+        build()
+    assert str(err.value) == message
+
+
 @settings(max_examples=30, deadline=None)
 @given(r0=st.floats(5.0, 8.0), a=st.floats(1.0, 3.0), b=st.floats(1.0, 4.0),
        triangularity=st.floats(0.0, 0.5), count=st.integers(12, 60),
@@ -234,15 +291,37 @@ def test_edge_table_matches_dict_reference(r0, a, b, triangularity, count,
     outer = dee_loop(r0, a, b, triangularity, count)
     m = generate_annulus_mesh(outer, scale_toward_centroid(outer, shrink),
                               a * h_over_a)
-    nodes, owners, labels = edge_table_dict(m)
+    nodes, owners, labels, triangle_rows = edge_table_dict(m)
     assert np.array_equal(m.edges.nodes, nodes)
     assert np.array_equal(m.edges.triangles, owners)
     assert np.array_equal(m.edges.labels, labels)
-    rows = m.edges.find(m.boundary_edges[:, ::-1])
-    assert np.array_equal(m.edges.labels[rows], m.boundary_labels)
+    assert np.array_equal(m.edges.triangle_rows, triangle_rows)
+    _assert_boundary_matches_dict_reference(m)
 
 
-def test_edge_find_rejects_a_non_edge():
-    m = strip_mesh()
-    with pytest.raises(KeyError, match=r"\(1, 3\) is not a mesh edge"):
-        m.edges.find([[3, 1]])
+@settings(max_examples=20, deadline=None)
+@given(r0=st.floats(4.0, 8.0), z0=st.floats(-1.0, 1.0), a=st.floats(1.0, 3.0),
+       radii=st.lists(st.floats(0.85, 1.15), min_size=8, max_size=40),
+       shrink=st.floats(0.3, 0.7), h_over_a=st.floats(0.15, 0.4))
+def test_save_load_is_bit_exact(tmp_path_factory, r0, z0, a, radii, shrink,
+                                h_over_a):
+    # star-shaped loop: radius a * radii[k] at evenly spaced angles
+    t = 2.0 * np.pi * np.arange(len(radii)) / len(radii)
+    rho = a * np.asarray(radii)
+    outer = np.column_stack([r0 + rho * np.cos(t), z0 + rho * np.sin(t)])
+    try:
+        m = generate_annulus_mesh(outer, scale_toward_centroid(outer, shrink),
+                                  a * h_over_a)
+    except MeshGeometryError:
+        assume(False)
+    path = tmp_path_factory.mktemp("roundtrip") / "m.mesh"
+    save_mesh(m, path)
+    back = load_mesh(path)
+    for name in ("nodes", "triangles", "boundary_edges", "boundary_labels"):
+        assert np.array_equal(getattr(back, name), getattr(m, name))
+    for name in ("nodes", "triangles", "labels"):
+        assert np.array_equal(getattr(back.edges, name), getattr(m.edges, name))
+    for name in ("outer_nodes", "inner_nodes", "outer_arcs", "inner_arcs"):
+        assert np.array_equal(getattr(back.boundary, name), getattr(m.boundary, name))
+    assert back.boundary.outer_perimeter == m.boundary.outer_perimeter
+    assert back.boundary.inner_perimeter == m.boundary.inner_perimeter

@@ -12,7 +12,7 @@ from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
                                  extract_isoline, find_plasma_boundary,
                                  magnetic_field)
 from oracles import (STATE_ORDER, RegionClassifier, bisect_transition,
-                     sample_field_scan)
+                     extract_isoline_dict, sample_field_scan)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,94 @@ def test_isoline_segments_stay_in_their_triangle(desk_mesh):
     h = desk_mesh.max_edge_length
     for a, b in iso.segments:
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) <= h + 1e-12
+
+
+def _generated_field(kind, desk_mesh, desk_A, seed, shape):
+    """(mesh, values) of one generated field kind: a random Dirichlet solve,
+    a loop-flux X-point field, z or r^2 on the desk mesh, or random values on
+    the L-hole square mesh."""
+    rng = np.random.default_rng(seed)
+    if kind == "dirichlet":
+        from fluxrec import solve_dirichlet
+        b = desk_mesh.boundary
+        return desk_mesh, solve_dirichlet(
+            desk_A, rng.standard_normal(len(b.outer_nodes)),
+            rng.standard_normal(len(b.inner_nodes))).values
+    if kind == "xpoint":
+        r_x, strength, tilt = shape
+        return desk_mesh, _saddle_field(desk_mesh, r_x, strength, tilt).values
+    if kind == "l_hole":
+        from conftest import l_hole_square_mesh
+        mesh = l_hole_square_mesh()
+        return mesh, rng.uniform(size=mesh.node_count)
+    func = (lambda r, z: z) if kind == "z" else (lambda r, z: r * r)
+    return desk_mesh, interpolate(desk_mesh, func).values
+
+
+def _isoline_level(values, q, on_node):
+    """A quantile level, or the nodal value at that rank."""
+    if on_node:
+        return float(np.sort(values)[int(q * (len(values) - 1))])
+    return float(np.quantile(values, q))
+
+
+_FIELD_KINDS = st.sampled_from(["dirichlet", "xpoint", "l_hole", "z", "r2"])
+_SADDLES = st.tuples(st.floats(7.3, 8.1), st.floats(0.5, 2.0), st.floats(0.9, 1.1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=_FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), shape=_SADDLES,
+       q=st.floats(0.0, 1.0), on_node=st.booleans())
+def test_isoline_matches_dict_oracle(desk_mesh, desk_A, kind, seed, shape, q,
+                                     on_node):
+    mesh, values = _generated_field(kind, desk_mesh, desk_A, seed, shape)
+    level = _isoline_level(values, q, on_node)
+    fast = extract_isoline(FluxField(values, mesh), level)
+    slow = extract_isoline_dict(FluxField(values, mesh), level, mesh)
+    assert fast.level == slow.level
+    assert len(fast.segments) == len(slow.segments)
+    for (a, b), (c, d) in zip(fast.segments, slow.segments):
+        assert np.array_equal(a, c) and np.array_equal(b, d)
+    assert len(fast.polylines) == len(slow.polylines)
+    for p, r in zip(fast.polylines, slow.polylines):
+        assert np.array_equal(p, r)
+    assert fast.polyline_closed == slow.polyline_closed
+    assert fast.closed == slow.closed
+    assert fast.inside_domain == slow.inside_domain
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=_FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), shape=_SADDLES,
+       q=st.floats(0.0, 1.0), on_node=st.booleans())
+def test_isoline_vertices_lie_on_the_level(desk_mesh, desk_A, kind, seed,
+                                           shape, q, on_node):
+    # each vertex is located in the lowest-index triangle whose barycentric
+    # coordinates pass 1e-9, and the P1 field is interpolated there; a level
+    # on a nodal value is moved by a few 1e-12 of the range, the rest is
+    # roundoff on the field's magnitude
+    mesh, values = _generated_field(kind, desk_mesh, desk_A, seed, shape)
+    level = _isoline_level(values, q, on_node)
+    iso = extract_isoline(FluxField(values, mesh), level)
+    if not iso.polylines:
+        return
+    pts = np.vstack(iso.polylines)
+    tri_pts = mesh.nodes[mesh.triangles]
+    v0 = tri_pts[:, 0]
+    d1 = tri_pts[:, 1] - v0
+    d2 = tri_pts[:, 2] - v0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    rel = pts[:, None, :] - v0[None]
+    l1 = (rel[..., 0] * d2[:, 1] - rel[..., 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * rel[..., 1] - d1[:, 1] * rel[..., 0]) / det
+    ok = (l1 >= -1e-9) & (l2 >= -1e-9) & (l1 + l2 <= 1 + 1e-9)
+    assert ok.any(axis=1).all()
+    t = np.argmax(ok, axis=1)
+    i = np.arange(len(pts))
+    vals = values[mesh.triangles[t]]
+    interp = (vals[:, 0] * (1 - l1[i, t] - l2[i, t]) + vals[:, 1] * l1[i, t]
+              + vals[:, 2] * l2[i, t])
+    tol = 1e-10 * np.ptp(values) + 1e-12 * np.abs(values).max()
+    assert np.abs(interp - level).max() <= tol
 
 
 def test_radial_field_has_no_transition(desk_mesh):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from fluxrec import (CauchyData, assemble_kv, evaluate, fem, solve_completion,
                      sweep)
-from fluxrec import completion as cp
 from fluxrec.completion import KVAssemblyError, NearSingularError
 from fluxrec.regularization import default_grid
 
@@ -131,14 +130,14 @@ def test_condition_reported_for_every_epsilon(base):
 
 def _scaled_columns(monkeypatch, A, which, factor):
     """Scale one family of lifted columns, so that S_D or S_N is scaled."""
-    real = cp._harmonic_columns
+    real = fem._ReducedSystem.solve
     target = getattr(A, which)
 
-    def scaled(reduced, n, cols):
-        x = real(reduced, n, cols)
-        return factor * x if reduced is target else x
+    def scaled(reduced, boundary_values, load):
+        x = real(reduced, boundary_values, load)
+        return factor * x if reduced is target and x.ndim == 2 else x
 
-    monkeypatch.setattr(cp, "_harmonic_columns", scaled)
+    monkeypatch.setattr(fem._ReducedSystem, "solve", scaled)
 
 
 def test_assembly_rejects_indefinite_s_d(desk_mesh, desk_A, monkeypatch):
