@@ -21,9 +21,8 @@ from . import io as fio
 from . import postprocess as pp
 from . import regularization as reg
 from .fem import assemble_stiffness
-from .mesh import (MeshFormatError, MeshGeometryError, MeshValidationError,
-                   generate_annulus_mesh, load_mesh, save_mesh,
-                   scale_toward_centroid)
+from .mesh import (MeshGeometryError, MeshValidationError, _read_lines,
+                   generate_annulus_mesh, load_mesh, save_mesh, scale_toward_centroid)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,20 +35,15 @@ class ConfigError(ValueError):
 
 
 def _read_config(path) -> dict:
-    values = {}
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+        numbers, lines = _read_lines(path, "#")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    return values
+    for lineno, line in zip(numbers, lines):
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+    return {key.strip(): value.strip()
+            for key, value in (line.split("=", 1) for line in lines)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,30 +124,21 @@ def _require(cfg: dict, *keys):
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
 
 
-def _as_float(cfg, key, default=None):
+def _option(cfg, key, kind, default=None):
+    """Option `key` converted by `kind` (float or int), else `default`."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required option: {key}")
         return default
     try:
-        return float(cfg[key])
+        return kind(cfg[key])
     except (TypeError, ValueError):
-        raise ConfigError(f"option {key} must be a number, got {cfg[key]!r}")
-
-
-def _as_int(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required option: {key}")
-        return default
-    try:
-        return int(cfg[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"option {key} must be an integer, got {cfg[key]!r}")
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"option {key} must be {noun}, got {cfg[key]!r}")
 
 
 def _epsilon(cfg) -> float:
-    epsilon = _as_float(cfg, "epsilon")
+    epsilon = _option(cfg, "epsilon", float)
     if not epsilon >= 0.0:
         raise ConfigError(f"option epsilon must be nonnegative, got {epsilon!r}")
     return epsilon
@@ -162,8 +147,8 @@ def _epsilon(cfg) -> float:
 def _twin_spec(cfg) -> ex.TwinSpec:
     _require(cfg, "case")
     try:
-        return ex.TwinSpec(cfg["case"], _as_float(cfg, "noise_level", 0.0),
-                           _as_int(cfg, "seed", 0))
+        return ex.TwinSpec(cfg["case"], _option(cfg, "noise_level", float, 0.0),
+                           _option(cfg, "seed", int, 0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -191,8 +176,8 @@ def _cmd_mesh(cfg) -> int:
         if "inner_csv" in cfg:
             inner = fio.read_polyline_csv(cfg["inner_csv"])
         else:
-            inner = scale_toward_centroid(outer, _as_float(cfg, "offset_factor", 0.5))
-        m = generate_annulus_mesh(outer, inner, _as_float(cfg, "target_h"))
+            inner = scale_toward_centroid(outer, _option(cfg, "offset_factor", float, 0.5))
+        m = generate_annulus_mesh(outer, inner, _option(cfg, "target_h", float))
     else:
         raise ConfigError("mesh needs --preset or --outer-csv")
     path = os.path.join(out, "mesh.txt")
@@ -233,7 +218,7 @@ def _cmd_twin(cfg) -> int:
     out = _outdir(cfg)
     mesh = _load_mesh(cfg)
     if cfg.get("table1"):
-        text, rows = ex.table1_grid(mesh, seed=_as_int(cfg, "seed", 0))
+        text, rows = ex.table1_grid(mesh, seed=_option(cfg, "seed", int, 0))
         with open(os.path.join(out, "table1.txt"), "w", encoding="ascii") as fh:
             fh.write(text)
         print(text, end="")
@@ -272,8 +257,8 @@ def _cmd_lcurve(cfg) -> int:
     try:
         # the grid options are the only ValueError source in the sweep
         curve = reg.sweep(system, data, reg.default_grid(
-            _as_int(cfg, "eps_count", 20), _as_float(cfg, "eps_min", 1e-6),
-            _as_float(cfg, "eps_max", 1e-1)))
+            _option(cfg, "eps_count", int, 20), _option(cfg, "eps_min", float, 1e-6),
+            _option(cfg, "eps_max", float, 1e-1)))
     except ValueError as exc:
         raise ConfigError(f"epsilon grid: {exc}") from None
     fio.write_lcurve_csv(os.path.join(out, "lcurve.csv"), curve)
@@ -299,7 +284,7 @@ def _cmd_contour(cfg) -> int:
         return EXIT_OK
     if "level" not in cfg:
         raise ConfigError("contour needs --level or --plasma-boundary")
-    level = _as_float(cfg, "level")
+    level = _option(cfg, "level", float)
     try:
         iso = pp.extract_isoline(fld, level, mesh)
     except pp.EmptyIsolineError as exc:
@@ -330,17 +315,17 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MeshFormatError, OSError, ValueError) as exc:
-        # ValueError here covers malformed data files; numeric domain errors
-        # derive from RuntimeError below
-        if isinstance(exc, (MeshValidationError, MeshGeometryError)):
-            print(f"mesh error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except (MeshValidationError, MeshGeometryError) as exc:
+        print(f"mesh error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (RuntimeError, np.linalg.LinAlgError) as exc:   # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (OSError, ValueError) as exc:
+        # malformed files (MeshFormatError among them); numeric domain errors
+        # derive from RuntimeError above
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """File artifacts: CSV interchange formats, key=value reports, VTK export.
 
-All floats are written with shortest round-trip repr so artifacts are
-byte-stable across runs and reload losslessly.
+The text-format helpers of `fluxrec.mesh` read and write them: a malformed
+row raises MeshFormatError as ``path:line``, and floats are written with
+shortest round-trip repr, so artifacts are byte-stable and reload losslessly.
 """
 
 from __future__ import annotations
@@ -10,152 +11,123 @@ import numpy as np
 
 from .completion import CauchyData
 from .fem import FluxField
-from .mesh import Mesh
+from .mesh import Mesh, MeshFormatError, _parse_rows, _read_lines, _write_rows
 from .postprocess import Isoline
 from .regularization import LCurve
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def write_report(path, entries: dict) -> None:
     """key = value lines, one per entry."""
-    with open(path, "w", encoding="ascii") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key} = {_fmt(value)}\n")
+    _write_rows(path, ("", "{} = {}\n", list(entries), list(entries.values())))
+
+
+def _read_node_csv(path, header: str, mesh: Mesh, nodes: np.ndarray, columns: slice,
+                   outside: str, missing: str) -> np.ndarray:
+    """Float columns of the CSV rows under a first line `header`, one row per
+    node of `nodes` and in its order.  Raises MeshFormatError at the first
+    malformed row, or row whose node is not in `nodes` (`outside` formats
+    the node) or repeats an earlier row's; ValueError for a missing row."""
+    numbers, lines = _read_lines(path)
+    first = lines[0] if numbers[:1] == [1] else ""
+    if first != header:
+        raise ValueError(f"{path}: unexpected header {first!r}")
+
+    def checks(index, _):
+        repeat = np.ones(len(index), dtype=bool)
+        repeat[np.unique(index, return_index=True)[1]] = False
+        return [(~np.isin(index, nodes), outside, index),
+                (repeat, "node {} listed twice", index)]
+
+    index, values = _parse_rows(
+        path, numbers[1:], [line.split(",") for line in lines[1:]], "row",
+        header.count(",") + 1,
+        [(0, np.int64, "bad node index"), (columns, float, "bad value")], checks)
+    slot = np.full(mesh.node_count, -1)
+    slot[nodes] = np.arange(len(nodes))
+    out = np.full((len(nodes), values.shape[1]), np.nan)
+    out[slot[index]] = values
+    if np.isnan(out).any():
+        raise ValueError(f"{path}: {missing}")
+    return out
 
 
 def write_flux_csv(path, fld: FluxField) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("node_index,r,z,psi\n")
-        for i, ((r, z), v) in enumerate(zip(fld.mesh.nodes, fld.values)):
-            fh.write(f"{i},{_fmt(r)},{_fmt(z)},{_fmt(v)}\n")
+    _write_rows(path, ("node_index,r,z,psi\n", "{},{},{},{}\n",
+                       np.arange(fld.mesh.node_count), *fld.mesh.nodes.T, fld.values))
 
 
 def read_flux_csv(path, mesh: Mesh) -> FluxField:
-    values = np.full(mesh.node_count, np.nan)
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "node_index,r,z,psi":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            idx, _, _, v = line.split(",")
-            i = int(idx)
-            if not 0 <= i < len(values):
-                raise ValueError(f"{path}:{lineno}: node index {i} outside "
-                                 f"[0, {len(values)})")
-            values[i] = float(v)
-    if np.any(np.isnan(values)):
-        raise ValueError(f"{path}: missing node values")
-    return FluxField(values, mesh)
+    n = mesh.node_count
+    psi = _read_node_csv(path, "node_index,r,z,psi", mesh, np.arange(n), slice(3, 4),
+                         f"node index {{}} outside [0, {n})", "missing node values")
+    return FluxField(psi[:, 0], mesh)
 
 
 def write_vtk(path, fld: FluxField, name: str = "psi") -> None:
     """Legacy ASCII unstructured-grid file with one point scalar field."""
     mesh = fld.mesh
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("fluxrec field export\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.node_count} double\n")
-        for r, z in mesh.nodes:
-            fh.write(f"{_fmt(r)} {_fmt(z)} 0.0\n")
-        m = mesh.triangle_count
-        fh.write(f"CELLS {m} {4 * m}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"3 {i} {j} {k}\n")
-        fh.write(f"CELL_TYPES {m}\n")
-        fh.write("5\n" * m)
-        fh.write(f"POINT_DATA {mesh.node_count}\n")
-        fh.write(f"SCALARS {name} double 1\n")
-        fh.write("LOOKUP_TABLE default\n")
-        for v in fld.values:
-            fh.write(f"{_fmt(v)}\n")
+    n, m = mesh.node_count, mesh.triangle_count
+    _write_rows(
+        path,
+        ("# vtk DataFile Version 3.0\nfluxrec field export\nASCII\n"
+         f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n", "{} {} 0.0\n",
+         *mesh.nodes.T),
+        (f"CELLS {m} {4 * m}\n", "3 {} {} {}\n", *mesh.triangles.T),
+        (f"CELL_TYPES {m}\n" + "5\n" * m + f"POINT_DATA {n}\n"
+         f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", "{}\n", fld.values))
 
 
 def write_cauchy_csv(path, mesh: Mesh, data: CauchyData) -> None:
     """Cauchy data aligned to the outer BoundaryIndex ordering."""
     b = mesh.boundary
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("gamma_v_node,arc_length,f,g\n")
-        for node, arc, fv, gv in zip(b.outer_nodes, b.outer_arcs, data.f, data.g):
-            fh.write(f"{node},{_fmt(arc)},{_fmt(fv)},{_fmt(gv)}\n")
+    _write_rows(path, ("gamma_v_node,arc_length,f,g\n", "{},{},{},{}\n",
+                       b.outer_nodes, b.outer_arcs, data.f, data.g))
 
 
 def read_cauchy_csv(path, mesh: Mesh) -> CauchyData:
-    b = mesh.boundary
-    f = np.full(len(b.outer_nodes), np.nan)
-    g = np.full(len(b.outer_nodes), np.nan)
-    order = {int(n): i for i, n in enumerate(b.outer_nodes)}
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "gamma_v_node,arc_length,f,g":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            node, _, fv, gv = line.split(",")
-            try:
-                i = order[int(node)]
-            except KeyError:
-                raise ValueError(f"{path}: node {node} is not on the outer boundary")
-            f[i], g[i] = float(fv), float(gv)
-    if np.any(np.isnan(f)) or np.any(np.isnan(g)):
-        raise ValueError(f"{path}: missing outer boundary rows")
-    return CauchyData(f, g)
+    fg = _read_node_csv(path, "gamma_v_node,arc_length,f,g", mesh,
+                        mesh.boundary.outer_nodes, slice(2, 4),
+                        "node {} is not on the outer boundary",
+                        "missing outer boundary rows")
+    return CauchyData(fg[:, 0], fg[:, 1])
 
 
 def write_control_csv(path, mesh: Mesh, u: np.ndarray) -> None:
     """Inner-boundary value aligned to the inner BoundaryIndex ordering."""
     b = mesh.boundary
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("gamma_i_node,arc_length,u\n")
-        for node, arc, uv in zip(b.inner_nodes, b.inner_arcs, u):
-            fh.write(f"{node},{_fmt(arc)},{_fmt(uv)}\n")
+    _write_rows(path, ("gamma_i_node,arc_length,u\n", "{},{},{}\n",
+                       b.inner_nodes, b.inner_arcs, u))
 
 
 def write_lcurve_csv(path, curve: LCurve) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("epsilon,J,R_D,is_corner\n")
-        for i, (eps, j, rd) in enumerate(zip(curve.epsilons, curve.misfits,
-                                             curve.regularizers)):
-            fh.write(f"{_fmt(eps)},{_fmt(j)},{_fmt(rd)},"
-                     f"{1 if i == curve.corner_index else 0}\n")
+    _write_rows(path, ("epsilon,J,R_D,is_corner\n", "{},{},{},{}\n",
+                       curve.epsilons, curve.misfits, curve.regularizers,
+                       (np.arange(len(curve)) == curve.corner_index).astype(int)))
 
 
 def write_isoline_csv(path, isolines) -> None:
     """Polylines as polyline_id,vertex_index,r,z rows."""
     if isinstance(isolines, Isoline):
         isolines = [isolines]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("polyline_id,vertex_index,r,z\n")
-        pid = 0
-        for iso in isolines:
-            for poly in iso.polylines:
-                for k, (r, z) in enumerate(poly):
-                    fh.write(f"{pid},{k},{_fmt(r)},{_fmt(z)}\n")
-                pid += 1
+    polys = [poly for iso in isolines for poly in iso.polylines]
+    sizes = np.array([len(poly) for poly in polys], dtype=int)
+    _write_rows(path, ("polyline_id,vertex_index,r,z\n", "{},{},{},{}\n",
+                       np.repeat(np.arange(len(polys)), sizes),
+                       np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+                       *np.concatenate([np.empty((0, 2)), *polys]).T))
 
 
 def read_polyline_csv(path) -> np.ndarray:
-    """Two-column r,z polyline (with or without a header line)."""
-    pts = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            try:
-                pts.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                continue  # header
+    """Two-column r,z polyline, comma or blank separated; a first line that
+    is not a point is a header."""
+    numbers, lines = _read_lines(path)
+    rows = [line.replace(",", " ").split() for line in lines]
+    point = [(slice(None), float, "bad coordinate")]
+    try:
+        _parse_rows(path, numbers[:1], rows[:1], "point", 2, point)
+    except MeshFormatError:
+        numbers, rows = numbers[1:], rows[1:]
+    pts, = _parse_rows(path, numbers, rows, "point", 2, point)
     if len(pts) < 3:
         raise ValueError(f"{path}: fewer than 3 polyline points")
-    return np.asarray(pts)
+    return pts

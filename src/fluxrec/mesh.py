@@ -8,12 +8,14 @@ useful for auxiliary verification domains.
 
 Meshes are plain node/triangle/boundary-edge arrays, immutable after
 construction, with a line-oriented text serialization that round-trips
-coordinates bit-exactly.  Validation builds, once per mesh, the table of
-unique edges with their owning triangles and boundary labels and the edges
-of each triangle, and chains each boundary loop once; the post-processing
-reads the table instead of rebuilding edge maps.  One walk over graphs of
-degree at most 2 (`chain_walk`) chains both the boundary loops and the
-isoflux contours.
+coordinates bit-exactly.  Its text-format section owns the rules of every
+text file of the package (mesh, CSV, CLI config): a line reader, a block
+parser naming the first bad row as ``path:line``, and a row writer.
+Validation builds, once per mesh, the table of unique edges with their
+owning triangles and boundary labels and the edges of each triangle, and
+chains each boundary loop once; the post-processing reads the table instead
+of rebuilding edge maps.  One walk over graphs of degree at most 2
+(`chain_walk`) chains both the boundary loops and the isoflux contours.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ INNER = "inner"
 
 
 class MeshFormatError(ValueError):
-    """Malformed mesh file: bad header, token, or out-of-range index."""
+    """Malformed mesh or CSV file: bad header, row, token or index."""
 
 
 class MeshValidationError(ValueError):
@@ -483,12 +485,70 @@ def boundary_node_normals(mesh: Mesh, where: str) -> np.ndarray:
 # text format
 # ---------------------------------------------------------------------------
 
-def _tokens(path):
+def _read_lines(path, comment: str | None = None) -> tuple[list[int], list[str]]:
+    """Line numbers and stripped text of the non-blank lines of an ASCII
+    file, each line first cut at `comment`."""
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+        text = fh.read()
+    lines = text.split("\n")
+    if comment and comment in text:
+        lines = [line.split(comment, 1)[0] for line in lines]
+    lines = list(map(str.strip, lines))
+    return [i for i, line in enumerate(lines, start=1) if line], list(filter(None, lines))
+
+
+def _parse_rows(path, numbers, rows, what: str, width: int, groups,
+                checks=None) -> list[np.ndarray]:
+    """Convert a block of token rows with one numpy call per column group.
+
+    A group is (columns, dtype, message): token columns (a slice, or an
+    index for a 1-D array) and the error if one does not convert.  `checks`
+    maps the arrays to (mask, format, values) triples flagging bad rows.
+    Raises MeshFormatError as ``path:line`` at the first row without `width`
+    tokens, with a token that does not convert, or flagged (reported as
+    ``format.format(value)``); within a row the earlier group or check wins.
+    """
+    def convert(block, groups):
+        tokens = np.array(block, dtype=object).reshape(len(block), width)
+        return [tokens[:, columns].astype(dtype) for columns, dtype, _ in groups]
+
+    def fault(i, tokens):
+        if len(tokens) != width:
+            return f"expected {width} tokens for {what} {i}, got {len(tokens)}"
+        for group in groups:
+            try:
+                convert([tokens], [group])
+            except (ValueError, OverflowError):
+                return group[2]
+
+    try:
+        arrays, first = convert(rows, groups), None
+    except (ValueError, OverflowError):        # error path: find the bad row
+        first = next((i, m) for i, tokens in enumerate(rows) if (m := fault(i, tokens)))
+        arrays = convert(rows[:first[0]], groups)
+    flags = checks(*arrays) if checks else []
+    bad = np.logical_or.reduce([mask for mask, _, _ in flags], initial=False)
+    if bad.any():                   # rows before the first fault, so they are earlier
+        i = int(np.argmax(bad))
+        text, values = next((t, v) for mask, t, v in flags if mask[i])
+        first = i, text.format(values[i])
+    if first:
+        raise MeshFormatError(f"{path}:{numbers[first[0]]}: {first[1]}")
+    return arrays
+
+
+def _write_rows(path, *blocks) -> None:
+    """Write blocks of (head, row format, column, ...) as ASCII text.
+
+    Each array column goes to Python scalars once (``tolist``), so a float
+    prints as its shortest round-trip repr, and each block's rows go out in
+    one ``writelines``.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        for head, row, *columns in blocks:
+            fh.write(head)
+            fh.writelines(map(row.format, *[
+                c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
 
 
 def load_mesh(path) -> Mesh:
@@ -496,85 +556,64 @@ def load_mesh(path) -> Mesh:
 
     Layout: ``nodes N`` then N lines ``r z``; ``triangles M`` then M lines
     ``i j k``; ``boundary_edges K`` then K lines ``a b label``.  Indices are
-    0-based, ``#`` starts a comment, labels are ``outer`` / ``inner``.
+    0-based, ``#`` starts a comment, labels are ``outer`` / ``inner``.  A
+    malformed file raises MeshFormatError at its first faulty line.
     """
-    stream = _tokens(path)
+    numbers, text = _read_lines(path, "#")
+    rows = [line.split() for line in text]
+    at = 0
 
-    def next_tokens(expect: int, what: str):
-        try:
-            lineno, toks = next(stream)
-        except StopIteration:
-            raise MeshFormatError(f"{path}: unexpected end of file while reading {what}")
-        if len(toks) != expect:
+    def block(name: str, what: str, width: int, groups, checks=None):
+        """The rows counted by the `name` header, parsed."""
+        nonlocal at
+        if at == len(rows):
             raise MeshFormatError(
-                f"{path}:{lineno}: expected {expect} tokens for {what}, got {len(toks)}")
-        return lineno, toks
-
-    def header(name: str) -> int:
-        lineno, toks = next_tokens(2, f"'{name}' header")
+                f"{path}: unexpected end of file while reading '{name}' header")
+        toks, where = rows[at], f"{path}:{numbers[at]}"
+        if len(toks) != 2:
+            raise MeshFormatError(
+                f"{where}: expected 2 tokens for '{name}' header, got {len(toks)}")
         if toks[0] != name:
-            raise MeshFormatError(f"{path}:{lineno}: expected '{name}', got '{toks[0]}'")
+            raise MeshFormatError(f"{where}: expected '{name}', got '{toks[0]}'")
         try:
             count = int(toks[1])
         except ValueError:
-            raise MeshFormatError(f"{path}:{lineno}: bad count '{toks[1]}'")
+            raise MeshFormatError(f"{where}: bad count '{toks[1]}'")
         if count < 0:
-            raise MeshFormatError(f"{path}:{lineno}: negative count")
-        return count
+            raise MeshFormatError(f"{where}: negative count")
+        start, at = at + 1, at + 1 + count        # slices never exceed the file
+        arrays = _parse_rows(path, numbers[start:at], rows[start:at], what, width,
+                             groups, checks)
+        if at > len(rows):
+            raise MeshFormatError(f"{path}: unexpected end of file while reading "
+                                  f"{what} {len(rows) - start}")
+        return arrays
 
-    n = header("nodes")
-    nodes = np.empty((n, 2))
-    for i in range(n):
-        lineno, toks = next_tokens(2, f"node {i}")
-        try:
-            nodes[i] = (float(toks[0]), float(toks[1]))
-        except ValueError:
-            raise MeshFormatError(f"{path}:{lineno}: bad coordinate")
+    def out_of_range(index):
+        return ((index < 0) | (index >= len(nodes))).any(axis=1)
 
-    m = header("triangles")
-    tris = np.empty((m, 3), dtype=np.int64)
-    for i in range(m):
-        lineno, toks = next_tokens(3, f"triangle {i}")
-        try:
-            tris[i] = [int(t) for t in toks]
-        except ValueError:
-            raise MeshFormatError(f"{path}:{lineno}: bad triangle index")
-        if tris[i].min() < 0 or tris[i].max() >= n:
-            raise MeshFormatError(f"{path}:{lineno}: triangle index out of range")
-
-    k = header("boundary_edges")
-    edges = np.empty((k, 2), dtype=np.int64)
-    labels = np.empty(k, dtype="U8")
-    for i in range(k):
-        lineno, toks = next_tokens(3, f"boundary edge {i}")
-        try:
-            edges[i] = (int(toks[0]), int(toks[1]))
-        except ValueError:
-            raise MeshFormatError(f"{path}:{lineno}: bad edge index")
-        if edges[i].min() < 0 or edges[i].max() >= n:
-            raise MeshFormatError(f"{path}:{lineno}: edge index out of range")
-        if toks[2] not in (OUTER, INNER):
-            raise MeshFormatError(f"{path}:{lineno}: unknown label '{toks[2]}'")
-        labels[i] = toks[2]
-
-    extra = next(stream, None)
-    if extra is not None:
-        raise MeshFormatError(f"{path}:{extra[0]}: trailing content")
-    return Mesh(nodes, tris, edges, labels)
+    nodes, = block("nodes", "node", 2, [(slice(None), float, "bad coordinate")])
+    tris, = block("triangles", "triangle", 3,
+                  [(slice(None), np.int64, "bad triangle index")],
+                  lambda t: [(out_of_range(t), "triangle index out of range", t)])
+    edges, labels = block(
+        "boundary_edges", "boundary edge", 3,
+        [(slice(0, 2), np.int64, "bad edge index"), (2, str, None)],
+        lambda e, lab: [(out_of_range(e), "edge index out of range", lab),
+                        (~np.isin(lab, (OUTER, INNER)), "unknown label '{}'", lab)])
+    if at < len(rows):
+        raise MeshFormatError(f"{path}:{numbers[at]}: trailing content")
+    return Mesh(nodes, tris, edges, labels.astype("U8"))
 
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text format; floats use shortest round-trip repr."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"nodes {mesh.node_count}\n")
-        for r, z in mesh.nodes:
-            fh.write(f"{float(r)!r} {float(z)!r}\n")
-        fh.write(f"triangles {mesh.triangle_count}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
-        fh.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
-        for (a, b), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
-            fh.write(f"{a} {b} {lab}\n")
+    _write_rows(
+        path,
+        (f"nodes {mesh.node_count}\n", "{} {}\n", *mesh.nodes.T),
+        (f"triangles {mesh.triangle_count}\n", "{} {} {}\n", *mesh.triangles.T),
+        (f"boundary_edges {len(mesh.boundary_edges)}\n", "{} {} {}\n",
+         *mesh.boundary_edges.T, mesh.boundary_labels))
 
 
 # ---------------------------------------------------------------------------

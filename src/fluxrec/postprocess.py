@@ -82,12 +82,12 @@ def extract_isoline(fld: FluxField, level: float,
     """Marching triangles with exact per-edge linear interpolation.
 
     A level hitting a nodal value exactly is perturbed upward by
-    1e-12 * (flux range) to avoid degenerate crossings.  Crossing points are
-    computed once per mesh edge, so shared endpoints match bit-exactly and
-    segments chain into polylines without tolerance games.  The crossed
-    edges are numbered in the order the triangle list first reaches them,
-    and `chain_walk` chains them: open polylines first, from their ends on
-    the boundary, then closed ones.
+    1e-12 * (flux range), and by at least one ulp, to avoid degenerate
+    crossings.  Crossing points are computed once per mesh edge, so shared
+    endpoints match bit-exactly and segments chain into polylines without
+    tolerance games.  The crossed edges are numbered in the order the
+    triangle list first reaches them, and `chain_walk` chains them: open
+    polylines first, from their ends on the boundary, then closed ones.
     """
     mesh = mesh or fld.mesh
     values = fld.values
@@ -98,7 +98,7 @@ def extract_isoline(fld: FluxField, level: float,
     rng = max(vmax - vmin, 1e-300)
     lev = float(level)
     while np.any(values == lev):
-        lev += 1e-12 * rng
+        lev = max(lev + 1e-12 * rng, np.nextafter(lev, np.inf))
 
     e = mesh.edges
     below = values < lev                          # strict by construction

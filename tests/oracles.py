@@ -1,6 +1,7 @@
 """Slow reference implementations that the fast library paths are checked
 against.  They build their own adjacency from the triangle list and their
-own boundary-label dicts, so they share no code with ``Mesh.edges``."""
+own boundary-label dicts, so they share no code with ``Mesh.edges``; the
+text-format oracles read one token and write one value at a time."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from fluxrec.fem import FluxField
-from fluxrec.mesh import INNER, OUTER, Mesh, points_in_polygon, polygon_area
+from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, points_in_polygon,
+                          polygon_area)
 from fluxrec.postprocess import EmptyIsolineError, Isoline
 
 STATE_ORDER = {"open": 0, "closed": 1, "empty": 2}   # as the level rises
@@ -276,3 +278,179 @@ def extract_isoline_dict(fld: FluxField, level: float, mesh: Mesh) -> Isoline:
     iso.closed = all(iso.polyline_closed) and bool(iso.polylines)
     iso.inside_domain = not any(labels.get(k) == OUTER for k in endpoints)
     return iso
+
+
+# ---------------------------------------------------------------------------
+# text formats, one token or one value at a time
+# ---------------------------------------------------------------------------
+
+def _tokens(path):
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line.split()
+
+
+def load_mesh_by_token(path) -> Mesh:
+    """The mesh reader as a token stream with per-row Python checks.
+
+    Rows are collected in lists rather than arrays sized by the header
+    counts, so a count beyond the file ends at the end of the file, and an
+    index beyond int64 is a bad index.
+    """
+    stream = _tokens(path)
+
+    def next_tokens(expect: int, what: str):
+        try:
+            lineno, toks = next(stream)
+        except StopIteration:
+            raise MeshFormatError(f"{path}: unexpected end of file while reading {what}")
+        if len(toks) != expect:
+            raise MeshFormatError(
+                f"{path}:{lineno}: expected {expect} tokens for {what}, got {len(toks)}")
+        return lineno, toks
+
+    def header(name: str) -> int:
+        lineno, toks = next_tokens(2, f"'{name}' header")
+        if toks[0] != name:
+            raise MeshFormatError(f"{path}:{lineno}: expected '{name}', got '{toks[0]}'")
+        try:
+            count = int(toks[1])
+        except ValueError:
+            raise MeshFormatError(f"{path}:{lineno}: bad count '{toks[1]}'")
+        if count < 0:
+            raise MeshFormatError(f"{path}:{lineno}: negative count")
+        return count
+
+    def indices(lineno, toks, what):
+        try:
+            row = np.array([int(t) for t in toks], dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise MeshFormatError(f"{path}:{lineno}: bad {what} index")
+        if row.min() < 0 or row.max() >= n:
+            raise MeshFormatError(f"{path}:{lineno}: {what} index out of range")
+        return row
+
+    n = header("nodes")
+    nodes = []
+    for i in range(n):
+        lineno, toks = next_tokens(2, f"node {i}")
+        try:
+            nodes.append((float(toks[0]), float(toks[1])))
+        except ValueError:
+            raise MeshFormatError(f"{path}:{lineno}: bad coordinate")
+
+    tris = []
+    for i in range(header("triangles")):
+        lineno, toks = next_tokens(3, f"triangle {i}")
+        tris.append(indices(lineno, toks, "triangle"))
+
+    edges, labels = [], []
+    for i in range(header("boundary_edges")):
+        lineno, toks = next_tokens(3, f"boundary edge {i}")
+        edges.append(indices(lineno, toks[:2], "edge"))
+        if toks[2] not in (OUTER, INNER):
+            raise MeshFormatError(f"{path}:{lineno}: unknown label '{toks[2]}'")
+        labels.append(toks[2])
+
+    extra = next(stream, None)
+    if extra is not None:
+        raise MeshFormatError(f"{path}:{extra[0]}: trailing content")
+    return Mesh(np.array(nodes, dtype=float).reshape(-1, 2),
+                np.array(tris, dtype=np.int64).reshape(-1, 3),
+                np.array(edges, dtype=np.int64).reshape(-1, 2),
+                np.array(labels, dtype="U8"))
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def save_mesh_by_row(mesh, path) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"nodes {mesh.node_count}\n")
+        for r, z in mesh.nodes:
+            fh.write(f"{float(r)!r} {float(z)!r}\n")
+        fh.write(f"triangles {mesh.triangle_count}\n")
+        for i, j, k in mesh.triangles:
+            fh.write(f"{i} {j} {k}\n")
+        fh.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
+        for (a, b), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
+            fh.write(f"{a} {b} {lab}\n")
+
+
+def write_report_by_row(path, entries: dict) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        for key, value in entries.items():
+            fh.write(f"{key} = {_fmt(value)}\n")
+
+
+def write_flux_csv_by_row(path, fld) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("node_index,r,z,psi\n")
+        for i, ((r, z), v) in enumerate(zip(fld.mesh.nodes, fld.values)):
+            fh.write(f"{i},{_fmt(r)},{_fmt(z)},{_fmt(v)}\n")
+
+
+def write_vtk_by_row(path, fld, name: str = "psi") -> None:
+    mesh = fld.mesh
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write("fluxrec field export\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.node_count} double\n")
+        for r, z in mesh.nodes:
+            fh.write(f"{_fmt(r)} {_fmt(z)} 0.0\n")
+        m = mesh.triangle_count
+        fh.write(f"CELLS {m} {4 * m}\n")
+        for i, j, k in mesh.triangles:
+            fh.write(f"3 {i} {j} {k}\n")
+        fh.write(f"CELL_TYPES {m}\n")
+        fh.write("5\n" * m)
+        fh.write(f"POINT_DATA {mesh.node_count}\n")
+        fh.write(f"SCALARS {name} double 1\n")
+        fh.write("LOOKUP_TABLE default\n")
+        for v in fld.values:
+            fh.write(f"{_fmt(v)}\n")
+
+
+def write_cauchy_csv_by_row(path, mesh, data) -> None:
+    b = mesh.boundary
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("gamma_v_node,arc_length,f,g\n")
+        for node, arc, fv, gv in zip(b.outer_nodes, b.outer_arcs, data.f, data.g):
+            fh.write(f"{node},{_fmt(arc)},{_fmt(fv)},{_fmt(gv)}\n")
+
+
+def write_control_csv_by_row(path, mesh, u) -> None:
+    b = mesh.boundary
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("gamma_i_node,arc_length,u\n")
+        for node, arc, uv in zip(b.inner_nodes, b.inner_arcs, u):
+            fh.write(f"{node},{_fmt(arc)},{_fmt(uv)}\n")
+
+
+def write_lcurve_csv_by_row(path, curve) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("epsilon,J,R_D,is_corner\n")
+        for i, (eps, j, rd) in enumerate(zip(curve.epsilons, curve.misfits,
+                                             curve.regularizers)):
+            fh.write(f"{_fmt(eps)},{_fmt(j)},{_fmt(rd)},"
+                     f"{1 if i == curve.corner_index else 0}\n")
+
+
+def write_isoline_csv_by_row(path, isolines) -> None:
+    if isinstance(isolines, Isoline):
+        isolines = [isolines]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("polyline_id,vertex_index,r,z\n")
+        pid = 0
+        for iso in isolines:
+            for poly in iso.polylines:
+                for k, (r, z) in enumerate(poly):
+                    fh.write(f"{pid},{k},{_fmt(r)},{_fmt(z)}\n")
+                pid += 1

@@ -241,6 +241,101 @@ def test_flux_csv_node_index_outside_mesh_gives_io_exit(
             in capsys.readouterr().err)
 
 
+def _replace_row(line, text):
+    """Edit putting text(lines) on the given line, 0 for the last."""
+    def edit(lines):
+        i = line - 1 if line else len(lines) - 1
+        return lines[:i] + [text(lines)] + lines[i + 1:]
+    return edit
+
+
+# (edit, line of the fault, message); line 0 is the last line
+@pytest.mark.parametrize("edit, line, message", [
+    (_replace_row(0, lambda lines: lines[-1].rsplit(",", 1)[0]), 0,
+     "expected 4 tokens for row 999, got 3"),
+    (_replace_row(0, lambda lines: lines[-1] + "e"), 0, "bad value"),
+    (_renumber_last_row("x"), 0, "bad node index"),
+    (_replace_row(0, lambda lines: lines[1]), 0, "node 0 listed twice"),
+    # the first fault in file order is named, whatever its kind
+    (lambda lines: _replace_row(4, lambda _: "3,1.0")(
+        _replace_row(3, lambda lines: lines[1])(lines)), 3, "node 0 listed twice"),
+])
+def test_flux_csv_bad_row_names_file_and_line(desk_mesh_file, tmp_path, capsys,
+                                              edit, line, message):
+    rc, path, count = _contour(desk_mesh_file, tmp_path, edit, "--level", "0.5")
+    assert rc == 4
+    assert (f"i/o error: {path}:{line or count}: {message}"
+            in capsys.readouterr().err)
+
+
+def _complete(desk_mesh_file, tmp_path, edit):
+    """Run complete on zero Cauchy data of the desk mesh after edit(lines)."""
+    mesh = load_mesh(desk_mesh_file)
+    n = len(mesh.boundary.outer_nodes)
+    path = tmp_path / "data.csv"
+    from fluxrec.completion import CauchyData
+    write_cauchy_csv(path, mesh, CauchyData(np.zeros(n), np.zeros(n)))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return main(["complete", "--mesh", desk_mesh_file, "--data", str(path),
+                 "--epsilon", "1e-4", "--output-dir", str(tmp_path)]), path
+
+
+def test_cauchy_csv_bad_row_names_file_and_line(desk_mesh_file, tmp_path, capsys):
+    b = load_mesh(desk_mesh_file).boundary
+    cases = [
+        (_replace_row(4, lambda _: f"{b.inner_nodes[0]},0.0,0.0,0.0"),
+         f":4: node {b.inner_nodes[0]} is not on the outer boundary"),
+        (_replace_row(4, lambda lines: lines[2]), f":4: node {b.outer_nodes[1]} listed twice"),
+        (_replace_row(4, lambda _: "1,2,3"), ":4: expected 4 tokens for row 2, got 3"),
+        (_replace_row(4, lambda lines: lines[3] + "e"), ":4: bad value"),
+        (lambda lines: lines[:-1], ": missing outer boundary rows"),
+    ]
+    for edit, message in cases:
+        rc, path = _complete(desk_mesh_file, tmp_path, edit)
+        assert rc == 4
+        assert f"i/o error: {path}{message}" in capsys.readouterr().err
+
+
+def _contour_on_mesh(tmp_path, lines):
+    path = tmp_path / "edited.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    return main(["contour", "--mesh", str(path), "--field", str(tmp_path / "f.csv"),
+                 "--level", "0", "--output-dir", str(tmp_path)]), path
+
+
+def _desk_lines(desk_mesh_file):
+    """Lines of the desk mesh file and the index of its boundary_edges header."""
+    lines = _read(desk_mesh_file).decode("ascii").splitlines()
+    return lines, next(i for i, l in enumerate(lines) if l.startswith("boundary_edges"))
+
+
+@pytest.mark.parametrize("section", ["triangle", "edge"])
+def test_mesh_index_beyond_int64_gives_io_exit(desk_mesh_file, tmp_path, capsys,
+                                               section):
+    lines, h = _desk_lines(desk_mesh_file)
+    i = 1002 if section == "triangle" else h + 1       # the first row of each
+    lines[i] = ("0 1 99999999999999999999" if section == "triangle"
+                else "0 99999999999999999999 outer")
+    rc, path = _contour_on_mesh(tmp_path, lines)
+    assert rc == 4
+    assert f"i/o error: {path}:{i + 1}: bad {section} index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["node", "boundary edge"])
+def test_mesh_count_beyond_file_gives_io_exit(desk_mesh_file, tmp_path, capsys,
+                                              section):
+    lines, h = _desk_lines(desk_mesh_file)
+    if section == "node":
+        lines, count = ["nodes 100000000000000"] + lines[1:1001], 1000
+    else:
+        lines[h], count = "boundary_edges 100000000000000", len(lines) - h - 1
+    rc, path = _contour_on_mesh(tmp_path, lines)
+    assert rc == 4
+    assert (f"i/o error: {path}: unexpected end of file while reading {section} {count}"
+            in capsys.readouterr().err)
+
+
 def test_mesh_from_polyline_csv(tmp_path):
     theta = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
     outer = tmp_path / "outer.csv"
@@ -252,6 +347,23 @@ def test_mesh_from_polyline_csv(tmp_path):
     m = load_mesh(tmp_path / "mesh.txt")
     assert len(m.boundary.inner_nodes) >= 3
     assert m.max_edge_length <= 1.5 * 0.4
+
+
+@pytest.mark.parametrize("header", ["", "r,z\n", "# r z\n"])
+def test_polyline_csv_header_is_optional_and_bad_row_is_named(tmp_path, capsys, header):
+    rows = [f"{6 + 2.5 * np.cos(t)} {2.5 * np.sin(t)}"
+            for t in np.linspace(0.0, 2 * np.pi, 48, endpoint=False)]
+    outer = tmp_path / "outer.csv"
+    outer.write_text(header + "\n".join(rows) + "\n")
+    args = ["mesh", "--outer-csv", str(outer), "--target-h", "0.4",
+            "--output-dir", str(tmp_path)]
+    assert main(args) == 0
+    rows[4] = "6.0"
+    outer.write_text(header + "\n".join(rows) + "\n")
+    assert main(args) == 4
+    line = 5 + bool(header)
+    assert (f"i/o error: {outer}:{line}: expected 2 tokens for point 4, got 1"
+            in capsys.readouterr().err)
 
 
 def test_lcurve_from_data_file(desk_mesh_file, tmp_path):

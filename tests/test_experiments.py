@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxrec import interpolate
 from fluxrec.experiments import (TABLE_EPSILONS, TwinSpec,
@@ -165,3 +167,14 @@ def test_noise_fraction_validated():
         TwinSpec("TC1", noise_level=0.7)
     with pytest.raises(ValueError):
         add_noise(CauchyData(np.ones(4), np.ones(4)), -0.1, 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                       min_size=1, max_size=20),
+       seed=st.integers(0, 2**32 - 1))
+def test_zero_noise_is_identity(values, seed):
+    data = CauchyData(*np.array(values).T)
+    noisy = add_noise(data, 0.0, seed)
+    assert noisy.f.tobytes() == data.f.tobytes()
+    assert noisy.g.tobytes() == data.g.tobytes()

@@ -1,0 +1,253 @@
+"""The block readers and column writers of the text formats against the
+token-at-a-time and value-at-a-time oracles in `oracles`."""
+
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fluxrec import cli
+from fluxrec import io as fio
+from fluxrec.completion import CauchyData, KVAssemblyError, NearSingularError
+from fluxrec.fem import FemError, FluxField
+from fluxrec.mesh import (MeshFormatError, MeshGeometryError, MeshTopologyError,
+                          MeshValidationError, load_mesh, save_mesh)
+from fluxrec.postprocess import EmptyIsolineError, Isoline, NoTransitionError
+from fluxrec.regularization import DegenerateCurveError, LCurve
+from conftest import build_square_mesh, l_hole_square_mesh, strip_mesh
+import oracles
+
+BASE_MESHES = [strip_mesh(), build_square_mesh(2), l_hole_square_mesh()]
+
+# tokens a corruption puts in place of another: a word, a non-integral and
+# an out-of-range number, a value beyond int64, a label, a header name and a
+# count beyond the file
+BAD_TOKENS = ["x", "1.5", "-1", "9", "99999999999999999999", "nan", "outer",
+              "wall", "triangles", "100000000000000"]
+
+
+def _mesh_rows(mesh, scale: float, shift: float) -> list[list[str]]:
+    """Token rows of the mesh file of `mesh` with (r, z) moved to
+    (scale r, scale z + shift)."""
+    nodes = mesh.nodes * scale + [0.0, shift]
+    return ([["nodes", str(mesh.node_count)]]
+            + [[repr(r), repr(z)] for r, z in nodes.tolist()]
+            + [["triangles", str(mesh.triangle_count)]]
+            + [[str(i) for i in t] for t in mesh.triangles.tolist()]
+            + [["boundary_edges", str(len(mesh.boundary_edges))]]
+            + [[str(a), str(b), str(lab)] for (a, b), lab
+               in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)])
+
+
+def _corrupt(draw, rows, start: int, stop: int, tokens) -> list[list[str]]:
+    """Up to two corruptions of rows[start:stop]: a token replaced by one of
+    `tokens`, dropped or added, a row dropped or repeated, or one appended."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 1, 2, 2]))):
+        i = draw(st.integers(start, min(stop, len(rows)) - 1))
+        kind = draw(st.sampled_from(["replace", "replace", "replace", "drop_token",
+                                     "add_token", "drop_row", "repeat_row", "append"]))
+        token = draw(st.sampled_from(tokens))
+        if kind == "replace":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = token
+        elif kind == "drop_token":
+            rows[i].pop()
+        elif kind == "add_token":
+            rows[i].append(token)
+        elif kind == "drop_row":
+            del rows[i]
+        elif kind == "repeat_row":
+            rows.insert(i, list(rows[i]))
+        else:
+            rows.append(list(rows[i]))
+    return rows
+
+
+@st.composite
+def mesh_texts(draw, mesh=None):
+    """ASCII mesh files with comments, blank lines, odd blanks and up to two
+    corruptions.  The corruptions hit one section (header included) or the
+    whole file, so that two faults often meet in one block."""
+    if mesh is None:
+        mesh = draw(st.sampled_from(BASE_MESHES))
+    rows = _mesh_rows(mesh, draw(st.floats(1e-3, 1e3)), draw(st.floats(-1e3, 1e3)))
+    n, m = mesh.node_count, mesh.triangle_count
+    start, stop = draw(st.sampled_from(
+        [(0, len(rows)), (0, n + 1), (n + 1, n + m + 2), (n + m + 2, len(rows))]))
+    lines = []
+    for row in _corrupt(draw, rows, start, stop, BAD_TOKENS):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   ", "\t# x y z"])))
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        tail = draw(st.sampled_from(["", " ", "  # trailing comment", "#"]))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(row) + tail)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@st.composite
+def flux_texts(draw, mesh):
+    """Flux CSV files of psi = r on `mesh` with up to two corruptions: a bad
+    or repeated node, a bad value, a wrong field count, a missing row."""
+    rows = [["node_index", "r", "z", "psi"]] + [
+        [str(i), repr(r), repr(z), repr(r)] for i, (r, z) in enumerate(mesh.nodes.tolist())]
+    rows = _corrupt(draw, rows, 0, len(rows),
+                    ["x", "1.5", "-1", "0", "99", "nan", "1e999", "", "psi"])
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _outcome(load, path):
+    try:
+        mesh = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in
+            (mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mesh_texts())
+def test_load_mesh_matches_token_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("mesh") / "m.mesh"
+    path.write_text(text)
+    assert _outcome(load_mesh, path) == _outcome(oracles.load_mesh_by_token, path)
+
+
+# -0.0, subnormals, huge, integral and ordinary floats
+SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, 1.5e-310, 2.2250738585072014e-308,
+                           1e300, -1e300, 3.0, -7.0, 1e16, 1e22, 1e-5, 0.1])
+FLOATS = SPECIAL | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _floats(draw, count):
+    return np.array(draw(st.lists(FLOATS, min_size=count, max_size=count)))
+
+
+@st.composite
+def written_objects(draw):
+    """A stand-in mesh, field, Cauchy data, inner value, L-curve, isolines and
+    report with arbitrary finite floats (the writers read attributes only)."""
+    n = draw(st.integers(1, 8))
+    m, k, ko, ki = (draw(st.integers(0, 6)) for _ in range(4))
+    ints = st.integers(0, 10**12)
+    boundary = SimpleNamespace(
+        outer_nodes=np.array(draw(st.lists(ints, min_size=ko, max_size=ko)), dtype=np.int64),
+        outer_arcs=_floats(draw, ko),
+        inner_nodes=np.array(draw(st.lists(ints, min_size=ki, max_size=ki)), dtype=np.int64),
+        inner_arcs=_floats(draw, ki))
+    mesh = SimpleNamespace(
+        nodes=_floats(draw, 2 * n).reshape(n, 2), node_count=n,
+        triangles=np.array(draw(st.lists(ints, min_size=3 * m, max_size=3 * m)),
+                           dtype=np.int64).reshape(m, 3), triangle_count=m,
+        boundary_edges=np.array(draw(st.lists(ints, min_size=2 * k, max_size=2 * k)),
+                                dtype=np.int64).reshape(k, 2),
+        boundary_labels=np.array(draw(st.lists(st.sampled_from(["outer", "inner"]),
+                                               min_size=k, max_size=k)), dtype="U5"),
+        boundary=boundary)
+    fld = SimpleNamespace(mesh=mesh, values=_floats(draw, n))
+    data = SimpleNamespace(f=_floats(draw, ko), g=_floats(draw, ko))
+    count = draw(st.integers(0, 5))
+    curve = LCurve(_floats(draw, count), _floats(draw, count), _floats(draw, count),
+                   corner_index=draw(st.integers(-1, max(count - 1, -1))))
+    isolines = [Isoline(0.0, [], polylines=[
+        _floats(draw, 2 * size).reshape(size, 2)
+        for size in draw(st.lists(st.integers(1, 4), max_size=3))])
+        for _ in range(draw(st.integers(1, 2)))]
+    report = dict(zip(["a", "b", "c", "d", "e"], [
+        draw(FLOATS), np.float64(draw(FLOATS)), draw(st.integers(-5, 5)),
+        draw(st.sampled_from(["TC1", "closed"])), draw(st.booleans())]))
+    return mesh, fld, data, _floats(draw, ki), curve, isolines, report
+
+
+@settings(max_examples=100, deadline=None)
+@given(objects=written_objects())
+def test_writers_match_row_oracles(tmp_path_factory, objects):
+    mesh, fld, data, u, curve, isolines, report = objects
+    out = tmp_path_factory.mktemp("w")
+    pairs = [
+        (lambda p: save_mesh(mesh, p), lambda p: oracles.save_mesh_by_row(mesh, p)),
+        (lambda p: fio.write_report(p, report),
+         lambda p: oracles.write_report_by_row(p, report)),
+        (lambda p: fio.write_flux_csv(p, fld), lambda p: oracles.write_flux_csv_by_row(p, fld)),
+        (lambda p: fio.write_vtk(p, fld, "chi"), lambda p: oracles.write_vtk_by_row(p, fld, "chi")),
+        (lambda p: fio.write_cauchy_csv(p, mesh, data),
+         lambda p: oracles.write_cauchy_csv_by_row(p, mesh, data)),
+        (lambda p: fio.write_control_csv(p, mesh, u),
+         lambda p: oracles.write_control_csv_by_row(p, mesh, u)),
+        (lambda p: fio.write_lcurve_csv(p, curve),
+         lambda p: oracles.write_lcurve_csv_by_row(p, curve)),
+        (lambda p: fio.write_isoline_csv(p, isolines),
+         lambda p: oracles.write_isoline_csv_by_row(p, isolines)),
+        (lambda p: fio.write_isoline_csv(p, isolines[0]),
+         lambda p: oracles.write_isoline_csv_by_row(p, isolines[0])),
+    ]
+    for i, (write, oracle) in enumerate(pairs):
+        write(out / f"{i}.new")
+        oracle(out / f"{i}.old")
+        assert (out / f"{i}.new").read_bytes() == (out / f"{i}.old").read_bytes(), i
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(FLOATS, min_size=9, max_size=9),
+       fg=st.lists(st.tuples(FLOATS, FLOATS), min_size=8, max_size=8))
+def test_csv_round_trips_are_bit_exact(tmp_path_factory, values, fg):
+    mesh = build_square_mesh(2)
+    out = tmp_path_factory.mktemp("csv")
+    fld = FluxField(np.array(values), mesh)
+    fio.write_flux_csv(out / "f.csv", fld)
+    assert fio.read_flux_csv(out / "f.csv", mesh).values.tobytes() == fld.values.tobytes()
+    data = CauchyData(*np.array(fg).T)
+    fio.write_cauchy_csv(out / "d.csv", mesh, data)
+    back = fio.read_cauchy_csv(out / "d.csv", mesh)
+    assert (back.f.tobytes(), back.g.tobytes()) == (data.f.tobytes(), data.g.tobytes())
+
+
+# the documented exit codes: 2 config, 3 numerical or mesh validation, 4 I/O
+# or format; a type maps by its nearest listed base class
+EXIT_CODES = {cli.ConfigError: 2, MeshValidationError: 3, MeshGeometryError: 3,
+              RuntimeError: 3, np.linalg.LinAlgError: 3, ValueError: 4, OSError: 4}
+
+
+def documented_exit(exc) -> int:
+    for cls in type(exc).__mro__:
+        if cls in EXIT_CODES:
+            return EXIT_CODES[cls]
+    raise AssertionError(f"undocumented exception {exc!r} reaches cli.main")
+
+
+@settings(max_examples=40, deadline=None)
+@given(exc=st.sampled_from([
+    cli.ConfigError("c"), MeshValidationError("v"), MeshTopologyError("t"),
+    MeshGeometryError("g"), KVAssemblyError("k"), NearSingularError("s"),
+    FemError("f"), NoTransitionError("n"), DegenerateCurveError("d"),
+    np.linalg.LinAlgError("l"), MeshFormatError("m"), EmptyIsolineError("e"),
+    ValueError("v"), OSError("o"), FileNotFoundError("f"),
+    UnicodeDecodeError("ascii", b"\xff", 0, 1, "not ascii")]))
+def test_exception_types_map_to_documented_exit_codes(exc):
+    def command(cfg):
+        raise exc
+    with mock.patch.dict(cli._COMMANDS, {"mesh": command}):
+        assert cli.main(["mesh"]) == documented_exit(exc)
+
+
+@st.composite
+def contour_inputs(draw):
+    mesh = draw(st.sampled_from(BASE_MESHES))
+    return draw(mesh_texts(mesh)), draw(flux_texts(mesh))
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=contour_inputs())
+def test_corrupted_files_exit_with_documented_codes(tmp_path_factory, texts):
+    out = tmp_path_factory.mktemp("contour")
+    (out / "m.mesh").write_text(texts[0])
+    (out / "f.csv").write_text(texts[1])
+    argv = ["contour", "--mesh", str(out / "m.mesh"), "--field", str(out / "f.csv"),
+            "--level", "1.5", "--output-dir", str(out)]
+    try:
+        cli._COMMANDS["contour"](cli._merge(cli._build_parser().parse_args(argv)))
+        expected = 0
+    except Exception as exc:                     # what reaches cli.main
+        expected = documented_exit(exc)
+    assert cli.main(argv) == expected

@@ -325,3 +325,64 @@ def test_save_load_is_bit_exact(tmp_path_factory, r0, z0, a, radii, shrink,
         assert np.array_equal(getattr(back.boundary, name), getattr(m.boundary, name))
     assert back.boundary.outer_perimeter == m.boundary.outer_perimeter
     assert back.boundary.inner_perimeter == m.boundary.inner_perimeter
+
+
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+# one case per MeshFormatError message: (edit of STRIP_FILE, line, message);
+# line None for a message without one
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda t: _edit(t, "triangles 2", "triangle 2"), 7,
+     "expected 'triangles', got 'triangle'"),
+    (lambda t: _edit(t, "nodes 4", "nodes 4 4"), 2,
+     "expected 2 tokens for 'nodes' header, got 3"),
+    (lambda t: _edit(t, "nodes 4", "nodes four"), 2, "bad count 'four'"),
+    (lambda t: _edit(t, "boundary_edges 4", "boundary_edges -4"), 10, "negative count"),
+    (lambda t: t.rsplit("3 0 outer", 1)[0], None,
+     "unexpected end of file while reading boundary edge 3"),
+    (lambda t: t.split("triangles")[0], None,
+     "unexpected end of file while reading 'triangles' header"),
+    (lambda t: _edit(t, "0 1 2", "0 1"), 8, "expected 3 tokens for triangle 0, got 2"),
+    (lambda t: _edit(t, "2.0 0.0", "2.0 zero"), 4, "bad coordinate"),
+    (lambda t: _edit(t, "0 2 3", "0 2 3.0"), 9, "bad triangle index"),
+    (lambda t: _edit(t, "0 2 3", "0 2 4"), 9, "triangle index out of range"),
+    (lambda t: _edit(t, "2 3 outer", "2 x outer"), 13, "bad edge index"),
+    (lambda t: _edit(t, "3 0 outer", "3 -1 outer"), 14, "edge index out of range"),
+    (lambda t: _edit(t, "1 2 outer", "1 2 wall"), 12, "unknown label 'wall'"),
+    (lambda t: t + "3 0 outer\n", 15, "trailing content"),
+    # the first fault in file order wins, whatever its kind
+    (lambda t: _edit(_edit(t, "0 1 2", "0 1 7"), "0 2 3", "0 2"), 8,
+     "triangle index out of range"),
+    (lambda t: _edit(_edit(t, "0 1 outer", "0 1 wall"), "2 3 outer", "2 3"), 11,
+     "unknown label 'wall'"),
+    (lambda t: _edit(t, "1 2 outer", "1 9 wall"), 12, "edge index out of range"),
+    (lambda t: _edit(t, "1 2 outer", "1 2"), 12,
+     "expected 3 tokens for boundary edge 1, got 2"),
+    # comments, blank lines and surrounding blanks keep the line numbers
+    (lambda t: _edit(_edit(t, "2.0 1.0", " 2.0\t1.0 # c\n\n"), "0 2 3", "0 2 3.5"), 11,
+     "bad triangle index"),
+])
+def test_mesh_format_error_names_line_and_fault(tmp_path, edit, line, message):
+    path = tmp_path / "bad.mesh"
+    path.write_text(edit(STRIP_FILE))
+    where = f"{path}:{line}" if line else f"{path}"
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{where}: {message}"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("0 2 3", "0 2 99999999999999999999", ":9: bad triangle index"),
+    ("2 3 outer", "2 99999999999999999999 outer", ":13: bad edge index"),
+    ("boundary_edges 4", "boundary_edges 100000000000000",
+     ": unexpected end of file while reading boundary edge 4"),
+])
+def test_index_beyond_int64_and_count_beyond_file(tmp_path, old, new, message):
+    path = tmp_path / "bad.mesh"
+    path.write_text(_edit(STRIP_FILE, old, new))
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"{path}{message}"

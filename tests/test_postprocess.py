@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
                                  _bottleneck_level, _sample_field,
                                  extract_isoline, find_plasma_boundary,
                                  magnetic_field)
+from conftest import strip_mesh
 from oracles import (STATE_ORDER, RegionClassifier, bisect_transition,
                      extract_isoline_dict, sample_field_scan)
 
@@ -382,3 +386,31 @@ def test_twin_reconstruction_has_closed_boundary(iter_mesh, iter_A):
     assert iso.encircles(hole)
     inner_trace = report.psi_opt.values[iter_mesh.boundary.inner_nodes]
     assert psi_p < inner_trace.min()
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail, rather than stall the suite, when the block runs too long."""
+    def fail(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("values", [
+    np.full(4, 2.0),                        # constant, nonzero
+    1e6 + 1e-7 * np.arange(4.0),            # range far below one ulp of 1e-12 steps
+])
+def test_level_at_a_tie_below_one_ulp_returns(values):
+    fld = FluxField(values, strip_mesh())
+    with _deadline(5):
+        for level in values.tolist():
+            iso = extract_isoline(fld, level)
+            assert np.isfinite(np.asarray(iso.segments, dtype=float)).all()
+        top = extract_isoline(fld, float(values.max()))
+    assert top.segments == [] and top.polylines == []
