@@ -62,8 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="built-in geometry")
     p_mesh.add_argument("--outer-csv", help="outer loop polyline CSV (r,z)")
     p_mesh.add_argument("--inner-csv", help="inner loop polyline CSV (r,z)")
-    p_mesh.add_argument("--offset-factor", type=float, default=0.5,
-                        help="inner = outer scaled toward centroid when no inner given")
+    p_mesh.add_argument("--offset-factor", type=float,
+                        help="inner = outer scaled toward centroid by this factor in "
+                             "(0, 1) when no inner given (default 0.5)")
     p_mesh.add_argument("--target-h", type=float, help="edge length target")
 
     p_cmp = sub.add_parser("complete", help="solve the data completion problem")
@@ -176,8 +177,14 @@ def _cmd_mesh(cfg) -> int:
         if "inner_csv" in cfg:
             inner = fio.read_polyline_csv(cfg["inner_csv"])
         else:
-            inner = scale_toward_centroid(outer, _option(cfg, "offset_factor", float, 0.5))
-        m = generate_annulus_mesh(outer, inner, _option(cfg, "target_h", float))
+            factor = _option(cfg, "offset_factor", float, 0.5)
+            if not 0.0 < factor < 1.0:
+                raise ConfigError(f"option offset_factor must lie in (0, 1), got {factor!r}")
+            inner = scale_toward_centroid(outer, factor)
+        target_h = _option(cfg, "target_h", float)
+        if not 0.0 < target_h < np.inf:
+            raise ConfigError(f"option target_h must be finite and positive, got {target_h!r}")
+        m = generate_annulus_mesh(outer, inner, target_h)
     else:
         raise ConfigError("mesh needs --preset or --outer-csv")
     path = os.path.join(out, "mesh.txt")

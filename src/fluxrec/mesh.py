@@ -16,6 +16,8 @@ owning triangles and boundary labels and the edges of each triangle, and
 chains each boundary loop once; the post-processing reads the table instead
 of rebuilding edge maps.  One walk over graphs of degree at most 2
 (`chain_walk`) chains both the boundary loops and the isoflux contours.
+The ring-ladder generator is array code: one stable merge of sorted angles
+stitches each band between two rings.
 """
 
 from __future__ import annotations
@@ -435,9 +437,6 @@ class BoundaryIndex:
             return self.inner_nodes
         raise ValueError(f"unknown boundary {where!r}")
 
-    def arcs_for(self, where: str) -> np.ndarray:
-        return self.outer_arcs if where == OUTER else self.inner_arcs
-
 
 def _orient_and_anchor(nodes: np.ndarray, loop: np.ndarray, ccw: bool):
     if len(loop) == 0:
@@ -626,15 +625,17 @@ def _subdivide_loop(loop: np.ndarray, h: float) -> np.ndarray:
     Original vertices are preserved exactly; new points lie on the edges.
     """
     loop = np.asarray(loop, dtype=float)
-    out = []
-    for a, b in zip(loop, np.roll(loop, -1, axis=0)):
-        out.append(a)
-        length = float(np.linalg.norm(b - a))
-        pieces = max(1, math.ceil(length / h))
-        for k in range(1, pieces):
-            t = k / pieces
-            out.append((1.0 - t) * a + t * b)
-    return np.asarray(out)
+    nxt = np.roll(loop, -1, axis=0)
+    edge = nxt - loop
+    # one dot product per edge, rounded as np.linalg.norm rounds one vector
+    length = np.sqrt(edge[:, None, :] @ edge[:, :, None]).ravel()
+    pieces = np.maximum(1, np.ceil(length / h)).astype(np.int64)
+    first = np.cumsum(pieces) - pieces
+    edge_of = np.repeat(np.arange(len(loop)), pieces)
+    t = ((np.arange(len(edge_of)) - first[edge_of]) / pieces[edge_of])[:, None]
+    out = (1.0 - t) * loop[edge_of] + t * nxt[edge_of]
+    out[first] = loop
+    return out
 
 
 def _angles_about(points: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -646,24 +647,18 @@ def _ray_crossings(loop: np.ndarray, center: np.ndarray, angles: np.ndarray) -> 
     """Intersection of rays from center at given angles with a star-shaped loop."""
     ang = _angles_about(loop, center)
     order = np.argsort(ang, kind="stable")
-    ang_sorted = ang[order]
-    pts_sorted = loop[order]
-    out = np.empty((len(angles), 2))
-    for i, theta in enumerate(np.mod(angles, 2.0 * math.pi)):
-        j = np.searchsorted(ang_sorted, theta)
-        a = pts_sorted[(j - 1) % len(loop)]
-        b = pts_sorted[j % len(loop)]
-        # solve a + t (b - a) on the ray direction
-        d = np.array([math.cos(theta), math.sin(theta)])
-        e = b - a
-        denom = d[0] * (-e[1]) - d[1] * (-e[0])
-        if abs(denom) < 1e-300:
-            out[i] = a
-            continue
-        rhs = a - center
-        t_edge = (d[0] * rhs[1] - d[1] * rhs[0]) / denom
-        out[i] = a + np.clip(t_edge, 0.0, 1.0) * e
-    return out
+    theta = np.mod(angles, 2.0 * math.pi)
+    j = np.searchsorted(ang[order], theta)
+    a = loop[order[(j - 1) % len(loop)]]
+    e = loop[order[j % len(loop)]] - a
+    # solve a + t (b - a) on the ray direction; a parallel edge keeps a
+    dr, dz = np.cos(theta), np.sin(theta)
+    denom = dr * (-e[:, 1]) - dz * (-e[:, 0])
+    rhs = a - center
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_edge = (dr * rhs[:, 1] - dz * rhs[:, 0]) / denom
+    parallel = (np.abs(denom) < 1e-300)[:, None]
+    return np.where(parallel, a, a + np.clip(t_edge, 0.0, 1.0)[:, None] * e)
 
 
 def _resample_closed(points: np.ndarray, count: int) -> np.ndarray:
@@ -679,25 +674,21 @@ def _resample_closed(points: np.ndarray, count: int) -> np.ndarray:
     return points[idx] * (1.0 - local[:, None]) + points[nxt] * local[:, None]
 
 
-def _stitch_rings(idx_a, ang_a, idx_b, ang_b) -> list[tuple[int, int, int]]:
-    """Triangulate the band between two rings sorted by angle (a inside b)."""
+def _stitch_rings(idx_a, ang_a, idx_b, ang_b) -> np.ndarray:
+    """Triangulate the band between two rings sorted by angle (a inside b).
+
+    Each step advances one ring to its next angle (the last one wraps by
+    2 pi), the ring whose next angle comes first, ring a on ties: a stable
+    merge of the two sorted key sequences.
+    """
     na, nb = len(idx_a), len(idx_b)
-    tris = []
-    i = j = 0
     two_pi = 2.0 * math.pi
-
-    def next_ang(ang, k, n):
-        return ang[(k + 1) % n] + (two_pi if k + 1 >= n else 0.0)
-
-    while i < na or j < nb:
-        take_a = i < na and (j >= nb or next_ang(ang_a, i, na) <= next_ang(ang_b, j, nb))
-        if take_a:
-            tris.append((idx_a[i % na], idx_b[j % nb], idx_a[(i + 1) % na]))
-            i += 1
-        else:
-            tris.append((idx_a[i % na], idx_b[j % nb], idx_b[(j + 1) % nb]))
-            j += 1
-    return tris
+    keys = np.r_[ang_a[1:], ang_a[0] + two_pi, ang_b[1:], ang_b[0] + two_pi]
+    take_a = np.argsort(keys, kind="stable") < na
+    i = np.cumsum(take_a) - take_a                 # steps of ring a so far
+    j = np.arange(na + nb) - i
+    third = np.where(take_a, idx_a[(i + 1) % na], idx_b[(j + 1) % nb])
+    return np.column_stack([idx_a[i % na], idx_b[j % nb], third])
 
 
 def generate_annulus_mesh(outer: np.ndarray, inner: np.ndarray, target_h: float,
@@ -714,15 +705,15 @@ def generate_annulus_mesh(outer: np.ndarray, inner: np.ndarray, target_h: float,
     outer, inner : (n, 2) arrays
         Closed polylines (no repeated endpoint), r > 0.
     target_h : float
-        Requested characteristic edge length.
+        Requested characteristic edge length, finite and positive.
     node_budget : int, optional
         If given, intermediate ring sizes are nudged so the total node count
         equals the budget exactly (boundary counts are never altered).
     """
     outer = np.asarray(outer, dtype=float)
     inner = np.asarray(inner, dtype=float)
-    if target_h <= 0.0:
-        raise MeshGeometryError("target_h must be positive")
+    if not 0.0 < target_h < math.inf:
+        raise MeshGeometryError(f"target_h must be finite and positive, got {target_h!r}")
     for name, loop in (("outer", outer), ("inner", inner)):
         if loop.ndim != 2 or loop.shape[1] != 2 or len(loop) < 3:
             raise MeshGeometryError(f"{name} loop must be an (n>=3, 2) polyline")
@@ -780,63 +771,49 @@ def _ladder_mesh(outer: np.ndarray, inner: np.ndarray, center: np.ndarray,
     fine_in = _ray_crossings(ring_inner, center, fine)
     fine_out = _ray_crossings(ring_outer, center, fine)
 
-    def ring_plan(layer_count):
-        plan = []
-        for k in range(1, layer_count):
-            s = k / layer_count
-            blend = (1.0 - s) * fine_in + s * fine_out
-            perim = float(np.sum(np.linalg.norm(
-                np.roll(blend, -1, axis=0) - blend, axis=1)))
-            plan.append((blend, max(3, math.ceil(perim / h_b))))
-        return plan
+    def blends(layer_count):
+        """(layer_count - 1, len(fine), 2) intermediate rings, inside out."""
+        s = (np.arange(1, layer_count) / layer_count)[:, None, None]
+        return (1.0 - s) * fine_in + s * fine_out
 
+    def ring_counts(blend):
+        perim = np.linalg.norm(np.roll(blend, -1, axis=1) - blend, axis=2).sum(axis=1)
+        return np.maximum(3, np.ceil(perim / h_b)).astype(np.int64)
+
+    fixed = len(ring_inner) + len(ring_outer)
     if node_budget is not None:
         # choose the layer count whose natural node total is closest to the
-        # budget, so the per-ring adjustment below stays small
-        fixed = len(ring_inner) + len(ring_outer)
-        best, best_gap = None, None
-        for trial in range(max(2, layers // 2), max(3, 2 * layers + 2)):
-            total = fixed + sum(c for _, c in ring_plan(trial))
-            miss = abs(total - node_budget)
-            if best_gap is None or miss < best_gap:
-                best, best_gap = trial, miss
-        layers = best
-    mids = ring_plan(layers)
+        # budget (the first on ties), so the per-ring adjustment stays small
+        layers = min(range(max(2, layers // 2), max(3, 2 * layers + 2)), key=lambda trial:
+                     abs(fixed + ring_counts(blends(trial)).sum() - node_budget))
+    mids = blends(layers)
+    counts = ring_counts(mids)
 
     if node_budget is not None:
-        fixed = len(ring_inner) + len(ring_outer)
-        counts = [c for _, c in mids]
-        deficit = node_budget - fixed - sum(counts)
-        if not mids:
-            raise MeshGeometryError("node budget requires at least one interior ring")
-        step = 1 if deficit > 0 else -1
-        i = 0
-        while deficit != 0:
-            j = i % len(counts)
-            if counts[j] + step >= 3:
-                counts[j] += step
-                deficit -= step
-            i += 1
-            if i > 10 * abs(node_budget) + 100:
+        # spread the deficit one node per ring in turn, from the innermost
+        # ring; a ring gives up nodes only down to 3
+        deficit = node_budget - fixed - int(counts.sum())
+        if deficit > 0:
+            turns, extra = divmod(deficit, len(counts))
+            counts += turns + (np.arange(len(counts)) < extra)
+        elif deficit < 0:
+            spare = counts - 3
+            if spare.sum() < -deficit:
                 raise MeshGeometryError("cannot satisfy node budget")
-        mids = [(blend, c) for (blend, _), c in zip(mids, counts)]
+            # turn[p, r]: ring r gives a node on pass p; row-major is visit order
+            turn = np.arange(spare.max())[:, None] < spare
+            turn &= np.cumsum(turn).reshape(turn.shape) <= -deficit
+            counts -= turn.sum(axis=0)
 
-    rings = [ring_inner]
-    for blend, count in mids:
-        rings.append(_resample_closed(blend, count))
-    rings.append(ring_outer)
-
+    rings = [ring_inner, *map(_resample_closed, mids, counts), ring_outer]
     nodes = np.concatenate(rings, axis=0)
     offsets = np.cumsum([0] + [len(r) for r in rings])
-    tris: list[tuple[int, int, int]] = []
-    for k in range(len(rings) - 1):
-        a = np.arange(offsets[k], offsets[k + 1])
-        b = np.arange(offsets[k + 1], offsets[k + 2])
-        ang_a = _angles_about(rings[k], center)
-        ang_b = _angles_about(rings[k + 1], center)
-        oa, ob = np.argsort(ang_a, kind="stable"), np.argsort(ang_b, kind="stable")
-        tris.extend(_stitch_rings(a[oa], ang_a[oa], b[ob], ang_b[ob]))
-    triangles = np.asarray(tris, dtype=np.int64)
+    angles = [_angles_about(r, center) for r in rings]
+    order = [np.argsort(ang, kind="stable") for ang in angles]
+    triangles = np.concatenate([
+        _stitch_rings(offsets[k] + order[k], angles[k][order[k]],
+                      offsets[k + 1] + order[k + 1], angles[k + 1][order[k + 1]])
+        for k in range(len(rings) - 1)])
 
     areas = triangle_areas(nodes, triangles)
     flip = areas < 0.0
@@ -845,15 +822,10 @@ def _ladder_mesh(outer: np.ndarray, inner: np.ndarray, center: np.ndarray,
     if np.any(triangle_areas(nodes, triangles) <= 0.0):
         raise MeshGeometryError("degenerate triangle produced; loops too irregular")
 
-    def ring_edges(lo, hi, label):
-        idx = np.arange(lo, hi)
-        nxt = np.roll(idx, -1)
-        return [(int(a), int(b), label) for a, b in zip(idx, nxt)]
-
-    edge_list = ring_edges(offsets[0], offsets[1], INNER) \
-        + ring_edges(offsets[-2], offsets[-1], OUTER)
-    edges = np.asarray([(a, b) for a, b, _ in edge_list], dtype=np.int64)
-    labels = np.asarray([lab for _, _, lab in edge_list])
+    rims = [np.arange(offsets[0], offsets[1]), np.arange(offsets[-2], offsets[-1])]
+    edges = np.column_stack([np.concatenate(rims),
+                             np.concatenate([np.roll(rim, -1) for rim in rims])])
+    labels = np.repeat([INNER, OUTER], [len(rim) for rim in rims])
 
     mesh = Mesh(nodes, triangles, edges, labels)
     if mesh.max_edge_length > 1.5 * target_h:

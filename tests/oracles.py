@@ -1,17 +1,22 @@
 """Slow reference implementations that the fast library paths are checked
 against.  They build their own adjacency from the triangle list and their
 own boundary-label dicts, so they share no code with ``Mesh.edges``; the
-text-format oracles read one token and write one value at a time."""
+text-format oracles read one token and write one value at a time, and the
+mesh-generator oracle works one point, ray and triangle at a time."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from fluxrec.fem import FluxField
-from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, points_in_polygon,
-                          polygon_area)
+from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
+                          _angles_about, _EdgeBoundExceeded, _resample_closed,
+                          distance_to_polyline, loops_intersect, points_in_polygon,
+                          polygon_area, polygon_centroid, triangle_areas)
 from fluxrec.postprocess import EmptyIsolineError, Isoline
 
 STATE_ORDER = {"open": 0, "closed": 1, "empty": 2}   # as the level rises
@@ -454,3 +459,214 @@ def write_isoline_csv_by_row(path, isolines) -> None:
                 for k, (r, z) in enumerate(poly):
                     fh.write(f"{pid},{k},{_fmt(r)},{_fmt(z)}\n")
                 pid += 1
+
+
+# ---------------------------------------------------------------------------
+# ring-ladder generator, one point, ray and triangle at a time
+# ---------------------------------------------------------------------------
+
+def subdivide_loop_by_point(loop: np.ndarray, h: float) -> np.ndarray:
+    """Insert equally spaced points on each edge so no piece exceeds h.
+
+    Original vertices are preserved exactly; new points lie on the edges.
+    """
+    loop = np.asarray(loop, dtype=float)
+    out = []
+    for a, b in zip(loop, np.roll(loop, -1, axis=0)):
+        out.append(a)
+        length = float(np.linalg.norm(b - a))
+        pieces = max(1, math.ceil(length / h))
+        for k in range(1, pieces):
+            t = k / pieces
+            out.append((1.0 - t) * a + t * b)
+    return np.asarray(out)
+
+
+def ray_crossings_by_ray(loop: np.ndarray, center: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Intersection of rays from center at given angles with a star-shaped loop."""
+    ang = _angles_about(loop, center)
+    order = np.argsort(ang, kind="stable")
+    ang_sorted = ang[order]
+    pts_sorted = loop[order]
+    out = np.empty((len(angles), 2))
+    for i, theta in enumerate(np.mod(angles, 2.0 * math.pi)):
+        j = np.searchsorted(ang_sorted, theta)
+        a = pts_sorted[(j - 1) % len(loop)]
+        b = pts_sorted[j % len(loop)]
+        # solve a + t (b - a) on the ray direction
+        d = np.array([math.cos(theta), math.sin(theta)])
+        e = b - a
+        denom = d[0] * (-e[1]) - d[1] * (-e[0])
+        if abs(denom) < 1e-300:
+            out[i] = a
+            continue
+        rhs = a - center
+        t_edge = (d[0] * rhs[1] - d[1] * rhs[0]) / denom
+        out[i] = a + np.clip(t_edge, 0.0, 1.0) * e
+    return out
+
+
+def stitch_rings_two_pointer(idx_a, ang_a, idx_b, ang_b) -> list[tuple[int, int, int]]:
+    """Triangulate the band between two rings sorted by angle (a inside b)."""
+    na, nb = len(idx_a), len(idx_b)
+    tris = []
+    i = j = 0
+    two_pi = 2.0 * math.pi
+
+    def next_ang(ang, k, n):
+        return ang[(k + 1) % n] + (two_pi if k + 1 >= n else 0.0)
+
+    while i < na or j < nb:
+        take_a = i < na and (j >= nb or next_ang(ang_a, i, na) <= next_ang(ang_b, j, nb))
+        if take_a:
+            tris.append((idx_a[i % na], idx_b[j % nb], idx_a[(i + 1) % na]))
+            i += 1
+        else:
+            tris.append((idx_a[i % na], idx_b[j % nb], idx_b[(j + 1) % nb]))
+            j += 1
+    return tris
+
+
+def generate_annulus_mesh_by_loop(outer: np.ndarray, inner: np.ndarray, target_h: float,
+                                  node_budget: int | None = None) -> Mesh:
+    """`generate_annulus_mesh` with per-point subdivision, per-ray crossings,
+    a two-pointer ring stitch and a one-node-at-a-time budget spread, which
+    gives up after 10 * |node_budget| + 100 ring visits."""
+    outer = np.asarray(outer, dtype=float)
+    inner = np.asarray(inner, dtype=float)
+    if target_h <= 0.0:
+        raise MeshGeometryError("target_h must be positive")
+    for name, loop in (("outer", outer), ("inner", inner)):
+        if loop.ndim != 2 or loop.shape[1] != 2 or len(loop) < 3:
+            raise MeshGeometryError(f"{name} loop must be an (n>=3, 2) polyline")
+        if np.any(loop[:, 0] <= 0.0):
+            raise MeshGeometryError(f"{name} loop has r <= 0")
+    scale = max(np.ptp(outer[:, 0]), np.ptp(outer[:, 1]))
+    if not points_in_polygon(inner, outer).all():
+        raise MeshGeometryError("inner loop is not strictly inside the outer loop")
+    if np.min(distance_to_polyline(inner, outer)) < 1e-9 * scale:
+        raise MeshGeometryError("loops touch or coincide")
+    if loops_intersect(outer, inner):
+        raise MeshGeometryError("outer and inner loops intersect")
+
+    center = polygon_centroid(inner)
+    if not points_in_polygon(center[None, :], inner)[0]:
+        raise MeshGeometryError("inner loop is not star-shaped about its centroid")
+
+    # retry with tighter internal spacing until the edge bound holds
+    last_err = None
+    for shrink in (1.0, 0.75, 0.56, 0.42):
+        try:
+            return _ladder_mesh_by_loop(outer, inner, center, 0.9 * target_h * shrink,
+                                        target_h, node_budget)
+        except _EdgeBoundExceeded as exc:
+            last_err = exc
+    raise MeshGeometryError(str(last_err))
+
+
+def _ladder_mesh_by_loop(outer: np.ndarray, inner: np.ndarray, center: np.ndarray,
+                         h_b: float, target_h: float, node_budget: int | None) -> Mesh:
+    ring_inner = subdivide_loop_by_point(inner, h_b)
+    ring_outer = subdivide_loop_by_point(outer, h_b)
+    for name, ring in (("inner", ring_inner), ("outer", ring_outer)):
+        ang = _angles_about(ring, center)
+        rolled = np.roll(ang, -int(np.argmin(ang)))
+        if np.any(np.diff(rolled) <= 0):
+            raise MeshGeometryError(
+                f"{name} loop is not star-shaped about the inner centroid; "
+                "this generator requires star-shaped loops")
+
+    # radial layer count from the mean gap along matched rays
+    probe = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    p_in = ray_crossings_by_ray(ring_inner, center, probe)
+    p_out = ray_crossings_by_ray(ring_outer, center, probe)
+    gap = float(np.mean(np.linalg.norm(p_out - p_in, axis=1)))
+    layers = max(1, round(gap / h_b))
+
+    # intermediate rings: blend along rays, then resample by arc length
+    fine = np.sort(np.concatenate([_angles_about(ring_inner, center),
+                                   _angles_about(ring_outer, center)]))
+    fine_in = ray_crossings_by_ray(ring_inner, center, fine)
+    fine_out = ray_crossings_by_ray(ring_outer, center, fine)
+
+    def ring_plan(layer_count):
+        plan = []
+        for k in range(1, layer_count):
+            s = k / layer_count
+            blend = (1.0 - s) * fine_in + s * fine_out
+            perim = float(np.sum(np.linalg.norm(
+                np.roll(blend, -1, axis=0) - blend, axis=1)))
+            plan.append((blend, max(3, math.ceil(perim / h_b))))
+        return plan
+
+    if node_budget is not None:
+        # choose the layer count whose natural node total is closest to the
+        # budget, so the per-ring adjustment below stays small
+        fixed = len(ring_inner) + len(ring_outer)
+        best, best_gap = None, None
+        for trial in range(max(2, layers // 2), max(3, 2 * layers + 2)):
+            total = fixed + sum(c for _, c in ring_plan(trial))
+            miss = abs(total - node_budget)
+            if best_gap is None or miss < best_gap:
+                best, best_gap = trial, miss
+        layers = best
+    mids = ring_plan(layers)
+
+    if node_budget is not None:
+        fixed = len(ring_inner) + len(ring_outer)
+        counts = [c for _, c in mids]
+        deficit = node_budget - fixed - sum(counts)
+        if not mids:
+            raise MeshGeometryError("node budget requires at least one interior ring")
+        step = 1 if deficit > 0 else -1
+        i = 0
+        while deficit != 0:
+            j = i % len(counts)
+            if counts[j] + step >= 3:
+                counts[j] += step
+                deficit -= step
+            i += 1
+            if i > 10 * abs(node_budget) + 100:
+                raise MeshGeometryError("cannot satisfy node budget")
+        mids = [(blend, c) for (blend, _), c in zip(mids, counts)]
+
+    rings = [ring_inner]
+    for blend, count in mids:
+        rings.append(_resample_closed(blend, count))
+    rings.append(ring_outer)
+
+    nodes = np.concatenate(rings, axis=0)
+    offsets = np.cumsum([0] + [len(r) for r in rings])
+    tris: list[tuple[int, int, int]] = []
+    for k in range(len(rings) - 1):
+        a = np.arange(offsets[k], offsets[k + 1])
+        b = np.arange(offsets[k + 1], offsets[k + 2])
+        ang_a = _angles_about(rings[k], center)
+        ang_b = _angles_about(rings[k + 1], center)
+        oa, ob = np.argsort(ang_a, kind="stable"), np.argsort(ang_b, kind="stable")
+        tris.extend(stitch_rings_two_pointer(a[oa], ang_a[oa], b[ob], ang_b[ob]))
+    triangles = np.asarray(tris, dtype=np.int64)
+
+    areas = triangle_areas(nodes, triangles)
+    flip = areas < 0.0
+    if flip.any():
+        triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    if np.any(triangle_areas(nodes, triangles) <= 0.0):
+        raise MeshGeometryError("degenerate triangle produced; loops too irregular")
+
+    def ring_edges(lo, hi, label):
+        idx = np.arange(lo, hi)
+        nxt = np.roll(idx, -1)
+        return [(int(a), int(b), label) for a, b in zip(idx, nxt)]
+
+    edge_list = ring_edges(offsets[0], offsets[1], INNER) \
+        + ring_edges(offsets[-2], offsets[-1], OUTER)
+    edges = np.asarray([(a, b) for a, b, _ in edge_list], dtype=np.int64)
+    labels = np.asarray([lab for _, _, lab in edge_list])
+
+    mesh = Mesh(nodes, triangles, edges, labels)
+    if mesh.max_edge_length > 1.5 * target_h:
+        raise _EdgeBoundExceeded(
+            f"generated edge length {mesh.max_edge_length:.4g} exceeds "
+            f"1.5 * target_h = {1.5 * target_h:.4g}")
+    return mesh

@@ -1,15 +1,20 @@
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluxrec import assemble_stiffness, interpolate
+from fluxrec import assemble_stiffness, cli, interpolate
 from fluxrec.cli import main
 from fluxrec.experiments import TwinSpec, desk_annulus_mesh, generate_reference
 from fluxrec.io import (read_cauchy_csv, write_cauchy_csv, write_flux_csv,
                         read_flux_csv)
-from fluxrec.mesh import load_mesh, save_mesh
+from fluxrec.mesh import circle_loop, load_mesh, save_mesh
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +186,87 @@ def test_option_domain_error_gives_config_exit(desk_mesh_file, tmp_path,
                "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--target-h", "nan"), ("--target-h", "0"), ("--target-h", "-1"),
+    ("--target-h", "inf"), ("--offset-factor", "-0.5"), ("--offset-factor", "0"),
+    ("--offset-factor", "1.5"), ("--offset-factor", "nan"),
+])
+def test_mesh_option_domain_error_gives_config_exit(tmp_path, capsys, option, value):
+    outer = tmp_path / "outer.csv"
+    np.savetxt(outer, circle_loop(6.0, 0.0, 2.5, 48), delimiter=",")
+    options = {"--target-h": "0.4", "--offset-factor": "0.4", option: value}
+    rc = main(["mesh", "--outer-csv", str(outer), "--output-dir", str(tmp_path),
+               *[f"{flag}={v}" for flag, v in options.items()]])
+    assert rc == 2
+    assert f"config error: option {option[2:].replace('-', '_')}" in capsys.readouterr().err
+    assert not (tmp_path / "mesh.txt").exists()
+
+
+# valued flags of three commands: (flag, option, type)
+_FLAGS = {
+    "mesh": [("--outer-csv", "outer_csv", str), ("--inner-csv", "inner_csv", str),
+             ("--offset-factor", "offset_factor", float),
+             ("--target-h", "target_h", float)],
+    "twin": [("--mesh", "mesh_path", str), ("--case", "case", str),
+             ("--noise", "noise_level", float), ("--seed", "seed", int),
+             ("--epsilon", "epsilon", float)],
+    "lcurve": [("--data", "data_path", str), ("--eps-min", "eps_min", float),
+               ("--eps-count", "eps_count", int), ("--seed", "seed", int)],
+}
+_COMMON = [("--output-dir", "output_dir", str)]
+_WORD = st.text(alphabet="abcxyz019._/:-", min_size=1, max_size=8)
+_PAD = st.text(alphabet=" \t", max_size=3)
+_COMMENT = st.text(alphabet="ab =#", max_size=6).map(lambda text: "#" + text)
+_FLAG_VALUE = {
+    str: _WORD,
+    float: st.just(0.0) | st.floats(allow_nan=False, allow_infinity=False),
+    int: st.just(0) | st.integers(-10**6, 10**6),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_FLAGS)), data=st.data())
+def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, command,
+                                                          data):
+    flags = _FLAGS[command] + _COMMON
+    options = [option for _, option, _ in flags]
+    lines, expected = [], {}
+    for _ in range(data.draw(st.integers(0, 8))):
+        kind = data.draw(st.sampled_from(["entry", "entry", "blank", "comment"]))
+        pad = [data.draw(_PAD) for _ in range(4)]
+        if kind == "entry":
+            key = data.draw(st.sampled_from([*options, "command", "spare_key"]))
+            value = " ".join(data.draw(st.lists(_WORD | st.just("="), max_size=3)))
+            expected[key] = value
+            tail = data.draw(st.just("") | _COMMENT)
+            lines.append(f"{pad[0]}{key}{pad[1]}={pad[2]}{value}{pad[3]}{tail}")
+        else:
+            lines.append(pad[0] + (data.draw(_COMMENT) if kind == "comment" else ""))
+    argv = [command]
+    for flag, option, kind in flags:
+        value = data.draw(st.none() | _FLAG_VALUE[kind])
+        if value is not None:
+            argv.append(f"{flag}={value!r}" if kind is float else f"{flag}={value}")
+            expected[option] = value
+    expected["command"] = command
+    expected.setdefault("output_dir", ".")
+    bad = data.draw(st.none() | st.integers(0, len(lines)))
+    if bad is not None:
+        lines.insert(bad, data.draw(_PAD) + data.draw(_WORD) + data.draw(_PAD))
+    path = tmp_path_factory.mktemp("config") / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+
+    seen = []
+    with patch.dict(cli._COMMANDS, {command: seen.append}), \
+            redirect_stderr(io.StringIO()) as err:
+        rc = main([*argv, "--config", str(path)])
+    if bad is None:
+        assert seen == [expected]
+    else:
+        assert rc == 2 and not seen
+        assert f"config error: {path}:{bad + 1}: expected key = value" in err.getvalue()
 
 
 def test_cauchy_csv_roundtrip(desk_mesh_file, tmp_path):

@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
-                          MeshTopologyError, MeshValidationError, chain_loop,
-                          circle_loop, dee_loop, generate_annulus_mesh,
-                          load_mesh, polygon_area, save_mesh,
-                          scale_toward_centroid, triangle_areas)
+                          MeshTopologyError, MeshValidationError, _angles_about,
+                          _ray_crossings, _stitch_rings, chain_loop, circle_loop,
+                          dee_loop, generate_annulus_mesh, load_mesh, polygon_area,
+                          polygon_centroid, save_mesh, scale_toward_centroid,
+                          triangle_areas)
 from conftest import build_square_mesh, l_hole_square_mesh, strip_mesh
-from oracles import boundary_index_dict, edge_table_dict
+from oracles import (boundary_index_dict, edge_table_dict, generate_annulus_mesh_by_loop,
+                     ray_crossings_by_ray, stitch_rings_two_pointer)
 
 STRIP_FILE = """\
 # minimal strip
@@ -130,6 +134,96 @@ def test_generate_intersecting_loops_rejected():
     inner = circle_loop(7.5, 0.0, 1.0, 24)  # pokes through the outer loop
     with pytest.raises(MeshGeometryError):
         generate_annulus_mesh(outer, inner, 0.3)
+
+
+@pytest.mark.parametrize("target_h", [math.nan, math.inf, 0.0, -1.0])
+def test_generate_rejects_target_h_not_finite_and_positive(target_h):
+    with pytest.raises(MeshGeometryError, match="target_h must be finite and positive"):
+        generate_annulus_mesh(circle_loop(6.0, 0.0, 2.0, 24),
+                              circle_loop(6.0, 0.0, 1.0, 12), target_h)
+
+
+def _star_loop(r0, z0, a, radii):
+    """Star-shaped loop: radius a * radii[k] at evenly spaced angles."""
+    t = 2.0 * np.pi * np.arange(len(radii)) / len(radii)
+    rho = a * np.asarray(radii)
+    return np.column_stack([r0 + rho * np.cos(t), z0 + rho * np.sin(t)])
+
+
+def _mesh_or_error(generate, *args):
+    """The arrays of a generated mesh, bit for bit, or the MeshGeometryError text."""
+    try:
+        m = generate(*args)
+    except MeshGeometryError as exc:
+        return str(exc)
+    return [(arr.dtype.str, arr.shape, arr.tobytes()) for arr in
+            (m.nodes, m.triangles, m.boundary_edges, m.boundary_labels)]
+
+
+_LUMPY = [1.0, 1.1, 0.9, 1.05] * 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(r0=st.floats(4.0, 8.0), z0=st.floats(-1.0, 1.0), a=st.floats(1.0, 3.0),
+       radii=st.lists(st.floats(0.85, 1.15), min_size=8, max_size=40),
+       shrink=st.floats(0.3, 0.7), h_over_a=st.floats(0.15, 0.4),
+       budget_share=st.none() | st.floats(0.4, 1.6))
+# on this loop pair the shares give a negative, a positive and an infeasible
+# node-budget deficit
+@example(6.0, 0.0, 2.0, _LUMPY, 0.4, 0.15, 0.97)
+@example(6.0, 0.0, 2.0, _LUMPY, 0.4, 0.15, 1.3)
+@example(6.0, 0.0, 2.0, _LUMPY, 0.4, 0.15, 0.1)
+def test_generator_matches_loop_oracle(r0, z0, a, radii, shrink, h_over_a,
+                                       budget_share):
+    outer = _star_loop(r0, z0, a, radii)
+    args = [outer, scale_toward_centroid(outer, shrink), a * h_over_a]
+    if budget_share is not None:
+        try:
+            natural = generate_annulus_mesh(*args).node_count
+        except MeshGeometryError:
+            natural = 100
+        args.append(int(budget_share * natural))
+    assert (_mesh_or_error(generate_annulus_mesh, *args)
+            == _mesh_or_error(generate_annulus_mesh_by_loop, *args))
+
+
+# a sixteenth of a turn apart, so keys tie within and across the two rings
+_ANGLE = (st.integers(0, 15).map(lambda k: k * np.pi / 8)
+          | st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ang_a=st.lists(_ANGLE, min_size=1, max_size=30),
+       ang_b=st.lists(_ANGLE, min_size=1, max_size=30), data=st.data())
+def test_stitch_rings_matches_two_pointer_oracle(ang_a, ang_b, data):
+    na = len(ang_a)
+    ids = np.array(data.draw(st.permutations(range(na + len(ang_b)))))
+    args = (ids[:na], np.sort(ang_a), ids[na:], np.sort(ang_b))
+    want = np.array(stitch_rings_two_pointer(*args), dtype=np.int64)
+    assert np.array_equal(_stitch_rings(*args), want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(r0=st.floats(4.0, 8.0), z0=st.floats(-1.0, 1.0), a=st.floats(1.0, 3.0),
+       radii=st.lists(st.floats(0.5, 1.5), min_size=3, max_size=40),
+       angles=st.lists(st.floats(-4.0 * np.pi, 4.0 * np.pi), max_size=40))
+def test_ray_crossings_match_per_ray_oracle(r0, z0, a, radii, angles):
+    loop = _star_loop(r0, z0, a, radii)
+    center = polygon_centroid(loop)
+    # rays through the loop vertices tie with the sorted vertex angles
+    theta = np.r_[angles, _angles_about(loop, center), 0.0, 2.0 * np.pi]
+    assert (_ray_crossings(loop, center, theta).tobytes()
+            == ray_crossings_by_ray(loop, center, theta).tobytes())
+
+
+def test_ray_along_an_edge_keeps_the_edge_start():
+    # the ray at angle 0 meets the edge from the vertex at angle pi to the
+    # vertex at angle 0, which runs along it through the center
+    loop = np.array([[7.0, 0.0], [6.0, 1.0], [5.0, 0.0]])
+    center, theta = np.array([6.0, 0.0]), np.array([0.0])
+    got = _ray_crossings(loop, center, theta)
+    assert np.array_equal(got, [[5.0, 0.0]])
+    assert got.tobytes() == ray_crossings_by_ray(loop, center, theta).tobytes()
 
 
 @pytest.mark.parametrize("fixture", ["desk_mesh", "iter_mesh", "wide_mesh"])
@@ -305,10 +399,7 @@ def test_edge_table_matches_dict_reference(r0, a, b, triangularity, count,
        shrink=st.floats(0.3, 0.7), h_over_a=st.floats(0.15, 0.4))
 def test_save_load_is_bit_exact(tmp_path_factory, r0, z0, a, radii, shrink,
                                 h_over_a):
-    # star-shaped loop: radius a * radii[k] at evenly spaced angles
-    t = 2.0 * np.pi * np.arange(len(radii)) / len(radii)
-    rho = a * np.asarray(radii)
-    outer = np.column_stack([r0 + rho * np.cos(t), z0 + rho * np.sin(t)])
+    outer = _star_loop(r0, z0, a, radii)
     try:
         m = generate_annulus_mesh(outer, scale_toward_centroid(outer, shrink),
                                   a * h_over_a)
