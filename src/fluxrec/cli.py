@@ -140,16 +140,23 @@ def _option(cfg, key, kind, default=None):
 
 def _epsilon(cfg) -> float:
     epsilon = _option(cfg, "epsilon", float)
-    if not epsilon >= 0.0:
-        raise ConfigError(f"option epsilon must be nonnegative, got {epsilon!r}")
+    if not 0.0 <= epsilon < np.inf:
+        raise ConfigError(f"option epsilon must be finite and nonnegative, got {epsilon!r}")
     return epsilon
+
+
+def _seed(cfg) -> int:
+    seed = _option(cfg, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"option seed must be nonnegative, got {seed!r}")
+    return seed
 
 
 def _twin_spec(cfg) -> ex.TwinSpec:
     _require(cfg, "case")
     try:
         return ex.TwinSpec(cfg["case"], _option(cfg, "noise_level", float, 0.0),
-                           _option(cfg, "seed", int, 0))
+                           _seed(cfg))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -225,7 +232,7 @@ def _cmd_twin(cfg) -> int:
     out = _outdir(cfg)
     mesh = _load_mesh(cfg)
     if cfg.get("table1"):
-        text, rows = ex.table1_grid(mesh, seed=_option(cfg, "seed", int, 0))
+        text, rows = ex.table1_grid(mesh, seed=_seed(cfg))
         with open(os.path.join(out, "table1.txt"), "w", encoding="ascii") as fh:
             fh.write(text)
         print(text, end="")
@@ -283,7 +290,7 @@ def _cmd_contour(cfg) -> int:
         limiter = None
         if "limiter_path" in cfg:
             limiter = fio.read_polyline_csv(cfg["limiter_path"])
-        psi_p, iso, mode = pp.find_plasma_boundary(fld, mesh, limiter=limiter)
+        psi_p, iso, mode = pp.find_plasma_boundary(fld, limiter=limiter)
         fio.write_isoline_csv(os.path.join(out, "boundary.csv"), iso)
         fio.write_report(os.path.join(out, "boundary_report.txt"),
                          {"psi_P": psi_p, "mode": mode})
@@ -293,7 +300,7 @@ def _cmd_contour(cfg) -> int:
         raise ConfigError("contour needs --level or --plasma-boundary")
     level = _option(cfg, "level", float)
     try:
-        iso = pp.extract_isoline(fld, level, mesh)
+        iso = pp.extract_isoline(fld, level)
     except pp.EmptyIsolineError as exc:
         raise ConfigError(str(exc)) from None
     fio.write_isoline_csv(os.path.join(out, "isoline.csv"), iso)

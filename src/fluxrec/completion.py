@@ -189,8 +189,8 @@ def _spectral_solve(system: KVSystem, epsilon: float):
     n_i ulps, so a condition above 1 / (n_i * machine epsilon) raises
     NearSingularError; eps = 0 always does, as min(1 - lam) is 0 to roundoff.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     d = 1.0 + epsilon - system.eigvals
     if not d.min() > system.size * np.finfo(float).eps * d.max():
         raise NearSingularError(

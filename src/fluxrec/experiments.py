@@ -194,6 +194,8 @@ class TwinSpec:
     def __post_init__(self):
         if not (0.0 <= self.noise_level <= 0.5):
             raise ValueError("noise_level must lie in [0, 0.5]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.case.startswith("MANUFACTURED:"):
             try:
                 manufactured(self.case)

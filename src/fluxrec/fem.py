@@ -26,29 +26,23 @@ class FemError(RuntimeError):
     """Internal consistency failure (assembly invariant or singular system)."""
 
 
-# Gauss rules on the reference triangle: barycentric points and weights
-# summing to 1.  Keys are polynomial exactness degrees.
+# The 7-point Gauss rule on the reference triangle, exact for polynomials
+# of degree 5: barycentric points and weights summing to 1.
 _SQRT15 = math.sqrt(15.0)
 _A1 = (6.0 + _SQRT15) / 21.0
 _B1 = (6.0 - _SQRT15) / 21.0
-QUAD_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (np.array([[2 / 3, 1 / 6, 1 / 6],
-                  [1 / 6, 2 / 3, 1 / 6],
-                  [1 / 6, 1 / 6, 2 / 3]]), np.full(3, 1 / 3)),
-    5: (np.array([[1 / 3, 1 / 3, 1 / 3],
-                  [1 - 2 * _A1, _A1, _A1],
-                  [_A1, 1 - 2 * _A1, _A1],
-                  [_A1, _A1, 1 - 2 * _A1],
-                  [1 - 2 * _B1, _B1, _B1],
-                  [_B1, 1 - 2 * _B1, _B1],
-                  [_B1, _B1, 1 - 2 * _B1]]),
-        np.array([9 / 40,
-                  (155.0 + _SQRT15) / 1200.0, (155.0 + _SQRT15) / 1200.0,
-                  (155.0 + _SQRT15) / 1200.0,
-                  (155.0 - _SQRT15) / 1200.0, (155.0 - _SQRT15) / 1200.0,
-                  (155.0 - _SQRT15) / 1200.0])),
-}
+_QUAD_POINTS = np.array([[1 / 3, 1 / 3, 1 / 3],
+                         [1 - 2 * _A1, _A1, _A1],
+                         [_A1, 1 - 2 * _A1, _A1],
+                         [_A1, _A1, 1 - 2 * _A1],
+                         [1 - 2 * _B1, _B1, _B1],
+                         [_B1, 1 - 2 * _B1, _B1],
+                         [_B1, _B1, 1 - 2 * _B1]])
+_QUAD_WEIGHTS = np.array([9 / 40,
+                          (155.0 + _SQRT15) / 1200.0, (155.0 + _SQRT15) / 1200.0,
+                          (155.0 + _SQRT15) / 1200.0,
+                          (155.0 - _SQRT15) / 1200.0, (155.0 - _SQRT15) / 1200.0,
+                          (155.0 - _SQRT15) / 1200.0])
 
 
 @dataclass(frozen=True)
@@ -67,11 +61,6 @@ class FluxField:
             raise ValueError("non-finite field value")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def __sub__(self, other: "FluxField") -> "FluxField":
-        if other.mesh is not self.mesh:
-            raise ValueError("fields live on different meshes")
-        return FluxField(self.values - other.values, self.mesh)
 
 
 def triangle_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +89,6 @@ class StiffnessMatrix:
     """
 
     matrix: sparse.csr_matrix
-    quadrature_order: int
     mesh: Mesh
 
     @cached_property
@@ -147,27 +135,18 @@ class _ReducedSystem:
         return x
 
 
-def assemble_stiffness(mesh: Mesh, quadrature_order: int = 5) -> StiffnessMatrix:
+def assemble_stiffness(mesh: Mesh) -> StiffnessMatrix:
     """Assemble A_ij = integral of (1/r) grad(phi_i) . grad(phi_j).
 
     P1 gradients are constant per triangle, so each local block is
-    (grad_i . grad_j) times the Gauss-rule approximation of the integral of
-    1/r over the triangle.
-
-    Parameters
-    ----------
-    mesh : Mesh
-    quadrature_order : {1, 2, 5}
-        Polynomial exactness of the triangle Gauss rule (1, 3 and 7 points).
+    (grad_i . grad_j) times the 7-point Gauss-rule approximation of the
+    integral of 1/r over the triangle.
     """
-    if quadrature_order not in QUAD_RULES:
-        raise ValueError(f"quadrature_order must be one of {sorted(QUAD_RULES)}")
-    bary, weights = QUAD_RULES[quadrature_order]
     grads, areas = triangle_gradients(mesh)
 
     r_nodes = mesh.nodes[mesh.triangles][..., 0]           # (M, 3)
-    r_quad = r_nodes @ bary.T                              # (M, q)
-    weight_int = areas * ((1.0 / r_quad) @ weights)        # integral of 1/r per tri
+    r_quad = r_nodes @ _QUAD_POINTS.T                      # (M, 7)
+    weight_int = areas * ((1.0 / r_quad) @ _QUAD_WEIGHTS)  # integral of 1/r per tri
 
     local = np.einsum("mia,mja->mij", grads, grads) * weight_int[:, None, None]
     rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
@@ -185,7 +164,7 @@ def assemble_stiffness(mesh: Mesh, quadrature_order: int = 5) -> StiffnessMatrix
         raise FemError("stiffness row sums do not vanish: constants not in kernel")
     if np.any(A.diagonal() <= 0.0):
         raise FemError("non-positive diagonal entry in stiffness matrix")
-    return StiffnessMatrix(A, quadrature_order, mesh)
+    return StiffnessMatrix(A, mesh)
 
 
 def _boundary_values(values, count: int, what: str) -> np.ndarray:

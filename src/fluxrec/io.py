@@ -119,7 +119,7 @@ def write_isoline_csv(path, isolines) -> None:
 
 def read_polyline_csv(path) -> np.ndarray:
     """Two-column r,z polyline, comma or blank separated; a first line that
-    is not a point is a header."""
+    is not a point is a header.  A non-finite coordinate is a malformed row."""
     numbers, lines = _read_lines(path)
     rows = [line.replace(",", " ").split() for line in lines]
     point = [(slice(None), float, "bad coordinate")]
@@ -127,7 +127,8 @@ def read_polyline_csv(path) -> np.ndarray:
         _parse_rows(path, numbers[:1], rows[:1], "point", 2, point)
     except MeshFormatError:
         numbers, rows = numbers[1:], rows[1:]
-    pts, = _parse_rows(path, numbers, rows, "point", 2, point)
+    pts, = _parse_rows(path, numbers, rows, "point", 2, point, lambda p: [
+        (~np.isfinite(p).all(axis=1), "non-finite coordinate", p)])
     if len(pts) < 3:
         raise ValueError(f"{path}: fewer than 3 polyline points")
     return pts

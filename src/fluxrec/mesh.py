@@ -12,12 +12,12 @@ coordinates bit-exactly.  Its text-format section owns the rules of every
 text file of the package (mesh, CSV, CLI config): a line reader, a block
 parser naming the first bad row as ``path:line``, and a row writer.
 Validation builds, once per mesh, the table of unique edges with their
-owning triangles and boundary labels and the edges of each triangle, and
-chains each boundary loop once; the post-processing reads the table instead
-of rebuilding edge maps.  One walk over graphs of degree at most 2
-(`chain_walk`) chains both the boundary loops and the isoflux contours.
-The ring-ladder generator is array code: one stable merge of sorted angles
-stitches each band between two rings.
+boundary labels and the edges of each triangle, and chains each boundary
+loop once; the post-processing reads the table instead of rebuilding edge
+maps.  One walk over graphs of degree at most 2 (`chain_walk`) chains both
+the boundary loops and the isoflux contours.  The ring-ladder generator is
+array code: one stable merge of sorted angles stitches each band between
+two rings.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ class Mesh:
     boundary_labels : (K,) str array
         One of ``"outer"`` / ``"inner"`` per boundary edge.
     edges : EdgeTable
-        Every unique edge with its owners and label, built once by validation.
+        Every unique edge with its label, built once by validation.
     boundary : BoundaryIndex
         Ordered boundary loops, chained once by validation.
     """
@@ -210,9 +210,6 @@ class EdgeTable:
     ----------
     nodes : (E, 2) int array
         Node pairs, lower index first, rows in lexicographic order.
-    triangles : (E, 2) int array
-        Owning triangles in increasing order; the second is -1 on a
-        boundary edge.
     labels : (E,) str array
         Boundary label, ``""`` on interior edges.
     triangle_rows : (M, 3) int array
@@ -221,7 +218,6 @@ class EdgeTable:
     """
 
     nodes: np.ndarray
-    triangles: np.ndarray
     labels: np.ndarray
     triangle_rows: np.ndarray
 
@@ -278,17 +274,15 @@ def build_edge_table(triangles: np.ndarray, boundary_edges: np.ndarray,
         raise MeshValidationError(
             f"boundary edge {(int(blo[i]), int(bhi[i]))} is not a triangle edge")
 
-    second = order[np.minimum(starts + 1, len(order) - 1)]
-    owners = np.column_stack([first // 3, np.where(counts == 2, second // 3, -1)])
     labels = np.zeros(len(starts), dtype="U5")       # wide enough for both labels
     labels[rows] = boundary_labels
     nodes = np.column_stack([lo[first], hi[first]])
     triangle_rows = np.empty(len(order), dtype=np.int64)
     triangle_rows[order] = np.repeat(np.arange(len(starts)), counts)
     triangle_rows = triangle_rows.reshape(-1, 3)
-    for arr in (nodes, owners, labels, triangle_rows):
+    for arr in (nodes, labels, triangle_rows):
         arr.setflags(write=False)
-    return EdgeTable(nodes, owners, labels, triangle_rows)
+    return EdgeTable(nodes, labels, triangle_rows)
 
 
 def chain_walk(links: np.ndarray) -> list[tuple[list[int], bool]]:
@@ -717,6 +711,8 @@ def generate_annulus_mesh(outer: np.ndarray, inner: np.ndarray, target_h: float,
     for name, loop in (("outer", outer), ("inner", inner)):
         if loop.ndim != 2 or loop.shape[1] != 2 or len(loop) < 3:
             raise MeshGeometryError(f"{name} loop must be an (n>=3, 2) polyline")
+        if not np.isfinite(loop).all():
+            raise MeshGeometryError(f"{name} loop has a non-finite coordinate")
         if np.any(loop[:, 0] <= 0.0):
             raise MeshGeometryError(f"{name} loop has r <= 0")
     scale = max(np.ptp(outer[:, 0]), np.ptp(outer[:, 1]))

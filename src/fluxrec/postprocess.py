@@ -4,12 +4,13 @@ Per-triangle magnetic field components, isoflux contours by marching
 triangles, and the plasma-boundary level search.  Contours are cut from the
 mesh's edge table: one crossing point per crossed edge, computed for all
 edges at once, chained by the mesh module's walk.  The boundary search takes
-the exact bottleneck level in one pass over the mesh edges: the highest
+the exact bottleneck level in one pass over the same edges: the highest
 level at which the inner-boundary-attached region of {psi > level} still
-escapes through the outer wall, on the triangle graph (exact for P1 fields
-at sub-triangle resolution).  That is the join level of the two walls in the
-field's merge tree (Carr, Snoeyink & Axen, Comput. Geom. 24(2), 2003), read
-off one maximum spanning tree.
+escapes through the outer wall, on the graph of mesh nodes and edges (exact
+for P1 fields at sub-triangle resolution).  That is the join level of the
+two walls in the field's join tree, which lives on the vertices and edges
+of the mesh (Carr, Snoeyink & Axen, Comput. Geom. 24(2), 2003), read off
+one maximum spanning tree.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .fem import FluxField, triangle_gradients
-from .mesh import INNER, OUTER, Mesh, chain_walk, points_in_polygon
+from .mesh import OUTER, Mesh, chain_walk, points_in_polygon
 
 
 class EmptyIsolineError(ValueError):
@@ -64,21 +65,20 @@ class Isoline:
         return False
 
 
-def magnetic_field(fld: FluxField, mesh: Mesh | None = None) -> FieldSample:
+def magnetic_field(fld: FluxField) -> FieldSample:
     """(B_r, B_z) = (1/r)(-dpsi/dz, dpsi/dr) per triangle.
 
     P1 gradients are constant per triangle; the 1/r factor is evaluated at
     the triangle centroid.
     """
-    mesh = mesh or fld.mesh
+    mesh = fld.mesh
     grads, _ = triangle_gradients(mesh)
     g = np.einsum("mij,mi->mj", grads, fld.values[mesh.triangles])
     r_c = mesh.nodes[mesh.triangles][:, :, 0].mean(axis=1)
     return FieldSample(-g[:, 1] / r_c, g[:, 0] / r_c)
 
 
-def extract_isoline(fld: FluxField, level: float,
-                    mesh: Mesh | None = None) -> Isoline:
+def extract_isoline(fld: FluxField, level: float) -> Isoline:
     """Marching triangles with exact per-edge linear interpolation.
 
     A level hitting a nodal value exactly is perturbed upward by
@@ -89,7 +89,7 @@ def extract_isoline(fld: FluxField, level: float,
     triangle list first reaches them, and `chain_walk` chains them: open
     polylines first, from their ends on the boundary, then closed ones.
     """
-    mesh = mesh or fld.mesh
+    mesh = fld.mesh
     values = fld.values
     vmin, vmax = float(values.min()), float(values.max())
     if not (vmin <= level <= vmax):
@@ -138,41 +138,30 @@ def extract_isoline(fld: FluxField, level: float,
 def _bottleneck_level(mesh: Mesh, values: np.ndarray) -> float:
     """Highest level at which {values > level} joins the two walls.
 
-    On the triangle graph, two triangles are joined above a level when the
-    top endpoint value of their shared edge exceeds it, which is exactly the
-    connectivity of the P1 superlevel set.  A source is linked to the
-    triangles on inner-boundary edges and a sink to those on outer-boundary
-    edges, each link weighted by its edge's top value.  The returned level B
-    is the max-min weight over source-sink paths, so the inner-attached
-    region at a level L escapes through the wall exactly when B > L.  It is
-    the smallest weight on the source-sink path of a maximum spanning tree,
-    built by ranking the weights so that no float arithmetic can tie them;
-    -inf when no path exists.
+    On the node graph, two nodes are joined above a level when both ends of
+    their mesh edge exceed it: the above-level vertices of a triangle are
+    joined by its edges, and the P1 superlevel set crosses from one triangle
+    to the next exactly through such a vertex, so this is the connectivity
+    of the superlevel set.  A source is linked to the inner-boundary nodes
+    and a sink to the outer-boundary nodes, each link weighted by its node's
+    value.  The returned level B is the max-min weight over source-sink
+    paths, so the inner-attached region at a level L escapes through the
+    wall exactly when B > L.  It is the smallest weight on the source-sink
+    path of a maximum spanning tree, built by ranking the weights so that
+    no float arithmetic can tie them; -inf when no path exists.
     """
-    e = mesh.edges
-    m = mesh.triangle_count
-    source, sink = m, m + 1
-    top = np.maximum(values[e.nodes[:, 0]], values[e.nodes[:, 1]])
-    interior = e.triangles[:, 1] >= 0
-    rows = [e.triangles[interior, 0]]
-    cols = [e.triangles[interior, 1]]
-    weights = [top[interior]]
-    for end, label in ((source, INNER), (sink, OUTER)):
-        # one link per triangle, as the sparse matrix would sum duplicates: a
-        # triangle owning two edges of one wall links with the higher value
-        link = np.full(m, -np.inf)
-        on_wall = e.labels == label
-        np.maximum.at(link, e.triangles[on_wall, 0], top[on_wall])
-        linked = np.flatnonzero(link > -np.inf)
-        rows.append(np.full(len(linked), end))
-        cols.append(linked)
-        weights.append(link[linked])
-    weights = np.concatenate(weights)
+    a, b = mesh.edges.nodes.T
+    inner, outer = mesh.boundary.inner_nodes, mesh.boundary.outer_nodes
+    n = mesh.node_count
+    source, sink = n, n + 1
+    weights = np.concatenate([np.minimum(values[a], values[b]),
+                              values[inner], values[outer]])
+    rows = np.concatenate([a, np.full(len(inner), source), np.full(len(outer), sink)])
+    cols = np.concatenate([b, inner, outer])
     order = np.argsort(-weights, kind="stable")
     rank = np.empty(len(order))
     rank[order] = np.arange(1, len(order) + 1)     # 1 = top weight; 0 is no edge
-    graph = coo_matrix((rank, (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(m + 2, m + 2)).tocsr()
+    graph = coo_matrix((rank, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
     tree = minimum_spanning_tree(graph)
     tree = (tree + tree.T).tocsr()
     _, pred = breadth_first_order(tree, source, directed=False,
@@ -187,8 +176,7 @@ def _bottleneck_level(mesh: Mesh, values: np.ndarray) -> float:
 
 
 def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
-                         limiter: np.ndarray | None = None,
-                         tol_factor: float = 1e-6):
+                         limiter: np.ndarray | None = None):
     """Plasma boundary flux value and its isoline.
 
     In a sign convention where the plasma (inner) side is high, the
@@ -197,15 +185,23 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
     'empty' from s_max, the top of the inner-boundary trace, up.  Without a
     limiter, the boundary value is B itself, the level at which the closed
     flux surfaces open to the wall (the X-point level); its isoline is drawn
-    2 * tol_factor of the field range inside the closed band.  With a
-    limiter polyline, the boundary value is the extremal flux sampled along
-    the limiter, provided its surface is closed around the inner boundary.
+    2e-6 of the field range inside the closed band.  With a limiter
+    polyline, the boundary value is the extremal flux sampled along the
+    limiter, provided its surface is closed around the inner boundary.
+    `mesh`, if given, must be the field's own mesh.
 
     Returns (psi_p, Isoline, mode) with mode 'xpoint' or 'limiter'.  Raises
     NoTransitionError when the closed state never occurs (every level's
-    contour escapes, or none does), meaning no X-point exists in the domain.
+    contour escapes, or none does), meaning no X-point exists in the domain;
+    ValueError for another mesh or a non-finite limiter coordinate.
     """
-    mesh = mesh or fld.mesh
+    if mesh is not None and mesh is not fld.mesh:
+        raise ValueError("mesh is not the field's mesh")
+    if limiter is not None:
+        limiter = np.asarray(limiter, dtype=float)
+        if not np.isfinite(limiter).all():
+            raise ValueError("limiter has a non-finite coordinate")
+    mesh = fld.mesh
     b = mesh.boundary
     inner_trace = fld.values[b.inner_nodes]
     outer_trace = fld.values[b.outer_nodes]
@@ -217,18 +213,17 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
     sign = 1.0 if inner_trace.mean() >= outer_trace.mean() else -1.0
     values = sign * fld.values
     rng = float(values.max() - values.min())
-    tol = tol_factor * rng
     bottleneck = _bottleneck_level(mesh, values)
     s_max = float((sign * inner_trace).max())
 
     if limiter is not None:
-        psi_lim = sign * _sample_field(fld, mesh, np.asarray(limiter, dtype=float))
+        psi_lim = sign * _sample_field(fld, limiter)
         level = float(psi_lim.max())
         if not bottleneck <= level + 1e-9 * rng < s_max:
             raise NoTransitionError(
                 "no closed flux surface encircling the inner boundary "
                 "inside the limiter")
-        iso = extract_isoline(fld, sign * (level + 1e-9 * rng), mesh)
+        iso = extract_isoline(fld, sign * (level + 1e-9 * rng))
         return sign * level, iso, "limiter"
 
     lo = float((sign * outer_trace).min())
@@ -242,11 +237,11 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
             "the inner-attached flux region is never closed: contours are "
             "open at every level; no X-point in the domain")
 
-    iso = extract_isoline(fld, sign * (bottleneck + 2.0 * tol), mesh)
+    iso = extract_isoline(fld, sign * (bottleneck + 2e-6 * rng))
     return sign * bottleneck, iso, "xpoint"
 
 
-def _sample_field(fld: FluxField, mesh: Mesh, polyline: np.ndarray) -> np.ndarray:
+def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     """P1 field values at points of a polyline (subdivided per segment).
 
     Points inside the inner hole are skipped; points outside the outer
@@ -256,14 +251,15 @@ def _sample_field(fld: FluxField, mesh: Mesh, polyline: np.ndarray) -> np.ndarra
     misses none: every point of a triangle lies within 2/3 of its longest
     edge of its centroid.
     """
+    mesh = fld.mesh
     h = mesh.max_edge_length
-    samples = []
-    closed = np.vstack([polyline, polyline[:1]])
-    for a, b in zip(closed[:-1], closed[1:]):
-        n = max(1, int(np.ceil(np.linalg.norm(b - a) / (0.5 * h))))
-        for k in range(n):
-            samples.append(a + (k / n) * (b - a))
-    pts = np.asarray(samples)
+    step = np.roll(polyline, -1, axis=0) - polyline
+    # one dot product per segment, rounded as np.linalg.norm rounds one vector
+    length = np.sqrt(step[:, None, :] @ step[:, :, None]).ravel()
+    n = np.maximum(1, np.ceil(length / (0.5 * h))).astype(np.int64)
+    seg = np.repeat(np.arange(len(polyline)), n)
+    k = np.arange(len(seg)) - (np.cumsum(n) - n)[seg]
+    pts = polyline[seg] + (k / n[seg])[:, None] * step[seg]
 
     bidx = mesh.boundary
     outer_loop = mesh.nodes[bidx.outer_nodes]

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  minimum_spanning_tree)
 
 from fluxrec.fem import FluxField
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
@@ -93,6 +94,56 @@ def bisect_transition(mesh: Mesh, values: np.ndarray, rel_tol: float) -> float:
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def bottleneck_level_dual(mesh: Mesh, values: np.ndarray) -> float:
+    """Highest level at which {values > level} joins the two walls, on the
+    triangle graph: the former library search, reading its edge owners from
+    the dict-built edge table.
+
+    Two triangles are joined above a level when the top endpoint value of
+    their shared edge exceeds it.  A source is linked to the triangles on
+    inner-boundary edges and a sink to those on outer-boundary edges, each
+    link weighted by its edge's top value.  The max-min weight over
+    source-sink paths is the smallest weight on the source-sink path of a
+    maximum spanning tree, built by ranking the weights; -inf when no path
+    exists.
+    """
+    nodes, owners, labels, _ = edge_table_dict(mesh)
+    m = mesh.triangle_count
+    source, sink = m, m + 1
+    top = np.maximum(values[nodes[:, 0]], values[nodes[:, 1]])
+    interior = owners[:, 1] >= 0
+    rows = [owners[interior, 0]]
+    cols = [owners[interior, 1]]
+    weights = [top[interior]]
+    for end, label in ((source, INNER), (sink, OUTER)):
+        # one link per triangle, as the sparse matrix would sum duplicates: a
+        # triangle owning two edges of one wall links with the higher value
+        link = np.full(m, -np.inf)
+        on_wall = labels == label
+        np.maximum.at(link, owners[on_wall, 0], top[on_wall])
+        linked = np.flatnonzero(link > -np.inf)
+        rows.append(np.full(len(linked), end))
+        cols.append(linked)
+        weights.append(link[linked])
+    weights = np.concatenate(weights)
+    order = np.argsort(-weights, kind="stable")
+    rank = np.empty(len(order))
+    rank[order] = np.arange(1, len(order) + 1)     # 1 = top weight; 0 is no edge
+    graph = coo_matrix((rank, (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(m + 2, m + 2)).tocsr()
+    tree = minimum_spanning_tree(graph)
+    tree = (tree + tree.T).tocsr()
+    _, pred = breadth_first_order(tree, source, directed=False,
+                                  return_predecessors=True)
+    if pred[sink] < 0:
+        return -np.inf
+    path = [sink]
+    while path[-1] != source:
+        path.append(int(pred[path[-1]]))
+    worst = int(np.asarray(tree[path[:-1], path[1:]]).max())
+    return float(weights[order[worst - 1]])
 
 
 def sample_field_scan(values: np.ndarray, mesh: Mesh,

@@ -1,6 +1,7 @@
 import io
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr
 from unittest.mock import patch
 
@@ -186,6 +187,75 @@ def test_option_domain_error_gives_config_exit(desk_mesh_file, tmp_path,
                "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["twin", "--case", "TC1", "--epsilon", "1e-3"],
+    ["lcurve", "--case", "TC1"],
+    ["twin", "--table1"],
+])
+@pytest.mark.parametrize("noise", ["0", "0.01"])
+def test_negative_seed_gives_config_exit(desk_mesh_file, tmp_path, capsys,
+                                         command, noise):
+    rc = main([*command, "--noise", noise, "--seed", "-3", "--mesh", desk_mesh_file,
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert ("config error: option seed must be nonnegative, got -3"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["twin", "complete"])
+def test_infinite_epsilon_gives_config_exit(desk_mesh_file, tmp_path, capsys, command):
+    options = ["--case", "TC1"]
+    if command == "complete":
+        mesh = load_mesh(desk_mesh_file)
+        _, data = generate_reference(mesh, assemble_stiffness(mesh), TwinSpec("TC1"))
+        write_cauchy_csv(tmp_path / "data.csv", mesh, data)
+        options = ["--data", str(tmp_path / "data.csv")]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--mesh", desk_mesh_file, *options, "--epsilon", "inf",
+                   "--output-dir", str(out)])
+    assert rc == 2
+    assert ("config error: option epsilon must be finite and nonnegative, got inf"
+            in capsys.readouterr().err)
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("which", ["outer", "inner", "limiter"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_polyline_coordinate_is_named(desk_mesh_file, tmp_path, capsys,
+                                                 which, bad):
+    loops = {"outer": circle_loop(6.0, 0.0, 2.5, 60),
+             "inner": circle_loop(6.0, 0.0, 1.2, 24),
+             "limiter": circle_loop(6.0, 0.0, 1.5, 32)}
+    paths = {}
+    for name, loop in loops.items():
+        rows = [f"{r!r},{z!r}" for r, z in loop.tolist()]
+        if name == which:
+            r, z = rows[6].split(",")
+            rows[6] = f"{r},{bad}" if bad == "nan" else f"{bad},{z}"
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("r,z\n" + "\n".join(rows) + "\n")
+    if which == "limiter":
+        field = tmp_path / "field.csv"
+        write_flux_csv(field, interpolate(load_mesh(desk_mesh_file),
+                                          lambda r, z: -((r - 6.0) ** 2 + z ** 2)))
+        argv = ["contour", "--mesh", desk_mesh_file, "--field", str(field),
+                "--plasma-boundary", "--limiter", str(paths["limiter"])]
+    else:
+        argv = ["mesh", "--outer-csv", str(paths["outer"]),
+                "--inner-csv", str(paths["inner"]), "--target-h", "0.3"]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, "--output-dir", str(out)])
+    assert rc == 4
+    assert (f"i/o error: {paths[which]}:8: non-finite coordinate"
+            in capsys.readouterr().err)
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("option, value", [

@@ -278,6 +278,13 @@ def test_negative_epsilon_rejected(desk_system):
         solve_completion(system, -1e-3)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0])
+def test_non_finite_or_negative_epsilon_rejected(desk_system, epsilon):
+    system, _ = desk_system
+    with pytest.raises(ValueError, match="^epsilon must be finite and nonnegative$"):
+        solve_completion(system, epsilon)
+
+
 def test_data_length_validated(desk_mesh, desk_A):
     with pytest.raises(ValueError):
         assemble_kv(desk_mesh, desk_A, CauchyData(np.zeros(3), np.zeros(3)))

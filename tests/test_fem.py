@@ -27,7 +27,7 @@ def test_single_triangle_against_adaptive_quadrature():
     # 7-point rule carries an O((h/r)^6) error of ~2e-5 on this deliberately
     # large low-radius triangle, so the match tolerance is 1e-4
     m = _single_triangle_mesh()
-    A5 = assemble_stiffness(m, 5).matrix.todense()
+    A5 = assemble_stiffness(m).matrix.todense()
     weight, err = dblquad(lambda y, x: 1.0 / x, 1.0, 2.0,
                           lambda x: 0.0, lambda x: 2.0 - x,
                           epsabs=1e-13, epsrel=1e-10)
@@ -35,19 +35,6 @@ def test_single_triangle_against_adaptive_quadrature():
     grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     oracle = (grads @ grads.T) * weight
     assert np.abs(A5 - oracle).max() <= 1e-4 * np.abs(oracle).max()
-
-
-def test_quadrature_order_gap():
-    m = _single_triangle_mesh()
-    A1 = assemble_stiffness(m, 1).matrix.todense()
-    A5 = assemble_stiffness(m, 5).matrix.todense()
-    gap = np.abs(A1 - A5).max() / np.abs(A5).max()
-    assert 0.0 < gap < 5e-2
-
-
-def test_invalid_quadrature_order():
-    with pytest.raises(ValueError):
-        assemble_stiffness(_single_triangle_mesh(), 3)
 
 
 @pytest.mark.parametrize("fixture", ["desk_mesh", "iter_mesh", "wide_mesh"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from fluxrec import FluxField, interpolate
+from fluxrec import FluxField, Mesh, interpolate
 from fluxrec.experiments import TwinSpec, loop_flux_field, run_twin
 from fluxrec.mesh import circle_loop, polygon_centroid
 from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
@@ -16,7 +16,8 @@ from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
                                  magnetic_field)
 from conftest import strip_mesh
 from oracles import (STATE_ORDER, RegionClassifier, bisect_transition,
-                     extract_isoline_dict, sample_field_scan)
+                     bottleneck_level_dual, extract_isoline_dict,
+                     sample_field_scan)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +301,55 @@ def test_bottleneck_with_corner_triangles_matches_oracle(seed):
     _check_states_against_oracle(mesh, rng.uniform(size=mesh.node_count), rng)
 
 
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(["desk", "iter", "l_hole"]),
+       kind=st.sampled_from(["saddle", "rough", "uniform"]),
+       rounded=st.booleans(), flip=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_node_graph_bottleneck_equals_triangle_graph_oracle(
+        desk_mesh, iter_mesh, geometry, kind, rounded, flip, seed):
+    # rounding to one decimal on a range of about 5 ties most nodal values
+    from conftest import l_hole_square_mesh
+    mesh = (desk_mesh if geometry == "desk" else iter_mesh if geometry == "iter"
+            else l_hole_square_mesh())
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        values = rng.uniform(size=mesh.node_count)
+    else:
+        hole = mesh.nodes[mesh.boundary.inner_nodes]
+        centre = hole.mean(axis=0)
+        r_x = rng.uniform(hole[:, 0].max(), mesh.nodes[:, 0].max())
+        bare = loop_flux_field(*centre, 1.0, 0.0)
+        gamma = rng.uniform(0.9, 1.1) * -(bare.grad(r_x, centre[1])[0] / r_x) / 2.0
+        values = interpolate(mesh, loop_flux_field(*centre, 1.0, gamma).psi).values
+        if kind == "rough":
+            values = values + 3e-2 * np.ptp(values) * rng.standard_normal(len(values))
+    values = 5.0 * (values - values.min()) / np.ptp(values)
+    if rounded:
+        values = np.round(values, 1)
+    if flip:
+        values = -values
+    assert _bottleneck_level(mesh, values) == bottleneck_level_dual(mesh, values)
+
+
+def test_find_plasma_boundary_takes_only_the_fields_mesh(desk_mesh, xpoint_field):
+    fld = interpolate(desk_mesh, xpoint_field[0].psi)
+    twin = Mesh(desk_mesh.nodes, desk_mesh.triangles, desk_mesh.boundary_edges,
+                desk_mesh.boundary_labels)
+    with pytest.raises(ValueError, match="^mesh is not the field's mesh$"):
+        find_plasma_boundary(fld, twin)
+    assert find_plasma_boundary(fld, desk_mesh)[0] == find_plasma_boundary(fld)[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_limiter_rejected(desk_mesh, bad):
+    fld = interpolate(desk_mesh, lambda r, z: -((r - 6.0) ** 2 + z ** 2))
+    limiter = circle_loop(6.0, 0.0, 1.5, 16)
+    limiter[3, 0] = bad
+    with pytest.raises(ValueError, match="^limiter has a non-finite coordinate$"):
+        find_plasma_boundary(fld, limiter=limiter)
+
+
 def _limiter_on_nodes_and_edges(mesh, rng):
     """Seeded limiter circle with a third of its vertices moved onto mesh
     nodes and a third onto midpoints of interior edges, where more than one
@@ -307,7 +357,7 @@ def _limiter_on_nodes_and_edges(mesh, rng):
     limiter = circle_loop(6.0 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1),
                           rng.uniform(1.0, 2.0), 48)
     e = mesh.edges
-    pairs = e.nodes[e.triangles[:, 1] >= 0]
+    pairs = e.nodes[e.labels == ""]
     mids = 0.5 * (mesh.nodes[pairs[:, 0]] + mesh.nodes[pairs[:, 1]])
     for k in range(0, 48, 3):
         limiter[k] = mesh.nodes[np.argmin(np.linalg.norm(mesh.nodes - limiter[k], axis=1))]
@@ -320,7 +370,7 @@ def test_sample_field_matches_per_point_scan(desk_mesh, seed):
     rng = np.random.default_rng(seed)
     fld = interpolate(desk_mesh, lambda r, z: np.sin(r) * np.cos(2.0 * z) + r * z)
     limiter = _limiter_on_nodes_and_edges(desk_mesh, rng)
-    fast = _sample_field(fld, desk_mesh, limiter)
+    fast = _sample_field(fld, limiter)
     slow = sample_field_scan(fld.values, desk_mesh, limiter)
     assert np.array_equal(fast, slow)
 
@@ -332,7 +382,7 @@ def test_sample_field_matches_per_point_scan(desk_mesh, seed):
 def test_limiter_sampling_errors(desk_mesh, centre, radius, message):
     fld = interpolate(desk_mesh, lambda r, z: r * z)
     limiter = circle_loop(*centre, radius, 16)
-    for sample in (lambda: _sample_field(fld, desk_mesh, limiter),
+    for sample in (lambda: _sample_field(fld, limiter),
                    lambda: sample_field_scan(fld.values, desk_mesh, limiter)):
         with pytest.raises(ValueError, match=f"^{message}$"):
             sample()
@@ -347,7 +397,7 @@ def test_limiter_point_outside_the_mesh_is_named(monkeypatch):
     limiter = np.array([[1.5, 0.5], [1.9, 0.5], [2.5, 0.5]])
     messages = []
     for module, sample in (
-            ("fluxrec.postprocess", lambda: _sample_field(fld, mesh, limiter)),
+            ("fluxrec.postprocess", lambda: _sample_field(fld, limiter)),
             ("oracles", lambda: sample_field_scan(fld.values, mesh, limiter))):
         monkeypatch.setattr(f"{module}.points_in_polygon",
                             lambda pts, loop: np.ones(len(pts), dtype=bool))
