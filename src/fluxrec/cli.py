@@ -5,6 +5,11 @@ key=value config file, overridden by command-line flags.  Artifacts are
 deterministic: identical config and seed reproduce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+`main` alone decides them, by exception kind: a file that cannot be read
+or is malformed (OSError, UnicodeError, MeshFormatError) exits 4; a mesh
+that fails validation or meshing, or a numerical failure (RuntimeError,
+LinAlgError), exits 3; any other ValueError is a bad option value and exits
+2.  The library checks each value once, so commands catch nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from . import io as fio
 from . import postprocess as pp
 from . import regularization as reg
 from .fem import assemble_stiffness
-from .mesh import (MeshGeometryError, MeshValidationError, _read_lines,
+from .mesh import (MeshFormatError, MeshGeometryError, MeshValidationError, _read_lines,
                    generate_annulus_mesh, load_mesh, save_mesh, scale_toward_centroid)
 
 EXIT_OK = 0
@@ -37,7 +42,7 @@ class ConfigError(ValueError):
 def _read_config(path) -> dict:
     try:
         numbers, lines = _read_lines(path, "#")
-    except OSError as exc:
+    except (OSError, MeshFormatError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     for lineno, line in zip(numbers, lines):
         if "=" not in line:
@@ -138,27 +143,10 @@ def _option(cfg, key, kind, default=None):
         raise ConfigError(f"option {key} must be {noun}, got {cfg[key]!r}")
 
 
-def _epsilon(cfg) -> float:
-    epsilon = _option(cfg, "epsilon", float)
-    if not 0.0 <= epsilon < np.inf:
-        raise ConfigError(f"option epsilon must be finite and nonnegative, got {epsilon!r}")
-    return epsilon
-
-
-def _seed(cfg) -> int:
-    seed = _option(cfg, "seed", int, 0)
-    if seed < 0:
-        raise ConfigError(f"option seed must be nonnegative, got {seed!r}")
-    return seed
-
-
 def _twin_spec(cfg) -> ex.TwinSpec:
     _require(cfg, "case")
-    try:
-        return ex.TwinSpec(cfg["case"], _option(cfg, "noise_level", float, 0.0),
-                           _seed(cfg))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ex.TwinSpec(cfg["case"], _option(cfg, "noise_level", float, 0.0),
+                       _option(cfg, "seed", int, 0))
 
 
 def _load_mesh(cfg):
@@ -218,7 +206,7 @@ def _cmd_complete(cfg) -> int:
     mesh = _load_mesh(cfg)
     _require(cfg, "data_path")
     data = fio.read_cauchy_csv(cfg["data_path"], mesh)
-    epsilon = _epsilon(cfg)
+    epsilon = _option(cfg, "epsilon", float)
     A = assemble_stiffness(mesh)
     system = cp.assemble_kv(mesh, A, data)
     result = cp.solve_completion(system, epsilon)
@@ -232,13 +220,13 @@ def _cmd_twin(cfg) -> int:
     out = _outdir(cfg)
     mesh = _load_mesh(cfg)
     if cfg.get("table1"):
-        text, rows = ex.table1_grid(mesh, seed=_seed(cfg))
+        text, rows = ex.table1_grid(mesh, seed=_option(cfg, "seed", int, 0))
         with open(os.path.join(out, "table1.txt"), "w", encoding="ascii") as fh:
             fh.write(text)
         print(text, end="")
         return EXIT_OK
     spec = _twin_spec(cfg)
-    epsilon = _epsilon(cfg)
+    epsilon = _option(cfg, "epsilon", float)
     report = ex.run_twin(mesh, spec, epsilon)
     fio.write_report(os.path.join(out, "twin_report.txt"), {
         "case": spec.case, "noise_level": spec.noise_level, "seed": spec.seed,
@@ -268,13 +256,9 @@ def _cmd_lcurve(cfg) -> int:
         _, clean = ex.generate_reference(mesh, A, spec)
         data = ex.add_noise(clean, spec.noise_level, spec.seed)
     system = cp.assemble_kv(mesh, A, data)
-    try:
-        # the grid options are the only ValueError source in the sweep
-        curve = reg.sweep(system, data, reg.default_grid(
-            _option(cfg, "eps_count", int, 20), _option(cfg, "eps_min", float, 1e-6),
-            _option(cfg, "eps_max", float, 1e-1)))
-    except ValueError as exc:
-        raise ConfigError(f"epsilon grid: {exc}") from None
+    curve = reg.sweep(system, data, reg.default_grid(
+        _option(cfg, "eps_count", int, 20), _option(cfg, "eps_min", float, 1e-6),
+        _option(cfg, "eps_max", float, 1e-1)))
     fio.write_lcurve_csv(os.path.join(out, "lcurve.csv"), curve)
     print(f"corner epsilon = {curve.corner_epsilon:g} "
           f"({len(curve)} points, {len(curve.dropped)} dropped)")
@@ -298,15 +282,20 @@ def _cmd_contour(cfg) -> int:
         return EXIT_OK
     if "level" not in cfg:
         raise ConfigError("contour needs --level or --plasma-boundary")
-    level = _option(cfg, "level", float)
-    try:
-        iso = pp.extract_isoline(fld, level)
-    except pp.EmptyIsolineError as exc:
-        raise ConfigError(str(exc)) from None
+    iso = pp.extract_isoline(fld, _option(cfg, "level", float))
     fio.write_isoline_csv(os.path.join(out, "isoline.csv"), iso)
     print(f"{len(iso.polylines)} polyline(s), closed = {iso.closed}")
     return EXIT_OK
 
+
+# exit code of a failure by exception kind; the first row that matches wins
+# (UnicodeError, MeshFormatError and LinAlgError are ValueErrors too)
+_FAILURES = [
+    ((OSError, UnicodeError, MeshFormatError), EXIT_IO, "i/o error"),
+    ((MeshValidationError, MeshGeometryError), EXIT_NUMERICAL, "mesh error"),
+    ((RuntimeError, np.linalg.LinAlgError), EXIT_NUMERICAL, "numerical failure"),
+    (ValueError, EXIT_CONFIG, "config error"),      # ConfigError among them
+]
 
 _COMMANDS = {
     "mesh": _cmd_mesh,
@@ -324,22 +313,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _merge(args)
-        return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MeshValidationError, MeshGeometryError) as exc:
-        print(f"mesh error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (RuntimeError, np.linalg.LinAlgError) as exc:   # LinAlgError is a ValueError
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (OSError, ValueError) as exc:
-        # malformed files (MeshFormatError among them); numeric domain errors
-        # derive from RuntimeError above
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _COMMANDS[args.command](_merge(args))
+    except (OSError, RuntimeError, ValueError) as exc:
+        for kinds, code, kind in _FAILURES:
+            if isinstance(exc, kinds):
+                print(f"{kind}: {exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

@@ -190,7 +190,7 @@ def _spectral_solve(system: KVSystem, epsilon: float):
     NearSingularError; eps = 0 always does, as min(1 - lam) is 0 to roundoff.
     """
     if not 0.0 <= epsilon < np.inf:
-        raise ValueError("epsilon must be finite and nonnegative")
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     d = 1.0 + epsilon - system.eigvals
     if not d.min() > system.size * np.finfo(float).eps * d.max():
         raise NearSingularError(

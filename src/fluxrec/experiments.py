@@ -193,9 +193,9 @@ class TwinSpec:
 
     def __post_init__(self):
         if not (0.0 <= self.noise_level <= 0.5):
-            raise ValueError("noise_level must lie in [0, 0.5]")
+            raise ValueError(f"noise_level must lie in [0, 0.5], got {self.noise_level}")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.case.startswith("MANUFACTURED:"):
             try:
                 manufactured(self.case)

@@ -101,7 +101,7 @@ class StiffnessMatrix:
     def _neumann(self) -> "_ReducedSystem":
         b = self.mesh.boundary
         if len(b.inner_nodes) == 0:
-            raise FemError("weighted-Neumann solve requires an inner boundary")
+            raise ValueError("weighted-Neumann solve requires an inner boundary")
         return _ReducedSystem(self, b.inner_nodes.copy())
 
 

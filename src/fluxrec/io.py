@@ -24,30 +24,32 @@ def write_report(path, entries: dict) -> None:
 def _read_node_csv(path, header: str, mesh: Mesh, nodes: np.ndarray, columns: slice,
                    outside: str, missing: str) -> np.ndarray:
     """Float columns of the CSV rows under a first line `header`, one row per
-    node of `nodes` and in its order.  Raises MeshFormatError at the first
-    malformed row, or row whose node is not in `nodes` (`outside` formats
-    the node) or repeats an earlier row's; ValueError for a missing row."""
+    node of `nodes` and in its order.  Raises MeshFormatError for another
+    header, at the first malformed row, or row whose node is not in `nodes`
+    (`outside` formats the node), repeats an earlier row's or has a
+    non-finite value, and for a missing row (`missing`)."""
     numbers, lines = _read_lines(path)
     first = lines[0] if numbers[:1] == [1] else ""
     if first != header:
-        raise ValueError(f"{path}: unexpected header {first!r}")
+        raise MeshFormatError(f"{path}: unexpected header {first!r}")
 
-    def checks(index, _):
+    def checks(index, values):
         repeat = np.ones(len(index), dtype=bool)
         repeat[np.unique(index, return_index=True)[1]] = False
         return [(~np.isin(index, nodes), outside, index),
-                (repeat, "node {} listed twice", index)]
+                (repeat, "node {} listed twice", index),
+                (~np.isfinite(values).all(axis=1), "non-finite value", index)]
 
     index, values = _parse_rows(
         path, numbers[1:], [line.split(",") for line in lines[1:]], "row",
         header.count(",") + 1,
         [(0, np.int64, "bad node index"), (columns, float, "bad value")], checks)
+    if len(index) < len(nodes):         # rows are distinct nodes of `nodes`
+        raise MeshFormatError(f"{path}: {missing}")
     slot = np.full(mesh.node_count, -1)
     slot[nodes] = np.arange(len(nodes))
-    out = np.full((len(nodes), values.shape[1]), np.nan)
+    out = np.empty_like(values)
     out[slot[index]] = values
-    if np.isnan(out).any():
-        raise ValueError(f"{path}: {missing}")
     return out
 
 
@@ -118,17 +120,24 @@ def write_isoline_csv(path, isolines) -> None:
 
 
 def read_polyline_csv(path) -> np.ndarray:
-    """Two-column r,z polyline, comma or blank separated; a first line that
-    is not a point is a header.  A non-finite coordinate is a malformed row."""
+    """Two-column r,z polyline, comma or blank separated; a first line with
+    no number among its tokens is a header.  A non-finite coordinate is a
+    malformed row."""
     numbers, lines = _read_lines(path)
     rows = [line.replace(",", " ").split() for line in lines]
-    point = [(slice(None), float, "bad coordinate")]
-    try:
-        _parse_rows(path, numbers[:1], rows[:1], "point", 2, point)
-    except MeshFormatError:
+    if rows and not any(map(_is_number, rows[0])):
         numbers, rows = numbers[1:], rows[1:]
-    pts, = _parse_rows(path, numbers, rows, "point", 2, point, lambda p: [
-        (~np.isfinite(p).all(axis=1), "non-finite coordinate", p)])
+    pts, = _parse_rows(path, numbers, rows, "point", 2,
+                       [(slice(None), float, "bad coordinate")], lambda p: [
+                           (~np.isfinite(p).all(axis=1), "non-finite coordinate", p)])
     if len(pts) < 3:
-        raise ValueError(f"{path}: fewer than 3 polyline points")
+        raise MeshFormatError(f"{path}: fewer than 3 polyline points")
     return pts
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True

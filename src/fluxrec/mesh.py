@@ -480,9 +480,13 @@ def boundary_node_normals(mesh: Mesh, where: str) -> np.ndarray:
 
 def _read_lines(path, comment: str | None = None) -> tuple[list[int], list[str]]:
     """Line numbers and stripped text of the non-blank lines of an ASCII
-    file, each line first cut at `comment`."""
-    with open(path, "r", encoding="ascii") as fh:
+    file, each line first cut at `comment`.  A byte beyond ASCII raises
+    MeshFormatError at its line."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         text = fh.read()
+    if "\ufffd" in text:
+        line = text.count("\n", 0, text.index("\ufffd")) + 1
+        raise MeshFormatError(f"{path}:{line}: not ASCII text")
     lines = text.split("\n")
     if comment and comment in text:
         lines = [line.split(comment, 1)[0] for line in lines]

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from fluxrec import assemble_stiffness, cli, interpolate
 from fluxrec.cli import main
+from fluxrec.completion import CauchyData
 from fluxrec.experiments import TwinSpec, desk_annulus_mesh, generate_reference
 from fluxrec.io import (read_cauchy_csv, write_cauchy_csv, write_flux_csv,
                         read_flux_csv)
 from fluxrec.mesh import circle_loop, load_mesh, save_mesh
+from conftest import build_square_mesh
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +202,7 @@ def test_negative_seed_gives_config_exit(desk_mesh_file, tmp_path, capsys,
     rc = main([*command, "--noise", noise, "--seed", "-3", "--mesh", desk_mesh_file,
                "--output-dir", str(tmp_path)])
     assert rc == 2
-    assert ("config error: option seed must be nonnegative, got -3"
+    assert ("config error: seed must be nonnegative, got -3"
             in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
 
@@ -219,7 +221,7 @@ def test_infinite_epsilon_gives_config_exit(desk_mesh_file, tmp_path, capsys, co
         rc = main([command, "--mesh", desk_mesh_file, *options, "--epsilon", "inf",
                    "--output-dir", str(out)])
     assert rc == 2
-    assert ("config error: option epsilon must be finite and nonnegative, got inf"
+    assert ("config error: epsilon must be finite and nonnegative, got inf"
             in capsys.readouterr().err)
     assert not any(out.iterdir())
 
@@ -415,6 +417,9 @@ def _replace_row(line, text):
     # the first fault in file order is named, whatever its kind
     (lambda lines: _replace_row(4, lambda _: "3,1.0")(
         _replace_row(3, lambda lines: lines[1])(lines)), 3, "node 0 listed twice"),
+    # a non-finite psi is a bad row, not a missing one
+    *[(_replace_row(0, lambda lines, bad=bad: lines[-1].rsplit(",", 1)[0] + "," + bad),
+       0, "non-finite value") for bad in ("nan", "inf", "-inf")],
 ])
 def test_flux_csv_bad_row_names_file_and_line(desk_mesh_file, tmp_path, capsys,
                                               edit, line, message):
@@ -446,6 +451,9 @@ def test_cauchy_csv_bad_row_names_file_and_line(desk_mesh_file, tmp_path, capsys
         (_replace_row(4, lambda _: "1,2,3"), ":4: expected 4 tokens for row 2, got 3"),
         (_replace_row(4, lambda lines: lines[3] + "e"), ":4: bad value"),
         (lambda lines: lines[:-1], ": missing outer boundary rows"),
+        *[(_replace_row(4, lambda lines, bad=bad, col=col: ",".join(
+            bad if i == col else token for i, token in enumerate(lines[3].split(",")))),
+           ":4: non-finite value") for col, bad in [(2, "nan"), (2, "inf"), (3, "-inf")]],
     ]
     for edit, message in cases:
         rc, path = _complete(desk_mesh_file, tmp_path, edit)
@@ -520,6 +528,14 @@ def test_polyline_csv_header_is_optional_and_bad_row_is_named(tmp_path, capsys, 
     line = 5 + bool(header)
     assert (f"i/o error: {outer}:{line}: expected 2 tokens for point 4, got 1"
             in capsys.readouterr().err)
+    # a first row that holds a number is a point, not a header
+    rows[4] = rows[5]
+    for rows[0], message in [("6.0", "expected 2 tokens for point 0, got 1"),
+                             ("6.0 z", "bad coordinate")]:
+        outer.write_text(header + "\n".join(rows) + "\n")
+        assert main(args) == 4
+        assert (f"i/o error: {outer}:{1 + bool(header)}: {message}"
+                in capsys.readouterr().err)
 
 
 def test_lcurve_from_data_file(desk_mesh_file, tmp_path):
@@ -544,3 +560,64 @@ def test_console_entry_point(desk_mesh_file, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "max_rel_err_u" in proc.stdout
+
+
+def test_non_ascii_input_is_named(desk_mesh_file, tmp_path, capsys):
+    mesh_path = tmp_path / "m.mesh"
+    lines = _read(desk_mesh_file).splitlines(keepends=True)
+    lines[1999] = lines[1999].rstrip(b"\n") + b"  # caf\xc3\xa9\n"
+    mesh_path.write_bytes(b"".join(lines))
+    field = tmp_path / "f.csv"
+    write_flux_csv(field, interpolate(load_mesh(desk_mesh_file), lambda r, z: z))
+    argv = ["contour", "--field", str(field), "--level", "0", "--output-dir", str(tmp_path)]
+    assert main([*argv, "--mesh", str(mesh_path)]) == 4
+    assert f"i/o error: {mesh_path}:2000: not ASCII text" in capsys.readouterr().err
+
+    lines = field.read_bytes().splitlines(keepends=True)
+    lines[6] = b"\xff" + lines[6]
+    field.write_bytes(b"".join(lines))
+    assert main([*argv, "--mesh", desk_mesh_file]) == 4
+    assert f"i/o error: {field}:7: not ASCII text" in capsys.readouterr().err
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"case = TC1\nepsilon = 1e-3 # \xe2\x80\x94 tuned\n")
+    assert main(["twin", "--config", str(cfg), "--mesh", desk_mesh_file]) == 2
+    assert (f"config error: cannot read config: {cfg}:2: not ASCII text"
+            in capsys.readouterr().err)
+
+
+def test_mesh_without_inner_boundary_gives_config_exit(tmp_path, capsys):
+    mesh = build_square_mesh(4)
+    mesh_path, data, field = tmp_path / "square.mesh", tmp_path / "d.csv", tmp_path / "f.csv"
+    save_mesh(mesh, mesh_path)
+    n = len(mesh.boundary.outer_nodes)
+    write_cauchy_csv(data, mesh, CauchyData(np.zeros(n), np.ones(n)))
+    write_flux_csv(field, interpolate(mesh, lambda r, z: r * z))
+    for options in (["complete", "--data", str(data), "--epsilon", "1e-3"],
+                    ["twin", "--case", "TC1", "--epsilon", "1e-3"],
+                    ["lcurve", "--case", "TC1"],
+                    ["contour", "--field", str(field), "--plasma-boundary"]):
+        out = tmp_path / options[0]
+        assert main([*options, "--mesh", str(mesh_path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "requires an inner boundary" in err
+        assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("radius, message", [
+    (5.0, "limiter leaves the outer boundary"),
+    (0.3, "limiter lies entirely inside the plasma hole"),
+])
+def test_limiter_off_the_annulus_gives_config_exit(desk_mesh_file, tmp_path, capsys,
+                                                   radius, message):
+    field, limiter = tmp_path / "f.csv", tmp_path / "limiter.csv"
+    write_flux_csv(field, interpolate(load_mesh(desk_mesh_file),
+                                      lambda r, z: -((r - 6.0) ** 2 + z ** 2)))
+    limiter.write_text("r,z\n" + "".join(
+        f"{r!r},{z!r}\n" for r, z in circle_loop(6.0, 0.0, radius, 32).tolist()))
+    out = tmp_path / "out"
+    rc = main(["contour", "--mesh", desk_mesh_file, "--field", str(field),
+               "--plasma-boundary", "--limiter", str(limiter), "--output-dir", str(out)])
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not any(out.iterdir())

@@ -281,7 +281,8 @@ def test_negative_epsilon_rejected(desk_system):
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0])
 def test_non_finite_or_negative_epsilon_rejected(desk_system, epsilon):
     system, _ = desk_system
-    with pytest.raises(ValueError, match="^epsilon must be finite and nonnegative$"):
+    with pytest.raises(ValueError,
+                       match=f"^epsilon must be finite and nonnegative, got {epsilon}$"):
         solve_completion(system, epsilon)
 
 

@@ -165,7 +165,7 @@ def test_loop_flux_field_solves_operator():
 def test_noise_fraction_validated():
     with pytest.raises(ValueError):
         TwinSpec("TC1", noise_level=0.7)
-    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
         TwinSpec("TC1", seed=-1)
     with pytest.raises(ValueError):
         add_noise(CauchyData(np.ones(4), np.ones(4)), -0.1, 0)

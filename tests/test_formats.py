@@ -203,10 +203,13 @@ def test_csv_round_trips_are_bit_exact(tmp_path_factory, values, fg):
     assert (back.f.tobytes(), back.g.tobytes()) == (data.f.tobytes(), data.g.tobytes())
 
 
-# the documented exit codes: 2 config, 3 numerical or mesh validation, 4 I/O
-# or format; a type maps by its nearest listed base class
-EXIT_CODES = {cli.ConfigError: 2, MeshValidationError: 3, MeshGeometryError: 3,
-              RuntimeError: 3, np.linalg.LinAlgError: 3, ValueError: 4, OSError: 4}
+# the documented exit codes: 4 for a file that cannot be read or is
+# malformed, 3 for a mesh validation or meshing failure or a numerical one,
+# 2 for any other ValueError (a bad option value, ConfigError included); a
+# type maps by its nearest listed base class
+EXIT_CODES = {OSError: 4, UnicodeError: 4, MeshFormatError: 4,
+              MeshValidationError: 3, MeshGeometryError: 3, RuntimeError: 3,
+              np.linalg.LinAlgError: 3, ValueError: 2}
 
 
 def documented_exit(exc) -> int:
@@ -251,3 +254,20 @@ def test_corrupted_files_exit_with_documented_codes(tmp_path_factory, texts):
     except Exception as exc:                     # what reaches cli.main
         expected = documented_exit(exc)
     assert cli.main(argv) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=contour_inputs())
+def test_corrupted_files_never_exit_as_config_errors(tmp_path_factory, texts):
+    """A reader fault is a file fault (4) or an invalid mesh (3), never a
+    bad option value (2)."""
+    out = tmp_path_factory.mktemp("contour")
+    (out / "m.mesh").write_text(texts[0])
+    (out / "f.csv").write_text(texts[1])
+    try:
+        fio.read_flux_csv(out / "f.csv", load_mesh(out / "m.mesh"))
+    except (MeshFormatError, MeshValidationError, OSError) as exc:
+        code = 3 if isinstance(exc, MeshValidationError) else 4
+        assert cli.main(["contour", "--mesh", str(out / "m.mesh"), "--field",
+                         str(out / "f.csv"), "--level", "1.5",
+                         "--output-dir", str(out)]) == code
