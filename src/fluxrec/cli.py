@@ -51,8 +51,23 @@ def _read_config(path) -> dict:
             for key, value in (line.split("=", 1) for line in lines)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Keeps the attached ``--flag=--`` as the value ``--``.
+
+    argparse before Python 3.13 drops every ``--`` from an option's values,
+    so that form would read as an empty list instead of a string.
+    """
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fluxrec",
         description="Vacuum flux reconstruction from magnetic boundary data")
     sub = parser.add_subparsers(dest="command", required=True)

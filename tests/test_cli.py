@@ -341,6 +341,14 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
         assert f"config error: {path}:{bad + 1}: expected key = value" in err.getvalue()
 
 
+def test_attached_double_dash_is_an_option_value():
+    # argparse before Python 3.13 reads `--output-dir=--` as an empty list
+    seen = []
+    with patch.dict(cli._COMMANDS, {"lcurve": seen.append}):
+        main(["lcurve", "--output-dir=--", "--case=--"])
+    assert seen == [{"command": "lcurve", "output_dir": "--", "case": "--"}]
+
+
 def test_cauchy_csv_roundtrip(desk_mesh_file, tmp_path):
     mesh = load_mesh(desk_mesh_file)
     A = assemble_stiffness(mesh)
