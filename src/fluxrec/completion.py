@@ -10,14 +10,20 @@ term.  The optimality condition collapses to a small dense linear system
 on the inner-boundary degrees of freedom, where S_D and S_N are the two
 Dirichlet-to-Neumann (interface) matrices.  S_D and S_N depend on geometry
 only, and are decomposed once per geometry: S_N V = S_D V diag(lam) with
-V' S_D V = I.  Every data set and eps then has the closed (filter-factor)
-form u(eps) = V diag(1 / (1 + eps - lam)) V' l, at O(n_i^2) per data set
-and O(n_i) per eps for J and R_D, n_i being the inner-boundary node count.
+V' S_D V = I.  So is the load's dependence on the data: by Green
+reciprocity l = T_f f + T_g g, with T_f and T_g read off the same lifted
+columns that give S_D and S_N.  Every data set and eps then has the closed
+(filter-factor) form u(eps) = V diag(1 / (1 + eps - lam)) V' l, at
+O(n_i * n_o) per data set with no sparse solve, and O(n_i) per eps for R_D
+and J less its constant term, n_i and n_o being the inner- and
+outer-boundary node counts.  The constant term (two sparse solves, once per
+data set) and the flux field (one) are computed on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
@@ -64,40 +70,59 @@ class CauchyData:
 class CompletionResult:
     """Optimal inner-boundary value and the reconstructed flux.
 
+    u_opt, R_D and the diagnostics come with the closed-form solve.  J,
+    J_eps and psi_opt are computed on first read and cached: J adds the
+    system's constant term (two sparse solves, once per system) to the
+    closed form's data-dependent part, and psi_opt costs one Neumann solve.
     The reconstructed field is the Neumann solution at the optimum (the
     Dirichlet solution is far more sensitive to noise on f, so it is never
     used as the output field).
     """
 
     u_opt: np.ndarray
-    psi_opt: FluxField
-    J: float
     R_D: float
-    J_eps: float
     epsilon: float
     residual_norm: float
     condition_estimate: float
+    system: KVSystem = field(repr=False)
+    _J_less_constant: float = field(repr=False)
+
+    @cached_property
+    def J(self) -> float:
+        return float(self._J_less_constant + self.system.constant_term())
+
+    @property
+    def J_eps(self) -> float:
+        return self.J + self.epsilon * self.R_D
+
+    @cached_property
+    def psi_opt(self) -> FluxField:
+        return fem.solve_neumann(self.system.stiffness, self.system.data.g,
+                                 self.u_opt)
 
 
 @dataclass
 class KVSystem:
-    """Interface matrices and their eigendecomposition, with one data set.
+    """Interface matrices, their eigendecomposition and the data-to-load
+    operator, with one data set.
 
-    s_d, s_n and the ascending eigenpairs of S_N v = lam S_D v (eigvecs
-    S_D-orthonormal, as columns) depend on the geometry only; `reuse` shares
-    them.  load, data and the lifted data fields belong to one data set.
+    s_d, s_n, the ascending eigenpairs of S_N v = lam S_D v (eigvecs
+    S_D-orthonormal, as columns) and the operator t_f, t_g (n_i x n_o each)
+    depend on the geometry only; `reuse` shares them.  data, load =
+    t_f f + t_g g and the lifted data fields belong to one data set; the
+    lifts cost one sparse solve each and are made on first use.
     """
 
     s_d: np.ndarray
     s_n: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
+    t_f: np.ndarray
+    t_g: np.ndarray
     load: np.ndarray
     mesh: Mesh
     stiffness: StiffnessMatrix
     data: CauchyData
-    tilde_d: FluxField
-    tilde_n: FluxField
     _constant: float | None = field(default=None, repr=False)
 
     @property
@@ -107,6 +132,16 @@ class KVSystem:
     def system_matrix(self, epsilon: float) -> np.ndarray:
         """(1 + eps) S_D - S_N."""
         return (1.0 + epsilon) * self.s_d - self.s_n
+
+    @cached_property
+    def tilde_d(self) -> FluxField:
+        """Dirichlet lift of f: f on the outer loop, zero on the inner."""
+        return fem.solve_dirichlet(self.stiffness, self.data.f, 0.0)
+
+    @cached_property
+    def tilde_n(self) -> FluxField:
+        """Neumann lift of g: flux g on the outer loop, zero on the inner."""
+        return fem.solve_neumann(self.stiffness, self.data.g, 0.0)
 
     def constant_term(self) -> float:
         """Half the energy of the data-only gap field; J(0) equals this."""
@@ -129,8 +164,15 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
     Cholesky factorization of S_D must succeed, and no eigenvalue may exceed
     1 + 1e-10.  Violations raise KVAssemblyError.
 
+    The same columns give the data-to-load operator.  The load is
+    l = -(A (tilde_d - tilde_n))[inner] for the two data lifts, and Green
+    reciprocity against the lifted columns turns it into l = T_f f + T_g g,
+    T_f = -(A cols_d)[outer]' and T_g = -cols_n[outer]' B, B the outer
+    boundary mass of fem.boundary_flux_load.
+
     Pass a previously assembled system as `reuse` to skip the geometry part
-    (eigendecomposition included) and recompute only the data-dependent load.
+    (eigendecomposition and operator included): the load then costs two
+    dense mat-vecs and no sparse solve.
     """
     b = mesh.boundary
     ni = len(b.inner_nodes)
@@ -142,13 +184,21 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
             raise ValueError("reuse system was assembled on a different mesh")
         s_d, s_n = reuse.s_d, reuse.s_n
         eigvals, eigvecs = reuse.eigvals, reuse.eigvecs
+        t_f, t_g = reuse.t_f, reuse.t_g
     else:
         no = len(b.outer_nodes)
         basis = np.eye(ni)
-        cols_d = A._dirichlet.solve(np.vstack([np.zeros((no, ni)), basis]), None)
+        # only the boundary rows of A times the lifted columns are needed,
+        # and the Dirichlet columns are dropped before the Neumann solve
+        rows = A.matrix[np.concatenate([b.inner_nodes, b.outer_nodes])]
+        a_cols_d = rows @ A._dirichlet.solve(
+            np.vstack([np.zeros((no, ni)), basis]), None)
         cols_n = A._neumann.solve(basis, None)
-        s_d = (A.matrix @ cols_d)[b.inner_nodes, :]
-        s_n = (A.matrix @ cols_n)[b.inner_nodes, :]
+        s_d = a_cols_d[:ni]
+        s_n = rows[:ni] @ cols_n
+        # B is symmetric, so cols_n[outer]' B is (B cols_n[outer])'
+        t_f = -a_cols_d[ni:].T
+        t_g = -fem.boundary_flux_load(A, cols_n[b.outer_nodes])[b.outer_nodes].T
 
         for name, s in (("S_D", s_d), ("S_N", s_n)):
             scale = max(np.abs(s).max(), 1e-300)
@@ -169,19 +219,17 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
                 f"{eigvals[-1]:.12g} exceeds 1 + 1e-10")
 
     data.check(mesh)
-    tilde_d = fem.solve_dirichlet(A, data.f, 0.0)
-    tilde_n = fem.solve_neumann(A, data.g, 0.0)
-    load = -(A.matrix @ (tilde_d.values - tilde_n.values))[b.inner_nodes]
-    return KVSystem(s_d, s_n, eigvals, eigvecs, load, mesh, A, data,
-                    tilde_d, tilde_n)
+    load = t_f @ data.f + t_g @ data.g
+    return KVSystem(s_d, s_n, eigvals, eigvecs, t_f, t_g, load, mesh, A, data)
 
 
 def _spectral_solve(system: KVSystem, epsilon: float):
-    """Closed-form optimum at one epsilon: (u, J, R_D, condition).
+    """Closed-form optimum at one epsilon: (u, J - C, R_D, condition).
 
     With c = V'l, d = 1 + eps - lam and a = c / d: u = V a, R_D = |a|^2 / 2,
     J = sum((1 - lam) a^2) / 2 - c'a + C (the quadratic identity, C the
-    constant term) and condition = max(d) / min(d).  J is a difference of
+    constant term, which is left to the caller, as it costs two sparse
+    solves) and condition = max(d) / min(d).  J is a difference of
     terms of size C, so it carries a roundoff floor of a few ulps of C, of
     either sign: for noise-free MANUFACTURED:one on the desk mesh (C = 0.42)
     the true J is 4.2e-13 at eps = 1e-6 and 4e-17 at 1e-8, where the closed
@@ -199,8 +247,8 @@ def _spectral_solve(system: KVSystem, epsilon: float):
             f"{d.max() / abs(d.min()):.3e}")
     c = system.eigvecs.T @ system.load
     a = c / d
-    J = 0.5 * ((1.0 - system.eigvals) * a) @ a - c @ a + system.constant_term()
-    return (system.eigvecs @ a, float(J), 0.5 * float(a @ a),
+    J_less_constant = 0.5 * ((1.0 - system.eigvals) * a) @ a - c @ a
+    return (system.eigvecs @ a, J_less_constant, 0.5 * float(a @ a),
             float(d.max() / d.min()))
 
 
@@ -236,17 +284,17 @@ def solve_completion(system: KVSystem, epsilon: float,
 
     u, J and R_D come in closed form (see _spectral_solve); epsilon = 0
     raises NearSingularError.  Data other than system.data are assembled
-    with reuse=system first.  The flux costs one sparse solve.
+    with reuse=system first.  No sparse solve is made here: J and the flux
+    are computed on first read (see CompletionResult).
     """
     epsilon = float(epsilon)
     if data is not None and data is not system.data:
         system = assemble_kv(system.mesh, system.stiffness, data, reuse=system)
-    u, J, R_D, condition = _spectral_solve(system, epsilon)
+    u, J_less_constant, R_D, condition = _spectral_solve(system, epsilon)
     r = system.system_matrix(epsilon) @ u - system.load
     residual = float(np.linalg.norm(r) / (np.linalg.norm(system.load) or 1.0))
-    psi_opt = fem.solve_neumann(system.stiffness, system.data.g, u)
-    return CompletionResult(u, psi_opt, J, R_D, J + epsilon * R_D, epsilon,
-                            residual, condition)
+    return CompletionResult(u, R_D, epsilon, residual, condition, system,
+                            J_less_constant)
 
 
 def optimality_residual(system: KVSystem, u_opt, epsilon: float,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ellipe, ellipk
 
 from . import completion as cp
 from . import fem
@@ -78,6 +77,9 @@ def loop_flux_field(loop_r: float, loop_z: float, strength: float = 1.0,
     Exact solution of the operator away from the loop point; with a suitable
     vertical coefficient it has a genuine saddle (X-point) on the midplane.
     """
+    # imported here, as no other path needs scipy.special (about 4 MB)
+    from scipy.special import ellipe, ellipk
+
     r0, z0 = float(loop_r), float(loop_z)
 
     def psi(r, z):

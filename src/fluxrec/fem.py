@@ -43,6 +43,8 @@ _QUAD_WEIGHTS = np.array([9 / 40,
                           (155.0 + _SQRT15) / 1200.0,
                           (155.0 - _SQRT15) / 1200.0, (155.0 - _SQRT15) / 1200.0,
                           (155.0 - _SQRT15) / 1200.0])
+# The 2-point Gauss rule on an edge, as fractions of the way along it.
+_EDGE_POINTS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,14 @@ class StiffnessMatrix:
         if len(b.inner_nodes) == 0:
             raise ValueError("weighted-Neumann solve requires an inner boundary")
         return _ReducedSystem(self, b.inner_nodes.copy())
+
+    @cached_property
+    def _outer_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outer-loop position of each edge's second node, and edge lengths."""
+        outer = self.mesh.boundary.outer_nodes
+        nxt = np.roll(np.arange(len(outer)), -1)
+        pts = self.mesh.nodes[outer]
+        return nxt, np.linalg.norm(pts[nxt] - pts, axis=1)
 
 
 class _ReducedSystem:
@@ -183,16 +193,21 @@ def boundary_flux_load(A: StiffnessMatrix, g) -> np.ndarray:
     nodes; since the 1/r weight is folded into g, the edge integrals of
     g * phi_i carry no extra factor.  Each edge uses 2-point Gauss with g
     interpolated linearly between its nodal values (exact for this product).
+    A 2-D block of g columns gives one load column per column.
     """
     mesh = A.mesh
     b = mesh.boundary
-    g = _boundary_values(g, len(b.outer_nodes), "g")
-    load = np.zeros(mesh.node_count)
-    pts = mesh.nodes[b.outer_nodes]
-    nxt = np.roll(np.arange(len(b.outer_nodes)), -1)
-    lengths = np.linalg.norm(pts[nxt] - pts, axis=1)
-    xi = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
-    for q in xi:
+    no = len(b.outer_nodes)
+    nxt, lengths = A._outer_edges
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim == 2:
+        if len(g) != no:
+            raise ValueError(f"g has {len(g)} rows, boundary has {no} nodes")
+        lengths = lengths[:, None]
+    else:
+        g = _boundary_values(g, no, "g")
+    load = np.zeros((mesh.node_count,) + g.shape[1:])
+    for q in _EDGE_POINTS:
         gq = (1.0 - q) * g + q * g[nxt]
         np.add.at(load, b.outer_nodes, 0.5 * lengths * gq * (1.0 - q))
         np.add.at(load, b.outer_nodes[nxt], 0.5 * lengths * gq * q)

@@ -59,22 +59,24 @@ def sweep(system: KVSystem, data: CauchyData | None, eps_grid) -> LCurve:
     """J and R_D on every grid value, and the L-curve corner.
 
     Each point comes in closed form from the system's eigendecomposition,
-    with no sparse solve and no flux field per epsilon.  Data other than
+    with no sparse solve and no flux field per epsilon; J's constant term
+    costs two sparse solves, once per data set.  Data other than
     system.data are first assembled with reuse=system.  Points whose solve
     fails are dropped and recorded.
     """
     grid = _check_grid(eps_grid)
     if data is not None and data is not system.data:
         system = assemble_kv(system.mesh, system.stiffness, data, reuse=system)
+    constant = system.constant_term()
     eps_ok, js, rds, dropped = [], [], [], []
     for eps in grid:
         try:
-            _, J, R_D, _ = _spectral_solve(system, float(eps))
+            _, J_less_constant, R_D, _ = _spectral_solve(system, float(eps))
         except RuntimeError as exc:
             dropped.append((float(eps), str(exc)))
             continue
         eps_ok.append(float(eps))
-        js.append(J)
+        js.append(float(J_less_constant + constant))
         rds.append(R_D)
     if len(eps_ok) < 5:
         raise RuntimeError(

@@ -2,7 +2,8 @@
 against.  They build their own adjacency from the triangle list and their
 own boundary-label dicts, so they share no code with ``Mesh.edges``; the
 text-format oracles read one token and write one value at a time, and the
-mesh-generator oracle works one point, ray and triangle at a time."""
+mesh-generator oracle works one point, ray and triangle at a time; the
+interface-load oracle lifts the data by two sparse solves."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   minimum_spanning_tree)
 
+from fluxrec import fem
 from fluxrec.fem import FluxField
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
                           _angles_about, _EdgeBoundExceeded, _resample_closed,
@@ -721,3 +723,12 @@ def _ladder_mesh_by_loop(outer: np.ndarray, inner: np.ndarray, center: np.ndarra
             f"generated edge length {mesh.max_edge_length:.4g} exceeds "
             f"1.5 * target_h = {1.5 * target_h:.4g}")
     return mesh
+
+
+def two_lift_load(system) -> np.ndarray:
+    """Interface load -(A (tilde_d - tilde_n))[inner] from fresh Dirichlet and
+    Neumann lifts of the system's data, with zero inner values."""
+    A, data = system.stiffness, system.data
+    gap = (fem.solve_dirichlet(A, data.f, 0.0).values
+           - fem.solve_neumann(A, data.g, 0.0).values)
+    return -(A.matrix @ gap)[system.mesh.boundary.inner_nodes]

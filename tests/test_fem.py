@@ -270,3 +270,15 @@ def test_block_solve_equals_column_solves(desk_A, which):
     assert x.shape == (desk_A.mesh.node_count, 5)
     for j in range(block.shape[1]):
         assert np.array_equal(x[:, j], reduced.solve(block[:, j], None))
+
+
+def test_block_flux_load_equals_column_loads(desk_A):
+    n = len(desk_A.mesh.boundary.outer_nodes)
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((n, 5))
+    load = boundary_flux_load(desk_A, block)
+    assert load.shape == (desk_A.mesh.node_count, 5)
+    for j in range(block.shape[1]):
+        assert np.array_equal(load[:, j], boundary_flux_load(desk_A, block[:, j]))
+    with pytest.raises(ValueError, match="rows"):
+        boundary_flux_load(desk_A, block[1:])

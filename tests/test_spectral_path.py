@@ -1,9 +1,11 @@
 """The closed-form solve path against the slow paths it replaced.
 
 solve_completion and sweep take u, J and R_D from one generalized
-eigendecomposition of (S_N, S_D) per geometry.  These tests hold that path
-to a dense LU solve of the same system and to the direct volume integral of
-`evaluate`, over generated data and regularization strengths.
+eigendecomposition of (S_N, S_D) per geometry, and assemble_kv takes the
+load from one data-to-load operator per geometry.  These tests hold that
+path to a dense LU solve of the same system, to the load of two sparse data
+lifts and to the direct volume integral of `evaluate`, over generated data
+and regularization strengths, and count the sparse solves it defers.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from fluxrec import (CauchyData, assemble_kv, evaluate, fem, solve_completion,
                      sweep)
 from fluxrec.completion import KVAssemblyError, NearSingularError
 from fluxrec.regularization import default_grid
+from oracles import two_lift_load
 
 seeds = st.integers(0, 2 ** 32 - 1)
 # log-uniform over the range of default_grid
@@ -26,6 +29,30 @@ examples = settings(max_examples=25, deadline=None)
 def base(desk_mesh, desk_A):
     n = len(desk_mesh.boundary.outer_nodes)
     return assemble_kv(desk_mesh, desk_A, CauchyData(np.zeros(n), np.zeros(n)))
+
+
+@pytest.fixture(scope="module", params=["desk", "iter"])
+def any_base(request):
+    mesh = request.getfixturevalue(f"{request.param}_mesh")
+    A = request.getfixturevalue(f"{request.param}_A")
+    n = len(mesh.boundary.outer_nodes)
+    return assemble_kv(mesh, A, CauchyData(np.zeros(n), np.zeros(n)))
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Names of the sparse solves made through fem, in call order."""
+    calls = []
+
+    def counted(real):
+        def solve(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return solve
+
+    for name in ("solve_dirichlet", "solve_neumann"):
+        monkeypatch.setattr(fem, name, counted(getattr(fem, name)))
+    return calls
 
 
 def _data(base, seed) -> CauchyData:
@@ -48,6 +75,20 @@ def test_solution_matches_dense_solve(base, seed, epsilon):
     u = solve_completion(system, epsilon).u_opt
     ref = np.linalg.solve(system.system_matrix(epsilon), system.load)
     assert np.linalg.norm(u - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@examples
+@given(seed=seeds, epsilon=epsilons)
+def test_load_operator_matches_two_lift_load(any_base, seed, epsilon):
+    system = _refresh(any_base, _data(any_base, seed))
+    ref = two_lift_load(system)
+    assert np.linalg.norm(system.load - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the closed form on the two-lift load, as solve_completion computed it
+    # before the operator
+    V, d = system.eigvecs, 1.0 + epsilon - system.eigvals
+    u_ref = V @ ((V.T @ ref) / d)
+    u = solve_completion(system, epsilon).u_opt
+    assert np.linalg.norm(u - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
 
 
 @examples
@@ -103,21 +144,39 @@ def test_reuse_carries_eigendecomposition(base):
     assert system.eigvecs is base.eigvecs
 
 
-def test_sweep_makes_no_sparse_solve(base, monkeypatch):
-    calls = []
-
-    def counted(real):
-        def solve(*args):
-            calls.append(real.__name__)
-            return real(*args)
-        return solve
-
-    for name in ("solve_dirichlet", "solve_neumann"):
-        monkeypatch.setattr(fem, name, counted(getattr(fem, name)))
+def test_sweep_makes_no_sparse_solve(base, solve_calls):
+    # none per epsilon: the two lifts of J's constant term, once per data set
     system = _refresh(base, _data(base, 2))
-    assert len(calls) == 2
+    assert len(solve_calls) == 0
     sweep(system, system.data, default_grid())
-    assert len(calls) == 2
+    assert len(solve_calls) == 2
+    sweep(system, system.data, default_grid(30))
+    assert len(solve_calls) == 2
+    sweep(base, _data(base, 3), default_grid())
+    assert len(solve_calls) == 4
+
+
+def test_per_data_set_path_defers_sparse_solves(base, solve_calls):
+    data = _data(base, 4)
+    res = solve_completion(_refresh(base, data), 5e-4)
+    assert solve_calls == []
+    J = res.J
+    assert sorted(solve_calls) == ["solve_dirichlet", "solve_neumann"]
+    # repeated reads make no solve
+    assert res.J == J and res.J_eps == J + res.epsilon * res.R_D
+    res.system.constant_term()
+    assert len(solve_calls) == 2
+    psi = res.psi_opt
+    assert solve_calls[2:] == ["solve_neumann"]
+    assert res.psi_opt is psi
+    assert len(solve_calls) == 3
+    # the deferred values are the ones the direct paths give
+    assert np.array_equal(psi.values,
+                          fem.solve_neumann(base.stiffness, data.g, res.u_opt).values)
+    J_direct, R_D, _ = evaluate(res.system, data, res.u_opt)
+    tol = 1e-9 * (1.0 + res.system.constant_term())
+    assert abs(J - J_direct) <= tol
+    assert abs(res.R_D - R_D) <= tol
 
 
 def test_condition_reported_for_every_epsilon(base):
