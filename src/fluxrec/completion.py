@@ -11,13 +11,15 @@ on the inner-boundary degrees of freedom, where S_D and S_N are the two
 Dirichlet-to-Neumann (interface) matrices.  S_D and S_N depend on geometry
 only, and are decomposed once per geometry: S_N V = S_D V diag(lam) with
 V' S_D V = I.  So is the load's dependence on the data: by Green
-reciprocity l = T_f f + T_g g, with T_f and T_g read off the same lifted
-columns that give S_D and S_N.  Every data set and eps then has the closed
-(filter-factor) form u(eps) = V diag(1 / (1 + eps - lam)) V' l, at
-O(n_i * n_o) per data set with no sparse solve, and O(n_i) per eps for R_D
-and J less its constant term, n_i and n_o being the inner- and
-outer-boundary node counts.  The constant term (two sparse solves, once per
-data set) and the flux field (one) are computed on first read.
+reciprocity l = T_f f + T_g g, with T_f read off the Dirichlet-lifted
+basis columns that give S_D, and S_N and T_g from T_f and the outer
+Dirichlet-to-Neumann matrix S_OO of fem.  Every data set and eps then has
+the closed (filter-factor) form u(eps) = V diag(1 / (1 + eps - lam)) V' l,
+at O(n_i * n_o) per data set with no sparse solve, and O(n_i) per eps for
+R_D and J less its constant term, n_i and n_o being the inner- and
+outer-boundary node counts.  The constant term is O(n_o^2) dense work, on
+first read, with no sparse solve; only the flux field costs one (a Neumann
+solve), on first read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import cholesky, eigh, solve_triangular
 
 from . import fem
 from .fem import FluxField, StiffnessMatrix, weighted_normal_derivative
@@ -39,6 +41,9 @@ class KVAssemblyError(RuntimeError):
 
 class NearSingularError(RuntimeError):
     """Interface system too close to singular for its eigenvalues to resolve."""
+
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,8 @@ class CompletionResult:
 
     u_opt, R_D and the diagnostics come with the closed-form solve.  J,
     J_eps and psi_opt are computed on first read and cached: J adds the
-    system's constant term (two sparse solves, once per system) to the
-    closed form's data-dependent part, and psi_opt costs one Neumann solve.
+    system's constant term (dense, no sparse solve) to the closed form's
+    data-dependent part, and psi_opt costs one Neumann solve.
     The reconstructed field is the Neumann solution at the optimum (the
     Dirichlet solution is far more sensitive to noise on f, so it is never
     used as the output field).
@@ -107,10 +112,10 @@ class KVSystem:
     operator, with one data set.
 
     s_d, s_n, the ascending eigenpairs of S_N v = lam S_D v (eigvecs
-    S_D-orthonormal, as columns) and the operator t_f, t_g (n_i x n_o each)
-    depend on the geometry only; `reuse` shares them.  data, load =
-    t_f f + t_g g and the lifted data fields belong to one data set; the
-    lifts cost one sparse solve each and are made on first use.
+    S_D-orthonormal, as columns), the operator t_f, t_g (n_i x n_o each)
+    and the upper Cholesky factor R of S_OO = R'R (n_o x n_o) depend on the
+    geometry only; `reuse` shares them.  data, load = t_f f + t_g g and the
+    constant term belong to one data set.
     """
 
     s_d: np.ndarray
@@ -119,6 +124,7 @@ class KVSystem:
     eigvecs: np.ndarray
     t_f: np.ndarray
     t_g: np.ndarray
+    s_oo_chol: np.ndarray
     load: np.ndarray
     mesh: Mesh
     stiffness: StiffnessMatrix
@@ -133,21 +139,19 @@ class KVSystem:
         """(1 + eps) S_D - S_N."""
         return (1.0 + epsilon) * self.s_d - self.s_n
 
-    @cached_property
-    def tilde_d(self) -> FluxField:
-        """Dirichlet lift of f: f on the outer loop, zero on the inner."""
-        return fem.solve_dirichlet(self.stiffness, self.data.f, 0.0)
-
-    @cached_property
-    def tilde_n(self) -> FluxField:
-        """Neumann lift of g: flux g on the outer loop, zero on the inner."""
-        return fem.solve_neumann(self.stiffness, self.data.g, 0.0)
-
     def constant_term(self) -> float:
-        """Half the energy of the data-only gap field; J(0) equals this."""
+        """Half the energy of the data-only gap field; J(0) equals this.
+
+        The gap is the Dirichlet lift of f less the Neumann lift of g, both
+        zero on the inner loop, so it is the lift of its outer trace
+        f - S_OO^-1 b, b = B g, and its energy is
+        f'S_OO f - 2 f'b + b'S_OO^-1 b = |R f - R'^-1 b|^2.
+        """
         if self._constant is None:
-            self._constant = 0.5 * fem.energy_norm_sq(
-                self.tilde_d, self.tilde_n, self.stiffness)
+            r = self.s_oo_chol
+            b = self.stiffness.outer_mass @ self.data.g
+            gap = r @ self.data.f - solve_triangular(r, b, trans="T")
+            self._constant = 0.5 * float(gap @ gap)
         return self._constant
 
 
@@ -156,19 +160,23 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
     """Build the interface system for the given mesh and Cauchy data.
 
     Each inner-boundary basis function is lifted by a Dirichlet solve (zero
-    on the outer loop) and a Neumann solve (zero weighted flux there); the
-    matrices pair the lifted fields against the trivial extension, which
-    collapses to rows of A times the lifted columns.  Invariants (symmetry,
-    S_D positive definite, S_D - S_N positive semidefinite) are verified,
-    the last two on the generalized eigendecomposition computed here: its
-    Cholesky factorization of S_D must succeed, and no eigenvalue may exceed
-    1 + 1e-10.  Violations raise KVAssemblyError.
+    on the outer loop); S_D pairs the lifted fields against the trivial
+    extension, which collapses to rows of A times the lifted columns, and
+    the outer rows give T_f = -(A cols_d)[outer]', the map from outer
+    Dirichlet data to inner flux.  The Neumann lift (zero weighted flux on
+    the outer loop) is the Dirichlet lift corrected by the lift of the
+    outer values S_OO^-1 T_f', S_OO the outer Dirichlet-to-Neumann matrix
+    (fem's outer_dtn), so S_N = S_D - T_f S_OO^-1 T_f' with no sparse solve.
+    Invariants (symmetry of S_D and S_OO, S_OO and S_D positive definite,
+    S_D - S_N positive semidefinite) are verified: the Cholesky
+    factorizations of S_OO and, inside the generalized eigendecomposition,
+    of S_D must succeed, and no eigenvalue may exceed 1 + 1e-10.
+    Violations raise KVAssemblyError.
 
-    The same columns give the data-to-load operator.  The load is
-    l = -(A (tilde_d - tilde_n))[inner] for the two data lifts, and Green
-    reciprocity against the lifted columns turns it into l = T_f f + T_g g,
-    T_f = -(A cols_d)[outer]' and T_g = -cols_n[outer]' B, B the outer
-    boundary mass of fem.boundary_flux_load.
+    The load is l = -(A (tilde_d - tilde_n))[inner] for the Dirichlet lift
+    of f and the Neumann lift of g, and Green reciprocity against the
+    lifted columns turns it into l = T_f f + T_g g, with
+    T_g = -T_f S_OO^-1 B, B the outer boundary mass of fem.
 
     Pass a previously assembled system as `reuse` to skip the geometry part
     (eigendecomposition and operator included): the load then costs two
@@ -184,30 +192,35 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
             raise ValueError("reuse system was assembled on a different mesh")
         s_d, s_n = reuse.s_d, reuse.s_n
         eigvals, eigvecs = reuse.eigvals, reuse.eigvecs
-        t_f, t_g = reuse.t_f, reuse.t_g
+        t_f, t_g, s_oo_chol = reuse.t_f, reuse.t_g, reuse.s_oo_chol
     else:
         no = len(b.outer_nodes)
-        basis = np.eye(ni)
-        # only the boundary rows of A times the lifted columns are needed,
-        # and the Dirichlet columns are dropped before the Neumann solve
+        # only the boundary rows of A times the lifted columns are needed
         rows = A.matrix[np.concatenate([b.inner_nodes, b.outer_nodes])]
         a_cols_d = rows @ A._dirichlet.solve(
-            np.vstack([np.zeros((no, ni)), basis]), None)
-        cols_n = A._neumann.solve(basis, None)
+            np.vstack([np.zeros((no, ni)), np.eye(ni)]), None)
         s_d = a_cols_d[:ni]
-        s_n = rows[:ni] @ cols_n
-        # B is symmetric, so cols_n[outer]' B is (B cols_n[outer])'
         t_f = -a_cols_d[ni:].T
-        t_g = -fem.boundary_flux_load(A, cols_n[b.outer_nodes])[b.outer_nodes].T
+        s_oo = A.outer_dtn
 
-        for name, s in (("S_D", s_d), ("S_N", s_n)):
+        for name, s in (("S_D", s_d), ("S_OO", s_oo)):
             scale = max(np.abs(s).max(), 1e-300)
             asym = np.abs(s - s.T).max()
             if asym > 1e-12 * scale:
                 raise KVAssemblyError(
                     f"{name} asymmetry {asym:.3e} exceeds 1e-12 relative")
         s_d = 0.5 * (s_d + s_d.T)
+        try:
+            s_oo_chol = cholesky(0.5 * (s_oo + s_oo.T))
+        except np.linalg.LinAlgError as exc:
+            raise KVAssemblyError(
+                f"S_OO is not positive definite: {exc}") from exc
+        # with S_OO = R'R and W = R'^-1 T_f': S_N = S_D - W'W, and
+        # T_g = -(B S_OO^-1 T_f')' = -(B R^-1 W)', B being symmetric
+        w = solve_triangular(s_oo_chol, t_f.T, trans="T")
+        s_n = s_d - w.T @ w
         s_n = 0.5 * (s_n + s_n.T)
+        t_g = -(A.outer_mass @ solve_triangular(s_oo_chol, w)).T
         try:
             eigvals, eigvecs = eigh(s_n, s_d)
         except np.linalg.LinAlgError as exc:
@@ -220,7 +233,8 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
 
     data.check(mesh)
     load = t_f @ data.f + t_g @ data.g
-    return KVSystem(s_d, s_n, eigvals, eigvecs, t_f, t_g, load, mesh, A, data)
+    return KVSystem(s_d, s_n, eigvals, eigvecs, t_f, t_g, s_oo_chol, load,
+                    mesh, A, data)
 
 
 def _spectral_solve(system: KVSystem, epsilon: float):
@@ -228,8 +242,8 @@ def _spectral_solve(system: KVSystem, epsilon: float):
 
     With c = V'l, d = 1 + eps - lam and a = c / d: u = V a, R_D = |a|^2 / 2,
     J = sum((1 - lam) a^2) / 2 - c'a + C (the quadratic identity, C the
-    constant term, which is left to the caller, as it costs two sparse
-    solves) and condition = max(d) / min(d).  J is a difference of
+    constant term, which is left to the caller, as it is the same for every
+    eps) and condition = max(d) / min(d).  J is a difference of
     terms of size C, so it carries a roundoff floor of a few ulps of C, of
     either sign: for noise-free MANUFACTURED:one on the desk mesh (C = 0.42)
     the true J is 4.2e-13 at eps = 1e-6 and 4e-17 at 1e-8, where the closed
@@ -240,16 +254,17 @@ def _spectral_solve(system: KVSystem, epsilon: float):
     if not 0.0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     d = 1.0 + epsilon - system.eigvals
-    if not d.min() > system.size * np.finfo(float).eps * d.max():
+    d_min, d_max = d.min(), d.max()
+    if not d_min > system.size * _EPS * d_max:
         raise NearSingularError(
             f"interface system at epsilon {epsilon:g} is near singular: "
-            f"smallest 1 + eps - lambda is {d.min():.3e}, condition "
-            f"{d.max() / abs(d.min()):.3e}")
+            f"smallest 1 + eps - lambda is {d_min:.3e}, condition "
+            f"{d_max / abs(d_min):.3e}")
     c = system.eigvecs.T @ system.load
     a = c / d
     J_less_constant = 0.5 * ((1.0 - system.eigvals) * a) @ a - c @ a
     return (system.eigvecs @ a, J_less_constant, 0.5 * float(a @ a),
-            float(d.max() / d.min()))
+            float(d_max / d_min))
 
 
 def evaluate(system: KVSystem, data: CauchyData, u, epsilon: float = 0.0):
@@ -291,7 +306,7 @@ def solve_completion(system: KVSystem, epsilon: float,
     if data is not None and data is not system.data:
         system = assemble_kv(system.mesh, system.stiffness, data, reuse=system)
     u, J_less_constant, R_D, condition = _spectral_solve(system, epsilon)
-    r = system.system_matrix(epsilon) @ u - system.load
+    r = (1.0 + epsilon) * (system.s_d @ u) - system.s_n @ u - system.load
     residual = float(np.linalg.norm(r) / (np.linalg.norm(system.load) or 1.0))
     return CompletionResult(u, R_D, epsilon, residual, condition, system,
                             J_less_constant)

@@ -88,6 +88,13 @@ class StiffnessMatrix:
     strictly positive; both are verified at assembly.  Reduced factorizations
     for the two boundary-condition kinds are computed lazily, once per mesh,
     and reused by every solve.
+
+    The Dirichlet factor holds both loops.  The Neumann factor holds the
+    inner loop only; its matrix is symmetric positive definite, and it is
+    factored without pivoting, the interior first (in the Dirichlet factor's
+    column order) and the outer-loop nodes last.  The trailing block of that
+    factor is then the Schur complement of the interior, the outer
+    Dirichlet-to-Neumann matrix `outer_dtn`, which costs no extra solve.
     """
 
     matrix: sparse.csr_matrix
@@ -104,31 +111,74 @@ class StiffnessMatrix:
         b = self.mesh.boundary
         if len(b.inner_nodes) == 0:
             raise ValueError("weighted-Neumann solve requires an inner boundary")
-        return _ReducedSystem(self, b.inner_nodes.copy())
+        dirichlet = self._dirichlet
+        interior = dirichlet.free[np.argsort(dirichlet.factor.perm_c)]
+        return _ReducedSystem(self, b.inner_nodes.copy(),
+                              np.concatenate([interior, b.outer_nodes]),
+                              permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                              options={"SymmetricMode": True})
 
     @cached_property
-    def _outer_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outer-loop position of each edge's second node, and edge lengths."""
+    def outer_dtn(self) -> np.ndarray:
+        """S_OO = A_OO - A_OF A_FF^-1 A_FO, outer nodes against outer nodes,
+        F the interior: the weighted flux of the field with the given outer
+        values and zero inner values.  Read off the Neumann factor's
+        trailing block as U_OO' diag(U_OO)^-1 U_OO (an LDL' split of the
+        Schur complement), then un-permuted to outer-loop order.
+        """
+        factor = self._neumann.factor
+        n, no = factor.shape[0], len(self.mesh.boundary.outer_nodes)
+        # SuperLU may reorder columns; the trailing block is S_OO only if
+        # the outer nodes stay a set there and every pivot is diagonal
+        tail = factor.perm_c[n - no:] - (n - no)
+        if not (np.array_equal(factor.perm_r, factor.perm_c)
+                and tail.min() >= 0):
+            raise FemError("assemble: outer nodes not eliminated last in the "
+                           "Neumann factor")
+        u = factor.U[n - no:, n - no:].toarray()
+        s = u.T @ (u / u.diagonal()[:, None])
+        return s[np.ix_(tail, tail)]
+
+    @cached_property
+    def outer_mass(self) -> sparse.csr_matrix:
+        """Outer boundary mass B (n_o x n_o, cyclic tridiagonal): B g is the
+        outer-loop part of boundary_flux_load(g)."""
         outer = self.mesh.boundary.outer_nodes
-        nxt = np.roll(np.arange(len(outer)), -1)
+        k = np.arange(len(outer))
+        nxt = np.roll(k, -1)
         pts = self.mesh.nodes[outer]
-        return nxt, np.linalg.norm(pts[nxt] - pts, axis=1)
+        lengths = np.linalg.norm(pts[nxt] - pts, axis=1)
+        # 2-point Gauss on each edge, with g linear along it
+        q = np.array(_EDGE_POINTS)
+        w = 0.5 * np.array([(1.0 - q) @ (1.0 - q), q @ (1.0 - q), q @ q])
+        vals = np.concatenate([w[0] * lengths, w[1] * lengths,
+                               w[1] * lengths, w[2] * lengths])
+        rows = np.concatenate([k, k, nxt, nxt])
+        cols = np.concatenate([k, nxt, k, nxt])
+        return sparse.coo_matrix((vals, (rows, cols)),
+                                 shape=(len(k), len(k))).tocsr()
 
 
 class _ReducedSystem:
-    """LU factorization of the stiffness matrix minus constrained rows/cols."""
+    """LU factorization of the stiffness matrix minus constrained rows/cols.
 
-    def __init__(self, A: StiffnessMatrix, constrained: np.ndarray):
-        n = A.mesh.node_count
-        mask = np.ones(n, dtype=bool)
-        mask[constrained] = False
-        self.free = np.flatnonzero(mask)
+    `free` gives the order of the reduced unknowns (ascending node order by
+    default); the keyword options go to splu.
+    """
+
+    def __init__(self, A: StiffnessMatrix, constrained: np.ndarray,
+                 free: np.ndarray | None = None, **options):
+        if free is None:
+            mask = np.ones(A.mesh.node_count, dtype=bool)
+            mask[constrained] = False
+            free = np.flatnonzero(mask)
+        self.free = free
         self.constrained = constrained
         csc = A.matrix.tocsc()
-        self.coupling = csc[self.free][:, constrained]
-        reduced = csc[self.free][:, self.free]
+        self.coupling = csc[free][:, constrained]
+        reduced = csc[free][:, free]
         try:
-            self.factor = splu(reduced.tocsc())
+            self.factor = splu(reduced.tocsc(), **options)
         except RuntimeError as exc:  # pragma: no cover - signals assembly bug
             raise FemError(f"singular reduced system: {exc}") from exc
 
@@ -192,25 +242,20 @@ def boundary_flux_load(A: StiffnessMatrix, g) -> np.ndarray:
     g is the weighted normal derivative (1/r) dpsi/dn at the outer boundary
     nodes; since the 1/r weight is folded into g, the edge integrals of
     g * phi_i carry no extra factor.  Each edge uses 2-point Gauss with g
-    interpolated linearly between its nodal values (exact for this product).
-    A 2-D block of g columns gives one load column per column.
+    interpolated linearly between its nodal values (exact for this product),
+    which is the outer boundary mass B applied to g.  A 2-D block of g
+    columns gives one load column per column.
     """
-    mesh = A.mesh
-    b = mesh.boundary
+    b = A.mesh.boundary
     no = len(b.outer_nodes)
-    nxt, lengths = A._outer_edges
     g = np.asarray(g, dtype=np.float64)
     if g.ndim == 2:
         if len(g) != no:
             raise ValueError(f"g has {len(g)} rows, boundary has {no} nodes")
-        lengths = lengths[:, None]
     else:
         g = _boundary_values(g, no, "g")
-    load = np.zeros((mesh.node_count,) + g.shape[1:])
-    for q in _EDGE_POINTS:
-        gq = (1.0 - q) * g + q * g[nxt]
-        np.add.at(load, b.outer_nodes, 0.5 * lengths * gq * (1.0 - q))
-        np.add.at(load, b.outer_nodes[nxt], 0.5 * lengths * gq * q)
+    load = np.zeros((A.mesh.node_count,) + g.shape[1:])
+    load[b.outer_nodes] = A.outer_mass @ g
     return load
 
 

@@ -59,8 +59,8 @@ def sweep(system: KVSystem, data: CauchyData | None, eps_grid) -> LCurve:
     """J and R_D on every grid value, and the L-curve corner.
 
     Each point comes in closed form from the system's eigendecomposition,
-    with no sparse solve and no flux field per epsilon; J's constant term
-    costs two sparse solves, once per data set.  Data other than
+    with no flux field per epsilon, and J's constant term is dense work
+    once per data set, so a sweep makes no sparse solve.  Data other than
     system.data are first assembled with reuse=system.  Points whose solve
     fails are dropped and recorded.
     """

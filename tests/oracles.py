@@ -3,7 +3,9 @@ against.  They build their own adjacency from the triangle list and their
 own boundary-label dicts, so they share no code with ``Mesh.edges``; the
 text-format oracles read one token and write one value at a time, and the
 mesh-generator oracle works one point, ray and triangle at a time; the
-interface-load oracle lifts the data by two sparse solves."""
+interface-load and constant-term oracles lift the data by two sparse
+solves, and the interface oracles solve for whole blocks of lifted
+columns."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   minimum_spanning_tree)
+from scipy.sparse.linalg import splu
 
 from fluxrec import fem
 from fluxrec.fem import FluxField
@@ -725,10 +728,75 @@ def _ladder_mesh_by_loop(outer: np.ndarray, inner: np.ndarray, center: np.ndarra
     return mesh
 
 
+def flux_load_by_edge(A, g) -> np.ndarray:
+    """fem.boundary_flux_load one Gauss point at a time, scattered per edge
+    by np.add.at; g may be a 2-D block of columns."""
+    mesh = A.mesh
+    outer = mesh.boundary.outer_nodes
+    nxt = np.roll(np.arange(len(outer)), -1)
+    pts = mesh.nodes[outer]
+    lengths = np.linalg.norm(pts[nxt] - pts, axis=1)
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim == 2:
+        lengths = lengths[:, None]
+    load = np.zeros((mesh.node_count,) + g.shape[1:])
+    for q in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+        gq = (1.0 - q) * g + q * g[nxt]
+        np.add.at(load, outer, 0.5 * lengths * gq * (1.0 - q))
+        np.add.at(load, outer[nxt], 0.5 * lengths * gq * q)
+    return load
+
+
+def neumann_solve(A, g, v) -> np.ndarray:
+    """Nodal Neumann solution (flux g outside, values v inside) from a fresh
+    factorization in ascending node order; 2-D blocks give one column each."""
+    inner = A.mesh.boundary.inner_nodes
+    free = np.setdiff1d(np.arange(A.mesh.node_count), inner)
+    csc = A.matrix.tocsc()
+    x = np.zeros((A.mesh.node_count,) + np.shape(v)[1:])
+    x[inner] = v
+    rhs = flux_load_by_edge(A, g)[free] - csc[free][:, inner] @ v
+    x[free] = splu(csc[free][:, free].tocsc()).solve(rhs)
+    return x
+
+
 def two_lift_load(system) -> np.ndarray:
     """Interface load -(A (tilde_d - tilde_n))[inner] from fresh Dirichlet and
     Neumann lifts of the system's data, with zero inner values."""
     A, data = system.stiffness, system.data
-    gap = (fem.solve_dirichlet(A, data.f, 0.0).values
-           - fem.solve_neumann(A, data.g, 0.0).values)
+    zero = np.zeros(len(system.mesh.boundary.inner_nodes))
+    gap = (fem.solve_dirichlet(A, data.f, zero).values
+           - neumann_solve(A, data.g, zero))
     return -(A.matrix @ gap)[system.mesh.boundary.inner_nodes]
+
+
+def two_lift_constant(system) -> float:
+    """J's constant term as half the energy of the same gap field."""
+    A, data = system.stiffness, system.data
+    zero = np.zeros(len(system.mesh.boundary.inner_nodes))
+    gap = (fem.solve_dirichlet(A, data.f, zero).values
+           - neumann_solve(A, data.g, zero))
+    return 0.5 * float(gap @ (A.matrix @ gap))
+
+
+def schur_by_block_solve(A) -> np.ndarray:
+    """S_OO = A_OO - A_OF A_FF^-1 A_FO, F the interior nodes, from a fresh
+    factorization of A_FF and one solve per outer node."""
+    b = A.mesh.boundary
+    interior = np.setdiff1d(np.arange(A.mesh.node_count),
+                            np.concatenate([b.outer_nodes, b.inner_nodes]))
+    csc = A.matrix.tocsc()
+    a_fo = csc[interior][:, b.outer_nodes].toarray()
+    a_oo = csc[b.outer_nodes][:, b.outer_nodes].toarray()
+    return a_oo - a_fo.T @ splu(csc[interior][:, interior].tocsc()).solve(a_fo)
+
+
+def neumann_block_interface(system) -> tuple[np.ndarray, np.ndarray]:
+    """S_N and T_g from a Neumann solve of every inner basis function
+    (zero flux outside): S_N = (A cols_n)[inner], T_g = -cols_n[outer]' B."""
+    A, b = system.stiffness, system.mesh.boundary
+    ni = len(b.inner_nodes)
+    cols_n = neumann_solve(A, np.zeros((len(b.outer_nodes), ni)), np.eye(ni))
+    s_n = (A.matrix @ cols_n)[b.inner_nodes]
+    t_g = -flux_load_by_edge(A, cols_n[b.outer_nodes])[b.outer_nodes].T
+    return s_n, t_g

@@ -5,7 +5,8 @@ eigendecomposition of (S_N, S_D) per geometry, and assemble_kv takes the
 load from one data-to-load operator per geometry.  These tests hold that
 path to a dense LU solve of the same system, to the load of two sparse data
 lifts and to the direct volume integral of `evaluate`, over generated data
-and regularization strengths, and count the sparse solves it defers.
+and regularization strengths, and count the sparse solves it makes: none
+per data set or epsilon, and one when the flux field is read.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from fluxrec import (CauchyData, assemble_kv, evaluate, fem, solve_completion,
                      sweep)
+from fluxrec import completion as cp
 from fluxrec.completion import KVAssemblyError, NearSingularError
 from fluxrec.regularization import default_grid
 from oracles import two_lift_load
@@ -145,31 +147,26 @@ def test_reuse_carries_eigendecomposition(base):
 
 
 def test_sweep_makes_no_sparse_solve(base, solve_calls):
-    # none per epsilon: the two lifts of J's constant term, once per data set
+    # none per epsilon and none for J's constant term, on every data set
     system = _refresh(base, _data(base, 2))
-    assert len(solve_calls) == 0
     sweep(system, system.data, default_grid())
-    assert len(solve_calls) == 2
     sweep(system, system.data, default_grid(30))
-    assert len(solve_calls) == 2
     sweep(base, _data(base, 3), default_grid())
-    assert len(solve_calls) == 4
+    assert solve_calls == []
 
 
 def test_per_data_set_path_defers_sparse_solves(base, solve_calls):
     data = _data(base, 4)
     res = solve_completion(_refresh(base, data), 5e-4)
-    assert solve_calls == []
     J = res.J
-    assert sorted(solve_calls) == ["solve_dirichlet", "solve_neumann"]
-    # repeated reads make no solve
+    assert solve_calls == []
+    # repeated reads return the cached value
     assert res.J == J and res.J_eps == J + res.epsilon * res.R_D
     res.system.constant_term()
-    assert len(solve_calls) == 2
     psi = res.psi_opt
-    assert solve_calls[2:] == ["solve_neumann"]
+    assert solve_calls == ["solve_neumann"]
     assert res.psi_opt is psi
-    assert len(solve_calls) == 3
+    assert solve_calls == ["solve_neumann"]
     # the deferred values are the ones the direct paths give
     assert np.array_equal(psi.values,
                           fem.solve_neumann(base.stiffness, data.g, res.u_opt).values)
@@ -187,27 +184,59 @@ def test_condition_reported_for_every_epsilon(base):
         solve_completion(base, 0.0)
 
 
-def _scaled_columns(monkeypatch, A, which, factor):
-    """Scale one family of lifted columns, so that S_D or S_N is scaled."""
+def _scaled_dirichlet_columns(monkeypatch, A, factor):
+    """Scale the lifted Dirichlet columns, so that S_D and T_f are scaled."""
     real = fem._ReducedSystem.solve
-    target = getattr(A, which)
 
     def scaled(reduced, boundary_values, load):
         x = real(reduced, boundary_values, load)
-        return factor * x if reduced is target and x.ndim == 2 else x
+        return factor * x if reduced is A._dirichlet and x.ndim == 2 else x
 
     monkeypatch.setattr(fem._ReducedSystem, "solve", scaled)
 
 
+def _patched_outer_dtn(monkeypatch, change):
+    """Serve change(S_OO) for the outer Dirichlet-to-Neumann matrix."""
+    real = fem.StiffnessMatrix.outer_dtn
+    monkeypatch.setattr(fem.StiffnessMatrix, "outer_dtn",
+                        property(lambda A: change(real.__get__(A).copy())))
+
+
+def _zero_data(mesh) -> CauchyData:
+    n = len(mesh.boundary.outer_nodes)
+    return CauchyData(np.zeros(n), np.zeros(n))
+
+
 def test_assembly_rejects_indefinite_s_d(desk_mesh, desk_A, monkeypatch):
-    _scaled_columns(monkeypatch, desk_A, "_dirichlet", -1.0)
-    n = len(desk_mesh.boundary.outer_nodes)
-    with pytest.raises(KVAssemblyError, match="positive definite"):
-        assemble_kv(desk_mesh, desk_A, CauchyData(np.zeros(n), np.zeros(n)))
+    _scaled_dirichlet_columns(monkeypatch, desk_A, -1.0)
+    with pytest.raises(KVAssemblyError, match="S_D is not positive definite"):
+        assemble_kv(desk_mesh, desk_A, _zero_data(desk_mesh))
+
+
+def test_assembly_rejects_indefinite_s_oo(desk_mesh, desk_A, monkeypatch):
+    _patched_outer_dtn(monkeypatch, lambda s: -s)
+    with pytest.raises(KVAssemblyError, match="S_OO is not positive definite"):
+        assemble_kv(desk_mesh, desk_A, _zero_data(desk_mesh))
+
+
+def test_assembly_rejects_asymmetric_s_oo(desk_mesh, desk_A, monkeypatch):
+    def skew(s):
+        s[0, 1] += 1e-10 * np.abs(s).max()
+        return s
+    _patched_outer_dtn(monkeypatch, skew)
+    with pytest.raises(KVAssemblyError, match="S_OO asymmetry"):
+        assemble_kv(desk_mesh, desk_A, _zero_data(desk_mesh))
 
 
 def test_assembly_rejects_violated_ordering(desk_mesh, desk_A, monkeypatch):
-    _scaled_columns(monkeypatch, desk_A, "_neumann", 2.0)
-    n = len(desk_mesh.boundary.outer_nodes)
+    # S_D - S_N = T_f S_OO^-1 T_f' is PSD by construction, so only an
+    # eigensolver fault can break the ordering: shift its eigenvalues
+    real = cp.eigh
+
+    def shifted(*args):
+        lam, vecs = real(*args)
+        return lam + 1e-9, vecs
+
+    monkeypatch.setattr(cp, "eigh", shifted)
     with pytest.raises(KVAssemblyError, match="indefinite"):
-        assemble_kv(desk_mesh, desk_A, CauchyData(np.zeros(n), np.zeros(n)))
+        assemble_kv(desk_mesh, desk_A, _zero_data(desk_mesh))
