@@ -246,7 +246,8 @@ def _cmd_twin(cfg) -> int:
     fio.write_report(os.path.join(out, "twin_report.txt"), {
         "case": spec.case, "noise_level": spec.noise_level, "seed": spec.seed,
         "epsilon": report.epsilon, "max_rel_err_u": report.max_rel_err_u,
-        "J_at_zero": report.J0, "J_eps_at_zero": report.J_eps0,
+        # J_eps equals J at u = 0, as R_D(0) = 0
+        "J_at_zero": report.J0, "J_eps_at_zero": report.J0,
         "J": report.J, "R_D": report.R_D, "J_eps": report.J_eps,
         "residual_norm": report.result.residual_norm,
     })

@@ -11,15 +11,15 @@ on the inner-boundary degrees of freedom, where S_D and S_N are the two
 Dirichlet-to-Neumann (interface) matrices.  S_D and S_N depend on geometry
 only, and are decomposed once per geometry: S_N V = S_D V diag(lam) with
 V' S_D V = I.  So is the load's dependence on the data: by Green
-reciprocity l = T_f f + T_g g, with T_f read off the Dirichlet-lifted
-basis columns that give S_D, and S_N and T_g from T_f and the outer
-Dirichlet-to-Neumann matrix S_OO of fem.  Every data set and eps then has
-the closed (filter-factor) form u(eps) = V diag(1 / (1 + eps - lam)) V' l,
-at O(n_i * n_o) per data set with no sparse solve, and O(n_i) per eps for
-R_D and J less its constant term, n_i and n_o being the inner- and
-outer-boundary node counts.  The constant term is O(n_o^2) dense work, on
-first read, with no sparse solve; only the flux field costs one (a Neumann
-solve), on first read.
+reciprocity l = T_f f + T_g g.  S_D, T_f and the outer Dirichlet-to-Neumann
+matrix S_OO are blocks of fem's boundary Dirichlet-to-Neumann matrix, and
+S_N and T_g follow from them with dense work only.  Every data set and eps
+then has the closed (filter-factor) form
+u(eps) = V diag(1 / (1 + eps - lam)) V' l, at O(n_i * n_o) per data set
+with no sparse solve, and O(n_i) per eps for R_D and J less its constant
+term, n_i and n_o being the inner- and outer-boundary node counts.  The
+constant term is O(n_o^2) dense work, on first read, with no sparse solve;
+only the flux field costs one (a Neumann solve), on first read.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.linalg import eigh, solve_triangular
 
 from . import fem
 from .fem import FluxField, StiffnessMatrix, weighted_normal_derivative
@@ -112,10 +112,9 @@ class KVSystem:
     operator, with one data set.
 
     s_d, s_n, the ascending eigenpairs of S_N v = lam S_D v (eigvecs
-    S_D-orthonormal, as columns), the operator t_f, t_g (n_i x n_o each)
-    and the upper Cholesky factor R of S_OO = R'R (n_o x n_o) depend on the
-    geometry only; `reuse` shares them.  data, load = t_f f + t_g g and the
-    constant term belong to one data set.
+    S_D-orthonormal, as columns) and the operator t_f, t_g (n_i x n_o each)
+    depend on the geometry only; `reuse` shares them.  data,
+    load = t_f f + t_g g and the constant term belong to one data set.
     """
 
     s_d: np.ndarray
@@ -124,7 +123,6 @@ class KVSystem:
     eigvecs: np.ndarray
     t_f: np.ndarray
     t_g: np.ndarray
-    s_oo_chol: np.ndarray
     load: np.ndarray
     mesh: Mesh
     stiffness: StiffnessMatrix
@@ -145,10 +143,11 @@ class KVSystem:
         The gap is the Dirichlet lift of f less the Neumann lift of g, both
         zero on the inner loop, so it is the lift of its outer trace
         f - S_OO^-1 b, b = B g, and its energy is
-        f'S_OO f - 2 f'b + b'S_OO^-1 b = |R f - R'^-1 b|^2.
+        f'S_OO f - 2 f'b + b'S_OO^-1 b = |R f - R'^-1 b|^2, with fem's
+        Cholesky factor S_OO = R'R.
         """
         if self._constant is None:
-            r = self.s_oo_chol
+            r = self.stiffness.outer_dtn_chol
             b = self.stiffness.outer_mass @ self.data.g
             gap = r @ self.data.f - solve_triangular(r, b, trans="T")
             self._constant = 0.5 * float(gap @ gap)
@@ -159,19 +158,16 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
                 reuse: KVSystem | None = None) -> KVSystem:
     """Build the interface system for the given mesh and Cauchy data.
 
-    Each inner-boundary basis function is lifted by a Dirichlet solve (zero
-    on the outer loop); S_D pairs the lifted fields against the trivial
-    extension, which collapses to rows of A times the lifted columns, and
-    the outer rows give T_f = -(A cols_d)[outer]', the map from outer
-    Dirichlet data to inner flux.  The Neumann lift (zero weighted flux on
-    the outer loop) is the Dirichlet lift corrected by the lift of the
-    outer values S_OO^-1 T_f', S_OO the outer Dirichlet-to-Neumann matrix
-    (fem's outer_dtn), so S_N = S_D - T_f S_OO^-1 T_f' with no sparse solve.
-    Invariants (symmetry of S_D and S_OO, S_OO and S_D positive definite,
-    S_D - S_N positive semidefinite) are verified: the Cholesky
-    factorizations of S_OO and, inside the generalized eigendecomposition,
-    of S_D must succeed, and no eigenvalue may exceed 1 + 1e-10.
-    Violations raise KVAssemblyError.
+    S_D = S_II, T_f = -S_IO (the map from outer Dirichlet data to inner
+    flux) and S_OO are blocks of the boundary Dirichlet-to-Neumann matrix
+    S = fem's boundary_dtn, so no sparse solve is made here.  The Neumann
+    lift (zero weighted flux on the outer loop) of an inner basis function
+    is its Dirichlet lift corrected by the lift of the outer values
+    S_OO^-1 T_f', so S_N = S_D - T_f S_OO^-1 T_f'.  fem checks S for
+    symmetry and S_OO for positive definiteness (FemError); here S_D must be
+    positive definite (the Cholesky factorization inside the generalized
+    eigendecomposition must succeed) and S_D - S_N positive semidefinite
+    (no eigenvalue above 1 + 1e-10), or KVAssemblyError is raised.
 
     The load is l = -(A (tilde_d - tilde_n))[inner] for the Dirichlet lift
     of f and the Neumann lift of g, and Green reciprocity against the
@@ -180,11 +176,10 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
 
     Pass a previously assembled system as `reuse` to skip the geometry part
     (eigendecomposition and operator included): the load then costs two
-    dense mat-vecs and no sparse solve.
+    dense mat-vecs.
     """
     b = mesh.boundary
-    ni = len(b.inner_nodes)
-    if ni == 0:
+    if len(b.inner_nodes) == 0:
         raise ValueError("completion requires an inner boundary")
 
     if reuse is not None:
@@ -192,35 +187,19 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
             raise ValueError("reuse system was assembled on a different mesh")
         s_d, s_n = reuse.s_d, reuse.s_n
         eigvals, eigvecs = reuse.eigvals, reuse.eigvecs
-        t_f, t_g, s_oo_chol = reuse.t_f, reuse.t_g, reuse.s_oo_chol
+        t_f, t_g = reuse.t_f, reuse.t_g
     else:
         no = len(b.outer_nodes)
-        # only the boundary rows of A times the lifted columns are needed
-        rows = A.matrix[np.concatenate([b.inner_nodes, b.outer_nodes])]
-        a_cols_d = rows @ A._dirichlet.solve(
-            np.vstack([np.zeros((no, ni)), np.eye(ni)]), None)
-        s_d = a_cols_d[:ni]
-        t_f = -a_cols_d[ni:].T
-        s_oo = A.outer_dtn
-
-        for name, s in (("S_D", s_d), ("S_OO", s_oo)):
-            scale = max(np.abs(s).max(), 1e-300)
-            asym = np.abs(s - s.T).max()
-            if asym > 1e-12 * scale:
-                raise KVAssemblyError(
-                    f"{name} asymmetry {asym:.3e} exceeds 1e-12 relative")
-        s_d = 0.5 * (s_d + s_d.T)
-        try:
-            s_oo_chol = cholesky(0.5 * (s_oo + s_oo.T))
-        except np.linalg.LinAlgError as exc:
-            raise KVAssemblyError(
-                f"S_OO is not positive definite: {exc}") from exc
+        s = A.boundary_dtn
+        s_d = s[no:, no:].copy()
+        t_f = -s[no:, :no]
+        r = A.outer_dtn_chol
         # with S_OO = R'R and W = R'^-1 T_f': S_N = S_D - W'W, and
         # T_g = -(B S_OO^-1 T_f')' = -(B R^-1 W)', B being symmetric
-        w = solve_triangular(s_oo_chol, t_f.T, trans="T")
+        w = solve_triangular(r, t_f.T, trans="T")
         s_n = s_d - w.T @ w
         s_n = 0.5 * (s_n + s_n.T)
-        t_g = -(A.outer_mass @ solve_triangular(s_oo_chol, w)).T
+        t_g = -(A.outer_mass @ solve_triangular(r, w)).T
         try:
             eigvals, eigvecs = eigh(s_n, s_d)
         except np.linalg.LinAlgError as exc:
@@ -233,8 +212,7 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
 
     data.check(mesh)
     load = t_f @ data.f + t_g @ data.g
-    return KVSystem(s_d, s_n, eigvals, eigvecs, t_f, t_g, s_oo_chol, load,
-                    mesh, A, data)
+    return KVSystem(s_d, s_n, eigvals, eigvecs, t_f, t_g, load, mesh, A, data)
 
 
 def _spectral_solve(system: KVSystem, epsilon: float):

@@ -215,7 +215,6 @@ class TwinReport:
     epsilon: float
     max_rel_err_u: float
     J0: float
-    J_eps0: float
     J: float
     R_D: float
     J_eps: float
@@ -296,7 +295,7 @@ def run_twin(mesh: Mesh, spec: TwinSpec, epsilon: float,
     field_err = fem.FluxField(np.abs(result.psi_opt.values - psi_ref.values)
                               / np.abs(psi_ref.values).max(), mesh)
     return TwinReport(spec, float(epsilon), float(err),
-                      J0, J0, result.J, result.R_D, result.J_eps,
+                      J0, result.J, result.R_D, result.J_eps,
                       u_ref, result.u_opt, psi_ref, result.psi_opt,
                       field_err, result, system)
 

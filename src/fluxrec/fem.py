@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cho_solve, cholesky
 from scipy.sparse.linalg import splu
 
 from .mesh import Mesh
@@ -85,16 +86,14 @@ class StiffnessMatrix:
     """Sparse symmetric matrix of the (1/r)-weighted gradient form.
 
     Row sums vanish (the operator annihilates constants) and the diagonal is
-    strictly positive; both are verified at assembly.  Reduced factorizations
-    for the two boundary-condition kinds are computed lazily, once per mesh,
-    and reused by every solve.
+    strictly positive; both are verified at assembly.
 
-    The Dirichlet factor holds both loops.  The Neumann factor holds the
-    inner loop only; its matrix is symmetric positive definite, and it is
-    factored without pivoting, the interior first (in the Dirichlet factor's
-    column order) and the outer-loop nodes last.  The trailing block of that
-    factor is then the Schur complement of the interior, the outer
-    Dirichlet-to-Neumann matrix `outer_dtn`, which costs no extra solve.
+    One sparse factorization is kept per mesh: the Dirichlet factor (both
+    loops held), computed on first use and reused by every solve.  The
+    boundary Dirichlet-to-Neumann matrix `boundary_dtn` is read off a second,
+    boundary-last factorization that is dropped as soon as it is read.  A
+    Neumann solve is then one dense solve on the outer loop, with the
+    Cholesky factor `outer_dtn_chol`, followed by a Dirichlet solve.
     """
 
     matrix: sparse.csr_matrix
@@ -103,41 +102,69 @@ class StiffnessMatrix:
     @cached_property
     def _dirichlet(self) -> "_ReducedSystem":
         b = self.mesh.boundary
-        constrained = np.concatenate([b.outer_nodes, b.inner_nodes])
-        return _ReducedSystem(self, constrained)
+        return _ReducedSystem(self, np.concatenate([b.outer_nodes, b.inner_nodes]))
 
-    @cached_property
-    def _neumann(self) -> "_ReducedSystem":
-        b = self.mesh.boundary
-        if len(b.inner_nodes) == 0:
-            raise ValueError("weighted-Neumann solve requires an inner boundary")
-        dirichlet = self._dirichlet
-        interior = dirichlet.free[np.argsort(dirichlet.factor.perm_c)]
-        return _ReducedSystem(self, b.inner_nodes.copy(),
-                              np.concatenate([interior, b.outer_nodes]),
-                              permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                              options={"SymmetricMode": True})
+    def _boundary_last_factor(self):
+        """SuperLU factor of A without the first inner node's row and column,
+        and the node at each of its positions.
 
-    @cached_property
-    def outer_dtn(self) -> np.ndarray:
-        """S_OO = A_OO - A_OF A_FF^-1 A_FO, outer nodes against outer nodes,
-        F the interior: the weighted flux of the field with the given outer
-        values and zero inner values.  Read off the Neumann factor's
-        trailing block as U_OO' diag(U_OO)^-1 U_OO (an LDL' split of the
-        Schur complement), then un-permuted to outer-loop order.
+        A's kernel is the constants, so holding one node leaves the matrix
+        symmetric positive definite; it is factored without pivoting, the
+        interior first (in the Dirichlet factor's column order), then the
+        outer loop, then the rest of the inner loop.
         """
-        factor = self._neumann.factor
-        n, no = factor.shape[0], len(self.mesh.boundary.outer_nodes)
-        # SuperLU may reorder columns; the trailing block is S_OO only if
-        # the outer nodes stay a set there and every pivot is diagonal
-        tail = factor.perm_c[n - no:] - (n - no)
-        if not (np.array_equal(factor.perm_r, factor.perm_c)
-                and tail.min() >= 0):
-            raise FemError("assemble: outer nodes not eliminated last in the "
-                           "Neumann factor")
-        u = factor.U[n - no:, n - no:].toarray()
-        s = u.T @ (u / u.diagonal()[:, None])
-        return s[np.ix_(tail, tail)]
+        b = self.mesh.boundary
+        d = self._dirichlet
+        order = np.concatenate([d.free[np.argsort(d.factor.perm_c)],
+                                b.outer_nodes, b.inner_nodes[1:]])
+        reduced = self.matrix.tocsc()[order][:, order].tocsc()
+        factor = splu(reduced, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+        return factor, order
+
+    @cached_property
+    def boundary_dtn(self) -> np.ndarray:
+        """S = A_GG - A_GF A_FF^-1 A_FG, G the boundary nodes (outer loop,
+        then inner loop, in BoundaryIndex order) and F the interior: the
+        weighted flux of the field with the given boundary values and no
+        interior load.  Its blocks are the interface matrices: S_II = S_D,
+        S_IO = -T_f, and S_OO the outer Dirichlet-to-Neumann matrix.
+
+        The trailing block of the boundary-last factor is S without the held
+        node's row and column; as S annihilates constants, those follow from
+        zero row sums.  FemError unless S is symmetric within 1e-12 relative
+        and the held node's diagonal entry is positive.
+        """
+        b = self.mesh.boundary
+        no, ni = len(b.outer_nodes), len(b.inner_nodes)
+        if ni == 0:
+            raise ValueError("a weighted-Neumann solve or interface system "
+                             "requires an inner boundary")
+        # the factor is dropped as soon as its trailing block is read
+        block = _trailing_block(self._boundary_last_factor()[0], no + ni - 1)
+        rest = np.delete(np.arange(no + ni), no)
+        s = np.empty((no + ni, no + ni))
+        s[np.ix_(rest, rest)] = block
+        s[rest, no] = s[no, rest] = -block.sum(axis=1)
+        s[no, no] = block.sum()
+        asym = np.abs(s - s.T).max()
+        if asym > 1e-12 * np.abs(s).max():
+            raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
+                           f"asymmetry {asym:.3e} exceeds 1e-12 relative")
+        if not s[no, no] > 0.0:
+            raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
+                           f"has diagonal entry {s[no, no]:.3e} at the held node")
+        return 0.5 * (s + s.T)
+
+    @cached_property
+    def outer_dtn_chol(self) -> np.ndarray:
+        """Upper Cholesky factor R of the outer block S_OO = R'R of
+        boundary_dtn; FemError if S_OO is not positive definite."""
+        no = len(self.mesh.boundary.outer_nodes)
+        try:
+            return cholesky(self.boundary_dtn[:no, :no])
+        except np.linalg.LinAlgError as exc:
+            raise FemError(f"assemble: S_OO is not positive definite: {exc}") from exc
 
     @cached_property
     def outer_mass(self) -> sparse.csr_matrix:
@@ -159,39 +186,46 @@ class StiffnessMatrix:
                                  shape=(len(k), len(k))).tocsr()
 
 
-class _ReducedSystem:
-    """LU factorization of the stiffness matrix minus constrained rows/cols.
+def _trailing_block(factor, k: int) -> np.ndarray:
+    """Schur complement of the leading unknowns of a factored symmetric
+    positive definite matrix, on its last k unknowns in their own order:
+    U_TT' diag(U_TT)^-1 U_TT (an LDL' split), un-permuted by perm_c.
 
-    `free` gives the order of the reduced unknowns (ascending node order by
-    default); the keyword options go to splu.
+    SuperLU may reorder columns; the block is that complement only if the
+    last k unknowns stay a set there and every pivot is diagonal.
     """
+    n = factor.shape[0]
+    tail = factor.perm_c[n - k:] - (n - k)
+    if not (np.array_equal(factor.perm_r, factor.perm_c) and tail.min() >= 0):
+        raise FemError("assemble: boundary nodes not eliminated last")
+    u = factor.U[n - k:, n - k:].toarray()
+    s = u.T @ (u / u.diagonal()[:, None])
+    return s[np.ix_(tail, tail)]
 
-    def __init__(self, A: StiffnessMatrix, constrained: np.ndarray,
-                 free: np.ndarray | None = None, **options):
-        if free is None:
-            mask = np.ones(A.mesh.node_count, dtype=bool)
-            mask[constrained] = False
-            free = np.flatnonzero(mask)
-        self.free = free
+
+class _ReducedSystem:
+    """LU factorization of the stiffness matrix minus constrained rows/cols,
+    the free unknowns in ascending node order."""
+
+    def __init__(self, A: StiffnessMatrix, constrained: np.ndarray):
+        mask = np.ones(A.mesh.node_count, dtype=bool)
+        mask[constrained] = False
+        self.free = np.flatnonzero(mask)
         self.constrained = constrained
         csc = A.matrix.tocsc()
-        self.coupling = csc[free][:, constrained]
-        reduced = csc[free][:, free]
+        self.coupling = csc[self.free][:, constrained]
         try:
-            self.factor = splu(reduced.tocsc(), **options)
+            self.factor = splu(csc[self.free][:, self.free].tocsc())
         except RuntimeError as exc:  # pragma: no cover - signals assembly bug
             raise FemError(f"singular reduced system: {exc}") from exc
 
-    def solve(self, boundary_values: np.ndarray, load: np.ndarray | None) -> np.ndarray:
-        """Nodal solution for the constrained values, or one column per
-        column of a 2-D block of them."""
+    def solve(self, boundary_values: np.ndarray) -> np.ndarray:
+        """Nodal solution with no interior load for the constrained values,
+        or one column per column of a 2-D block of them."""
         n = len(self.free) + len(self.constrained)
         x = np.zeros((n,) + np.shape(boundary_values)[1:])
         x[self.constrained] = boundary_values
-        rhs = -(self.coupling @ boundary_values)
-        if load is not None:
-            rhs += load[self.free]
-        x[self.free] = self.factor.solve(rhs)
+        x[self.free] = self.factor.solve(-(self.coupling @ boundary_values))
         return x
 
 
@@ -269,7 +303,7 @@ def solve_dirichlet(A: StiffnessMatrix, f, v) -> FluxField:
     b = A.mesh.boundary
     f = _boundary_values(f, len(b.outer_nodes), "f")
     v = _boundary_values(v, len(b.inner_nodes), "v")
-    x = A._dirichlet.solve(np.concatenate([f, v]), None)
+    x = A._dirichlet.solve(np.concatenate([f, v]))
     return FluxField(x, A.mesh)
 
 
@@ -277,13 +311,18 @@ def solve_neumann(A: StiffnessMatrix, g, v) -> FluxField:
     """Solve with weighted Neumann data g on the outer loop, Dirichlet v inside.
 
     The inner Dirichlet condition removes the constant nullspace, so the
-    solution is unique.
+    solution is unique.  Eliminating the interior leaves S_OO w + S_OI v = B g
+    for the outer values w (S = boundary_dtn, B = outer_mass), one dense
+    solve with the Cholesky factor of S_OO; the field is then the Dirichlet
+    solution with w outside and v inside.
     """
     b = A.mesh.boundary
-    g = _boundary_values(g, len(b.outer_nodes), "g")
+    no = len(b.outer_nodes)
+    g = _boundary_values(g, no, "g")
     v = _boundary_values(v, len(b.inner_nodes), "v")
-    load = boundary_flux_load(A, g)
-    x = A._neumann.solve(v, load)
+    flux = A.outer_mass @ g - A.boundary_dtn[:no, no:] @ v
+    w = cho_solve((A.outer_dtn_chol, False), flux, check_finite=False)
+    x = A._dirichlet.solve(np.concatenate([w, v]))
     return FluxField(x, A.mesh)
 
 

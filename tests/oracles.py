@@ -5,7 +5,8 @@ text-format oracles read one token and write one value at a time, and the
 mesh-generator oracle works one point, ray and triangle at a time; the
 interface-load and constant-term oracles lift the data by two sparse
 solves, and the interface oracles solve for whole blocks of lifted
-columns."""
+columns; every field-solve oracle factors its matrix afresh in node
+order."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   minimum_spanning_tree)
 from scipy.sparse.linalg import splu
 
-from fluxrec import fem
 from fluxrec.fem import FluxField
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
                           _angles_about, _EdgeBoundExceeded, _resample_closed,
@@ -760,13 +760,38 @@ def neumann_solve(A, g, v) -> np.ndarray:
     return x
 
 
+def dirichlet_solve(A, f, v) -> np.ndarray:
+    """Nodal Dirichlet solution (values f outside, v inside, no interior
+    load) from a fresh factorization in ascending node order; 2-D blocks
+    give one column each."""
+    b = A.mesh.boundary
+    held = np.concatenate([b.outer_nodes, b.inner_nodes])
+    free = np.setdiff1d(np.arange(A.mesh.node_count), held)
+    csc = A.matrix.tocsc()
+    values = np.concatenate([f, v])
+    x = np.zeros((A.mesh.node_count,) + np.shape(values)[1:])
+    x[held] = values
+    x[free] = splu(csc[free][:, free].tocsc()).solve(
+        -(csc[free][:, held] @ values))
+    return x
+
+
+def dirichlet_block_interface(A) -> tuple[np.ndarray, np.ndarray]:
+    """S_D and T_f from a Dirichlet solve of every inner basis function
+    (zero outside): S_D = (A cols_d)[inner], T_f = -(A cols_d)[outer]'."""
+    b = A.mesh.boundary
+    ni = len(b.inner_nodes)
+    a_cols_d = A.matrix @ dirichlet_solve(
+        A, np.zeros((len(b.outer_nodes), ni)), np.eye(ni))
+    return a_cols_d[b.inner_nodes], -a_cols_d[b.outer_nodes].T
+
+
 def two_lift_load(system) -> np.ndarray:
     """Interface load -(A (tilde_d - tilde_n))[inner] from fresh Dirichlet and
     Neumann lifts of the system's data, with zero inner values."""
     A, data = system.stiffness, system.data
     zero = np.zeros(len(system.mesh.boundary.inner_nodes))
-    gap = (fem.solve_dirichlet(A, data.f, zero).values
-           - neumann_solve(A, data.g, zero))
+    gap = dirichlet_solve(A, data.f, zero) - neumann_solve(A, data.g, zero)
     return -(A.matrix @ gap)[system.mesh.boundary.inner_nodes]
 
 
@@ -774,8 +799,7 @@ def two_lift_constant(system) -> float:
     """J's constant term as half the energy of the same gap field."""
     A, data = system.stiffness, system.data
     zero = np.zeros(len(system.mesh.boundary.inner_nodes))
-    gap = (fem.solve_dirichlet(A, data.f, zero).values
-           - neumann_solve(A, data.g, zero))
+    gap = dirichlet_solve(A, data.f, zero) - neumann_solve(A, data.g, zero)
     return 0.5 * float(gap @ (A.matrix @ gap))
 
 

@@ -1,13 +1,18 @@
-"""The outer Dirichlet-to-Neumann matrix and the solve-free interface path.
+"""The boundary Dirichlet-to-Neumann matrix and the solve-free interface path.
 
-fem reads S_OO off the trailing block of the boundary-last Neumann factor,
-and assemble_kv builds S_N, T_g and J's constant term from it with dense
-work only.  These tests hold each of them to the block-solve or two-lift
-path it replaced (oracles in `oracles`), on the three fixed geometries and
-on generated ring-ladder meshes, and check the guard on the factor's
-column order.
+fem reads S, the boundary Dirichlet-to-Neumann matrix, off the trailing
+block of one boundary-last factor and then drops that factor.  assemble_kv
+takes S_D, T_f and S_OO as blocks of S and builds S_N, T_g and J's constant
+term from them with dense work only, and a Neumann field solve is one dense
+outer solve and a Dirichlet solve.  These tests hold each of them to the
+block-solve, two-lift or fresh-factor path it replaced (oracles in
+`oracles`), on the three fixed geometries and on generated ring-ladder
+meshes, check the guards on the factor's column order and on S, and count
+the sparse factorizations a mesh makes and keeps.
 """
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,12 +20,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fluxrec import CauchyData, assemble_kv, assemble_stiffness
+from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, fem,
+                     solve_dirichlet, solve_neumann)
 from fluxrec.fem import FemError
 from fluxrec.mesh import (MeshGeometryError, generate_annulus_mesh,
                           scale_toward_centroid)
-from oracles import (neumann_block_interface, schur_by_block_solve,
-                     two_lift_constant)
+from conftest import build_square_mesh
+from oracles import (dirichlet_block_interface, dirichlet_solve,
+                     neumann_block_interface, neumann_solve,
+                     schur_by_block_solve, two_lift_constant)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -45,7 +53,29 @@ def _with_data(system, seed):
 
 
 def _check_schur(A):
-    assert _rel(A.outer_dtn, schur_by_block_solve(A)) <= 1e-12
+    no = len(A.mesh.boundary.outer_nodes)
+    assert _rel(A.boundary_dtn[:no, :no], schur_by_block_solve(A)) <= 1e-12
+
+
+def _check_dirichlet_blocks(A):
+    """S_II = S_D and -S_IO = T_f, against the Dirichlet block solve."""
+    no = len(A.mesh.boundary.outer_nodes)
+    s_d, t_f = dirichlet_block_interface(A)
+    assert _rel(A.boundary_dtn[no:, no:], s_d) <= 1e-10
+    assert _rel(-A.boundary_dtn[no:, :no], t_f) <= 1e-10
+
+
+def _check_field_solves(A, seed):
+    """Both field solves against fresh factorizations in node order, on
+    random boundary data of random magnitudes."""
+    rng = np.random.default_rng(seed)
+    b = A.mesh.boundary
+    f, g = rng.standard_normal((2, len(b.outer_nodes))) \
+        * 10.0 ** rng.uniform(-2.0, 2.0, (2, 1))
+    v = rng.standard_normal(len(b.inner_nodes)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    assert _rel(solve_neumann(A, g, v).values, neumann_solve(A, g, v)) <= 1e-12
+    assert _rel(solve_dirichlet(A, f, v).values,
+                dirichlet_solve(A, f, v)) <= 1e-12
 
 
 def _check_constant(system):
@@ -67,6 +97,24 @@ def base(request):
 
 def test_outer_dtn_matches_block_solve_schur(base):
     _check_schur(base.stiffness)
+
+
+def test_boundary_dtn_blocks_match_dirichlet_block_solve(base):
+    _check_dirichlet_blocks(base.stiffness)
+
+
+def test_boundary_dtn_is_symmetric_and_annihilates_constants(base):
+    s = base.stiffness.boundary_dtn
+    no = len(base.mesh.boundary.outer_nodes)
+    assert np.array_equal(s, s.T)
+    assert s[no, no] > 0.0
+    assert np.abs(s.sum(axis=1)).max() <= 1e-12 * np.abs(s).max()
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds)
+def test_field_solves_match_fresh_factors(base, seed):
+    _check_field_solves(base.stiffness, seed)
 
 
 @settings(max_examples=10, deadline=None)
@@ -101,63 +149,129 @@ def ring_ladder_meshes(draw):
 def test_oracles_hold_on_generated_meshes(mesh, seed):
     system = _zero_system(mesh, assemble_stiffness(mesh))
     _check_schur(system.stiffness)
+    _check_dirichlet_blocks(system.stiffness)
+    _check_field_solves(system.stiffness, seed)
     _check_neumann_path(system)
     _check_constant(_with_data(system, seed))
 
 
-def _with_fake_factor(mesh, perm_c, perm_r=None):
-    """A fresh stiffness matrix whose Neumann factor has its unknowns moved
-    to other positions, as SuperLU's column postorder or row pivoting could
-    move them.  perm_c(n, n_o) gives the position of each reduced unknown;
-    perm_r, the row positions, defaults to perm_c."""
-    A = assemble_stiffness(mesh)
-    real = A._neumann.factor
-    n, no = real.shape[0], len(mesh.boundary.outer_nodes)
-    cols = perm_c(n, no)
+@pytest.fixture(scope="module")
+def desk_factor(desk_A):
+    """The desk mesh's boundary-last factor, its node order and the length
+    of its tail."""
+    factor, order = desk_A._boundary_last_factor()
+    b = desk_A.mesh.boundary
+    return factor, order, len(b.outer_nodes) + len(b.inner_nodes) - 1
+
+
+def _fake_factor(factor, k, perm_c, perm_r=None):
+    """The factor with its unknowns moved to other positions, as SuperLU's
+    column postorder or row pivoting could move them.  perm_c(n, k) gives
+    the position of each unknown; perm_r, the row positions, defaults to
+    perm_c."""
+    n = factor.shape[0]
+    cols = perm_c(n, k)
     at = np.argsort(cols)                   # the unknown at each position
-    A.__dict__["_neumann"] = SimpleNamespace(factor=SimpleNamespace(
-        shape=real.shape, perm_c=cols,
-        perm_r=cols if perm_r is None else perm_r(n, no),
-        U=real.U[at][:, at]))
-    return A
+    return SimpleNamespace(shape=factor.shape, perm_c=cols,
+                           perm_r=cols if perm_r is None else perm_r(n, k),
+                           U=factor.U[at][:, at])
 
 
-def _identity(n, no):
+def _identity(n, k):
     return np.arange(n)
 
 
-def _reversed_tail(n, no):
+def _reversed_tail(n, k):
     perm = np.arange(n)
-    perm[n - no:] = perm[n - no:][::-1]
+    perm[n - k:] = perm[n - k:][::-1]
     return perm
 
 
-def _swapped_ends(n, no):
+def _swapped_ends(n, k):
     perm = np.arange(n)
     perm[[0, n - 1]] = perm[[n - 1, 0]]
     return perm
 
 
-def test_factor_is_boundary_last_without_pivoting(desk_A):
-    factor = desk_A._neumann.factor
+def test_factor_is_boundary_last_without_pivoting(desk_A, desk_factor):
+    factor, order, k = desk_factor
     n = factor.shape[0]
     assert np.array_equal(factor.perm_c, np.arange(n))
     assert np.array_equal(factor.perm_r, factor.perm_c)
-    no = len(desk_A.mesh.boundary.outer_nodes)
-    assert np.array_equal(desk_A._neumann.free[n - no:],
-                          desk_A.mesh.boundary.outer_nodes)
+    b = desk_A.mesh.boundary
+    assert n == desk_A.mesh.node_count - 1
+    assert np.array_equal(order[n - k:],
+                          np.concatenate([b.outer_nodes, b.inner_nodes[1:]]))
 
 
-def test_outer_dtn_unpermutes_a_reordered_tail(desk_mesh, desk_A):
-    A = _with_fake_factor(desk_mesh, _reversed_tail)
-    assert _rel(A.outer_dtn, desk_A.outer_dtn) <= 1e-15
+def test_outer_dtn_unpermutes_a_reordered_tail(desk_factor):
+    factor, _, k = desk_factor
+    fake = _fake_factor(factor, k, _reversed_tail)
+    assert _rel(fem._trailing_block(fake, k),
+                fem._trailing_block(factor, k)) <= 1e-15
 
 
 @pytest.mark.parametrize("perm_c, perm_r", [(_swapped_ends, None),
                                             (_identity, _swapped_ends)],
                          ids=["interior_in_tail", "off_diagonal_pivots"])
-def test_outer_dtn_rejects_broken_factor_order(desk_mesh, perm_c, perm_r):
-    A = _with_fake_factor(desk_mesh, perm_c, perm_r)
+def test_outer_dtn_rejects_broken_factor_order(desk_factor, perm_c, perm_r):
+    factor, _, k = desk_factor
     with pytest.raises(FemError,
-                       match="assemble: outer nodes not eliminated last"):
-        A.outer_dtn
+                       match="assemble: boundary nodes not eliminated last"):
+        fem._trailing_block(_fake_factor(factor, k, perm_c, perm_r), k)
+
+
+def test_boundary_dtn_rejects_a_non_positive_held_diagonal(desk_mesh,
+                                                          monkeypatch):
+    # a negated trailing block is symmetric, but S then has a negative
+    # diagonal entry at the held node (its asymmetry guard is tested in
+    # test_spectral_path)
+    real = fem._trailing_block
+    monkeypatch.setattr(fem, "_trailing_block",
+                        lambda factor, k: -real(factor, k))
+    with pytest.raises(FemError, match="diagonal entry .* at the held node"):
+        assemble_stiffness(desk_mesh).boundary_dtn
+
+
+def test_mesh_without_inner_boundary_has_no_boundary_dtn():
+    A = assemble_stiffness(build_square_mesh(4))
+    for call in (lambda: A.boundary_dtn, lambda: solve_neumann(A, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="requires an inner boundary"):
+            call()
+
+
+class _Watched:
+    """A SuperLU factor that records reads of its L and U."""
+
+    def __init__(self, factor):
+        self._factor = factor
+        self.read = []
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            self.read.append(name)
+        return getattr(self._factor, name)
+
+
+def test_one_factor_outlives_assembly(iter_mesh, monkeypatch):
+    made = []
+    real = fem.splu
+
+    def watched(*args, **kwargs):
+        factor = _Watched(real(*args, **kwargs))
+        made.append((weakref.ref(factor), factor.read))
+        return factor
+
+    monkeypatch.setattr(fem, "splu", watched)
+    A = assemble_stiffness(iter_mesh)
+    n = len(iter_mesh.boundary.outer_nodes)
+    assemble_kv(iter_mesh, A, CauchyData(np.ones(n), np.ones(n)))
+    solve_neumann(A, 1.0, 0.5)
+    solve_dirichlet(A, 1.0, 0.5)
+    assert len(made) == 2
+    gc.collect()
+    alive = [ref() for ref, _ in made if ref() is not None]
+    assert alive == [A._dirichlet.factor]
+    assert A._dirichlet.factor.read == []
+    # the dropped boundary-last factor was read, so the watch works
+    assert [read for ref, read in made if ref() is None] == [["U"]]

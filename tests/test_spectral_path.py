@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxrec import (CauchyData, assemble_kv, evaluate, fem, solve_completion,
-                     sweep)
+from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, evaluate, fem,
+                     solve_completion, sweep)
 from fluxrec import completion as cp
 from fluxrec.completion import KVAssemblyError, NearSingularError
+from fluxrec.fem import FemError
 from fluxrec.regularization import default_grid
 from oracles import two_lift_load
 
@@ -184,22 +185,18 @@ def test_condition_reported_for_every_epsilon(base):
         solve_completion(base, 0.0)
 
 
-def _scaled_dirichlet_columns(monkeypatch, A, factor):
-    """Scale the lifted Dirichlet columns, so that S_D and T_f are scaled."""
-    real = fem._ReducedSystem.solve
+def _negated_block(monkeypatch, outer: bool):
+    """Serve the boundary Dirichlet-to-Neumann matrix with its outer-outer
+    (or inner-inner) block negated."""
+    real = fem.StiffnessMatrix.boundary_dtn
 
-    def scaled(reduced, boundary_values, load):
-        x = real(reduced, boundary_values, load)
-        return factor * x if reduced is A._dirichlet and x.ndim == 2 else x
+    def negated(A):
+        s = real.__get__(A).copy()
+        no = len(A.mesh.boundary.outer_nodes)
+        s[np.s_[:no, :no] if outer else np.s_[no:, no:]] *= -1.0
+        return s
 
-    monkeypatch.setattr(fem._ReducedSystem, "solve", scaled)
-
-
-def _patched_outer_dtn(monkeypatch, change):
-    """Serve change(S_OO) for the outer Dirichlet-to-Neumann matrix."""
-    real = fem.StiffnessMatrix.outer_dtn
-    monkeypatch.setattr(fem.StiffnessMatrix, "outer_dtn",
-                        property(lambda A: change(real.__get__(A).copy())))
+    monkeypatch.setattr(fem.StiffnessMatrix, "boundary_dtn", property(negated))
 
 
 def _zero_data(mesh) -> CauchyData:
@@ -207,25 +204,31 @@ def _zero_data(mesh) -> CauchyData:
     return CauchyData(np.zeros(n), np.zeros(n))
 
 
-def test_assembly_rejects_indefinite_s_d(desk_mesh, desk_A, monkeypatch):
-    _scaled_dirichlet_columns(monkeypatch, desk_A, -1.0)
+def test_assembly_rejects_indefinite_s_d(desk_mesh, monkeypatch):
+    _negated_block(monkeypatch, outer=False)
     with pytest.raises(KVAssemblyError, match="S_D is not positive definite"):
-        assemble_kv(desk_mesh, desk_A, _zero_data(desk_mesh))
+        assemble_kv(desk_mesh, assemble_stiffness(desk_mesh),
+                    _zero_data(desk_mesh))
 
 
-def test_assembly_rejects_indefinite_s_oo(desk_mesh, desk_A, monkeypatch):
-    _patched_outer_dtn(monkeypatch, lambda s: -s)
-    with pytest.raises(KVAssemblyError, match="S_OO is not positive definite"):
-        assemble_kv(desk_mesh, desk_A, _zero_data(desk_mesh))
+def test_assembly_rejects_indefinite_s_oo(desk_mesh, monkeypatch):
+    _negated_block(monkeypatch, outer=True)
+    with pytest.raises(FemError, match="S_OO is not positive definite"):
+        assemble_kv(desk_mesh, assemble_stiffness(desk_mesh),
+                    _zero_data(desk_mesh))
 
 
-def test_assembly_rejects_asymmetric_s_oo(desk_mesh, desk_A, monkeypatch):
-    def skew(s):
+def test_assembly_rejects_asymmetric_s_oo(desk_mesh, monkeypatch):
+    # the outer loop leads the boundary-last factor's tail
+    def skew(factor, k):
+        s = real(factor, k)
         s[0, 1] += 1e-10 * np.abs(s).max()
         return s
-    _patched_outer_dtn(monkeypatch, skew)
-    with pytest.raises(KVAssemblyError, match="S_OO asymmetry"):
-        assemble_kv(desk_mesh, desk_A, _zero_data(desk_mesh))
+    real = fem._trailing_block
+    monkeypatch.setattr(fem, "_trailing_block", skew)
+    with pytest.raises(FemError, match="asymmetry"):
+        assemble_kv(desk_mesh, assemble_stiffness(desk_mesh),
+                    _zero_data(desk_mesh))
 
 
 def test_assembly_rejects_violated_ordering(desk_mesh, desk_A, monkeypatch):
