@@ -17,9 +17,12 @@ S_N and T_g follow from them with dense work only.  Every data set and eps
 then has the closed (filter-factor) form
 u(eps) = V diag(1 / (1 + eps - lam)) V' l, at O(n_i * n_o) per data set
 with no sparse solve, and O(n_i) per eps for R_D and J less its constant
-term, n_i and n_o being the inner- and outer-boundary node counts.  The
-constant term is O(n_o^2) dense work, on first read, with no sparse solve;
-only the flux field costs one (a Neumann solve), on first read.
+term, n_i and n_o being the inner- and outer-boundary node counts.  A sweep
+over k values of eps is one (k x n_i) array pass.  The constant term is
+O(n_o^2) dense work, on first read, with no sparse solve: one BLAS
+triangular product and one triangular solve with fem's Cholesky factor of
+S_OO.  Only the flux field costs a sparse solve (a Neumann solve), on first
+read.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, solve_triangular
+from scipy.linalg.blas import dtrmv, dtrsv
 
 from . import fem
 from .fem import FluxField, StiffnessMatrix, weighted_normal_derivative
@@ -112,8 +116,9 @@ class KVSystem:
     operator, with one data set.
 
     s_d, s_n, the ascending eigenpairs of S_N v = lam S_D v (eigvecs
-    S_D-orthonormal, as columns) and the operator t_f, t_g (n_i x n_o each)
-    depend on the geometry only; `reuse` shares them.  data,
+    S_D-orthonormal, as columns), the misfit weights (1 - lam) / 2 of the
+    closed form and the operator t_f, t_g (n_i x n_o each) depend on the
+    geometry only; `reuse` shares them.  data,
     load = t_f f + t_g g and the constant term belong to one data set.
     """
 
@@ -121,6 +126,7 @@ class KVSystem:
     s_n: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
+    weights: np.ndarray
     t_f: np.ndarray
     t_g: np.ndarray
     load: np.ndarray
@@ -144,12 +150,15 @@ class KVSystem:
         zero on the inner loop, so it is the lift of its outer trace
         f - S_OO^-1 b, b = B g, and its energy is
         f'S_OO f - 2 f'b + b'S_OO^-1 b = |R f - R'^-1 b|^2, with fem's
-        Cholesky factor S_OO = R'R.
+        Cholesky factor S_OO = R'R.  R f and R'^-1 b are BLAS calls on the
+        Fortran-ordered factor, with no finiteness scan of R per data set:
+        fem's cholesky checked R when it built it, and CauchyData rejects
+        non-finite f and g.
         """
         if self._constant is None:
             r = self.stiffness.outer_dtn_chol
             b = self.stiffness.outer_mass @ self.data.g
-            gap = r @ self.data.f - solve_triangular(r, b, trans="T")
+            gap = dtrmv(r, self.data.f) - dtrsv(r, b, trans=1, overwrite_x=1)
             self._constant = 0.5 * float(gap @ gap)
         return self._constant
 
@@ -186,7 +195,7 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
         if reuse.mesh is not mesh or reuse.stiffness is not A:
             raise ValueError("reuse system was assembled on a different mesh")
         s_d, s_n = reuse.s_d, reuse.s_n
-        eigvals, eigvecs = reuse.eigvals, reuse.eigvecs
+        eigvals, eigvecs, weights = reuse.eigvals, reuse.eigvecs, reuse.weights
         t_f, t_g = reuse.t_f, reuse.t_g
     else:
         no = len(b.outer_nodes)
@@ -209,40 +218,53 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
             raise KVAssemblyError(
                 f"S_D - S_N is indefinite: generalized eigenvalue "
                 f"{eigvals[-1]:.12g} exceeds 1 + 1e-10")
+        weights = 0.5 * (1.0 - eigvals)
 
     data.check(mesh)
     load = t_f @ data.f + t_g @ data.g
-    return KVSystem(s_d, s_n, eigvals, eigvecs, t_f, t_g, load, mesh, A, data)
+    return KVSystem(s_d, s_n, eigvals, eigvecs, weights, t_f, t_g, load,
+                    mesh, A, data)
 
 
-def _spectral_solve(system: KVSystem, epsilon: float):
-    """Closed-form optimum at one epsilon: (u, J - C, R_D, condition).
+def _spectral(system: KVSystem, epsilon):
+    """Closed-form optimum in the eigenbasis: (a, J - C, R_D).
 
-    With c = V'l, d = 1 + eps - lam and a = c / d: u = V a, R_D = |a|^2 / 2,
-    J = sum((1 - lam) a^2) / 2 - c'a + C (the quadratic identity, C the
-    constant term, which is left to the caller, as it is the same for every
-    eps) and condition = max(d) / min(d).  J is a difference of
-    terms of size C, so it carries a roundoff floor of a few ulps of C, of
-    either sign: for noise-free MANUFACTURED:one on the desk mesh (C = 0.42)
-    the true J is 4.2e-13 at eps = 1e-6 and 4e-17 at 1e-8, where the closed
-    form reads 1.1e-16.  The eigenvalues carry an absolute error of about
-    n_i ulps, so a condition above 1 / (n_i * machine epsilon) raises
-    NearSingularError; eps = 0 always does, as min(1 - lam) is 0 to roundoff.
+    epsilon is a float, or a (k, 1) column of them for a sweep.  With
+    c = V'l, d = 1 + eps - lam and a = c / d (one row per epsilon): the
+    control is u = V a, R_D = |a|^2 / 2 and J = sum((1 - lam) a^2) / 2 - c'a
+    + C (the quadratic identity, C the constant term, which is left to the
+    caller, as it is the same for every eps).  J - C and R_D are sums along
+    the last axis, so a row of the column case is bitwise the float case.
+    J is a difference of terms of size C, so it carries a roundoff floor of
+    a few ulps of C, of either sign: for noise-free MANUFACTURED:one on the
+    desk mesh (C = 0.42) the true J is 4.2e-13 at eps = 1e-6 and 4e-17 at
+    1e-8, where the closed form reads 1.1e-16.  Check each epsilon with
+    _near_singular first.
     """
-    if not 0.0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    d = 1.0 + epsilon - system.eigvals
-    d_min, d_max = d.min(), d.max()
-    if not d_min > system.size * _EPS * d_max:
-        raise NearSingularError(
-            f"interface system at epsilon {epsilon:g} is near singular: "
-            f"smallest 1 + eps - lambda is {d_min:.3e}, condition "
-            f"{d_max / abs(d_min):.3e}")
     c = system.eigvecs.T @ system.load
-    a = c / d
-    J_less_constant = 0.5 * ((1.0 - system.eigvals) * a) @ a - c @ a
-    return (system.eigvecs @ a, J_less_constant, 0.5 * float(a @ a),
-            float(d_max / d_min))
+    a = c / (1.0 + epsilon - system.eigvals)
+    return (a, np.add.reduce(a * (system.weights * a - c), axis=-1),
+            0.5 * np.add.reduce(a * a, axis=-1))
+
+
+def _near_singular(system: KVSystem, epsilon: float) -> str | None:
+    """NearSingularError's message if the system at epsilon is too near
+    singular for its eigenvalues to resolve, else None.
+
+    The eigenvalues carry an absolute error of about n_i ulps, so a
+    condition max(d) / min(d) above 1 / (n_i * machine epsilon) raises;
+    eps = 0 always does, as min(1 - lam) is 0 to roundoff (exactly 0 gives
+    condition inf).  The eigenvalues ascend, so min(d) and max(d) are d's
+    end entries, bitwise.
+    """
+    lam = system.eigvals
+    d_min, d_max = 1.0 + epsilon - lam[-1], 1.0 + epsilon - lam[0]
+    if d_min > system.size * _EPS * d_max:
+        return None
+    with np.errstate(divide="ignore"):
+        return (f"interface system at epsilon {epsilon:g} is near singular: "
+                f"smallest 1 + eps - lambda is {d_min:.3e}, condition "
+                f"{d_max / abs(d_min):.3e}")
 
 
 def evaluate(system: KVSystem, data: CauchyData, u, epsilon: float = 0.0):
@@ -275,19 +297,28 @@ def solve_completion(system: KVSystem, epsilon: float,
                      data: CauchyData | None = None) -> CompletionResult:
     """Solve the regularized interface system and reconstruct the flux.
 
-    u, J and R_D come in closed form (see _spectral_solve); epsilon = 0
-    raises NearSingularError.  Data other than system.data are assembled
+    u, J and R_D come in closed form (see _spectral), and the condition
+    estimate is max(d) / min(d); NearSingularError where _near_singular
+    says so, as at epsilon = 0.  Data other than system.data are assembled
     with reuse=system first.  No sparse solve is made here: J and the flux
     are computed on first read (see CompletionResult).
     """
     epsilon = float(epsilon)
     if data is not None and data is not system.data:
         system = assemble_kv(system.mesh, system.stiffness, data, reuse=system)
-    u, J_less_constant, R_D, condition = _spectral_solve(system, epsilon)
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    message = _near_singular(system, epsilon)
+    if message:
+        raise NearSingularError(message)
+    a, J_less_constant, R_D = _spectral(system, epsilon)
+    u = system.eigvecs @ a
+    lam = system.eigvals
+    condition = (1.0 + epsilon - lam[0]) / (1.0 + epsilon - lam[-1])
     r = (1.0 + epsilon) * (system.s_d @ u) - system.s_n @ u - system.load
     residual = float(np.linalg.norm(r) / (np.linalg.norm(system.load) or 1.0))
-    return CompletionResult(u, R_D, epsilon, residual, condition, system,
-                            J_less_constant)
+    return CompletionResult(u, float(R_D), epsilon, residual, float(condition),
+                            system, float(J_less_constant))
 
 
 def optimality_residual(system: KVSystem, u_opt, epsilon: float,

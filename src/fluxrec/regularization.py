@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completion import CauchyData, KVSystem, _spectral_solve, assemble_kv
+from .completion import (CauchyData, KVSystem, _near_singular, _spectral,
+                         assemble_kv)
 
 
 class DegenerateCurveError(RuntimeError):
@@ -58,30 +59,27 @@ def default_grid(count: int = 20, lo: float = 1e-6, hi: float = 1e-1) -> np.ndar
 def sweep(system: KVSystem, data: CauchyData | None, eps_grid) -> LCurve:
     """J and R_D on every grid value, and the L-curve corner.
 
-    Each point comes in closed form from the system's eigendecomposition,
-    with no flux field per epsilon, and J's constant term is dense work
-    once per data set, so a sweep makes no sparse solve.  Data other than
-    system.data are first assembled with reuse=system.  Points whose solve
-    fails are dropped and recorded.
+    The points come in closed form from the system's eigendecomposition, in
+    one array pass over (grid x inner nodes), with no flux field per
+    epsilon; J's constant term is dense work once per data set, so a sweep
+    makes no sparse solve.  Each row equals, bitwise, what solve_completion
+    gives at that epsilon.  Data other than system.data are first assembled
+    with reuse=system.  Grid values at which the system is too near
+    singular are dropped and recorded with the NearSingularError message
+    solve_completion would raise there.
     """
     grid = _check_grid(eps_grid)
     if data is not None and data is not system.data:
         system = assemble_kv(system.mesh, system.stiffness, data, reuse=system)
-    constant = system.constant_term()
-    eps_ok, js, rds, dropped = [], [], [], []
-    for eps in grid:
-        try:
-            _, J_less_constant, R_D, _ = _spectral_solve(system, float(eps))
-        except RuntimeError as exc:
-            dropped.append((float(eps), str(exc)))
-            continue
-        eps_ok.append(float(eps))
-        js.append(float(J_less_constant + constant))
-        rds.append(R_D)
-    if len(eps_ok) < 5:
+    messages = {eps: _near_singular(system, eps) for eps in grid.tolist()}
+    kept = grid[[message is None for message in messages.values()]]
+    if len(kept) < 5:
         raise RuntimeError(
-            f"only {len(eps_ok)} sweep points succeeded; need at least 5")
-    curve = LCurve(np.array(eps_ok), np.array(js), np.array(rds), dropped=dropped)
+            f"only {len(kept)} sweep points succeeded; need at least 5")
+    _, J_less_constant, R_D = _spectral(system, kept[:, None])
+    curve = LCurve(kept, J_less_constant + system.constant_term(), R_D,
+                   dropped=[(eps, message) for eps, message in messages.items()
+                            if message])
     find_corner(curve)
     return curve
 

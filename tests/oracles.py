@@ -6,7 +6,7 @@ mesh-generator oracle works one point, ray and triangle at a time; the
 interface-load and constant-term oracles lift the data by two sparse
 solves, and the interface oracles solve for whole blocks of lifted
 columns; every field-solve oracle factors its matrix afresh in node
-order."""
+order; the sweep oracle solves one epsilon at a time."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError
                           distance_to_polyline, loops_intersect, points_in_polygon,
                           polygon_area, polygon_centroid, triangle_areas)
 from fluxrec.postprocess import EmptyIsolineError, Isoline
+from fluxrec.regularization import LCurve
 
 STATE_ORDER = {"open": 0, "closed": 1, "empty": 2}   # as the level rises
 
@@ -824,3 +825,32 @@ def neumann_block_interface(system) -> tuple[np.ndarray, np.ndarray]:
     s_n = (A.matrix @ cols_n)[b.inner_nodes]
     t_g = -flux_load_by_edge(A, cols_n[b.outer_nodes])[b.outer_nodes].T
     return s_n, t_g
+
+
+def sweep_by_epsilon(system, grid) -> LCurve:
+    """The L-curve points (no corner) one epsilon at a time, each with its
+    own near-singular test, V'l and dot products, as sweep computed them
+    before its one array pass; RuntimeError below 5 points."""
+    grid = np.asarray(grid, dtype=float)
+    lam, V = system.eigvals, system.eigvecs
+    constant = system.constant_term()
+    eps_ok, js, rds, dropped = [], [], [], []
+    for eps in grid.tolist():
+        d = 1.0 + eps - lam
+        d_min, d_max = d.min(), d.max()
+        if not d_min > system.size * np.finfo(float).eps * d_max:
+            with np.errstate(divide="ignore"):
+                condition = d_max / abs(d_min)
+            dropped.append((eps, f"interface system at epsilon {eps:g} is "
+                                 f"near singular: smallest 1 + eps - lambda "
+                                 f"is {d_min:.3e}, condition {condition:.3e}"))
+            continue
+        c = V.T @ system.load
+        a = c / d
+        eps_ok.append(eps)
+        js.append(float(0.5 * ((1.0 - lam) * a) @ a - c @ a + constant))
+        rds.append(0.5 * float(a @ a))
+    if len(eps_ok) < 5:
+        raise RuntimeError(
+            f"only {len(eps_ok)} sweep points succeeded; need at least 5")
+    return LCurve(np.array(eps_ok), np.array(js), np.array(rds), dropped=dropped)

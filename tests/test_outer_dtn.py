@@ -123,6 +123,12 @@ def test_constant_term_matches_two_lifts(base, seed):
     _check_constant(_with_data(base, seed))
 
 
+def test_outer_dtn_chol_is_fortran_ordered(base):
+    # constant_term's BLAS calls read the factor in place, with no copy of
+    # it per data set
+    assert base.stiffness.outer_dtn_chol.flags.f_contiguous
+
+
 def test_interface_matches_neumann_block_path(base):
     _check_neumann_path(base)
 

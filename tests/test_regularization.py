@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fluxrec import assemble_kv, find_corner, solve_completion, sweep
+from fluxrec.completion import NearSingularError
 from fluxrec.regularization import DegenerateCurveError, LCurve, default_grid
 from fluxrec.experiments import TwinSpec, generate_reference
 
@@ -85,23 +86,18 @@ def test_sweep_independent_of_evaluation_order(desk_mesh, desk_A):
     assert np.array_equal(curve.misfits, np.array(reversed_js)[::-1])
 
 
-def test_sweep_drops_failed_points(desk_mesh, desk_A, monkeypatch):
+def test_sweep_drops_failed_points(desk_mesh, desk_A):
+    # below eps ~ 1e-15, min(1 + eps - lambda) is eigenvalue roundoff
     _, data = generate_reference(desk_mesh, desk_A, TwinSpec("MANUFACTURED:r2"))
     system = assemble_kv(desk_mesh, desk_A, data)
-    import fluxrec.regularization as reg
-    real = reg._spectral_solve
-    bad = float(default_grid(8, 1e-6, 1e-2)[3])
-
-    def flaky(system, eps):
-        if eps == bad:
-            raise RuntimeError("injected failure")
-        return real(system, eps)
-
-    monkeypatch.setattr(reg, "_spectral_solve", flaky)
-    curve = reg.sweep(system, data, default_grid(8, 1e-6, 1e-2))
-    assert len(curve) == 7
-    assert len(curve.dropped) == 1
-    assert curve.dropped[0][0] == bad
+    grid = np.geomspace(1e-2, 1e-18, 12)
+    curve = sweep(system, data, grid)
+    assert np.array_equal(curve.epsilons, grid[:9])
+    assert [eps for eps, _ in curve.dropped] == grid[9:].tolist()
+    for eps, message in curve.dropped:
+        with pytest.raises(NearSingularError) as raised:
+            solve_completion(system, eps)
+        assert message == str(raised.value)
 
 
 def test_default_grid_shape():

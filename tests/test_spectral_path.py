@@ -4,10 +4,13 @@ solve_completion and sweep take u, J and R_D from one generalized
 eigendecomposition of (S_N, S_D) per geometry, and assemble_kv takes the
 load from one data-to-load operator per geometry.  These tests hold that
 path to a dense LU solve of the same system, to the load of two sparse data
-lifts and to the direct volume integral of `evaluate`, over generated data
-and regularization strengths, and count the sparse solves it makes: none
-per data set or epsilon, and one when the flux field is read.
+lifts, to the direct volume integral of `evaluate` and (for sweep's one
+array pass) to the per-epsilon loop it replaced, over generated data,
+regularization strengths and grids, and count the sparse solves it makes:
+none per data set or epsilon, and one when the flux field is read.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -15,17 +18,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, evaluate, fem,
-                     solve_completion, sweep)
+                     find_corner, solve_completion, sweep)
 from fluxrec import completion as cp
 from fluxrec.completion import KVAssemblyError, NearSingularError
 from fluxrec.fem import FemError
 from fluxrec.regularization import default_grid
-from oracles import two_lift_load
+from oracles import sweep_by_epsilon, two_lift_load
 
 seeds = st.integers(0, 2 ** 32 - 1)
 # log-uniform over the range of default_grid
 epsilons = st.floats(-6.0, -1.0).map(lambda x: 10.0 ** x)
 examples = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def decreasing_grids(draw):
+    """5 to 40 values in [1e-18, 1], strictly decreasing and at least 0.05
+    decades apart; the smallest ones leave the interface system near
+    singular."""
+    steps = draw(st.lists(st.integers(-360, 0), min_size=5, max_size=40,
+                          unique=True))
+    return 10.0 ** (np.sort(steps)[::-1] / 20.0)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +167,30 @@ def test_sweep_makes_no_sparse_solve(base, solve_calls):
     sweep(system, system.data, default_grid(30))
     sweep(base, _data(base, 3), default_grid())
     assert solve_calls == []
+
+
+@examples
+@given(seed=seeds, grid=decreasing_grids())
+def test_sweep_matches_per_epsilon_loop(any_base, seed, grid):
+    system = _refresh(any_base, _data(any_base, seed))
+    try:
+        ref = sweep_by_epsilon(system, grid)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+            sweep(system, None, grid)
+        return
+    curve = sweep(system, None, grid)
+    assert np.array_equal(curve.epsilons, ref.epsilons)
+    assert curve.dropped == ref.dropped
+    # the sums run in another order: J within a few ulps of C, R_D of itself
+    C = system.constant_term()
+    assert np.abs(curve.misfits - ref.misfits).max() <= 1e-12 * C
+    assert np.all(np.abs(curve.regularizers - ref.regularizers)
+                  <= 1e-13 * ref.regularizers)
+    # below J's roundoff floor the corner is picked from roundoff
+    if np.all(ref.misfits > 1e-9 * C):
+        find_corner(ref)
+        assert curve.corner_index == ref.corner_index
 
 
 def test_per_data_set_path_defers_sparse_solves(base, solve_calls):
