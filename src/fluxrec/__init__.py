@@ -10,9 +10,8 @@ from .completion import (CauchyData, CompletionResult, KVSystem, assemble_kv,
                          evaluate, optimality_residual, quadratic_misfit,
                          solve_completion)
 from .fem import (FluxField, StiffnessMatrix, assemble_stiffness,
-                  boundary_flux_load, energy_norm_sq, interpolate,
-                  solve_dirichlet, solve_neumann, trace,
-                  weighted_normal_derivative)
+                  energy_norm_sq, interpolate, solve_dirichlet, solve_neumann,
+                  trace, weighted_normal_derivative)
 from .mesh import (INNER, OUTER, BoundaryIndex, Mesh, circle_loop, dee_loop,
                    generate_annulus_mesh, load_mesh, save_mesh,
                    scale_toward_centroid)
@@ -25,9 +24,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CauchyData", "CompletionResult", "KVSystem", "assemble_kv", "evaluate",
     "optimality_residual", "quadratic_misfit", "solve_completion",
-    "FluxField", "StiffnessMatrix", "assemble_stiffness", "boundary_flux_load",
-    "energy_norm_sq", "interpolate", "solve_dirichlet", "solve_neumann",
-    "trace", "weighted_normal_derivative",
+    "FluxField", "StiffnessMatrix", "assemble_stiffness", "energy_norm_sq",
+    "interpolate", "solve_dirichlet", "solve_neumann", "trace",
+    "weighted_normal_derivative",
     "INNER", "OUTER", "BoundaryIndex", "Mesh", "circle_loop", "dee_loop",
     "generate_annulus_mesh", "load_mesh", "save_mesh", "scale_toward_centroid",
     "FieldSample", "Isoline", "extract_isoline", "find_plasma_boundary",

@@ -139,14 +139,9 @@ def _merge(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _require(cfg: dict, *keys):
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigError(f"missing required option(s): {', '.join(missing)}")
-
-
 def _option(cfg, key, kind, default=None):
-    """Option `key` converted by `kind` (float or int), else `default`."""
+    """Option `key` converted by `kind` (str, float or int), else `default`;
+    with no default the option is required."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required option: {key}")
@@ -159,14 +154,12 @@ def _option(cfg, key, kind, default=None):
 
 
 def _twin_spec(cfg) -> ex.TwinSpec:
-    _require(cfg, "case")
-    return ex.TwinSpec(cfg["case"], _option(cfg, "noise_level", float, 0.0),
+    return ex.TwinSpec(_option(cfg, "case", str), _option(cfg, "noise_level", float, 0.0),
                        _option(cfg, "seed", int, 0))
 
 
 def _load_mesh(cfg):
-    _require(cfg, "mesh_path")
-    return load_mesh(cfg["mesh_path"])
+    return load_mesh(_option(cfg, "mesh_path", str))
 
 
 def _outdir(cfg) -> str:
@@ -206,11 +199,8 @@ def _cmd_mesh(cfg) -> int:
     return EXIT_OK
 
 
-def _write_completion(out, mesh, result, data) -> None:
-    fio.write_report(os.path.join(out, "report.txt"), {
-        "J": result.J, "R_D": result.R_D, "J_eps": result.J_eps,
-        "epsilon": result.epsilon, "residual_norm": result.residual_norm,
-    })
+def _write_completion(out, mesh, result) -> None:
+    """u_opt.csv, psi_opt.csv and psi_opt.vtk of a completion result."""
     fio.write_control_csv(os.path.join(out, "u_opt.csv"), mesh, result.u_opt)
     fio.write_flux_csv(os.path.join(out, "psi_opt.csv"), result.psi_opt)
     fio.write_vtk(os.path.join(out, "psi_opt.vtk"), result.psi_opt)
@@ -219,13 +209,15 @@ def _write_completion(out, mesh, result, data) -> None:
 def _cmd_complete(cfg) -> int:
     out = _outdir(cfg)
     mesh = _load_mesh(cfg)
-    _require(cfg, "data_path")
-    data = fio.read_cauchy_csv(cfg["data_path"], mesh)
+    data = fio.read_cauchy_csv(_option(cfg, "data_path", str), mesh)
     epsilon = _option(cfg, "epsilon", float)
     A = assemble_stiffness(mesh)
-    system = cp.assemble_kv(mesh, A, data)
-    result = cp.solve_completion(system, epsilon)
-    _write_completion(out, mesh, result, data)
+    result = cp.solve_completion(cp.assemble_kv(mesh, A, data), epsilon)
+    fio.write_report(os.path.join(out, "report.txt"), {
+        "J": result.J, "R_D": result.R_D, "J_eps": result.J_eps,
+        "epsilon": result.epsilon, "residual_norm": result.residual_norm,
+    })
+    _write_completion(out, mesh, result)
     print(f"J = {result.J:.6g}  R_D = {result.R_D:.6g}  "
           f"J_eps = {result.J_eps:.6g}  (epsilon = {epsilon:g})")
     return EXIT_OK
@@ -243,21 +235,21 @@ def _cmd_twin(cfg) -> int:
     spec = _twin_spec(cfg)
     epsilon = _option(cfg, "epsilon", float)
     report = ex.run_twin(mesh, spec, epsilon)
+    result = report.result
+    # at u = 0 both J and J_eps equal the constant term, as R_D(0) = 0
+    j0 = result.system.constant_term()
     fio.write_report(os.path.join(out, "twin_report.txt"), {
         "case": spec.case, "noise_level": spec.noise_level, "seed": spec.seed,
-        "epsilon": report.epsilon, "max_rel_err_u": report.max_rel_err_u,
-        # J_eps equals J at u = 0, as R_D(0) = 0
-        "J_at_zero": report.J0, "J_eps_at_zero": report.J0,
-        "J": report.J, "R_D": report.R_D, "J_eps": report.J_eps,
-        "residual_norm": report.result.residual_norm,
+        "epsilon": result.epsilon, "max_rel_err_u": report.max_rel_err_u,
+        "J_at_zero": j0, "J_eps_at_zero": j0,
+        "J": result.J, "R_D": result.R_D, "J_eps": result.J_eps,
+        "residual_norm": result.residual_norm,
     })
-    fio.write_control_csv(os.path.join(out, "u_opt.csv"), mesh, report.u_opt)
+    _write_completion(out, mesh, result)
     fio.write_control_csv(os.path.join(out, "u_ref.csv"), mesh, report.u_ref)
-    fio.write_flux_csv(os.path.join(out, "psi_opt.csv"), report.psi_opt)
     fio.write_flux_csv(os.path.join(out, "field_rel_err.csv"), report.field_rel_err)
-    fio.write_vtk(os.path.join(out, "psi_opt.vtk"), report.psi_opt)
     print(f"max_rel_err_u = {report.max_rel_err_u:.6g}  "
-          f"J = {report.J:.6g}  R_D = {report.R_D:.6g}")
+          f"J = {result.J:.6g}  R_D = {result.R_D:.6g}")
     return EXIT_OK
 
 
@@ -284,8 +276,7 @@ def _cmd_lcurve(cfg) -> int:
 def _cmd_contour(cfg) -> int:
     out = _outdir(cfg)
     mesh = _load_mesh(cfg)
-    _require(cfg, "field_path")
-    fld = fio.read_flux_csv(cfg["field_path"], mesh)
+    fld = fio.read_flux_csv(_option(cfg, "field_path", str), mesh)
     if cfg.get("plasma_boundary"):
         limiter = None
         if "limiter_path" in cfg:

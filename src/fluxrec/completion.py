@@ -185,15 +185,18 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
 
     Pass a previously assembled system as `reuse` to skip the geometry part
     (eigendecomposition and operator included): the load then costs two
-    dense mat-vecs.
+    dense mat-vecs.  ValueError if A was assembled on another mesh, or
+    `reuse` with another A.
     """
     b = mesh.boundary
     if len(b.inner_nodes) == 0:
         raise ValueError("completion requires an inner boundary")
+    if A.mesh is not mesh:
+        raise ValueError("stiffness matrix was assembled on a different mesh")
 
     if reuse is not None:
-        if reuse.mesh is not mesh or reuse.stiffness is not A:
-            raise ValueError("reuse system was assembled on a different mesh")
+        if reuse.stiffness is not A:
+            raise ValueError("reuse system was assembled with another stiffness matrix")
         s_d, s_n = reuse.s_d, reuse.s_n
         eigvals, eigvecs, weights = reuse.eigvals, reuse.eigvecs, reuse.weights
         t_f, t_g = reuse.t_f, reuse.t_g

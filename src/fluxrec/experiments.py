@@ -13,7 +13,7 @@ with the given 64-bit seed; the f draws come first, then the g draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -209,22 +209,15 @@ class TwinSpec:
 
 @dataclass
 class TwinReport:
-    """Outcome of one twin run."""
+    """Outcome of one twin run: the completion result (its system holds the
+    noisy data) and its errors against the reference."""
 
     spec: TwinSpec
-    epsilon: float
-    max_rel_err_u: float
-    J0: float
-    J: float
-    R_D: float
-    J_eps: float
+    result: CompletionResult
     u_ref: np.ndarray
-    u_opt: np.ndarray
     psi_ref: fem.FluxField
-    psi_opt: fem.FluxField
+    max_rel_err_u: float
     field_rel_err: fem.FluxField
-    result: CompletionResult = field(repr=False, default=None)
-    system: KVSystem = field(repr=False, default=None)
 
 
 def generate_reference(mesh: Mesh, A: fem.StiffnessMatrix,
@@ -233,8 +226,11 @@ def generate_reference(mesh: Mesh, A: fem.StiffnessMatrix,
 
     The reference solves the Neumann problem with the spec's inner value and
     g profile; the Dirichlet trace f is read off the outer boundary, so the
-    returned (f, g) pair is compatible by construction.
+    returned (f, g) pair is compatible by construction.  ValueError if A
+    was assembled on another mesh.
     """
+    if A.mesh is not mesh:
+        raise ValueError("stiffness matrix was assembled on a different mesh")
     b = mesh.boundary
     ro, zo = mesh.nodes[b.outer_nodes, 0], mesh.nodes[b.outer_nodes, 1]
     ri, zi = mesh.nodes[b.inner_nodes, 0], mesh.nodes[b.inner_nodes, 1]
@@ -284,40 +280,36 @@ def run_twin(mesh: Mesh, spec: TwinSpec, epsilon: float,
         A = system.stiffness if system is not None else fem.assemble_stiffness(mesh)
     psi_ref, clean = generate_reference(mesh, A, spec)
     noisy = add_noise(clean, spec.noise_level, spec.seed)
-    system = cp.assemble_kv(mesh, A, noisy, reuse=system)
-    # at u = 0 both J and J_eps equal the constant term, as R_D(0) = 0
-    J0 = system.constant_term()
-    result = cp.solve_completion(system, epsilon)
+    result = cp.solve_completion(cp.assemble_kv(mesh, A, noisy, reuse=system),
+                                 epsilon)
 
     u_ref = fem.trace(psi_ref, INNER)
     # normalized by max |u_ref|, so sign-changing references stay finite
     err = np.abs(result.u_opt - u_ref).max() / np.abs(u_ref).max()
     field_err = fem.FluxField(np.abs(result.psi_opt.values - psi_ref.values)
                               / np.abs(psi_ref.values).max(), mesh)
-    return TwinReport(spec, float(epsilon), float(err),
-                      J0, result.J, result.R_D, result.J_eps,
-                      u_ref, result.u_opt, psi_ref, result.psi_opt,
-                      field_err, result, system)
+    return TwinReport(spec, result, u_ref, psi_ref, float(err), field_err)
 
 
-def table1_grid(mesh: Mesh, seed: int = 0,
-                noise_levels=(0.0, 0.01, 0.05)) -> tuple[str, dict]:
+def table1_grid(mesh: Mesh, seed: int = 0) -> tuple[str, dict]:
     """Max relative u errors for TC1/TC2 across noise levels, as text + dict.
 
-    Uses the per-noise regularization strengths of the reference tables.
+    Runs the noise levels and per-noise regularization strengths of the
+    reference tables, TABLE_EPSILONS.
     """
     A = fem.assemble_stiffness(mesh)
     system = None
     rows = {}
-    for p in noise_levels:
+    levels = TABLE_EPSILONS["TC1"]
+    for p in levels:
         for case in ("TC1", "TC2"):
             eps = TABLE_EPSILONS[case][p]
             report = run_twin(mesh, TwinSpec(case, p, seed), eps,
                               A=A, system=system)
-            system = report.system
+            system = report.result.system
             rows[(case, p)] = report
     lines = ["noise_level  error_TC1  error_TC2"]
-    for p in noise_levels:
+    for p in levels:
         lines.append(f"{p:>11.0%}  {rows[('TC1', p)].max_rel_err_u:9.4f}  "
                      f"{rows[('TC2', p)].max_rel_err_u:9.4f}")
     return "\n".join(lines) + "\n", rows

@@ -169,13 +169,16 @@ class StiffnessMatrix:
     @cached_property
     def outer_mass(self) -> sparse.csr_matrix:
         """Outer boundary mass B (n_o x n_o, cyclic tridiagonal): B g is the
-        outer-loop part of boundary_flux_load(g)."""
+        load of the natural boundary term on the outer loop, for g the
+        weighted normal derivative (1/r) dpsi/dn at the outer nodes (the 1/r
+        weight is folded into g).  Each edge uses 2-point Gauss with g linear
+        along it, exact for the product g * phi_i.
+        """
         outer = self.mesh.boundary.outer_nodes
         k = np.arange(len(outer))
         nxt = np.roll(k, -1)
         pts = self.mesh.nodes[outer]
         lengths = np.linalg.norm(pts[nxt] - pts, axis=1)
-        # 2-point Gauss on each edge, with g linear along it
         q = np.array(_EDGE_POINTS)
         w = 0.5 * np.array([(1.0 - q) @ (1.0 - q), q @ (1.0 - q), q @ q])
         vals = np.concatenate([w[0] * lengths, w[1] * lengths,
@@ -220,10 +223,8 @@ class _ReducedSystem:
             raise FemError(f"singular reduced system: {exc}") from exc
 
     def solve(self, boundary_values: np.ndarray) -> np.ndarray:
-        """Nodal solution with no interior load for the constrained values,
-        or one column per column of a 2-D block of them."""
-        n = len(self.free) + len(self.constrained)
-        x = np.zeros((n,) + np.shape(boundary_values)[1:])
+        """Nodal solution with no interior load for the constrained values."""
+        x = np.zeros(len(self.free) + len(self.constrained))
         x[self.constrained] = boundary_values
         x[self.free] = self.factor.solve(-(self.coupling @ boundary_values))
         return x
@@ -268,29 +269,6 @@ def _boundary_values(values, count: int, what: str) -> np.ndarray:
     if arr.shape != (count,):
         raise ValueError(f"{what} has length {arr.shape}, boundary has {count} nodes")
     return arr
-
-
-def boundary_flux_load(A: StiffnessMatrix, g) -> np.ndarray:
-    """Load vector of the natural boundary term on the outer loop.
-
-    g is the weighted normal derivative (1/r) dpsi/dn at the outer boundary
-    nodes; since the 1/r weight is folded into g, the edge integrals of
-    g * phi_i carry no extra factor.  Each edge uses 2-point Gauss with g
-    interpolated linearly between its nodal values (exact for this product),
-    which is the outer boundary mass B applied to g.  A 2-D block of g
-    columns gives one load column per column.
-    """
-    b = A.mesh.boundary
-    no = len(b.outer_nodes)
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim == 2:
-        if len(g) != no:
-            raise ValueError(f"g has {len(g)} rows, boundary has {no} nodes")
-    else:
-        g = _boundary_values(g, no, "g")
-    load = np.zeros((A.mesh.node_count,) + g.shape[1:])
-    load[b.outer_nodes] = A.outer_mass @ g
-    return load
 
 
 def solve_dirichlet(A: StiffnessMatrix, f, v) -> FluxField:

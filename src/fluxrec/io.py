@@ -65,7 +65,7 @@ def read_flux_csv(path, mesh: Mesh) -> FluxField:
     return FluxField(psi[:, 0], mesh)
 
 
-def write_vtk(path, fld: FluxField, name: str = "psi") -> None:
+def write_vtk(path, fld: FluxField) -> None:
     """Legacy ASCII unstructured-grid file with one point scalar field."""
     mesh = fld.mesh
     n, m = mesh.node_count, mesh.triangle_count
@@ -76,7 +76,7 @@ def write_vtk(path, fld: FluxField, name: str = "psi") -> None:
          *mesh.nodes.T),
         (f"CELLS {m} {4 * m}\n", "3 {} {} {}\n", *mesh.triangles.T),
         (f"CELL_TYPES {m}\n" + "5\n" * m + f"POINT_DATA {n}\n"
-         f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", "{}\n", fld.values))
+         "SCALARS psi double 1\nLOOKUP_TABLE default\n", "{}\n", fld.values))
 
 
 def write_cauchy_csv(path, mesh: Mesh, data: CauchyData) -> None:
@@ -107,16 +107,13 @@ def write_lcurve_csv(path, curve: LCurve) -> None:
                        (np.arange(len(curve)) == curve.corner_index).astype(int)))
 
 
-def write_isoline_csv(path, isolines) -> None:
+def write_isoline_csv(path, iso: Isoline) -> None:
     """Polylines as polyline_id,vertex_index,r,z rows."""
-    if isinstance(isolines, Isoline):
-        isolines = [isolines]
-    polys = [poly for iso in isolines for poly in iso.polylines]
-    sizes = np.array([len(poly) for poly in polys], dtype=int)
+    sizes = np.array([len(poly) for poly in iso.polylines], dtype=int)
     _write_rows(path, ("polyline_id,vertex_index,r,z\n", "{},{},{},{}\n",
-                       np.repeat(np.arange(len(polys)), sizes),
+                       np.repeat(np.arange(len(sizes)), sizes),
                        np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes),
-                       *np.concatenate([np.empty((0, 2)), *polys]).T))
+                       *np.concatenate([np.empty((0, 2)), *iso.polylines]).T))
 
 
 def read_polyline_csv(path) -> np.ndarray:

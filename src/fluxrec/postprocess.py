@@ -43,14 +43,13 @@ class FieldSample:
 
 @dataclass
 class Isoline:
-    """One flux level's contour: raw segments plus chained polylines.
+    """One flux level's contour as chained polylines.
 
     closed is True when every chained polyline is a closed loop;
     inside_domain is True when no polyline terminates on the outer boundary.
     """
 
     level: float
-    segments: list
     polylines: list = field(default_factory=list)
     polyline_closed: list = field(default_factory=list)
     closed: bool = False
@@ -107,7 +106,7 @@ def extract_isoline(fld: FluxField, level: float) -> Isoline:
     hit = cut.any(axis=1)
     # a crossed triangle has exactly two crossed edges, kept in local order
     seg_rows = e.triangle_rows[hit][cut[hit]]
-    iso = Isoline(level=float(level), segments=[])
+    iso = Isoline(level=float(level))
     if len(seg_rows) == 0:
         return iso
 
@@ -122,7 +121,6 @@ def extract_isoline(fld: FluxField, level: float) -> Isoline:
     t = ((lev - va) / (vb - va))[:, None]
     points = (1.0 - t) * mesh.nodes[lo] + t * mesh.nodes[hi]
 
-    iso.segments = list(zip(points[links[:, 0]], points[links[:, 1]]))
     for path, is_closed in chain_walk(links):
         iso.polylines.append(points[path + path[:1] if is_closed else path])
         iso.polyline_closed.append(is_closed)

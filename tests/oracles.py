@@ -254,12 +254,14 @@ def boundary_index_dict(mesh: Mesh):
     return out
 
 
-def extract_isoline_dict(fld: FluxField, level: float, mesh: Mesh) -> Isoline:
+def extract_isoline_dict(fld: FluxField, level: float,
+                         mesh: Mesh) -> tuple[Isoline, list]:
     """Marching triangles with a Python loop over crossed triangles, crossing
     points and ids kept in dicts keyed by node pair, and a dict adjacency
     walk: open chains from their contour endpoints first, in order of first
     crossing, then closed chains.  Boundary labels come from a dict over the
-    boundary edge list."""
+    boundary edge list.  Returns the isoline and its segments, one pair of
+    crossing points per crossed triangle."""
     values = fld.values
     vmin, vmax = float(values.min()), float(values.max())
     if not (vmin <= level <= vmax):
@@ -293,9 +295,9 @@ def extract_isoline_dict(fld: FluxField, level: float, mesh: Mesh) -> Isoline:
         segments.append((edge_point[cut[0]].copy(), edge_point[cut[1]].copy()))
         seg_edges.append((cut[0], cut[1]))
 
-    iso = Isoline(level=float(level), segments=segments)
+    iso = Isoline(level=float(level))
     if not seg_edges:
-        return iso
+        return iso, segments
     adjacency: dict[tuple, list[int]] = {}
     for si, (ea, eb) in enumerate(seg_edges):
         adjacency.setdefault(ea, []).append(si)
@@ -339,7 +341,7 @@ def extract_isoline_dict(fld: FluxField, level: float, mesh: Mesh) -> Isoline:
               in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)}
     iso.closed = all(iso.polyline_closed) and bool(iso.polylines)
     iso.inside_domain = not any(labels.get(k) == OUTER for k in endpoints)
-    return iso
+    return iso, segments
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +459,7 @@ def write_flux_csv_by_row(path, fld) -> None:
             fh.write(f"{i},{_fmt(r)},{_fmt(z)},{_fmt(v)}\n")
 
 
-def write_vtk_by_row(path, fld, name: str = "psi") -> None:
+def write_vtk_by_row(path, fld) -> None:
     mesh = fld.mesh
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -474,7 +476,7 @@ def write_vtk_by_row(path, fld, name: str = "psi") -> None:
         fh.write(f"CELL_TYPES {m}\n")
         fh.write("5\n" * m)
         fh.write(f"POINT_DATA {mesh.node_count}\n")
-        fh.write(f"SCALARS {name} double 1\n")
+        fh.write("SCALARS psi double 1\n")
         fh.write("LOOKUP_TABLE default\n")
         for v in fld.values:
             fh.write(f"{_fmt(v)}\n")
@@ -505,17 +507,12 @@ def write_lcurve_csv_by_row(path, curve) -> None:
                      f"{1 if i == curve.corner_index else 0}\n")
 
 
-def write_isoline_csv_by_row(path, isolines) -> None:
-    if isinstance(isolines, Isoline):
-        isolines = [isolines]
+def write_isoline_csv_by_row(path, iso) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("polyline_id,vertex_index,r,z\n")
-        pid = 0
-        for iso in isolines:
-            for poly in iso.polylines:
-                for k, (r, z) in enumerate(poly):
-                    fh.write(f"{pid},{k},{_fmt(r)},{_fmt(z)}\n")
-                pid += 1
+        for pid, poly in enumerate(iso.polylines):
+            for k, (r, z) in enumerate(poly):
+                fh.write(f"{pid},{k},{_fmt(r)},{_fmt(z)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +727,9 @@ def _ladder_mesh_by_loop(outer: np.ndarray, inner: np.ndarray, center: np.ndarra
 
 
 def flux_load_by_edge(A, g) -> np.ndarray:
-    """fem.boundary_flux_load one Gauss point at a time, scattered per edge
-    by np.add.at; g may be a 2-D block of columns."""
+    """Nodal load of the natural boundary term on the outer loop (the outer
+    rows hold StiffnessMatrix.outer_mass @ g), one Gauss point at a time,
+    scattered per edge by np.add.at; g may be a 2-D block of columns."""
     mesh = A.mesh
     outer = mesh.boundary.outer_nodes
     nxt = np.roll(np.arange(len(outer)), -1)

@@ -84,7 +84,7 @@ def table1_errors(iter_mesh, iter_A):
             for seed in range(10 if p > 0 else 1):
                 rep = run_twin(iter_mesh, TwinSpec(case, p, seed), eps,
                                A=iter_A, system=system)
-                system = rep.system
+                system = rep.result.system
                 runs.append(rep.max_rel_err_u)
             errors[(case, p)] = float(np.mean(runs))
     errors["elapsed"] = time.perf_counter() - t0
@@ -166,8 +166,8 @@ def test_criterion_05_discrete_optimality(iter_mesh, iter_A):
             eps = TABLE_EPSILONS[case][p]
             rep = run_twin(iter_mesh, TwinSpec(case, p, 3), eps, A=iter_A,
                            system=system)
-            system = rep.system
-            opt = optimality_residual(system, rep.u_opt, eps)
+            system = rep.result.system
+            opt = optimality_residual(system, rep.result.u_opt, eps)
             rel_opt = np.linalg.norm(opt) / np.linalg.norm(system.load)
             run_ok = rep.result.residual_norm < 1e-10 and rel_opt < 1e-8
             ok &= run_ok
@@ -261,7 +261,7 @@ def test_criterion_09_plasma_boundary(desk_mesh, iter_mesh, iter_A):
     spec = TwinSpec("TC2", 0.01, 0,
                     g_spec=lambda r, z, nr, nz: loop.weighted_flux(r, z, nr, nz))
     rep = run_twin(iter_mesh, spec, 1e-3, A=iter_A)
-    _, iso2, mode2 = find_plasma_boundary(rep.psi_opt)
+    _, iso2, mode2 = find_plasma_boundary(rep.result.psi_opt)
     closed = iso2.encircles(hole)
     _report(9, oracle_gap < 1e-9 and closed,
             f"saddle transition vs scan oracle {oracle_gap:.1e} (< 1e-9 of range, "

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxrec import interpolate
+from fluxrec import assemble_kv, assemble_stiffness, interpolate
 from fluxrec.experiments import (TABLE_EPSILONS, TwinSpec,
                                  add_noise, generate_reference, loop_flux_field,
                                  manufactured, run_twin, table1_grid)
 from fluxrec.completion import CauchyData
+from fluxrec.mesh import circle_loop, generate_annulus_mesh
 
 
 def test_constant_case_with_zero_flux(desk_mesh, desk_A):
@@ -106,7 +107,7 @@ def test_mean_error_nondecreasing_in_noise(iter_mesh, iter_A):
             rep = run_twin(iter_mesh,
                            TwinSpec("TC1", p, seed),
                            TABLE_EPSILONS["TC1"][p], A=iter_A, system=system)
-            system = rep.system
+            system = rep.result.system
             errs.append(rep.max_rel_err_u)
         means.append(np.mean(errs))
     assert means[0] <= means[1] <= means[2]
@@ -133,8 +134,27 @@ def test_optimum_improves_misfit(iter_mesh, iter_A):
         for p in (0.0, 0.01, 0.05):
             rep = run_twin(iter_mesh, TwinSpec(case, p, 2),
                            TABLE_EPSILONS[case][p], A=iter_A, system=system)
-            system = rep.system
-            assert rep.J < rep.J0
+            system = rep.result.system
+            assert rep.result.J < rep.result.system.constant_term()
+
+
+def test_stiffness_from_another_mesh_is_rejected(desk_mesh, desk_A):
+    # the desk annulus centred at r = 6.5 instead of 6: the boundary counts
+    # match, so no length check fires, but A's entries belong to other nodes
+    other = generate_annulus_mesh(circle_loop(6.5, 0.0, 2.9, 110),
+                                  circle_loop(6.5, 0.0, 0.8, 30), 0.2,
+                                  node_budget=1000)
+    other_A = assemble_stiffness(other)
+    _, data = generate_reference(desk_mesh, desk_A, TwinSpec("TC1"))
+    with pytest.raises(ValueError, match="different mesh"):
+        assemble_kv(desk_mesh, other_A, data)
+    with pytest.raises(ValueError, match="different mesh"):
+        generate_reference(desk_mesh, other_A, TwinSpec("TC1"))
+    with pytest.raises(ValueError, match="different mesh"):
+        run_twin(desk_mesh, TwinSpec("TC1"), 1e-5, A=other_A)
+    system = assemble_kv(desk_mesh, desk_A, data)
+    with pytest.raises(ValueError, match="another stiffness matrix"):
+        assemble_kv(desk_mesh, assemble_stiffness(desk_mesh), data, reuse=system)
 
 
 def test_table1_grid_layout(iter_mesh):

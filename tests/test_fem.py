@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from fluxrec import (FluxField, assemble_stiffness, boundary_flux_load,
-                     energy_norm_sq, interpolate, solve_dirichlet,
-                     solve_neumann, trace, weighted_normal_derivative)
+from fluxrec import (FluxField, assemble_stiffness, energy_norm_sq,
+                     interpolate, solve_dirichlet, solve_neumann, trace,
+                     weighted_normal_derivative)
 from fluxrec.experiments import MANUFACTURED, refined_desk_mesh
 from fluxrec.mesh import INNER, OUTER, Mesh, boundary_node_normals, circle_loop, generate_annulus_mesh
 from conftest import build_square_mesh
@@ -171,7 +171,7 @@ def test_neumann_flux_recovers_load_projection(desk_mesh, desk_A):
     g = rng.standard_normal(len(desk_mesh.boundary.outer_nodes))
     sol = solve_neumann(desk_A, g, 0.0)
     flux = weighted_normal_derivative(sol, desk_A, OUTER)
-    load = boundary_flux_load(desk_A, g)[desk_mesh.boundary.outer_nodes]
+    load = desk_A.outer_mass @ g
     assert np.abs(flux - load).max() < 1e-10 * max(np.abs(load).max(), 1.0)
 
 
@@ -214,9 +214,10 @@ def test_discrete_green_identity(desk_mesh, desk_A):
     sol = solve_neumann(desk_A, g, rng.standard_normal(
         len(desk_mesh.boundary.inner_nodes)))
     w = rng.standard_normal(desk_mesh.node_count)
-    load = boundary_flux_load(desk_A, g)
-    residual = desk_A.matrix @ sol.values - load
     b = desk_mesh.boundary
+    load = np.zeros(desk_mesh.node_count)
+    load[b.outer_nodes] = desk_A.outer_mass @ g
+    residual = desk_A.matrix @ sol.values - load
     boundary_sum = (residual[b.outer_nodes] @ w[b.outer_nodes]
                     + residual[b.inner_nodes] @ w[b.inner_nodes])
     volume = w @ (desk_A.matrix @ sol.values) - w @ load
@@ -260,24 +261,3 @@ def test_dimension_mismatch_raises(desk_A):
     with pytest.raises(ValueError):
         solve_dirichlet(desk_A, np.zeros(3), 0.0)
 
-
-def test_block_solve_equals_column_solves(desk_A):
-    reduced = desk_A._dirichlet
-    rng = np.random.default_rng(7)
-    block = rng.standard_normal((len(reduced.constrained), 5))
-    x = reduced.solve(block)
-    assert x.shape == (desk_A.mesh.node_count, 5)
-    for j in range(block.shape[1]):
-        assert np.array_equal(x[:, j], reduced.solve(block[:, j]))
-
-
-def test_block_flux_load_equals_column_loads(desk_A):
-    n = len(desk_A.mesh.boundary.outer_nodes)
-    rng = np.random.default_rng(7)
-    block = rng.standard_normal((n, 5))
-    load = boundary_flux_load(desk_A, block)
-    assert load.shape == (desk_A.mesh.node_count, 5)
-    for j in range(block.shape[1]):
-        assert np.array_equal(load[:, j], boundary_flux_load(desk_A, block[:, j]))
-    with pytest.raises(ValueError, match="rows"):
-        boundary_flux_load(desk_A, block[1:])

@@ -126,7 +126,7 @@ def _floats(draw, count):
 
 @st.composite
 def written_objects(draw):
-    """A stand-in mesh, field, Cauchy data, inner value, L-curve, isolines and
+    """A stand-in mesh, field, Cauchy data, inner value, L-curve, isoline and
     report with arbitrary finite floats (the writers read attributes only)."""
     n = draw(st.integers(1, 8))
     m, k, ko, ki = (draw(st.integers(0, 6)) for _ in range(4))
@@ -150,37 +150,34 @@ def written_objects(draw):
     count = draw(st.integers(0, 5))
     curve = LCurve(_floats(draw, count), _floats(draw, count), _floats(draw, count),
                    corner_index=draw(st.integers(-1, max(count - 1, -1))))
-    isolines = [Isoline(0.0, [], polylines=[
+    isoline = Isoline(0.0, polylines=[
         _floats(draw, 2 * size).reshape(size, 2)
         for size in draw(st.lists(st.integers(1, 4), max_size=3))])
-        for _ in range(draw(st.integers(1, 2)))]
     report = dict(zip(["a", "b", "c", "d", "e"], [
         draw(FLOATS), np.float64(draw(FLOATS)), draw(st.integers(-5, 5)),
         draw(st.sampled_from(["TC1", "closed"])), draw(st.booleans())]))
-    return mesh, fld, data, _floats(draw, ki), curve, isolines, report
+    return mesh, fld, data, _floats(draw, ki), curve, isoline, report
 
 
 @settings(max_examples=100, deadline=None)
 @given(objects=written_objects())
 def test_writers_match_row_oracles(tmp_path_factory, objects):
-    mesh, fld, data, u, curve, isolines, report = objects
+    mesh, fld, data, u, curve, isoline, report = objects
     out = tmp_path_factory.mktemp("w")
     pairs = [
         (lambda p: save_mesh(mesh, p), lambda p: oracles.save_mesh_by_row(mesh, p)),
         (lambda p: fio.write_report(p, report),
          lambda p: oracles.write_report_by_row(p, report)),
         (lambda p: fio.write_flux_csv(p, fld), lambda p: oracles.write_flux_csv_by_row(p, fld)),
-        (lambda p: fio.write_vtk(p, fld, "chi"), lambda p: oracles.write_vtk_by_row(p, fld, "chi")),
+        (lambda p: fio.write_vtk(p, fld), lambda p: oracles.write_vtk_by_row(p, fld)),
         (lambda p: fio.write_cauchy_csv(p, mesh, data),
          lambda p: oracles.write_cauchy_csv_by_row(p, mesh, data)),
         (lambda p: fio.write_control_csv(p, mesh, u),
          lambda p: oracles.write_control_csv_by_row(p, mesh, u)),
         (lambda p: fio.write_lcurve_csv(p, curve),
          lambda p: oracles.write_lcurve_csv_by_row(p, curve)),
-        (lambda p: fio.write_isoline_csv(p, isolines),
-         lambda p: oracles.write_isoline_csv_by_row(p, isolines)),
-        (lambda p: fio.write_isoline_csv(p, isolines[0]),
-         lambda p: oracles.write_isoline_csv_by_row(p, isolines[0])),
+        (lambda p: fio.write_isoline_csv(p, isoline),
+         lambda p: oracles.write_isoline_csv_by_row(p, isoline)),
     ]
     for i, (write, oracle) in enumerate(pairs):
         write(out / f"{i}.new")

@@ -4,8 +4,9 @@ fem reads S, the boundary Dirichlet-to-Neumann matrix, off the trailing
 block of one boundary-last factor and then drops that factor.  assemble_kv
 takes S_D, T_f and S_OO as blocks of S and builds S_N, T_g and J's constant
 term from them with dense work only, and a Neumann field solve is one dense
-outer solve and a Dirichlet solve.  These tests hold each of them to the
-block-solve, two-lift or fresh-factor path it replaced (oracles in
+outer solve and a Dirichlet solve.  These tests hold each of them, and the
+outer boundary mass that carries the wall load, to the block-solve,
+two-lift, fresh-factor or edge-by-edge path it replaced (oracles in
 `oracles`), on the three fixed geometries and on generated ring-ladder
 meshes, check the guards on the factor's column order and on S, and count
 the sparse factorizations a mesh makes and keeps.
@@ -27,7 +28,7 @@ from fluxrec.mesh import (MeshGeometryError, generate_annulus_mesh,
                           scale_toward_centroid)
 from conftest import build_square_mesh
 from oracles import (dirichlet_block_interface, dirichlet_solve,
-                     neumann_block_interface, neumann_solve,
+                     flux_load_by_edge, neumann_block_interface, neumann_solve,
                      schur_by_block_solve, two_lift_constant)
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -83,6 +84,14 @@ def _check_constant(system):
     assert abs(C - ref) <= 1e-12 * (1.0 + abs(C))
 
 
+def _check_outer_mass(A, seed):
+    """B g against the edge-by-edge load, for g of random magnitude."""
+    rng = np.random.default_rng(seed)
+    outer = A.mesh.boundary.outer_nodes
+    g = rng.standard_normal(len(outer)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    assert _rel(A.outer_mass @ g, flux_load_by_edge(A, g)[outer]) <= 1e-14
+
+
 def _check_neumann_path(system):
     s_n, t_g = neumann_block_interface(system)
     assert _rel(system.s_n, s_n) <= 1e-12
@@ -123,6 +132,12 @@ def test_constant_term_matches_two_lifts(base, seed):
     _check_constant(_with_data(base, seed))
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_outer_mass_matches_edgewise_load(base, seed):
+    _check_outer_mass(base.stiffness, seed)
+
+
 def test_outer_dtn_chol_is_fortran_ordered(base):
     # constant_term's BLAS calls read the factor in place, with no copy of
     # it per data set
@@ -157,6 +172,7 @@ def test_oracles_hold_on_generated_meshes(mesh, seed):
     _check_schur(system.stiffness)
     _check_dirichlet_blocks(system.stiffness)
     _check_field_solves(system.stiffness, seed)
+    _check_outer_mass(system.stiffness, seed)
     _check_neumann_path(system)
     _check_constant(_with_data(system, seed))
 

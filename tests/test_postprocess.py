@@ -95,30 +95,30 @@ def test_isoline_points_sit_on_the_level(desk_mesh, desk_A):
     # evaluate the P1 field at every polyline vertex by locating it on its
     # generating edge: vertices are convex combinations of edge endpoints
     tri_pts = desk_mesh.nodes[desk_mesh.triangles]
-    for seg in iso.segments:
-        for pt in seg:
-            # find a triangle containing the point and interpolate
-            v0 = tri_pts[:, 0]
-            d1 = tri_pts[:, 1] - v0
-            d2 = tri_pts[:, 2] - v0
-            det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-            rel = pt - v0
-            l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
-            l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
-            lmin = np.minimum(np.minimum(l1, l2), 1 - l1 - l2)
-            t = np.argmax(lmin)
-            assert lmin[t] >= -1e-9
-            vals = values[desk_mesh.triangles[t]]
-            interp = vals[0] * (1 - l1[t] - l2[t]) + vals[1] * l1[t] + vals[2] * l2[t]
-            assert abs(interp - level) < 1e-10 * rngspan
+    for pt in np.concatenate(iso.polylines):
+        # find a triangle containing the point and interpolate
+        v0 = tri_pts[:, 0]
+        d1 = tri_pts[:, 1] - v0
+        d2 = tri_pts[:, 2] - v0
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        rel = pt - v0
+        l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
+        l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
+        lmin = np.minimum(np.minimum(l1, l2), 1 - l1 - l2)
+        t = np.argmax(lmin)
+        assert lmin[t] >= -1e-9
+        vals = values[desk_mesh.triangles[t]]
+        interp = vals[0] * (1 - l1[t] - l2[t]) + vals[1] * l1[t] + vals[2] * l2[t]
+        assert abs(interp - level) < 1e-10 * rngspan
 
 
 def test_isoline_segments_stay_in_their_triangle(desk_mesh):
     fld = interpolate(desk_mesh, lambda r, z: r * r + z)
     iso = extract_isoline(fld, 38.0)
     h = desk_mesh.max_edge_length
-    for a, b in iso.segments:
-        assert np.linalg.norm(np.asarray(a) - np.asarray(b)) <= h + 1e-12
+    # consecutive polyline vertices are the two crossings of one triangle
+    for poly in iso.polylines:
+        assert (np.linalg.norm(np.diff(poly, axis=0), axis=1) <= h + 1e-12).all()
 
 
 def _generated_field(kind, desk_mesh, desk_A, seed, shape):
@@ -162,11 +162,10 @@ def test_isoline_matches_dict_oracle(desk_mesh, desk_A, kind, seed, shape, q,
     mesh, values = _generated_field(kind, desk_mesh, desk_A, seed, shape)
     level = _isoline_level(values, q, on_node)
     fast = extract_isoline(FluxField(values, mesh), level)
-    slow = extract_isoline_dict(FluxField(values, mesh), level, mesh)
+    slow, segments = extract_isoline_dict(FluxField(values, mesh), level, mesh)
     assert fast.level == slow.level
-    assert len(fast.segments) == len(slow.segments)
-    for (a, b), (c, d) in zip(fast.segments, slow.segments):
-        assert np.array_equal(a, c) and np.array_equal(b, d)
+    # one chain link per crossed triangle
+    assert sum(len(p) - 1 for p in fast.polylines) == len(segments)
     assert len(fast.polylines) == len(slow.polylines)
     for p, r in zip(fast.polylines, slow.polylines):
         assert np.array_equal(p, r)
@@ -436,9 +435,9 @@ def test_twin_reconstruction_has_closed_boundary(iter_mesh, iter_A):
     spec = TwinSpec("TC2", 0.01, 0,
                     g_spec=lambda r, z, nr, nz: loop.weighted_flux(r, z, nr, nz))
     report = run_twin(iter_mesh, spec, 1e-3, A=iter_A)
-    psi_p, iso, mode = find_plasma_boundary(report.psi_opt)
+    psi_p, iso, mode = find_plasma_boundary(report.result.psi_opt)
     assert iso.encircles(hole)
-    inner_trace = report.psi_opt.values[iter_mesh.boundary.inner_nodes]
+    inner_trace = report.result.psi_opt.values[iter_mesh.boundary.inner_nodes]
     assert psi_p < inner_trace.min()
 
 
@@ -465,6 +464,6 @@ def test_level_at_a_tie_below_one_ulp_returns(values):
     with _deadline(5):
         for level in values.tolist():
             iso = extract_isoline(fld, level)
-            assert np.isfinite(np.asarray(iso.segments, dtype=float)).all()
+            assert all(np.isfinite(poly).all() for poly in iso.polylines)
         top = extract_isoline(fld, float(values.max()))
-    assert top.segments == [] and top.polylines == []
+    assert top.polylines == []
