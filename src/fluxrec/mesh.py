@@ -201,6 +201,13 @@ class Mesh:
         e = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
         return float(np.max(np.linalg.norm(e, axis=1)))
 
+    @cached_property
+    def _centroid_tree(self):
+        """k-d tree of the triangle centroids, for locating points."""
+        # imported here, as it adds about 7 MiB to every process that loads it
+        from scipy.spatial import cKDTree
+        return cKDTree(self.nodes[self.triangles].mean(axis=1))
+
 
 @dataclass(frozen=True)
 class EdgeTable:

@@ -10,7 +10,10 @@ escapes through the outer wall, on the graph of mesh nodes and edges (exact
 for P1 fields at sub-triangle resolution).  That is the join level of the
 two walls in the field's join tree, which lives on the vertices and edges
 of the mesh (Carr, Snoeyink & Axen, Comput. Geom. 24(2), 2003), read off
-one maximum spanning tree.
+one maximum spanning tree.  Each node's edge to a higher neighbour belongs
+to that tree before any sort, so these uphill edges are contracted first,
+by pointer jumping to the top of each basin, and the tree is spanned only
+over the few edges between basins.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ def extract_isoline(fld: FluxField, level: float) -> Isoline:
     below = values < lev                          # strict by construction
     crossed = below[e.nodes[:, 0]] != below[e.nodes[:, 1]]
     cut = crossed[e.triangle_rows]
-    hit = cut.any(axis=1)
-    # a crossed triangle has exactly two crossed edges, kept in local order
+    # a crossed triangle has exactly two crossed edges, kept in local order,
+    # so one of its first two is crossed
+    hit = cut[:, 0] | cut[:, 1]
     seg_rows = e.triangle_rows[hit][cut[hit]]
     iso = Isoline(level=float(level))
     if len(seg_rows) == 0:
@@ -145,20 +149,44 @@ def _bottleneck_level(mesh: Mesh, values: np.ndarray) -> float:
     value.  The returned level B is the max-min weight over source-sink
     paths, so the inner-attached region at a level L escapes through the
     wall exactly when B > L.  It is the smallest weight on the source-sink
-    path of a maximum spanning tree, built by ranking the weights so that
-    no float arithmetic can tie them; -inf when no path exists.
+    path of a maximum spanning tree; -inf when no path exists.
+
+    Most of that tree is known without a sort.  With the nodes ordered by
+    value, the lower index higher on a tie, and the walls above every node,
+    each node's edge to a higher neighbour weighs the node's own value, the
+    top weight at the node, and Kruskal's sweep reaches it while the node is
+    still alone, so it takes that edge (a Boruvka contraction).  These
+    uphill edges form a forest whose roots are the source, the sink and the
+    local maxima; every tree edge on a path inside one basin weighs at least
+    the edges by which the path enters and leaves it.  So the tree is
+    spanned only over the edges between basins, the top one per basin
+    pair, ranked by weight and then lower node so that no float arithmetic
+    can tie them.
     """
-    a, b = mesh.edges.nodes.T
-    inner, outer = mesh.boundary.inner_nodes, mesh.boundary.outer_nodes
+    a, b = mesh.edges.nodes.T                     # a < b: a is higher on ties
+    a_higher = values[a] >= values[b]
+    lo, hi = np.where(a_higher, b, a), np.where(a_higher, a, b)
     n = mesh.node_count
     source, sink = n, n + 1
-    weights = np.concatenate([np.minimum(values[a], values[b]),
-                              values[inner], values[outer]])
-    rows = np.concatenate([a, np.full(len(inner), source), np.full(len(outer), sink)])
-    cols = np.concatenate([b, inner, outer])
-    order = np.argsort(-weights, kind="stable")
-    rank = np.empty(len(order))
-    rank[order] = np.arange(1, len(order) + 1)     # 1 = top weight; 0 is no edge
+    up = np.arange(n + 2)
+    up[lo] = hi
+    up[mesh.boundary.inner_nodes] = source
+    up[mesh.boundary.outer_nodes] = sink
+    while True:                                   # pointer jumping to the roots
+        root = up[up]
+        if np.array_equal(root, up):
+            break
+        up = root
+    cross = np.flatnonzero(root[lo] != root[hi])
+    lo, hi = lo[cross], hi[cross]
+    weights = values[lo]
+    order = np.lexsort((lo, -weights))            # top weight first
+    rows = np.minimum(root[lo], root[hi])[order]
+    cols = np.maximum(root[lo], root[hi])[order]
+    _, top = np.unique(rows * (n + 2) + cols, return_index=True)
+    top.sort()                                    # the top edge per basin pair
+    order, rows, cols = order[top], rows[top], cols[top]
+    rank = np.arange(1, len(order) + 1)           # 1 = top weight; 0 is no edge
     graph = coo_matrix((rank, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
     tree = minimum_spanning_tree(graph)
     tree = (tree + tree.T).tocsr()
@@ -269,16 +297,13 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     if len(pts) == 0:
         raise ValueError("limiter lies entirely inside the plasma hole")
 
-    # imported here, as it adds about 7 MiB to every process that loads it
-    from scipy.spatial import cKDTree
-
-    tri_pts = mesh.nodes[mesh.triangles]            # (M, 3, 2)
-    near = cKDTree(tri_pts.mean(axis=1)).query_ball_point(pts, h)
+    near = mesh._centroid_tree.query_ball_point(pts, h)
     pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
     ti = np.concatenate(near).astype(np.int64)
-    v0 = tri_pts[ti, 0]
-    d1 = tri_pts[ti, 1] - v0
-    d2 = tri_pts[ti, 2] - v0
+    tri_pts = mesh.nodes[mesh.triangles[ti]]
+    v0 = tri_pts[:, 0]
+    d1 = tri_pts[:, 1] - v0
+    d2 = tri_pts[:, 2] - v0
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     rel = pts[pi] - v0
     l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det

@@ -46,8 +46,15 @@ def _check_grid(eps_grid: np.ndarray) -> np.ndarray:
         raise ValueError("eps_grid values must be finite")
     if np.any(grid <= 0.0):
         raise ValueError("eps_grid values must be positive")
-    if np.any(np.diff(grid) >= 0.0):
-        raise ValueError("eps_grid must be sorted strictly decreasing")
+    # a step up, a tie, or values closer than 1e-9 relative, over which the
+    # corner's second differences are roundoff
+    close = grid[1:] > (1.0 - 1e-9) * grid[:-1]
+    if close.any():
+        if np.any(np.diff(grid) >= 0.0):
+            raise ValueError("eps_grid must be sorted strictly decreasing")
+        hi, lo = grid[close.argmax():][:2].tolist()
+        raise ValueError(f"eps_grid values {hi!r} and {lo!r} differ by less "
+                         "than 1e-9 relative")
     return grid
 
 

@@ -1,6 +1,7 @@
 """Slow reference implementations that the fast library paths are checked
 against.  They build their own adjacency from the triangle list and their
 own boundary-label dicts, so they share no code with ``Mesh.edges``; the
+plasma-boundary oracles span a tree over every edge of their graph; the
 text-format oracles read one token and write one value at a time, and the
 mesh-generator oracle works one point, ray and triangle at a time; the
 interface-load and constant-term oracles lift the data by two sparse
@@ -139,6 +140,46 @@ def bottleneck_level_dual(mesh: Mesh, values: np.ndarray) -> float:
     rank[order] = np.arange(1, len(order) + 1)     # 1 = top weight; 0 is no edge
     graph = coo_matrix((rank, (np.concatenate(rows), np.concatenate(cols))),
                        shape=(m + 2, m + 2)).tocsr()
+    tree = minimum_spanning_tree(graph)
+    tree = (tree + tree.T).tocsr()
+    _, pred = breadth_first_order(tree, source, directed=False,
+                                  return_predecessors=True)
+    if pred[sink] < 0:
+        return -np.inf
+    path = [sink]
+    while path[-1] != source:
+        path.append(int(pred[path[-1]]))
+    worst = int(np.asarray(tree[path[:-1], path[1:]]).max())
+    return float(weights[order[worst - 1]])
+
+
+def bottleneck_level_mst(mesh: Mesh, values: np.ndarray) -> float:
+    """Highest level at which {values > level} joins the two walls, on the
+    whole node graph: the former library search, with no contraction, its
+    edges read from the dict-built edge table and its wall nodes from the
+    labeled boundary edges.
+
+    Two nodes are joined above a level when both ends of their mesh edge
+    exceed it.  A source is linked to the inner-boundary nodes and a sink to
+    the outer-boundary nodes, each link weighted by its node's value, and
+    each mesh edge by the smaller of its two end values.  Every weight is
+    ranked by one stable argsort, and the max-min weight over source-sink
+    paths is the smallest weight on the source-sink path of a maximum
+    spanning tree of the whole graph; -inf when no path exists.
+    """
+    a, b = edge_table_dict(mesh)[0].T
+    inner, outer = (np.unique(mesh.boundary_edges[mesh.boundary_labels == label])
+                    for label in (INNER, OUTER))
+    n = mesh.node_count
+    source, sink = n, n + 1
+    weights = np.concatenate([np.minimum(values[a], values[b]),
+                              values[inner], values[outer]])
+    rows = np.concatenate([a, np.full(len(inner), source), np.full(len(outer), sink)])
+    cols = np.concatenate([b, inner, outer])
+    order = np.argsort(-weights, kind="stable")
+    rank = np.empty(len(order))
+    rank[order] = np.arange(1, len(order) + 1)     # 1 = top weight; 0 is no edge
+    graph = coo_matrix((rank, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
     tree = minimum_spanning_tree(graph)
     tree = (tree + tree.T).tocsr()
     _, pred = breadth_first_order(tree, source, directed=False,

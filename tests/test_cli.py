@@ -180,6 +180,7 @@ def test_zero_flags_override_config(desk_mesh_file, tmp_path):
     ["lcurve", "--case", "TC1", "--eps-count", "3"],
     ["lcurve", "--case", "TC1", "--eps-min", "0"],
     ["lcurve", "--case", "TC1", "--eps-min", "nan"],
+    ["lcurve", "--case", "TC1", "--eps-min", "1e-3", "--eps-max", "1.0000000000001e-3"],
     ["twin", "--case", "MANUFACTURED:bogus", "--epsilon", "1e-3"],
     ["lcurve", "--case", "MANUFACTURED:bogus"],
 ])

@@ -16,8 +16,8 @@ from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
                                  magnetic_field)
 from conftest import strip_mesh
 from oracles import (STATE_ORDER, RegionClassifier, bisect_transition,
-                     bottleneck_level_dual, extract_isoline_dict,
-                     sample_field_scan)
+                     bottleneck_level_dual, bottleneck_level_mst,
+                     extract_isoline_dict, sample_field_scan)
 
 
 @pytest.fixture(scope="module")
@@ -304,19 +304,14 @@ def test_bottleneck_with_corner_triangles_matches_oracle(seed):
     _check_states_against_oracle(mesh, rng.uniform(size=mesh.node_count), rng)
 
 
-@settings(max_examples=60, deadline=None)
-@given(geometry=st.sampled_from(["desk", "iter", "l_hole"]),
-       kind=st.sampled_from(["saddle", "rough", "uniform"]),
-       rounded=st.booleans(), flip=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_node_graph_bottleneck_equals_triangle_graph_oracle(
-        desk_mesh, iter_mesh, geometry, kind, rounded, flip, seed):
-    # rounding to one decimal on a range of about 5 ties most nodal values
-    from conftest import l_hole_square_mesh
-    mesh = (desk_mesh if geometry == "desk" else iter_mesh if geometry == "iter"
-            else l_hole_square_mesh())
-    rng = np.random.default_rng(seed)
-    if kind == "uniform":
+def _bottleneck_field(mesh, kind, rounded, flip, rng):
+    """Nodal values for the boundary search, scaled to a range of 5: a loop
+    flux with a saddle between the walls, the same with nodal noise (many
+    basins), uniform noise, or a constant.  Rounding to one decimal ties
+    most nodal values."""
+    if kind == "constant":
+        values = np.full(mesh.node_count, 2.5)
+    elif kind == "uniform":
         values = rng.uniform(size=mesh.node_count)
     else:
         hole = mesh.nodes[mesh.boundary.inner_nodes]
@@ -327,12 +322,59 @@ def test_node_graph_bottleneck_equals_triangle_graph_oracle(
         values = interpolate(mesh, loop_flux_field(*centre, 1.0, gamma).psi).values
         if kind == "rough":
             values = values + 3e-2 * np.ptp(values) * rng.standard_normal(len(values))
-    values = 5.0 * (values - values.min()) / np.ptp(values)
+    if kind != "constant":
+        values = 5.0 * (values - values.min()) / np.ptp(values)
     if rounded:
         values = np.round(values, 1)
-    if flip:
-        values = -values
+    return -values if flip else values
+
+
+def _geometry(name, desk_mesh, iter_mesh, rng):
+    """A fixture mesh, the L-hole square, or a generated ring-ladder annulus
+    about a seeded star-shaped loop."""
+    from conftest import l_hole_square_mesh
+    from fluxrec.mesh import generate_annulus_mesh, scale_toward_centroid
+    if name == "desk":
+        return desk_mesh
+    if name == "iter":
+        return iter_mesh
+    if name == "l_hole":
+        return l_hole_square_mesh()
+    radii = rng.uniform(0.85, 1.15, rng.integers(8, 40))
+    t = 2.0 * np.pi * np.arange(len(radii)) / len(radii)
+    outer = np.column_stack([6.0 + 2.0 * radii * np.cos(t), 2.0 * radii * np.sin(t)])
+    return generate_annulus_mesh(outer, scale_toward_centroid(outer, rng.uniform(0.3, 0.6)),
+                                 rng.uniform(0.3, 0.6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(["desk", "iter", "l_hole"]),
+       kind=st.sampled_from(["saddle", "rough", "uniform"]),
+       rounded=st.booleans(), flip=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_node_graph_bottleneck_equals_triangle_graph_oracle(
+        desk_mesh, iter_mesh, geometry, kind, rounded, flip, seed):
+    rng = np.random.default_rng(seed)
+    mesh = _geometry(geometry, desk_mesh, iter_mesh, rng)
+    values = _bottleneck_field(mesh, kind, rounded, flip, rng)
     assert _bottleneck_level(mesh, values) == bottleneck_level_dual(mesh, values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(geometry=st.sampled_from(["desk", "iter", "l_hole", "ladder"]),
+       kind=st.sampled_from(["saddle", "rough", "uniform", "constant"]),
+       rounded=st.booleans(), flip=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_contracted_bottleneck_equals_full_graph_oracle(
+        desk_mesh, iter_mesh, geometry, kind, rounded, flip, seed):
+    # the search spans its tree over the edges between uphill basins only;
+    # pointer jumping loops for ever on a pointer cycle, hence the deadline
+    rng = np.random.default_rng(seed)
+    mesh = _geometry(geometry, desk_mesh, iter_mesh, rng)
+    values = _bottleneck_field(mesh, kind, rounded, flip, rng)
+    with _deadline(10):
+        level = _bottleneck_level(mesh, values)
+    assert level == bottleneck_level_mst(mesh, values)
 
 
 def test_find_plasma_boundary_takes_only_the_fields_mesh(desk_mesh, xpoint_field):

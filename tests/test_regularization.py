@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,20 @@ def test_non_finite_grid_rejected(desk_mesh, desk_A, grid):
     _, data = generate_reference(desk_mesh, desk_A, TwinSpec("MANUFACTURED:r2"))
     system = assemble_kv(desk_mesh, desk_A, data)
     with pytest.raises(ValueError, match="finite"):
+        sweep(system, data, np.array(grid))
+
+
+@pytest.mark.parametrize("grid, pair", [
+    ([1.0, np.nextafter(1.0, 0.0), 0.1, 0.01, 0.001], "1.0 and 0.9999999999999999"),
+    (default_grid(20, 1e-3, 1.0000000000001e-3),
+     "0.0010000000000001 and 0.001000000000000095"),
+])
+def test_grid_of_near_equal_values_rejected(desk_mesh, desk_A, grid, pair):
+    # the corner's second differences over such points are roundoff
+    _, data = generate_reference(desk_mesh, desk_A, TwinSpec("MANUFACTURED:r2"))
+    system = assemble_kv(desk_mesh, desk_A, data)
+    with pytest.raises(ValueError, match=rf"^eps_grid values {re.escape(pair)} "
+                                         "differ by less than 1e-9 relative$"):
         sweep(system, data, np.array(grid))
 
 
