@@ -40,15 +40,31 @@ class ConfigError(ValueError):
 
 
 def _read_config(path) -> dict:
+    """A config file's options; each key must be an option of some command."""
     try:
         numbers, lines = _read_lines(path, "#")
     except (OSError, MeshFormatError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
+    known = _option_names(_build_parser())
+    cfg = {}
     for lineno, line in zip(numbers, lines):
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-    return {key.strip(): value.strip()
-            for key, value in (line.split("=", 1) for line in lines)}
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+        cfg[key] = value.strip()
+    return cfg
+
+
+def _option_names(parser) -> set:
+    """The destinations of every command's options but --config and --help."""
+    commands, = (action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    names = {action.dest for command in commands.values()
+             for action in command._actions if action.option_strings}
+    return names - {"config", "help"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,9 +155,21 @@ def _merge(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _boolean(value) -> bool:
+    """A set flag, or a config file's `true` or `false`."""
+    if value is True or value == "true":
+        return True
+    if value == "false":
+        return False
+    raise ValueError(value)
+
+
+_NOUNS = {float: "a number", int: "an integer", _boolean: "true or false"}
+
+
 def _option(cfg, key, kind, default=None):
-    """Option `key` converted by `kind` (str, float or int), else `default`;
-    with no default the option is required."""
+    """Option `key` converted by `kind` (str, float, int or _boolean), else
+    `default`; with no default the option is required."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required option: {key}")
@@ -149,8 +177,7 @@ def _option(cfg, key, kind, default=None):
     try:
         return kind(cfg[key])
     except (TypeError, ValueError):
-        noun = "a number" if kind is float else "an integer"
-        raise ConfigError(f"option {key} must be {noun}, got {cfg[key]!r}")
+        raise ConfigError(f"option {key} must be {_NOUNS[kind]}, got {cfg[key]!r}")
 
 
 def _twin_spec(cfg) -> ex.TwinSpec:
@@ -226,7 +253,7 @@ def _cmd_complete(cfg) -> int:
 def _cmd_twin(cfg) -> int:
     out = _outdir(cfg)
     mesh = _load_mesh(cfg)
-    if cfg.get("table1"):
+    if _option(cfg, "table1", _boolean, False):
         text, rows = ex.table1_grid(mesh, seed=_option(cfg, "seed", int, 0))
         with open(os.path.join(out, "table1.txt"), "w", encoding="ascii") as fh:
             fh.write(text)
@@ -277,7 +304,7 @@ def _cmd_contour(cfg) -> int:
     out = _outdir(cfg)
     mesh = _load_mesh(cfg)
     fld = fio.read_flux_csv(_option(cfg, "field_path", str), mesh)
-    if cfg.get("plasma_boundary"):
+    if _option(cfg, "plasma_boundary", _boolean, False):
         limiter = None
         if "limiter_path" in cfg:
             limiter = fio.read_polyline_csv(cfg["limiter_path"])

@@ -9,11 +9,11 @@ level at which the inner-boundary-attached region of {psi > level} still
 escapes through the outer wall, on the graph of mesh nodes and edges (exact
 for P1 fields at sub-triangle resolution).  That is the join level of the
 two walls in the field's join tree, which lives on the vertices and edges
-of the mesh (Carr, Snoeyink & Axen, Comput. Geom. 24(2), 2003), read off
-one maximum spanning tree.  Each node's edge to a higher neighbour belongs
-to that tree before any sort, so these uphill edges are contracted first,
-by pointer jumping to the top of each basin, and the tree is spanned only
-over the few edges between basins.
+of the mesh (Carr, Snoeyink & Axen, Comput. Geom. 24(2), 2003): the weight
+at which Kruskal's sweep, taking edges from the top weight down, first
+joins the walls.  Each node's edge to a higher neighbour is taken first,
+by pointer jumping to the top of each basin, and the sweep finishes over
+the few edges between basins.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .fem import FluxField, triangle_gradients
 from .mesh import OUTER, Mesh, chain_walk, points_in_polygon
@@ -146,22 +144,19 @@ def _bottleneck_level(mesh: Mesh, values: np.ndarray) -> float:
     to the next exactly through such a vertex, so this is the connectivity
     of the superlevel set.  A source is linked to the inner-boundary nodes
     and a sink to the outer-boundary nodes, each link weighted by its node's
-    value.  The returned level B is the max-min weight over source-sink
-    paths, so the inner-attached region at a level L escapes through the
-    wall exactly when B > L.  It is the smallest weight on the source-sink
-    path of a maximum spanning tree; -inf when no path exists.
+    value, and each edge by its lower node's value.  The returned level B
+    is the max-min weight over source-sink paths, so the inner-attached
+    region at a level L escapes through the wall exactly when B > L.  It is
+    the weight at which Kruskal's sweep, uniting the ends of each edge from
+    the top weight down, first unites the source and the sink; -inf when it
+    never does.
 
-    Most of that tree is known without a sort.  With the nodes ordered by
-    value, the lower index higher on a tie, and the walls above every node,
-    each node's edge to a higher neighbour weighs the node's own value, the
-    top weight at the node, and Kruskal's sweep reaches it while the node is
-    still alone, so it takes that edge (a Boruvka contraction).  These
-    uphill edges form a forest whose roots are the source, the sink and the
-    local maxima; every tree edge on a path inside one basin weighs at least
-    the edges by which the path enters and leaves it.  So the tree is
-    spanned only over the edges between basins, the top one per basin
-    pair, ranked by weight and then lower node so that no float arithmetic
-    can tie them.
+    With the nodes ordered by value, the lower index higher on a tie, and
+    the walls above every node, each node's edge to a higher neighbour is
+    the one Kruskal takes while the node is still alone, so these uphill
+    edges are taken in one array step, by pointer jumping to the top of
+    each basin, and the rest are taken one basin pair at a time, by the top
+    edge between the pair.
     """
     a, b = mesh.edges.nodes.T                     # a < b: a is higher on ties
     a_higher = values[a] >= values[b]
@@ -178,27 +173,28 @@ def _bottleneck_level(mesh: Mesh, values: np.ndarray) -> float:
             break
         up = root
     cross = np.flatnonzero(root[lo] != root[hi])
-    lo, hi = lo[cross], hi[cross]
-    weights = values[lo]
-    order = np.lexsort((lo, -weights))            # top weight first
-    rows = np.minimum(root[lo], root[hi])[order]
-    cols = np.maximum(root[lo], root[hi])[order]
-    _, top = np.unique(rows * (n + 2) + cols, return_index=True)
+    weights = values[lo[cross]]
+    order = np.argsort(-weights)                  # top first, ties in any order
+    u, v = root[lo[cross]][order], root[hi[cross]][order]
+    _, top = np.unique(np.minimum(u, v) * (n + 2) + np.maximum(u, v),
+                       return_index=True)
     top.sort()                                    # the top edge per basin pair
-    order, rows, cols = order[top], rows[top], cols[top]
-    rank = np.arange(1, len(order) + 1)           # 1 = top weight; 0 is no edge
-    graph = coo_matrix((rank, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
-    tree = minimum_spanning_tree(graph)
-    tree = (tree + tree.T).tocsr()
-    _, pred = breadth_first_order(tree, source, directed=False,
-                                  return_predecessors=True)
-    if pred[sink] < 0:
-        return -np.inf
-    path = [sink]
-    while path[-1] != source:
-        path.append(int(pred[path[-1]]))
-    worst = int(np.asarray(tree[path[:-1], path[1:]]).max())
-    return float(weights[order[worst - 1]])
+    joined = {}                                   # basin -> a basin it joined
+
+    def find(x):
+        while x in joined:
+            joined[x] = joined.get(joined[x], joined[x])    # path halving
+            x = joined[x]
+        return x
+
+    for p, q, level in zip(u[top].tolist(), v[top].tolist(),
+                           weights[order[top]].tolist()):
+        p, q = find(p), find(q)
+        if p != q:
+            joined[p] = q
+            if find(source) == find(sink):
+                return level
+    return -np.inf
 
 
 def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,

@@ -173,6 +173,49 @@ def test_zero_flags_override_config(desk_mesh_file, tmp_path):
     assert int(report["seed"]) == 0
 
 
+@pytest.mark.parametrize("value, rc", [("false", 0), ("yes", 2)])
+def test_config_table1_is_true_or_false(desk_mesh_file, tmp_path, capsys, value, rc):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh_path = {desk_mesh_file}\ncase = TC2\nepsilon = 1e-3\n"
+                   f"table1 = {value}\n")
+    assert main(["twin", "--config", str(cfg), "--output-dir", str(tmp_path)]) == rc
+    assert not (tmp_path / "table1.txt").exists()
+    if rc == 0:
+        assert (tmp_path / "twin_report.txt").exists()
+    else:
+        assert ("config error: option table1 must be true or false, got 'yes'"
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value, rc", [("false", 0), ("no", 2), ("True", 2)])
+def test_config_plasma_boundary_is_true_or_false(desk_mesh_file, tmp_path, capsys,
+                                                 value, rc):
+    field_path = tmp_path / "field.csv"
+    write_flux_csv(field_path, interpolate(load_mesh(desk_mesh_file), lambda r, z: z))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"plasma_boundary = {value}\n")
+    assert main(["contour", "--config", str(cfg), "--mesh", desk_mesh_file,
+                 "--field", str(field_path), "--level", "0.25",
+                 "--output-dir", str(tmp_path)]) == rc
+    assert not (tmp_path / "boundary.csv").exists()
+    if rc == 0:
+        assert (tmp_path / "isoline.csv").exists()
+    else:
+        assert (f"config error: option plasma_boundary must be true or false, "
+                f"got {value!r}" in capsys.readouterr().err)
+
+
+def test_config_key_that_is_no_option_gives_config_exit(desk_mesh_file, tmp_path,
+                                                        capsys):
+    # `noise` is the flag; its option, and so its config key, is `noise_level`
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh_path = {desk_mesh_file}\ncase = TC2\nepsilon = 1e-3\n"
+                   "# the noise of the data\nnoise = 0.05\n")
+    assert main(["twin", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert f"config error: {cfg}:5: unknown option 'noise'" in capsys.readouterr().err
+    assert not (tmp_path / "twin_report.txt").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["twin", "--case", "TC1", "--noise", "0.9", "--epsilon", "1e-3"],
     ["twin", "--case", "TC1", "--epsilon=-1e-3"],
@@ -305,14 +348,20 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
                                                           data):
     flags = _FLAGS[command] + _COMMON
     options = [option for _, option, _ in flags]
-    lines, expected = [], {}
+    # an option of another command passes through; a key that is no option
+    # is an error, like a line with no `=`, and the first bad line is named
+    lines, expected, errors = [], {}, []
     for _ in range(data.draw(st.integers(0, 8))):
         kind = data.draw(st.sampled_from(["entry", "entry", "blank", "comment"]))
         pad = [data.draw(_PAD) for _ in range(4)]
         if kind == "entry":
-            key = data.draw(st.sampled_from([*options, "command", "spare_key"]))
+            key = data.draw(st.sampled_from([*options, "limiter_path", "command",
+                                             "spare_key"]))
             value = " ".join(data.draw(st.lists(_WORD | st.just("="), max_size=3)))
-            expected[key] = value
+            if key in ("command", "spare_key"):
+                errors.append((len(lines), f"unknown option {key!r}"))
+            else:
+                expected[key] = value
             tail = data.draw(st.just("") | _COMMENT)
             lines.append(f"{pad[0]}{key}{pad[1]}={pad[2]}{value}{pad[3]}{tail}")
         else:
@@ -328,6 +377,8 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
     bad = data.draw(st.none() | st.integers(0, len(lines)))
     if bad is not None:
         lines.insert(bad, data.draw(_PAD) + data.draw(_WORD) + data.draw(_PAD))
+        errors = [(line + (line >= bad), message) for line, message in errors]
+        errors.append((bad, "expected key = value"))
     path = tmp_path_factory.mktemp("config") / "run.cfg"
     path.write_text("\n".join(lines) + "\n")
 
@@ -335,11 +386,12 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
     with patch.dict(cli._COMMANDS, {command: seen.append}), \
             redirect_stderr(io.StringIO()) as err:
         rc = main([*argv, "--config", str(path)])
-    if bad is None:
+    if not errors:
         assert seen == [expected]
     else:
+        line, message = min(errors)
         assert rc == 2 and not seen
-        assert f"config error: {path}:{bad + 1}: expected key = value" in err.getvalue()
+        assert f"config error: {path}:{line + 1}: {message}" in err.getvalue()
 
 
 def test_attached_double_dash_is_an_option_value():

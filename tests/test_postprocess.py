@@ -367,14 +367,34 @@ def test_node_graph_bottleneck_equals_triangle_graph_oracle(
        seed=st.integers(0, 2 ** 32 - 1))
 def test_contracted_bottleneck_equals_full_graph_oracle(
         desk_mesh, iter_mesh, geometry, kind, rounded, flip, seed):
-    # the search spans its tree over the edges between uphill basins only;
-    # pointer jumping loops for ever on a pointer cycle, hence the deadline
+    # the search runs Kruskal's sweep over the edges between uphill basins
+    # only; pointer jumping loops for ever on a pointer cycle, hence the
+    # deadline
     rng = np.random.default_rng(seed)
     mesh = _geometry(geometry, desk_mesh, iter_mesh, rng)
     values = _bottleneck_field(mesh, kind, rounded, flip, rng)
     with _deadline(10):
         level = _bottleneck_level(mesh, values)
     assert level == bottleneck_level_mst(mesh, values)
+
+
+def test_widest_wall_path_through_an_interior_maximum():
+    # walls at 4 (inner) and 3 (outer), every band node at 0 but one local
+    # maximum of 5 that touches both walls: the walls join at 3 only through
+    # that basin, which the sweep joins to the inner wall first, at 4; the
+    # band's 0 edges join the walls directly, lowest of all
+    from conftest import l_hole_square_mesh
+    mesh = l_hole_square_mesh()
+    b = mesh.boundary
+    values = np.zeros(mesh.node_count)
+    values[b.inner_nodes] = 4.0
+    values[b.outer_nodes] = 3.0
+    peak, outer, inner = 15, 14, 16               # nodes (1, 2), (0, 2), (2, 2)
+    values[peak] = 5.0
+    edges = mesh.edges.nodes.tolist()              # lower index first
+    assert [outer, peak] in edges and [peak, inner] in edges
+    assert outer in b.outer_nodes and inner in b.inner_nodes
+    assert _bottleneck_level(mesh, values) == bottleneck_level_mst(mesh, values) == 3.0
 
 
 def test_find_plasma_boundary_takes_only_the_fields_mesh(desk_mesh, xpoint_field):
