@@ -7,30 +7,25 @@ then extracts the plasma boundary as an isoflux line.
 """
 
 from .completion import (CauchyData, CompletionResult, KVSystem, assemble_kv,
-                         evaluate, optimality_residual, quadratic_misfit,
                          solve_completion)
-from .fem import (FluxField, StiffnessMatrix, assemble_stiffness,
-                  energy_norm_sq, interpolate, solve_dirichlet, solve_neumann,
-                  trace, weighted_normal_derivative)
+from .fem import (FluxField, StiffnessMatrix, assemble_stiffness, interpolate,
+                  solve_dirichlet, solve_neumann, trace)
 from .mesh import (INNER, OUTER, BoundaryIndex, Mesh, circle_loop, dee_loop,
                    generate_annulus_mesh, load_mesh, save_mesh,
                    scale_toward_centroid)
-from .postprocess import (FieldSample, Isoline, extract_isoline,
-                          find_plasma_boundary, magnetic_field)
+from .postprocess import Isoline, extract_isoline, find_plasma_boundary
 from .regularization import LCurve, default_grid, find_corner, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CauchyData", "CompletionResult", "KVSystem", "assemble_kv", "evaluate",
-    "optimality_residual", "quadratic_misfit", "solve_completion",
-    "FluxField", "StiffnessMatrix", "assemble_stiffness", "energy_norm_sq",
-    "interpolate", "solve_dirichlet", "solve_neumann", "trace",
-    "weighted_normal_derivative",
+    "CauchyData", "CompletionResult", "KVSystem", "assemble_kv",
+    "solve_completion",
+    "FluxField", "StiffnessMatrix", "assemble_stiffness", "interpolate",
+    "solve_dirichlet", "solve_neumann", "trace",
     "INNER", "OUTER", "BoundaryIndex", "Mesh", "circle_loop", "dee_loop",
     "generate_annulus_mesh", "load_mesh", "save_mesh", "scale_toward_centroid",
-    "FieldSample", "Isoline", "extract_isoline", "find_plasma_boundary",
-    "magnetic_field",
+    "Isoline", "extract_isoline", "find_plasma_boundary",
     "LCurve", "default_grid", "find_corner", "sweep",
     "__version__",
 ]

@@ -34,19 +34,22 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+_PRESETS = ("desk", "iter")     # the built-in mesh geometries
+
 
 class ConfigError(ValueError):
     pass
 
 
 def _read_config(path) -> dict:
-    """A config file's options; each key must be an option of some command."""
+    """A config file's options; each key must be an option of some command,
+    given once."""
     try:
         numbers, lines = _read_lines(path, "#")
     except (OSError, MeshFormatError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     known = _option_names(_build_parser())
-    cfg = {}
+    cfg, first = {}, {}
     for lineno, line in zip(numbers, lines):
         key, eq, value = line.partition("=")
         key = key.strip()
@@ -54,6 +57,10 @@ def _read_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: option {key!r} already set "
+                              f"at line {first[key]}")
+        first[key] = lineno
         cfg[key] = value.strip()
     return cfg
 
@@ -94,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mesh = sub.add_parser("mesh", help="generate an annulus mesh")
     common(p_mesh)
-    p_mesh.add_argument("--preset", choices=["desk", "iter"],
+    p_mesh.add_argument("--preset", choices=_PRESETS,
                         help="built-in geometry")
     p_mesh.add_argument("--outer-csv", help="outer loop polyline CSV (r,z)")
     p_mesh.add_argument("--inner-csv", help="inner loop polyline CSV (r,z)")
@@ -198,6 +205,9 @@ def _outdir(cfg) -> str:
 def _cmd_mesh(cfg) -> int:
     out = _outdir(cfg)
     preset = cfg.get("preset")
+    if preset is not None and preset not in _PRESETS:
+        raise ConfigError(f"option preset must be {' or '.join(_PRESETS)}, "
+                          f"got {preset!r}")
     if preset == "desk":
         m = ex.desk_annulus_mesh()
     elif preset == "iter":

@@ -22,7 +22,9 @@ over k values of eps is one (k x n_i) array pass.  The constant term is
 O(n_o^2) dense work, on first read, with no sparse solve: one BLAS
 triangular product and one triangular solve with fem's Cholesky factor of
 S_OO.  Only the flux field costs a sparse solve (a Neumann solve), on first
-read.
+read.  The checks of this closed form by fresh field solves (the misfit as
+a volume integral, the interface quadratic form and the optimality
+residual) are test oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from scipy.linalg import eigh, solve_triangular
 from scipy.linalg.blas import dtrmv, dtrsv
 
 from . import fem
-from .fem import FluxField, StiffnessMatrix, weighted_normal_derivative
-from .mesh import INNER, Mesh
+from .fem import FluxField, StiffnessMatrix
+from .mesh import Mesh
 
 
 class KVAssemblyError(RuntimeError):
@@ -119,7 +121,8 @@ class KVSystem:
     S_D-orthonormal, as columns), the misfit weights (1 - lam) / 2 of the
     closed form and the operator t_f, t_g (n_i x n_o each) depend on the
     geometry only; `reuse` shares them.  data,
-    load = t_f f + t_g g and the constant term belong to one data set.
+    load = t_f f + t_g g and the constant term belong to one data set.  The
+    mesh is stiffness.mesh.
     """
 
     s_d: np.ndarray
@@ -130,7 +133,6 @@ class KVSystem:
     t_f: np.ndarray
     t_g: np.ndarray
     load: np.ndarray
-    mesh: Mesh
     stiffness: StiffnessMatrix
     data: CauchyData
     _constant: float | None = field(default=None, repr=False)
@@ -225,8 +227,7 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
 
     data.check(mesh)
     load = t_f @ data.f + t_g @ data.g
-    return KVSystem(s_d, s_n, eigvals, eigvecs, weights, t_f, t_g, load,
-                    mesh, A, data)
+    return KVSystem(s_d, s_n, eigvals, eigvecs, weights, t_f, t_g, load, A, data)
 
 
 def _spectral(system: KVSystem, epsilon):
@@ -270,32 +271,6 @@ def _near_singular(system: KVSystem, epsilon: float) -> str | None:
                 f"{d_max / abs(d_min):.3e}")
 
 
-def evaluate(system: KVSystem, data: CauchyData, u, epsilon: float = 0.0):
-    """Misfit J, regularizer R_D and total J_eps at a given control.
-
-    J is computed by the direct volume integral (two solves plus the energy
-    norm), not through the quadratic form, so it is the reference for the
-    identity J(v) = (s_D(v,v) - s_N(v,v))/2 - l(v) + c and for the closed
-    form of solve_completion.  R_D = s_D(u, u) / 2 uses the interface
-    matrix, which equals the lifted field's energy exactly (the lift pairs
-    against itself).
-    """
-    u = fem._boundary_values(u, system.size, "u")
-    A = system.stiffness
-    psi_d = fem.solve_dirichlet(A, data.f, u)
-    psi_n = fem.solve_neumann(A, data.g, u)
-    J = 0.5 * fem.energy_norm_sq(psi_d, psi_n, A)
-    R_D = 0.5 * float(u @ (system.s_d @ u))
-    return J, R_D, J + epsilon * R_D
-
-
-def quadratic_misfit(system: KVSystem, u) -> float:
-    """J through the interface quadratic form: v'(S_D - S_N)v/2 - l'v + c."""
-    u = fem._boundary_values(u, system.size, "u")
-    return float(0.5 * u @ ((system.s_d - system.s_n) @ u) - system.load @ u
-                 + system.constant_term())
-
-
 def solve_completion(system: KVSystem, epsilon: float,
                      data: CauchyData | None = None) -> CompletionResult:
     """Solve the regularized interface system and reconstruct the flux.
@@ -308,7 +283,8 @@ def solve_completion(system: KVSystem, epsilon: float,
     """
     epsilon = float(epsilon)
     if data is not None and data is not system.data:
-        system = assemble_kv(system.mesh, system.stiffness, data, reuse=system)
+        system = assemble_kv(system.stiffness.mesh, system.stiffness, data,
+                             reuse=system)
     if not 0.0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     message = _near_singular(system, epsilon)
@@ -323,23 +299,3 @@ def solve_completion(system: KVSystem, epsilon: float,
     return CompletionResult(u, float(R_D), epsilon, residual, float(condition),
                             system, float(J_less_constant))
 
-
-def optimality_residual(system: KVSystem, u_opt, epsilon: float,
-                        data: CauchyData | None = None) -> np.ndarray:
-    """Inner-boundary flux mismatch at a control; near zero at the optimum.
-
-    Recovers the weighted normal derivatives of the Dirichlet solution, the
-    Neumann solution and the regularizing Dirichlet lift by fresh solves, so
-    it checks the optimality condition independently of the assembled
-    interface matrices.
-    """
-    if data is None:
-        data = system.data
-    A = system.stiffness
-    u_opt = fem._boundary_values(u_opt, system.size, "u_opt")
-    psi_d = fem.solve_dirichlet(A, data.f, u_opt)
-    psi_n = fem.solve_neumann(A, data.g, u_opt)
-    psi_d0 = fem.solve_dirichlet(A, 0.0, u_opt)
-    return (weighted_normal_derivative(psi_d, A, INNER)
-            - weighted_normal_derivative(psi_n, A, INNER)
-            + epsilon * weighted_normal_derivative(psi_d0, A, INNER))

@@ -30,7 +30,6 @@ from .mesh import (INNER, OUTER, Mesh, _resample_closed, boundary_node_normals,
 class ManufacturedField:
     """Closed-form solution of the vacuum flux operator with its gradient."""
 
-    name: str
     psi: Callable
     grad: Callable  # (r, z) -> (dpsi_dr, dpsi_dz)
 
@@ -42,33 +41,27 @@ class ManufacturedField:
 
 MANUFACTURED: dict[str, ManufacturedField] = {
     "one": ManufacturedField(
-        "one",
         lambda r, z: np.ones_like(np.asarray(r, dtype=float)),
         lambda r, z: (np.zeros_like(np.asarray(r, dtype=float)),
                       np.zeros_like(np.asarray(r, dtype=float)))),
     "z": ManufacturedField(
-        "z",
         lambda r, z: np.asarray(z, dtype=float) + 0.0,
         lambda r, z: (np.zeros_like(np.asarray(r, dtype=float)),
                       np.ones_like(np.asarray(r, dtype=float)))),
     "r2": ManufacturedField(
-        "r2",
         lambda r, z: r * r,
         lambda r, z: (2.0 * r, np.zeros_like(np.asarray(r, dtype=float)))),
     "r2z": ManufacturedField(
-        "r2z",
         lambda r, z: r * r * z,
         lambda r, z: (2.0 * r * z, r * r)),
     "quartic": ManufacturedField(
-        "quartic",
         lambda r, z: r ** 4 - 4.0 * r ** 2 * z ** 2,
         lambda r, z: (4.0 * r ** 3 - 8.0 * r * z ** 2, -8.0 * r ** 2 * z)),
 }
 
 
 def loop_flux_field(loop_r: float, loop_z: float, strength: float = 1.0,
-                    vertical: float = 0.0,
-                    name: str = "xpoint") -> ManufacturedField:
+                    vertical: float = 0.0) -> ManufacturedField:
     """Flux of a toroidal current loop plus an optional vertical-field term.
 
     psi = strength * sqrt(r r0) ((2 - m) K(m) - 2 E(m)) / sqrt(m)
@@ -103,7 +96,7 @@ def loop_flux_field(loop_r: float, loop_z: float, strength: float = 1.0,
         return (strength * r * b_z + 2.0 * vertical * r,
                 -strength * r * b_r)
 
-    return ManufacturedField(name, psi, grad)
+    return ManufacturedField(psi, grad)
 
 
 def manufactured(tag: str) -> ManufacturedField:

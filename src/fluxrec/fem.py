@@ -5,8 +5,10 @@ with the weak form  a(psi, phi) = integral over the domain of
 (1/r) grad(psi) . grad(phi).  Everything here lives on the weighted
 stiffness matrix A of that form: the two auxiliary boundary-value solves
 (Dirichlet data on both loops, or weighted Neumann data on the outer loop
-plus Dirichlet on the inner), traces, variationally consistent weighted
-normal derivatives, and energy integrals.
+plus Dirichlet on the inner), the boundary Dirichlet-to-Neumann matrix the
+interface system is cut from, traces and interpolants.  The weighted normal
+derivative (the boundary rows of A psi) and the energy norm of a field gap
+are test oracles, in tests/oracles.py; the pipeline needs neither.
 """
 
 from __future__ import annotations
@@ -307,29 +309,6 @@ def solve_neumann(A: StiffnessMatrix, g, v) -> FluxField:
 def trace(field: FluxField, where: str) -> np.ndarray:
     """Nodal values along a boundary in BoundaryIndex ordering."""
     return field.values[field.mesh.boundary.nodes_for(where)].copy()
-
-
-def weighted_normal_derivative(field: FluxField, A: StiffnessMatrix,
-                               where: str) -> np.ndarray:
-    """Variationally consistent weighted normal derivative on a boundary.
-
-    Returns the boundary entries of A psi, i.e. the Riesz representation of
-    (1/r) dpsi/dn against the boundary test functions (mass-weighted nodal
-    fluxes).  For a field solved with zero interior load this is the exact
-    discrete flux; on the outer loop of a Neumann solve it reproduces the
-    g load projection.
-    """
-    if field.mesh is not A.mesh:
-        raise ValueError("field and matrix live on different meshes")
-    residual = A.matrix @ field.values
-    return residual[field.mesh.boundary.nodes_for(where)]
-
-
-def energy_norm_sq(field_a: FluxField, field_b: FluxField,
-                   A: StiffnessMatrix) -> float:
-    """(a - b)^T A (a - b): the weighted energy of the gradient gap."""
-    d = field_a.values - field_b.values
-    return float(d @ (A.matrix @ d))
 
 
 def interpolate(mesh: Mesh, func) -> FluxField:

@@ -182,10 +182,10 @@ class Mesh:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "edges", table)
-        outer_loop, outer_arcs, outer_per = _orient_and_anchor(nodes, outer_loop, ccw=True)
-        inner_loop, inner_arcs, inner_per = _orient_and_anchor(nodes, inner_loop, ccw=False)
+        outer_loop, outer_arcs = _orient_and_anchor(nodes, outer_loop, ccw=True)
+        inner_loop, inner_arcs = _orient_and_anchor(nodes, inner_loop, ccw=False)
         object.__setattr__(self, "boundary", BoundaryIndex(
-            outer_loop, inner_loop, outer_arcs, inner_arcs, outer_per, inner_per))
+            outer_loop, inner_loop, outer_arcs, inner_arcs))
 
     @property
     def node_count(self) -> int:
@@ -421,15 +421,14 @@ class BoundaryIndex:
     The outer loop runs counter-clockwise and the inner loop clockwise, so the
     outward normal of the domain points away from it on both.  Arc lengths are
     measured from the loop's start node (minimum z, ties broken by minimum r)
-    and the closing edge back to the start is included in the perimeter only.
+    and stop at the last node: the closing edge back to the start is not
+    included.
     """
 
     outer_nodes: np.ndarray
     inner_nodes: np.ndarray
     outer_arcs: np.ndarray
     inner_arcs: np.ndarray
-    outer_perimeter: float
-    inner_perimeter: float
 
     def nodes_for(self, where: str) -> np.ndarray:
         if where == OUTER:
@@ -441,7 +440,7 @@ class BoundaryIndex:
 
 def _orient_and_anchor(nodes: np.ndarray, loop: np.ndarray, ccw: bool):
     if len(loop) == 0:
-        return loop, np.zeros(0), 0.0
+        return loop, np.zeros(0)
     pts = nodes[loop]
     if (polygon_area(pts) > 0.0) != ccw:
         loop = loop[::-1].copy()
@@ -450,9 +449,7 @@ def _orient_and_anchor(nodes: np.ndarray, loop: np.ndarray, ccw: bool):
     loop = np.roll(loop, -start)
     pts = nodes[loop]
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    arcs = np.concatenate([[0.0], np.cumsum(seg)])
-    perimeter = float(arcs[-1] + np.linalg.norm(pts[0] - pts[-1]))
-    return loop, arcs, perimeter
+    return loop, np.concatenate([[0.0], np.cumsum(seg)])
 
 
 def boundary_node_normals(mesh: Mesh, where: str) -> np.ndarray:

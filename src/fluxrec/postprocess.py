@@ -1,7 +1,7 @@
 """Physical outputs from a reconstructed flux.
 
-Per-triangle magnetic field components, isoflux contours by marching
-triangles, and the plasma-boundary level search.  Contours are cut from the
+Isoflux contours by marching triangles, and the plasma-boundary level
+search.  Contours are cut from the
 mesh's edge table: one crossing point per crossed edge, computed for all
 edges at once, chained by the mesh module's walk.  The boundary search takes
 the exact bottleneck level in one pass over the same edges: the highest
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import FluxField, triangle_gradients
+from .fem import FluxField
 from .mesh import OUTER, Mesh, chain_walk, points_in_polygon
 
 
@@ -32,14 +32,6 @@ class EmptyIsolineError(ValueError):
 
 class NoTransitionError(RuntimeError):
     """No closed-to-open contour transition: no X-point level in the domain."""
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Per-triangle constant magnetic field components (tesla)."""
-
-    b_r: np.ndarray
-    b_z: np.ndarray
 
 
 @dataclass
@@ -55,27 +47,6 @@ class Isoline:
     polyline_closed: list = field(default_factory=list)
     closed: bool = False
     inside_domain: bool = False
-
-    def encircles(self, point) -> bool:
-        """True if some closed polyline winds around the given point."""
-        for poly, is_closed in zip(self.polylines, self.polyline_closed):
-            if is_closed and points_in_polygon(
-                    np.asarray(point, dtype=float)[None, :], poly[:-1])[0]:
-                return True
-        return False
-
-
-def magnetic_field(fld: FluxField) -> FieldSample:
-    """(B_r, B_z) = (1/r)(-dpsi/dz, dpsi/dr) per triangle.
-
-    P1 gradients are constant per triangle; the 1/r factor is evaluated at
-    the triangle centroid.
-    """
-    mesh = fld.mesh
-    grads, _ = triangle_gradients(mesh)
-    g = np.einsum("mij,mi->mj", grads, fld.values[mesh.triangles])
-    r_c = mesh.nodes[mesh.triangles][:, :, 0].mean(axis=1)
-    return FieldSample(-g[:, 1] / r_c, g[:, 0] / r_c)
 
 
 def extract_isoline(fld: FluxField, level: float) -> Isoline:

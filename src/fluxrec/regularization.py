@@ -77,7 +77,7 @@ def sweep(system: KVSystem, data: CauchyData | None, eps_grid) -> LCurve:
     """
     grid = _check_grid(eps_grid)
     if data is not None and data is not system.data:
-        system = assemble_kv(system.mesh, system.stiffness, data, reuse=system)
+        system = assemble_kv(system.stiffness.mesh, system.stiffness, data, reuse=system)
     messages = {eps: _near_singular(system, eps) for eps in grid.tolist()}
     kept = grid[[message is None for message in messages.values()]]
     if len(kept) < 5:

@@ -7,7 +7,14 @@ mesh-generator oracle works one point, ray and triangle at a time; the
 interface-load and constant-term oracles lift the data by two sparse
 solves, and the interface oracles solve for whole blocks of lifted
 columns; every field-solve oracle factors its matrix afresh in node
-order; the sweep oracle solves one epsilon at a time."""
+order; the sweep oracle solves one epsilon at a time.
+
+The last section holds the checks that the library's pipeline never runs:
+the misfit as a direct volume integral, the interface quadratic form, the
+optimality residual, the weighted normal derivative, the energy norm of a
+gap field and whether an isoline encircles a point.  They solve through
+the ``fem`` module's own functions (``fem.solve_dirichlet``,
+``fem.solve_neumann``), so a test that counts those solves sees theirs."""
 
 from __future__ import annotations
 
@@ -19,7 +26,9 @@ from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   minimum_spanning_tree)
 from scipy.sparse.linalg import splu
 
-from fluxrec.fem import FluxField
+from fluxrec import fem
+from fluxrec.completion import CauchyData, KVSystem
+from fluxrec.fem import FluxField, StiffnessMatrix
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
                           _angles_about, _EdgeBoundExceeded, _resample_closed,
                           distance_to_polyline, loops_intersect, points_in_polygon,
@@ -273,14 +282,14 @@ def chain_loop_dict(edges: np.ndarray) -> np.ndarray:
 
 
 def boundary_index_dict(mesh: Mesh):
-    """(nodes, arcs, perimeter) of the outer and the inner loop, in the
+    """(nodes, arcs) of the outer and the inner loop, in the
     documented BoundaryIndex order: outer counter-clockwise, inner
     clockwise, each from its minimum-z (then minimum-r) node."""
     out = []
     for label, ccw in ((OUTER, True), (INNER, False)):
         edges = mesh.boundary_edges[mesh.boundary_labels == label]
         if len(edges) == 0:
-            out.append((np.zeros(0, dtype=np.int64), np.zeros(0), 0.0))
+            out.append((np.zeros(0, dtype=np.int64), np.zeros(0)))
             continue
         loop = chain_loop_dict(edges)
         if (polygon_area(mesh.nodes[loop]) > 0.0) != ccw:
@@ -289,9 +298,8 @@ def boundary_index_dict(mesh: Mesh):
         start = min(range(len(loop)), key=lambda i: (pts[i, 1], pts[i, 0]))
         loop = np.roll(loop, -start)
         pts = mesh.nodes[loop]
-        arcs = np.concatenate([[0.0], np.cumsum(
-            np.linalg.norm(np.diff(pts, axis=0), axis=1))])
-        out.append((loop, arcs, float(arcs[-1] + np.linalg.norm(pts[0] - pts[-1]))))
+        out.append((loop, np.concatenate([[0.0], np.cumsum(
+            np.linalg.norm(np.diff(pts, axis=0), axis=1))])))
     return out
 
 
@@ -830,15 +838,15 @@ def two_lift_load(system) -> np.ndarray:
     """Interface load -(A (tilde_d - tilde_n))[inner] from fresh Dirichlet and
     Neumann lifts of the system's data, with zero inner values."""
     A, data = system.stiffness, system.data
-    zero = np.zeros(len(system.mesh.boundary.inner_nodes))
+    zero = np.zeros(len(system.stiffness.mesh.boundary.inner_nodes))
     gap = dirichlet_solve(A, data.f, zero) - neumann_solve(A, data.g, zero)
-    return -(A.matrix @ gap)[system.mesh.boundary.inner_nodes]
+    return -(A.matrix @ gap)[system.stiffness.mesh.boundary.inner_nodes]
 
 
 def two_lift_constant(system) -> float:
     """J's constant term as half the energy of the same gap field."""
     A, data = system.stiffness, system.data
-    zero = np.zeros(len(system.mesh.boundary.inner_nodes))
+    zero = np.zeros(len(system.stiffness.mesh.boundary.inner_nodes))
     gap = dirichlet_solve(A, data.f, zero) - neumann_solve(A, data.g, zero)
     return 0.5 * float(gap @ (A.matrix @ gap))
 
@@ -858,7 +866,7 @@ def schur_by_block_solve(A) -> np.ndarray:
 def neumann_block_interface(system) -> tuple[np.ndarray, np.ndarray]:
     """S_N and T_g from a Neumann solve of every inner basis function
     (zero flux outside): S_N = (A cols_n)[inner], T_g = -cols_n[outer]' B."""
-    A, b = system.stiffness, system.mesh.boundary
+    A, b = system.stiffness, system.stiffness.mesh.boundary
     ni = len(b.inner_nodes)
     cols_n = neumann_solve(A, np.zeros((len(b.outer_nodes), ni)), np.eye(ni))
     s_n = (A.matrix @ cols_n)[b.inner_nodes]
@@ -893,3 +901,86 @@ def sweep_by_epsilon(system, grid) -> LCurve:
         raise RuntimeError(
             f"only {len(eps_ok)} sweep points succeeded; need at least 5")
     return LCurve(np.array(eps_ok), np.array(js), np.array(rds), dropped=dropped)
+
+
+# ---------------------------------------------------------------------------
+# checks the pipeline does not run
+# ---------------------------------------------------------------------------
+
+def weighted_normal_derivative(field: FluxField, A: StiffnessMatrix,
+                               where: str) -> np.ndarray:
+    """Variationally consistent weighted normal derivative on a boundary.
+
+    Returns the boundary entries of A psi, i.e. the Riesz representation of
+    (1/r) dpsi/dn against the boundary test functions (mass-weighted nodal
+    fluxes).  For a field solved with zero interior load this is the exact
+    discrete flux; on the outer loop of a Neumann solve it reproduces the
+    g load projection.
+    """
+    if field.mesh is not A.mesh:
+        raise ValueError("field and matrix live on different meshes")
+    residual = A.matrix @ field.values
+    return residual[field.mesh.boundary.nodes_for(where)]
+
+
+def energy_norm_sq(field_a: FluxField, field_b: FluxField,
+                   A: StiffnessMatrix) -> float:
+    """(a - b)^T A (a - b): the weighted energy of the gradient gap."""
+    d = field_a.values - field_b.values
+    return float(d @ (A.matrix @ d))
+
+
+def evaluate(system: KVSystem, data: CauchyData, u, epsilon: float = 0.0):
+    """Misfit J, regularizer R_D and total J_eps at a given control.
+
+    J is computed by the direct volume integral (two solves plus the energy
+    norm), not through the quadratic form, so it is the reference for the
+    identity J(v) = (s_D(v,v) - s_N(v,v))/2 - l(v) + c and for the closed
+    form of solve_completion.  R_D = s_D(u, u) / 2 uses the interface
+    matrix, which equals the lifted field's energy exactly (the lift pairs
+    against itself).
+    """
+    u = fem._boundary_values(u, system.size, "u")
+    A = system.stiffness
+    psi_d = fem.solve_dirichlet(A, data.f, u)
+    psi_n = fem.solve_neumann(A, data.g, u)
+    J = 0.5 * energy_norm_sq(psi_d, psi_n, A)
+    R_D = 0.5 * float(u @ (system.s_d @ u))
+    return J, R_D, J + epsilon * R_D
+
+
+def quadratic_misfit(system: KVSystem, u) -> float:
+    """J through the interface quadratic form: v'(S_D - S_N)v/2 - l'v + c."""
+    u = fem._boundary_values(u, system.size, "u")
+    return float(0.5 * u @ ((system.s_d - system.s_n) @ u) - system.load @ u
+                 + system.constant_term())
+
+
+def optimality_residual(system: KVSystem, u_opt, epsilon: float,
+                        data: CauchyData | None = None) -> np.ndarray:
+    """Inner-boundary flux mismatch at a control; near zero at the optimum.
+
+    Recovers the weighted normal derivatives of the Dirichlet solution, the
+    Neumann solution and the regularizing Dirichlet lift by fresh solves, so
+    it checks the optimality condition independently of the assembled
+    interface matrices.
+    """
+    if data is None:
+        data = system.data
+    A = system.stiffness
+    u_opt = fem._boundary_values(u_opt, system.size, "u_opt")
+    psi_d = fem.solve_dirichlet(A, data.f, u_opt)
+    psi_n = fem.solve_neumann(A, data.g, u_opt)
+    psi_d0 = fem.solve_dirichlet(A, 0.0, u_opt)
+    return (weighted_normal_derivative(psi_d, A, INNER)
+            - weighted_normal_derivative(psi_n, A, INNER)
+            + epsilon * weighted_normal_derivative(psi_d0, A, INNER))
+
+
+def encircles(iso: Isoline, point) -> bool:
+    """True if some closed polyline winds around the given point."""
+    for poly, is_closed in zip(iso.polylines, iso.polyline_closed):
+        if is_closed and points_in_polygon(
+                np.asarray(point, dtype=float)[None, :], poly[:-1])[0]:
+            return True
+    return False

@@ -25,9 +25,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
 
-from fluxrec import (assemble_kv, assemble_stiffness, evaluate,
-                     find_corner, interpolate, optimality_residual,
-                     quadratic_misfit, solve_completion, solve_dirichlet,
+from fluxrec import (assemble_kv, assemble_stiffness, find_corner,
+                     interpolate, solve_completion, solve_dirichlet,
                      solve_neumann, sweep, trace)
 from fluxrec.cli import main
 from fluxrec.experiments import (MANUFACTURED, TABLE_EPSILONS, TwinSpec,
@@ -37,7 +36,8 @@ from fluxrec.mesh import INNER, OUTER, polygon_centroid, save_mesh
 from fluxrec.postprocess import find_plasma_boundary
 from fluxrec.regularization import LCurve, default_grid
 from conftest import build_square_mesh, strip_mesh
-from oracles import bisect_transition
+from oracles import (bisect_transition, encircles, evaluate,
+                     optimality_residual, quadratic_misfit)
 
 TABLE1_REFERENCE = {("TC1", 0.0): 0.0131, ("TC1", 0.01): 0.0659,
                     ("TC1", 0.05): 0.1526, ("TC2", 0.0): 0.0055,
@@ -262,7 +262,7 @@ def test_criterion_09_plasma_boundary(desk_mesh, iter_mesh, iter_A):
                     g_spec=lambda r, z, nr, nz: loop.weighted_flux(r, z, nr, nz))
     rep = run_twin(iter_mesh, spec, 1e-3, A=iter_A)
     _, iso2, mode2 = find_plasma_boundary(rep.result.psi_opt)
-    closed = iso2.encircles(hole)
+    closed = encircles(iso2, hole)
     _report(9, oracle_gap < 1e-9 and closed,
             f"saddle transition vs scan oracle {oracle_gap:.1e} (< 1e-9 of range, "
             f"mode {mode}); twin boundary closed around the hole: {closed}")

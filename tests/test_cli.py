@@ -216,6 +216,27 @@ def test_config_key_that_is_no_option_gives_config_exit(desk_mesh_file, tmp_path
     assert not (tmp_path / "twin_report.txt").exists()
 
 
+def test_config_key_given_twice_gives_config_exit(desk_mesh_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh_path = {desk_mesh_file}\nepsilon = 1e-3\ncase = TC1\n"
+                   "case = TC2\n")
+    assert main(["twin", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert (f"config error: {cfg}:4: option 'case' already set at line 3"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "twin_report.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["iter2", "Desk", ""])
+def test_config_preset_must_be_a_preset(tmp_path, capsys, value):
+    # argparse checks the flag's choices; the config file's value is checked too
+    cfg = tmp_path / "mesh.cfg"
+    cfg.write_text(f"preset = {value}\n")
+    assert main(["mesh", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert (f"config error: option preset must be desk or iter, got {value!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "mesh.txt").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["twin", "--case", "TC1", "--noise", "0.9", "--epsilon", "1e-3"],
     ["twin", "--case", "TC1", "--epsilon=-1e-3"],
@@ -349,8 +370,9 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
     flags = _FLAGS[command] + _COMMON
     options = [option for _, option, _ in flags]
     # an option of another command passes through; a key that is no option
-    # is an error, like a line with no `=`, and the first bad line is named
-    lines, expected, errors = [], {}, []
+    # or is given twice is an error, like a line with no `=`, and the first
+    # bad line is named.  errors holds (line, message, earlier line or None)
+    lines, expected, errors, first = [], {}, [], {}
     for _ in range(data.draw(st.integers(0, 8))):
         kind = data.draw(st.sampled_from(["entry", "entry", "blank", "comment"]))
         pad = [data.draw(_PAD) for _ in range(4)]
@@ -359,8 +381,12 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
                                              "spare_key"]))
             value = " ".join(data.draw(st.lists(_WORD | st.just("="), max_size=3)))
             if key in ("command", "spare_key"):
-                errors.append((len(lines), f"unknown option {key!r}"))
+                errors.append((len(lines), f"unknown option {key!r}", None))
+            elif key in first:
+                errors.append((len(lines), f"option {key!r} already set at line",
+                               first[key]))
             else:
+                first[key] = len(lines)
                 expected[key] = value
             tail = data.draw(st.just("") | _COMMENT)
             lines.append(f"{pad[0]}{key}{pad[1]}={pad[2]}{value}{pad[3]}{tail}")
@@ -377,8 +403,10 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
     bad = data.draw(st.none() | st.integers(0, len(lines)))
     if bad is not None:
         lines.insert(bad, data.draw(_PAD) + data.draw(_WORD) + data.draw(_PAD))
-        errors = [(line + (line >= bad), message) for line, message in errors]
-        errors.append((bad, "expected key = value"))
+        errors = [(line + (line >= bad), message,
+                   None if earlier is None else earlier + (earlier >= bad))
+                  for line, message, earlier in errors]
+        errors.append((bad, "expected key = value", None))
     path = tmp_path_factory.mktemp("config") / "run.cfg"
     path.write_text("\n".join(lines) + "\n")
 
@@ -389,7 +417,9 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
     if not errors:
         assert seen == [expected]
     else:
-        line, message = min(errors)
+        line, message, earlier = min(errors, key=lambda error: error[0])
+        if earlier is not None:
+            message += f" {earlier + 1}"
         assert rc == 2 and not seen
         assert f"config error: {path}:{line + 1}: {message}" in err.getvalue()
 

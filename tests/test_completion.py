@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
 
-from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, evaluate,
-                     interpolate, optimality_residual, quadratic_misfit,
+from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, interpolate,
                      solve_completion, solve_dirichlet, solve_neumann, trace)
 from fluxrec.completion import NearSingularError
 from fluxrec.experiments import TwinSpec, generate_reference
 from fluxrec.mesh import INNER
+from oracles import evaluate, optimality_residual, quadratic_misfit
 
 
 @pytest.fixture(scope="module")

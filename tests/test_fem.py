@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from fluxrec import (FluxField, assemble_stiffness, energy_norm_sq,
-                     interpolate, solve_dirichlet, solve_neumann, trace,
-                     weighted_normal_derivative)
+from fluxrec import (FluxField, assemble_stiffness, interpolate,
+                     solve_dirichlet, solve_neumann, trace)
 from fluxrec.experiments import MANUFACTURED, refined_desk_mesh
 from fluxrec.mesh import INNER, OUTER, Mesh, boundary_node_normals, circle_loop, generate_annulus_mesh
 from conftest import build_square_mesh
+from oracles import energy_norm_sq, weighted_normal_derivative
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ def test_square_loop_perimeter():
     assert b.outer_arcs[0] == 0.0
     assert np.all(np.diff(b.outer_arcs) > 0)
     assert b.outer_arcs[-1] + closing == pytest.approx(4.0, abs=1e-15)
-    assert b.outer_perimeter == pytest.approx(4.0, abs=1e-15)
 
 
 def test_boundary_index_orientation_canonicalized(tmp_path):
@@ -332,13 +331,12 @@ def test_labeled_non_triangle_edge_rejected():
 
 def _assert_boundary_matches_dict_reference(m):
     b = m.boundary
-    for nodes, arcs, perimeter, (ref_nodes, ref_arcs, ref_perimeter) in zip(
+    for nodes, arcs, (ref_nodes, ref_arcs) in zip(
             (b.outer_nodes, b.inner_nodes), (b.outer_arcs, b.inner_arcs),
-            (b.outer_perimeter, b.inner_perimeter), boundary_index_dict(m)):
+            boundary_index_dict(m)):
         assert nodes.dtype == np.int64
         assert np.array_equal(nodes, ref_nodes)
         assert np.array_equal(arcs, ref_arcs)
-        assert perimeter == ref_perimeter
 
 
 @pytest.mark.parametrize("fixture", ["desk_mesh", "iter_mesh", "wide_mesh"])
@@ -424,8 +422,6 @@ def test_save_load_is_bit_exact(tmp_path_factory, r0, z0, a, radii, shrink,
         assert np.array_equal(getattr(back.edges, name), getattr(m.edges, name))
     for name in ("outer_nodes", "inner_nodes", "outer_arcs", "inner_arcs"):
         assert np.array_equal(getattr(back.boundary, name), getattr(m.boundary, name))
-    assert back.boundary.outer_perimeter == m.boundary.outer_perimeter
-    assert back.boundary.inner_perimeter == m.boundary.inner_perimeter
 
 
 def _edit(text, old, new):

@@ -49,7 +49,7 @@ def _with_data(system, seed):
     n = len(system.data.f)
     f = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)
     g = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)
-    return assemble_kv(system.mesh, system.stiffness, CauchyData(f, g),
+    return assemble_kv(system.stiffness.mesh, system.stiffness, CauchyData(f, g),
                        reuse=system)
 
 
@@ -114,7 +114,7 @@ def test_boundary_dtn_blocks_match_dirichlet_block_solve(base):
 
 def test_boundary_dtn_is_symmetric_and_annihilates_constants(base):
     s = base.stiffness.boundary_dtn
-    no = len(base.mesh.boundary.outer_nodes)
+    no = len(base.stiffness.mesh.boundary.outer_nodes)
     assert np.array_equal(s, s.T)
     assert s[no, no] > 0.0
     assert np.abs(s.sum(axis=1)).max() <= 1e-12 * np.abs(s).max()

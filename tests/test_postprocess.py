@@ -12,12 +12,11 @@ from fluxrec.experiments import TwinSpec, loop_flux_field, run_twin
 from fluxrec.mesh import circle_loop, polygon_centroid
 from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
                                  _bottleneck_level, _sample_field,
-                                 extract_isoline, find_plasma_boundary,
-                                 magnetic_field)
+                                 extract_isoline, find_plasma_boundary)
 from conftest import strip_mesh
 from oracles import (STATE_ORDER, RegionClassifier, bisect_transition,
                      bottleneck_level_dual, bottleneck_level_mst,
-                     extract_isoline_dict, sample_field_scan)
+                     encircles, extract_isoline_dict, sample_field_scan)
 
 
 @pytest.fixture(scope="module")
@@ -29,32 +28,6 @@ def xpoint_field():
     mf = loop_flux_field(6.0, 0.0, 1.0, gamma)
     r_x = brentq(lambda r: mf.grad(r, 0.0)[0], 7.3, 8.15, xtol=1e-14)
     return mf, r_x, float(mf.psi(r_x, 0.0))
-
-
-def test_field_of_r_squared():
-    # axis-aligned triangles make the interpolant of r*r exactly flat in z,
-    # so the radial component vanishes identically there
-    from conftest import build_square_mesh
-    mesh = build_square_mesh(8)
-    fld = interpolate(mesh, lambda r, z: r * r)
-    sample = magnetic_field(fld)
-    assert np.abs(sample.b_r).max() == 0.0
-    assert np.all(sample.b_z > 0.0)
-
-
-def test_field_of_constant(desk_mesh):
-    fld = FluxField(np.full(desk_mesh.node_count, 2.0), desk_mesh)
-    sample = magnetic_field(fld)
-    assert np.abs(sample.b_r).max() < 1e-13
-    assert np.abs(sample.b_z).max() < 1e-13
-
-
-def test_field_of_z(desk_mesh):
-    fld = interpolate(desk_mesh, lambda r, z: z)
-    sample = magnetic_field(fld)
-    r_c = desk_mesh.nodes[desk_mesh.triangles][:, :, 0].mean(axis=1)
-    assert np.allclose(sample.b_r, -1.0 / r_c, rtol=1e-12)
-    assert np.abs(sample.b_z).max() < 1e-12
 
 
 def test_isoline_of_linear_field_is_flat(desk_mesh):
@@ -480,7 +453,7 @@ def test_limiter_mode_recovers_touch_value(desk_mesh):
     psi_p, iso, mode = find_plasma_boundary(fld, limiter=limiter)
     assert mode == "limiter"
     assert abs(psi_p + 1.5 ** 2) < 0.05
-    assert iso.encircles([6.0, 0.0])
+    assert encircles(iso, [6.0, 0.0])
 
 
 def test_limiter_outside_domain_rejected(desk_mesh):
@@ -498,7 +471,7 @@ def test_twin_reconstruction_has_closed_boundary(iter_mesh, iter_A):
                     g_spec=lambda r, z, nr, nz: loop.weighted_flux(r, z, nr, nz))
     report = run_twin(iter_mesh, spec, 1e-3, A=iter_A)
     psi_p, iso, mode = find_plasma_boundary(report.result.psi_opt)
-    assert iso.encircles(hole)
+    assert encircles(iso, hole)
     inner_trace = report.result.psi_opt.values[iter_mesh.boundary.inner_nodes]
     assert psi_p < inner_trace.min()
 

@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, evaluate, fem,
+from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, fem,
                      find_corner, solve_completion, sweep)
 from fluxrec import completion as cp
 from fluxrec.completion import KVAssemblyError, NearSingularError
 from fluxrec.fem import FemError
 from fluxrec.regularization import default_grid
-from oracles import sweep_by_epsilon, two_lift_load
+from oracles import evaluate, sweep_by_epsilon, two_lift_load
 
 seeds = st.integers(0, 2 ** 32 - 1)
 # log-uniform over the range of default_grid
@@ -81,7 +81,7 @@ def _data(base, seed) -> CauchyData:
 
 
 def _refresh(base, data):
-    return assemble_kv(base.mesh, base.stiffness, data, reuse=base)
+    return assemble_kv(base.stiffness.mesh, base.stiffness, data, reuse=base)
 
 
 @examples
