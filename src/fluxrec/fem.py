@@ -6,9 +6,11 @@ with the weak form  a(psi, phi) = integral over the domain of
 stiffness matrix A of that form: the two auxiliary boundary-value solves
 (Dirichlet data on both loops, or weighted Neumann data on the outer loop
 plus Dirichlet on the inner), the boundary Dirichlet-to-Neumann matrix the
-interface system is cut from, traces and interpolants.  The weighted normal
-derivative (the boundary rows of A psi) and the energy norm of a field gap
-are test oracles, in tests/oracles.py; the pipeline needs neither.
+interface system is cut from, traces and interpolants.  All of them go
+through one sparse factorization per mesh, of A with the boundary nodes
+eliminated last.  The weighted normal derivative (the boundary rows of
+A psi) and the energy norm of a field gap are test oracles, in
+tests/oracles.py; the pipeline needs neither.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_solve, cholesky
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from .mesh import Mesh
 
@@ -90,73 +92,107 @@ class StiffnessMatrix:
     Row sums vanish (the operator annihilates constants) and the diagonal is
     strictly positive; both are verified at assembly.
 
-    One sparse factorization is kept per mesh: the Dirichlet factor (both
-    loops held), computed on first use and reused by every solve.  The
-    boundary Dirichlet-to-Neumann matrix `boundary_dtn` is read off a second,
-    boundary-last factorization that is dropped as soon as it is read.  A
-    Neumann solve is then one dense solve on the outer loop, with the
-    Cholesky factor `outer_dtn_chol`, followed by a Dirichlet solve.
+    One sparse factorization is kept per mesh, computed on first use: A
+    without one boundary node's row and column, the interior eliminated
+    first in a boundary-constrained minimum-degree order (`_interior_order`)
+    and the boundary last.  The boundary Dirichlet-to-Neumann matrix
+    `boundary_dtn` is read off its trailing block, and every field solve
+    goes through it: a Dirichlet solve is one solve with that factor, and a
+    Neumann solve is one dense solve on the outer loop, with the Cholesky
+    factor `outer_dtn_chol`, followed by a Dirichlet solve.
     """
 
     matrix: sparse.csr_matrix
     mesh: Mesh
 
     @cached_property
-    def _dirichlet(self) -> "_ReducedSystem":
+    def _boundary(self) -> np.ndarray:
+        """The boundary nodes: the outer loop, then the inner loop."""
         b = self.mesh.boundary
-        return _ReducedSystem(self, np.concatenate([b.outer_nodes, b.inner_nodes]))
+        return np.concatenate([b.outer_nodes, b.inner_nodes])
 
-    def _boundary_last_factor(self):
-        """SuperLU factor of A without the first inner node's row and column,
-        and the node at each of its positions.
+    @property
+    def _held(self) -> int:
+        """Position in `_boundary` of the held node, the first node of the
+        last loop present."""
+        b = self.mesh.boundary
+        return len(b.outer_nodes) if len(b.inner_nodes) else 0
+
+    @cached_property
+    def _factor(self):
+        """SuperLU factor of A without the held node's row and column, and
+        the node at each of its positions.
 
         A's kernel is the constants, so holding one node leaves the matrix
         symmetric positive definite; it is factored without pivoting, the
-        interior first (in the Dirichlet factor's column order), then the
-        outer loop, then the rest of the inner loop.
+        interior first (in `_interior_order`), then the rest of the boundary
+        in `_boundary` order.
         """
-        b = self.mesh.boundary
-        d = self._dirichlet
-        order = np.concatenate([d.free[np.argsort(d.factor.perm_c)],
-                                b.outer_nodes, b.inner_nodes[1:]])
+        order = np.concatenate([_interior_order(self),
+                                np.delete(self._boundary, self._held)])
         reduced = self.matrix.tocsc()[order][:, order].tocsc()
         factor = splu(reduced, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
         return factor, order
 
     @cached_property
+    def _schur(self) -> np.ndarray:
+        """S = A_GG - A_GF A_FF^-1 A_FG on the `_boundary` nodes G, F the
+        interior, for a mesh with or without an inner loop.
+
+        The trailing block of the factor is S without the held node's row
+        and column; as S annihilates constants, those follow from zero row
+        sums.  FemError unless S is symmetric within 1e-12 relative and the
+        held node's diagonal entry is positive.
+        """
+        ng, h = len(self._boundary), self._held
+        block = _trailing_block(self._factor[0], ng - 1)
+        rest = np.delete(np.arange(ng), h)
+        s = np.empty((ng, ng))
+        s[np.ix_(rest, rest)] = block
+        s[rest, h] = s[h, rest] = -block.sum(axis=1)
+        s[h, h] = block.sum()
+        asym = np.abs(s - s.T).max()
+        if asym > 1e-12 * np.abs(s).max():
+            raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
+                           f"asymmetry {asym:.3e} exceeds 1e-12 relative")
+        if not s[h, h] > 0.0:
+            raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
+                           f"has diagonal entry {s[h, h]:.3e} at the held node")
+        return 0.5 * (s + s.T)
+
+    @property
     def boundary_dtn(self) -> np.ndarray:
         """S = A_GG - A_GF A_FF^-1 A_FG, G the boundary nodes (outer loop,
         then inner loop, in BoundaryIndex order) and F the interior: the
         weighted flux of the field with the given boundary values and no
         interior load.  Its blocks are the interface matrices: S_II = S_D,
         S_IO = -T_f, and S_OO the outer Dirichlet-to-Neumann matrix.
-
-        The trailing block of the boundary-last factor is S without the held
-        node's row and column; as S annihilates constants, those follow from
-        zero row sums.  FemError unless S is symmetric within 1e-12 relative
-        and the held node's diagonal entry is positive.
+        ValueError on a mesh without an inner loop.
         """
-        b = self.mesh.boundary
-        no, ni = len(b.outer_nodes), len(b.inner_nodes)
-        if ni == 0:
+        if len(self.mesh.boundary.inner_nodes) == 0:
             raise ValueError("a weighted-Neumann solve or interface system "
                              "requires an inner boundary")
-        # the factor is dropped as soon as its trailing block is read
-        block = _trailing_block(self._boundary_last_factor()[0], no + ni - 1)
-        rest = np.delete(np.arange(no + ni), no)
-        s = np.empty((no + ni, no + ni))
-        s[np.ix_(rest, rest)] = block
-        s[rest, no] = s[no, rest] = -block.sum(axis=1)
-        s[no, no] = block.sum()
-        asym = np.abs(s - s.T).max()
-        if asym > 1e-12 * np.abs(s).max():
-            raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
-                           f"asymmetry {asym:.3e} exceeds 1e-12 relative")
-        if not s[no, no] > 0.0:
-            raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
-                           f"has diagonal entry {s[no, no]:.3e} at the held node")
-        return 0.5 * (s + s.T)
+        return self._schur
+
+    def _dirichlet_solve(self, values: np.ndarray) -> np.ndarray:
+        """Nodal solution with the given `_boundary` values and no interior
+        load.
+
+        With the held node's value c subtracted (constants lie in A's
+        kernel), the field has residual 0 on the interior and S (x_G - c) on
+        the boundary, so one solve with the factor gives the interior; the
+        boundary values are then written back exactly.
+        """
+        factor, order = self._factor
+        h = self._held
+        rhs = np.zeros(len(order))
+        rhs[len(order) - len(values) + 1:] = np.delete(
+            self._schur @ (values - values[h]), h)
+        x = np.empty(self.mesh.node_count)
+        x[order] = factor.solve(rhs) + values[h]
+        x[self._boundary] = values
+        return x
 
     @cached_property
     def outer_dtn_chol(self) -> np.ndarray:
@@ -191,6 +227,34 @@ class StiffnessMatrix:
                                  shape=(len(k), len(k))).tocsr()
 
 
+def _interior_order(A: StiffnessMatrix) -> np.ndarray:
+    """The interior nodes in a fill-reducing order for elimination ahead of
+    the boundary.
+
+    Minimum degree on A + A' runs on A's graph with every boundary node
+    contracted into one vertex, which is then dropped from the order (the
+    constrained ordering of George & Liu, "Computer Solution of Large Sparse
+    Positive Definite Systems", 1981).  SciPy runs SuperLU's ordering only
+    inside a factorization, so it is taken from an incomplete one that
+    drops every off-diagonal entry.  The graph carries the values of |A|:
+    with all-ones values, or an infinite drop tolerance, SuperLU finds that
+    factorization exactly singular.
+    """
+    n = A.mesh.node_count
+    interior = np.ones(n, dtype=bool)
+    interior[A._boundary] = False
+    interior = np.flatnonzero(interior)
+    vertex = np.full(n, len(interior))
+    vertex[interior] = np.arange(len(interior))
+    contract = sparse.csr_matrix((np.ones(n), (vertex, np.arange(n))),
+                                 shape=(len(interior) + 1, n))
+    graph = (contract @ abs(A.matrix) @ contract.T).tocsc()
+    perm_c = spilu(graph, drop_tol=1e300, fill_factor=1,
+                   permc_spec="MMD_AT_PLUS_A").perm_c
+    at = np.argsort(perm_c)
+    return interior[at[at < len(interior)]]
+
+
 def _trailing_block(factor, k: int) -> np.ndarray:
     """Schur complement of the leading unknowns of a factored symmetric
     positive definite matrix, on its last k unknowns in their own order:
@@ -206,30 +270,6 @@ def _trailing_block(factor, k: int) -> np.ndarray:
     u = factor.U[n - k:, n - k:].toarray()
     s = u.T @ (u / u.diagonal()[:, None])
     return s[np.ix_(tail, tail)]
-
-
-class _ReducedSystem:
-    """LU factorization of the stiffness matrix minus constrained rows/cols,
-    the free unknowns in ascending node order."""
-
-    def __init__(self, A: StiffnessMatrix, constrained: np.ndarray):
-        mask = np.ones(A.mesh.node_count, dtype=bool)
-        mask[constrained] = False
-        self.free = np.flatnonzero(mask)
-        self.constrained = constrained
-        csc = A.matrix.tocsc()
-        self.coupling = csc[self.free][:, constrained]
-        try:
-            self.factor = splu(csc[self.free][:, self.free].tocsc())
-        except RuntimeError as exc:  # pragma: no cover - signals assembly bug
-            raise FemError(f"singular reduced system: {exc}") from exc
-
-    def solve(self, boundary_values: np.ndarray) -> np.ndarray:
-        """Nodal solution with no interior load for the constrained values."""
-        x = np.zeros(len(self.free) + len(self.constrained))
-        x[self.constrained] = boundary_values
-        x[self.free] = self.factor.solve(-(self.coupling @ boundary_values))
-        return x
 
 
 def assemble_stiffness(mesh: Mesh) -> StiffnessMatrix:
@@ -283,7 +323,7 @@ def solve_dirichlet(A: StiffnessMatrix, f, v) -> FluxField:
     b = A.mesh.boundary
     f = _boundary_values(f, len(b.outer_nodes), "f")
     v = _boundary_values(v, len(b.inner_nodes), "v")
-    x = A._dirichlet.solve(np.concatenate([f, v]))
+    x = A._dirichlet_solve(np.concatenate([f, v]))
     return FluxField(x, A.mesh)
 
 
@@ -302,7 +342,7 @@ def solve_neumann(A: StiffnessMatrix, g, v) -> FluxField:
     v = _boundary_values(v, len(b.inner_nodes), "v")
     flux = A.outer_mass @ g - A.boundary_dtn[:no, no:] @ v
     w = cho_solve((A.outer_dtn_chol, False), flux, check_finite=False)
-    x = A._dirichlet.solve(np.concatenate([w, v]))
+    x = A._dirichlet_solve(np.concatenate([w, v]))
     return FluxField(x, A.mesh)
 
 

@@ -237,12 +237,13 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
 def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     """P1 field values at points of a polyline (subdivided per segment).
 
-    Points inside the inner hole are skipped; points outside the outer
-    boundary raise.  Each point takes the lowest-index triangle whose
-    barycentric coordinates pass a 1e-12 tolerance.  Candidates are the
-    triangles with centroid within the longest mesh edge of the point, which
-    misses none: every point of a triangle lies within 2/3 of its longest
-    edge of its centroid.
+    Each point takes the lowest-index triangle whose barycentric coordinates
+    pass a 1e-12 tolerance.  Candidates are the triangles with centroid
+    within the longest mesh edge of the point, which misses none: every
+    point of a triangle lies within 2/3 of its longest edge of its centroid.
+    Only the points that no triangle holds are tested against the loops:
+    one outside the outer boundary raises, one inside the inner hole is
+    skipped, and any other lies outside the mesh and raises.
     """
     mesh = fld.mesh
     h = mesh.max_edge_length
@@ -253,16 +254,6 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     seg = np.repeat(np.arange(len(polyline)), n)
     k = np.arange(len(seg)) - (np.cumsum(n) - n)[seg]
     pts = polyline[seg] + (k / n[seg])[:, None] * step[seg]
-
-    bidx = mesh.boundary
-    outer_loop = mesh.nodes[bidx.outer_nodes]
-    if not points_in_polygon(pts, outer_loop).all():
-        raise ValueError("limiter leaves the outer boundary")
-    if len(bidx.inner_nodes):
-        in_hole = points_in_polygon(pts, mesh.nodes[bidx.inner_nodes])
-        pts = pts[~in_hole]
-    if len(pts) == 0:
-        raise ValueError("limiter lies entirely inside the plasma hole")
 
     near = mesh._centroid_tree.query_ball_point(pts, h)
     pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
@@ -281,9 +272,19 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     hits = np.flatnonzero(ok)
     hits = hits[np.lexsort((ti[hits], pi[hits]))]
     first = hits[np.diff(pi[hits], prepend=-1) != 0]
-    if len(first) < len(pts):
-        missing = np.setdiff1d(np.arange(len(pts)), pi[first])[0]
-        raise ValueError(f"limiter point {pts[missing]} is outside the mesh")
+    held = np.zeros(len(pts), dtype=bool)
+    held[pi[first]] = True
+    loose = pts[~held]
+    if len(loose):
+        bidx = mesh.boundary
+        if not points_in_polygon(loose, mesh.nodes[bidx.outer_nodes]).all():
+            raise ValueError("limiter leaves the outer boundary")
+        if len(bidx.inner_nodes):
+            loose = loose[~points_in_polygon(loose, mesh.nodes[bidx.inner_nodes])]
+        if len(first) == 0 and len(loose) == 0:
+            raise ValueError("limiter lies entirely inside the plasma hole")
+        if len(loose):
+            raise ValueError(f"limiter point {loose[0]} is outside the mesh")
     vals = fld.values[mesh.triangles[ti[first]]]
     l1, l2 = l1[first], l2[first]
     return vals[:, 0] * (1 - l1 - l2) + vals[:, 1] * l1 + vals[:, 2] * l2

@@ -7,7 +7,10 @@ mesh-generator oracle works one point, ray and triangle at a time; the
 interface-load and constant-term oracles lift the data by two sparse
 solves, and the interface oracles solve for whole blocks of lifted
 columns; every field-solve oracle factors its matrix afresh in node
-order; the sweep oracle solves one epsilon at a time.
+order, and the interior-order oracle takes COLAMD's order from a
+factorization of the interior block; the sweep oracle solves one epsilon
+at a time; the limiter-sampling oracles test every point against both
+loops before they locate it.
 
 The last section holds the checks that the library's pipeline never runs:
 the misfit as a direct volume integral, the interface quadratic form, the
@@ -200,6 +203,63 @@ def bottleneck_level_mst(mesh: Mesh, values: np.ndarray) -> float:
         path.append(int(pred[path[-1]]))
     worst = int(np.asarray(tree[path[:-1], path[1:]]).max())
     return float(weights[order[worst - 1]])
+
+
+def sample_field_polygon_first(fld: FluxField,
+                              polyline: np.ndarray) -> np.ndarray:
+    """P1 field values at points of a polyline (subdivided per segment),
+    every point tested against both loops before any triangle is located.
+
+    Points inside the inner hole are skipped; points outside the outer
+    boundary raise.  Each point takes the lowest-index triangle whose
+    barycentric coordinates pass a 1e-12 tolerance.  Candidates are the
+    triangles with centroid within the longest mesh edge of the point, which
+    misses none: every point of a triangle lies within 2/3 of its longest
+    edge of its centroid.
+    """
+    mesh = fld.mesh
+    h = mesh.max_edge_length
+    step = np.roll(polyline, -1, axis=0) - polyline
+    # one dot product per segment, rounded as np.linalg.norm rounds one vector
+    length = np.sqrt(step[:, None, :] @ step[:, :, None]).ravel()
+    n = np.maximum(1, np.ceil(length / (0.5 * h))).astype(np.int64)
+    seg = np.repeat(np.arange(len(polyline)), n)
+    k = np.arange(len(seg)) - (np.cumsum(n) - n)[seg]
+    pts = polyline[seg] + (k / n[seg])[:, None] * step[seg]
+
+    bidx = mesh.boundary
+    outer_loop = mesh.nodes[bidx.outer_nodes]
+    if not points_in_polygon(pts, outer_loop).all():
+        raise ValueError("limiter leaves the outer boundary")
+    if len(bidx.inner_nodes):
+        in_hole = points_in_polygon(pts, mesh.nodes[bidx.inner_nodes])
+        pts = pts[~in_hole]
+    if len(pts) == 0:
+        raise ValueError("limiter lies entirely inside the plasma hole")
+
+    near = mesh._centroid_tree.query_ball_point(pts, h)
+    pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
+    ti = np.concatenate(near).astype(np.int64)
+    tri_pts = mesh.nodes[mesh.triangles[ti]]
+    v0 = tri_pts[:, 0]
+    d1 = tri_pts[:, 1] - v0
+    d2 = tri_pts[:, 2] - v0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    rel = pts[pi] - v0
+    l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
+    ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
+
+    # lowest-index containing triangle per point: sort the hits by (point, triangle)
+    hits = np.flatnonzero(ok)
+    hits = hits[np.lexsort((ti[hits], pi[hits]))]
+    first = hits[np.diff(pi[hits], prepend=-1) != 0]
+    if len(first) < len(pts):
+        missing = np.setdiff1d(np.arange(len(pts)), pi[first])[0]
+        raise ValueError(f"limiter point {pts[missing]} is outside the mesh")
+    vals = fld.values[mesh.triangles[ti[first]]]
+    l1, l2 = l1[first], l2[first]
+    return vals[:, 0] * (1 - l1 - l2) + vals[:, 1] * l1 + vals[:, 2] * l2
 
 
 def sample_field_scan(values: np.ndarray, mesh: Mesh,
@@ -861,6 +921,18 @@ def schur_by_block_solve(A) -> np.ndarray:
     a_fo = csc[interior][:, b.outer_nodes].toarray()
     a_oo = csc[b.outer_nodes][:, b.outer_nodes].toarray()
     return a_oo - a_fo.T @ splu(csc[interior][:, interior].tocsc()).solve(a_fo)
+
+
+def colamd_interior_order(A) -> np.ndarray:
+    """The interior nodes in the column order of a default (COLAMD)
+    factorization of A_FF, F the interior nodes: the boundary-last factor's
+    interior order before the constrained minimum-degree order."""
+    b = A.mesh.boundary
+    interior = np.setdiff1d(np.arange(A.mesh.node_count),
+                            np.concatenate([b.outer_nodes, b.inner_nodes]))
+    csc = A.matrix.tocsc()
+    factor = splu(csc[interior][:, interior].tocsc())
+    return interior[np.argsort(factor.perm_c)]
 
 
 def neumann_block_interface(system) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,16 @@
 """The boundary Dirichlet-to-Neumann matrix and the solve-free interface path.
 
 fem reads S, the boundary Dirichlet-to-Neumann matrix, off the trailing
-block of one boundary-last factor and then drops that factor.  assemble_kv
+block of one boundary-last factor, which it keeps for every field solve,
+with the interior in a boundary-constrained minimum-degree order.  assemble_kv
 takes S_D, T_f and S_OO as blocks of S and builds S_N, T_g and J's constant
 term from them with dense work only, and a Neumann field solve is one dense
 outer solve and a Dirichlet solve.  These tests hold each of them, and the
 outer boundary mass that carries the wall load, to the block-solve,
 two-lift, fresh-factor or edge-by-edge path it replaced (oracles in
 `oracles`), on the three fixed geometries and on generated ring-ladder
-meshes, check the guards on the factor's column order and on S, and count
+meshes, check the guards on the factor's column order and on S, hold the
+factor's fill below that of the former COLAMD interior order, and count
 the sparse factorizations a mesh makes and keeps.
 """
 
@@ -27,8 +29,9 @@ from fluxrec.fem import FemError
 from fluxrec.mesh import (MeshGeometryError, generate_annulus_mesh,
                           scale_toward_centroid)
 from conftest import build_square_mesh
-from oracles import (dirichlet_block_interface, dirichlet_solve,
-                     flux_load_by_edge, neumann_block_interface, neumann_solve,
+from oracles import (colamd_interior_order, dirichlet_block_interface,
+                     dirichlet_solve, flux_load_by_edge,
+                     neumann_block_interface, neumann_solve,
                      schur_by_block_solve, two_lift_constant)
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -148,6 +151,16 @@ def test_interface_matches_neumann_block_path(base):
     _check_neumann_path(base)
 
 
+def test_factor_has_less_fill_than_the_colamd_interior_order(base,
+                                                             monkeypatch):
+    A = base.stiffness
+    kept = A._factor[0]
+    monkeypatch.setattr(fem, "_interior_order", colamd_interior_order)
+    ref = fem.StiffnessMatrix(A.matrix, A.mesh)
+    assert kept.nnz < ref._factor[0].nnz
+    assert _rel(A.boundary_dtn, ref.boundary_dtn) <= 1e-12
+
+
 @st.composite
 def ring_ladder_meshes(draw):
     r0 = draw(st.floats(4.0, 8.0))
@@ -181,7 +194,7 @@ def test_oracles_hold_on_generated_meshes(mesh, seed):
 def desk_factor(desk_A):
     """The desk mesh's boundary-last factor, its node order and the length
     of its tail."""
-    factor, order = desk_A._boundary_last_factor()
+    factor, order = desk_A._factor
     b = desk_A.mesh.boundary
     return factor, order, len(b.outer_nodes) + len(b.inner_nodes) - 1
 
@@ -262,6 +275,18 @@ def test_mesh_without_inner_boundary_has_no_boundary_dtn():
             call()
 
 
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds)
+def test_dirichlet_solve_without_inner_boundary(seed):
+    # the factor then holds an outer node
+    A = assemble_stiffness(build_square_mesh(4))
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(len(A.mesh.boundary.outer_nodes)) \
+        * 10.0 ** rng.uniform(-2.0, 2.0)
+    assert _rel(solve_dirichlet(A, f, 0.0).values,
+                dirichlet_solve(A, f, np.zeros(0))) <= 1e-12
+
+
 class _Watched:
     """A SuperLU factor that records reads of its L and U."""
 
@@ -276,24 +301,23 @@ class _Watched:
 
 
 def test_one_factor_outlives_assembly(iter_mesh, monkeypatch):
-    made = []
-    real = fem.splu
-
-    def watched(*args, **kwargs):
-        factor = _Watched(real(*args, **kwargs))
-        made.append((weakref.ref(factor), factor.read))
-        return factor
-
-    monkeypatch.setattr(fem, "splu", watched)
+    made = {"splu": [], "spilu": []}
+    for name in made:
+        def watched(*args, real=getattr(fem, name), log=made[name], **kwargs):
+            factor = _Watched(real(*args, **kwargs))
+            log.append((weakref.ref(factor), factor.read))
+            return factor
+        monkeypatch.setattr(fem, name, watched)
     A = assemble_stiffness(iter_mesh)
     n = len(iter_mesh.boundary.outer_nodes)
     assemble_kv(iter_mesh, A, CauchyData(np.ones(n), np.ones(n)))
     solve_neumann(A, 1.0, 0.5)
     solve_dirichlet(A, 1.0, 0.5)
-    assert len(made) == 2
+    assert {name: len(log) for name, log in made.items()} == {"splu": 1,
+                                                             "spilu": 1}
     gc.collect()
-    alive = [ref() for ref, _ in made if ref() is not None]
-    assert alive == [A._dirichlet.factor]
-    assert A._dirichlet.factor.read == []
-    # the dropped boundary-last factor was read, so the watch works
-    assert [read for ref, read in made if ref() is None] == [["U"]]
+    alive = [ref() for ref, _ in made["splu"] + made["spilu"]
+             if ref() is not None]
+    assert alive == [A._factor[0]]
+    # U was read once, for S; the field solves read neither L nor U
+    assert A._factor[0].read == ["U"]

@@ -16,7 +16,8 @@ from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
 from conftest import strip_mesh
 from oracles import (STATE_ORDER, RegionClassifier, bisect_transition,
                      bottleneck_level_dual, bottleneck_level_mst,
-                     encircles, extract_isoline_dict, sample_field_scan)
+                     encircles, extract_isoline_dict,
+                     sample_field_polygon_first, sample_field_scan)
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +414,51 @@ def test_sample_field_matches_per_point_scan(desk_mesh, seed):
     assert np.array_equal(fast, slow)
 
 
+def _sample_or_message(sample):
+    try:
+        return sample()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(["desk", "iter"]),
+       offset=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+       radius=st.floats(0.2, 4.0),
+       radii=st.lists(st.floats(0.7, 1.3), min_size=3, max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_field_matches_polygon_first_sampler(request, geometry, offset,
+                                                    radius, radii, seed):
+    # star-shaped limiters about the hole: inside the annulus, across the
+    # hole, inside it and past the wall, so every error and the skip of
+    # hole points are reached.  A jitter keeps the points off the loops,
+    # where the oracle leaves a point to the ray cast's tie rule and the
+    # sampler takes the triangle that holds it
+    mesh = request.getfixturevalue(f"{geometry}_mesh")
+    centre = polygon_centroid(mesh.nodes[mesh.boundary.inner_nodes]) + offset
+    t = np.linspace(0.0, 2.0 * np.pi, len(radii), endpoint=False)
+    r = radius * np.array(radii)
+    limiter = centre + np.column_stack([r * np.cos(t), r * np.sin(t)])
+    limiter += np.random.default_rng(seed).uniform(-1e-6, 1e-6, limiter.shape)
+    fld = interpolate(mesh, lambda r, z: np.sin(r) * np.cos(2.0 * z) + r * z)
+    fast = _sample_or_message(lambda: _sample_field(fld, limiter))
+    slow = _sample_or_message(lambda: sample_field_polygon_first(fld, limiter))
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert np.array_equal(fast, slow)
+
+
+def test_limiter_points_on_the_inner_loop_are_sampled(desk_mesh):
+    # a triangle holds each of them, so no loop test sees them
+    fld = interpolate(desk_mesh, lambda r, z: np.sin(r) * np.cos(2.0 * z) + r * z)
+    nodes = desk_mesh.boundary.inner_nodes[::10]
+    got = _sample_field(fld, desk_mesh.nodes[nodes])
+    n = len(got) // len(nodes)          # the segments are congruent chords
+    assert len(got) == n * len(nodes)
+    assert np.abs(got[::n] - fld.values[nodes]).max() <= 1e-12
+
+
 @pytest.mark.parametrize("centre, radius, message", [
     ((6.0, 0.0), 5.0, "limiter leaves the outer boundary"),
     ((6.0, 0.0), 0.5, "limiter lies entirely inside the plasma hole"),
@@ -421,6 +467,7 @@ def test_limiter_sampling_errors(desk_mesh, centre, radius, message):
     fld = interpolate(desk_mesh, lambda r, z: r * z)
     limiter = circle_loop(*centre, radius, 16)
     for sample in (lambda: _sample_field(fld, limiter),
+                   lambda: sample_field_polygon_first(fld, limiter),
                    lambda: sample_field_scan(fld.values, desk_mesh, limiter)):
         with pytest.raises(ValueError, match=f"^{message}$"):
             sample()
