@@ -111,25 +111,18 @@ class StiffnessMatrix:
         b = self.mesh.boundary
         return np.concatenate([b.outer_nodes, b.inner_nodes])
 
-    @property
-    def _held(self) -> int:
-        """Position in `_boundary` of the held node, the first node of the
-        last loop present."""
-        b = self.mesh.boundary
-        return len(b.outer_nodes) if len(b.inner_nodes) else 0
-
     @cached_property
     def _factor(self):
-        """SuperLU factor of A without the held node's row and column, and
-        the node at each of its positions.
+        """SuperLU factor of A without the row and column of the last
+        boundary node (the held node, on the last loop present), and the
+        node at each of its positions.
 
         A's kernel is the constants, so holding one node leaves the matrix
         symmetric positive definite; it is factored without pivoting, the
         interior first (in `_interior_order`), then the rest of the boundary
         in `_boundary` order.
         """
-        order = np.concatenate([_interior_order(self),
-                                np.delete(self._boundary, self._held)])
+        order = np.concatenate([_interior_order(self), self._boundary[:-1]])
         reduced = self.matrix.tocsc()[order][:, order].tocsc()
         factor = splu(reduced, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
@@ -145,20 +138,19 @@ class StiffnessMatrix:
         sums.  FemError unless S is symmetric within 1e-12 relative and the
         held node's diagonal entry is positive.
         """
-        ng, h = len(self._boundary), self._held
-        block = _trailing_block(self._factor[0], ng - 1)
-        rest = np.delete(np.arange(ng), h)
-        s = np.empty((ng, ng))
-        s[np.ix_(rest, rest)] = block
-        s[rest, h] = s[h, rest] = -block.sum(axis=1)
-        s[h, h] = block.sum()
+        k = len(self._boundary) - 1
+        block = _trailing_block(self._factor[0], k)
+        s = np.empty((k + 1, k + 1))
+        s[:k, :k] = block
+        s[:k, k] = s[k, :k] = -block.sum(axis=1)
+        s[k, k] = block.sum()
         asym = np.abs(s - s.T).max()
         if asym > 1e-12 * np.abs(s).max():
             raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
                            f"asymmetry {asym:.3e} exceeds 1e-12 relative")
-        if not s[h, h] > 0.0:
+        if not s[k, k] > 0.0:
             raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
-                           f"has diagonal entry {s[h, h]:.3e} at the held node")
+                           f"has diagonal entry {s[k, k]:.3e} at the held node")
         return 0.5 * (s + s.T)
 
     @property
@@ -185,12 +177,11 @@ class StiffnessMatrix:
         boundary values are then written back exactly.
         """
         factor, order = self._factor
-        h = self._held
         rhs = np.zeros(len(order))
-        rhs[len(order) - len(values) + 1:] = np.delete(
-            self._schur @ (values - values[h]), h)
+        rhs[len(order) - len(values) + 1:] = (
+            self._schur @ (values - values[-1]))[:-1]
         x = np.empty(self.mesh.node_count)
-        x[order] = factor.solve(rhs) + values[h]
+        x[order] = factor.solve(rhs) + values[-1]
         x[self._boundary] = values
         return x
 

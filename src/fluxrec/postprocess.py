@@ -243,7 +243,8 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     point of a triangle lies within 2/3 of its longest edge of its centroid.
     Only the points that no triangle holds are tested against the loops:
     one outside the outer boundary raises, one inside the inner hole is
-    skipped, and any other lies outside the mesh and raises.
+    skipped, and any other lies outside the mesh and raises.  A point on a
+    loop, within the tolerance, is held by a triangle and sampled.
     """
     mesh = fld.mesh
     h = mesh.max_edge_length
@@ -257,7 +258,8 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
 
     near = mesh._centroid_tree.query_ball_point(pts, h)
     pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
-    ti = np.concatenate(near).astype(np.int64)
+    # the empty head lets an empty limiter reach the loop tests
+    ti = np.concatenate([np.zeros(0, np.int64), *near]).astype(np.int64)
     tri_pts = mesh.nodes[mesh.triangles[ti]]
     v0 = tri_pts[:, 0]
     d1 = tri_pts[:, 1] - v0
@@ -272,19 +274,18 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     hits = np.flatnonzero(ok)
     hits = hits[np.lexsort((ti[hits], pi[hits]))]
     first = hits[np.diff(pi[hits], prepend=-1) != 0]
-    held = np.zeros(len(pts), dtype=bool)
-    held[pi[first]] = True
-    loose = pts[~held]
+    located = np.zeros(len(pts), dtype=bool)
+    located[pi[first]] = True
+    loose = pts[~located]
+    bidx = mesh.boundary
+    if not points_in_polygon(loose, mesh.nodes[bidx.outer_nodes]).all():
+        raise ValueError("limiter leaves the outer boundary")
+    if len(bidx.inner_nodes):
+        loose = loose[~points_in_polygon(loose, mesh.nodes[bidx.inner_nodes])]
+    if len(first) == len(loose) == 0:
+        raise ValueError("limiter lies entirely inside the plasma hole")
     if len(loose):
-        bidx = mesh.boundary
-        if not points_in_polygon(loose, mesh.nodes[bidx.outer_nodes]).all():
-            raise ValueError("limiter leaves the outer boundary")
-        if len(bidx.inner_nodes):
-            loose = loose[~points_in_polygon(loose, mesh.nodes[bidx.inner_nodes])]
-        if len(first) == 0 and len(loose) == 0:
-            raise ValueError("limiter lies entirely inside the plasma hole")
-        if len(loose):
-            raise ValueError(f"limiter point {loose[0]} is outside the mesh")
+        raise ValueError(f"limiter point {loose[0]} is outside the mesh")
     vals = fld.values[mesh.triangles[ti[first]]]
     l1, l2 = l1[first], l2[first]
     return vals[:, 0] * (1 - l1 - l2) + vals[:, 1] * l1 + vals[:, 2] * l2

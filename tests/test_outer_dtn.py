@@ -236,7 +236,7 @@ def test_factor_is_boundary_last_without_pivoting(desk_A, desk_factor):
     b = desk_A.mesh.boundary
     assert n == desk_A.mesh.node_count - 1
     assert np.array_equal(order[n - k:],
-                          np.concatenate([b.outer_nodes, b.inner_nodes[1:]]))
+                          np.concatenate([b.outer_nodes, b.inner_nodes[:-1]]))
 
 
 def test_outer_dtn_unpermutes_a_reordered_tail(desk_factor):

@@ -473,13 +473,21 @@ def test_limiter_sampling_errors(desk_mesh, centre, radius, message):
             sample()
 
 
-def test_limiter_point_outside_the_mesh_is_named(monkeypatch):
+def test_empty_limiter_gives_the_polygon_first_error(desk_mesh):
+    fld = interpolate(desk_mesh, lambda r, z: r * z)
+    for sample in (_sample_field, sample_field_polygon_first):
+        with pytest.raises(ValueError,
+                           match="^limiter lies entirely inside the plasma hole$"):
+            sample(fld, np.zeros((0, 2)))
+
+
+def _outside_mesh_messages(monkeypatch, limiter):
     # on a valid mesh every point inside the outer loop lies in a triangle,
     # so the outer-loop test is stubbed to let points beyond the mesh through
     from conftest import build_square_mesh
     mesh = build_square_mesh(4)
     fld = interpolate(mesh, lambda r, z: r + z)
-    limiter = np.array([[1.5, 0.5], [1.9, 0.5], [2.5, 0.5]])
+    limiter = np.array(limiter)
     messages = []
     for module, sample in (
             ("fluxrec.postprocess", lambda: _sample_field(fld, limiter)),
@@ -489,6 +497,19 @@ def test_limiter_point_outside_the_mesh_is_named(monkeypatch):
         with pytest.raises(ValueError, match="is outside the mesh") as err:
             sample()
         messages.append(str(err.value))
+    return messages
+
+
+def test_limiter_point_outside_the_mesh_is_named(monkeypatch):
+    messages = _outside_mesh_messages(
+        monkeypatch, [[1.5, 0.5], [1.9, 0.5], [2.5, 0.5]])
+    assert messages[0] == messages[1]
+
+
+def test_limiter_wholly_outside_the_mesh_is_named(monkeypatch):
+    # no point lies in a triangle, and none in the (absent) hole
+    messages = _outside_mesh_messages(
+        monkeypatch, [[2.5, 0.5], [3.0, 0.5], [2.8, 0.8]])
     assert messages[0] == messages[1]
 
 
