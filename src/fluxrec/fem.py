@@ -232,9 +232,7 @@ def _interior_order(A: StiffnessMatrix) -> np.ndarray:
     factorization exactly singular.
     """
     n = A.mesh.node_count
-    interior = np.ones(n, dtype=bool)
-    interior[A._boundary] = False
-    interior = np.flatnonzero(interior)
+    interior = np.setdiff1d(np.arange(n), A._boundary)
     vertex = np.full(n, len(interior))
     vertex[interior] = np.arange(len(interior))
     contract = sparse.csr_matrix((np.ones(n), (vertex, np.arange(n))),
