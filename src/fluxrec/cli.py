@@ -274,7 +274,7 @@ def _cmd_twin(cfg) -> int:
     report = ex.run_twin(mesh, spec, epsilon)
     result = report.result
     # at u = 0 both J and J_eps equal the constant term, as R_D(0) = 0
-    j0 = result.system.constant_term()
+    j0 = result.system.constant_term
     fio.write_report(os.path.join(out, "twin_report.txt"), {
         "case": spec.case, "noise_level": spec.noise_level, "seed": spec.seed,
         "epsilon": result.epsilon, "max_rel_err_u": report.max_rel_err_u,

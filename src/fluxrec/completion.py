@@ -9,12 +9,12 @@ term.  The optimality condition collapses to a small dense linear system
 
 on the inner-boundary degrees of freedom, where S_D and S_N are the two
 Dirichlet-to-Neumann (interface) matrices.  S_D and S_N depend on geometry
-only, and are decomposed once per geometry: S_N V = S_D V diag(lam) with
-V' S_D V = I.  So is the load's dependence on the data: by Green
-reciprocity l = T_f f + T_g g.  S_D, T_f and the outer Dirichlet-to-Neumann
-matrix S_OO are blocks of fem's boundary Dirichlet-to-Neumann matrix, and
-S_N and T_g follow from them with dense work only.  Every data set and eps
-then has the closed (filter-factor) form
+only, and so does the load's dependence on the data: by Green reciprocity
+l = T_f f + T_g g.  They, and the decomposition S_N V = S_D V diag(lam)
+with V' S_D V = I, are fem's per-mesh interface operators, cached on the
+stiffness matrix (StiffnessMatrix.interface), so this module holds only
+what belongs to one data set: the load and the closed-form solve.  Every
+data set and eps has the closed (filter-factor) form
 u(eps) = V diag(1 / (1 + eps - lam)) V' l, at O(n_i * n_o) per data set
 with no sparse solve, and O(n_i) per eps for R_D and J less its constant
 term, n_i and n_o being the inner- and outer-boundary node counts.  A sweep
@@ -33,16 +33,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
 from scipy.linalg.blas import dtrmv, dtrsv
 
 from . import fem
 from .fem import FluxField, StiffnessMatrix
 from .mesh import Mesh
-
-
-class KVAssemblyError(RuntimeError):
-    """Interface-system invariant violated: indicates an assembly or sign bug."""
 
 
 class NearSingularError(RuntimeError):
@@ -100,7 +95,7 @@ class CompletionResult:
 
     @cached_property
     def J(self) -> float:
-        return float(self._J_less_constant + self.system.constant_term())
+        return float(self._J_less_constant + self.system.constant_term)
 
     @property
     def J_eps(self) -> float:
@@ -112,39 +107,27 @@ class CompletionResult:
                                  self.u_opt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KVSystem:
-    """Interface matrices, their eigendecomposition and the data-to-load
-    operator, with one data set.
-
-    s_d, s_n, the ascending eigenpairs of S_N v = lam S_D v (eigvecs
-    S_D-orthonormal, as columns), the misfit weights (1 - lam) / 2 of the
-    closed form and the operator t_f, t_g (n_i x n_o each) depend on the
-    geometry only; `reuse` shares them.  data,
-    load = t_f f + t_g g and the constant term belong to one data set.  The
-    mesh is stiffness.mesh.
+    """One data set on a mesh's interface: the data and its load
+    l = T_f f + T_g g, T_f and T_g being stiffness.interface's operators.
+    The mesh is stiffness.mesh.
     """
 
-    s_d: np.ndarray
-    s_n: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
-    weights: np.ndarray
-    t_f: np.ndarray
-    t_g: np.ndarray
-    load: np.ndarray
     stiffness: StiffnessMatrix
     data: CauchyData
-    _constant: float | None = field(default=None, repr=False)
+    load: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.s_d.shape[0]
+        return len(self.load)
 
     def system_matrix(self, epsilon: float) -> np.ndarray:
         """(1 + eps) S_D - S_N."""
-        return (1.0 + epsilon) * self.s_d - self.s_n
+        ops = self.stiffness.interface
+        return (1.0 + epsilon) * ops.s_d - ops.s_n
 
+    @cached_property
     def constant_term(self) -> float:
         """Half the energy of the data-only gap field; J(0) equals this.
 
@@ -157,77 +140,29 @@ class KVSystem:
         fem's cholesky checked R when it built it, and CauchyData rejects
         non-finite f and g.
         """
-        if self._constant is None:
-            r = self.stiffness.outer_dtn_chol
-            b = self.stiffness.outer_mass @ self.data.g
-            gap = dtrmv(r, self.data.f) - dtrsv(r, b, trans=1, overwrite_x=1)
-            self._constant = 0.5 * float(gap @ gap)
-        return self._constant
+        r = self.stiffness.outer_dtn_chol
+        b = self.stiffness.outer_mass @ self.data.g
+        gap = dtrmv(r, self.data.f) - dtrsv(r, b, trans=1, overwrite_x=1)
+        return 0.5 * float(gap @ gap)
 
 
 def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
                 reuse: KVSystem | None = None) -> KVSystem:
-    """Build the interface system for the given mesh and Cauchy data.
-
-    S_D = S_II, T_f = -S_IO (the map from outer Dirichlet data to inner
-    flux) and S_OO are blocks of the boundary Dirichlet-to-Neumann matrix
-    S = fem's boundary_dtn, so no sparse solve is made here.  The Neumann
-    lift (zero weighted flux on the outer loop) of an inner basis function
-    is its Dirichlet lift corrected by the lift of the outer values
-    S_OO^-1 T_f', so S_N = S_D - T_f S_OO^-1 T_f'.  fem checks S for
-    symmetry and S_OO for positive definiteness (FemError); here S_D must be
-    positive definite (the Cholesky factorization inside the generalized
-    eigendecomposition must succeed) and S_D - S_N positive semidefinite
-    (no eigenvalue above 1 + 1e-10), or KVAssemblyError is raised.
-
-    The load is l = -(A (tilde_d - tilde_n))[inner] for the Dirichlet lift
-    of f and the Neumann lift of g, and Green reciprocity against the
-    lifted columns turns it into l = T_f f + T_g g, with
-    T_g = -T_f S_OO^-1 B, B the outer boundary mass of fem.
-
-    Pass a previously assembled system as `reuse` to skip the geometry part
-    (eigendecomposition and operator included): the load then costs two
-    dense mat-vecs.  ValueError if A was assembled on another mesh, or
-    `reuse` with another A.
+    """The interface system of the Cauchy data: its load is two dense
+    mat-vecs with A.interface, which A computes once and keeps (FemError
+    there on a broken invariant).  ValueError on a mesh without an inner
+    loop, if A was assembled on another mesh, or if `reuse`, an earlier
+    system, holds another A; it shares nothing more, as A holds it all.
     """
-    b = mesh.boundary
-    if len(b.inner_nodes) == 0:
+    if len(mesh.boundary.inner_nodes) == 0:
         raise ValueError("completion requires an inner boundary")
     if A.mesh is not mesh:
         raise ValueError("stiffness matrix was assembled on a different mesh")
-
-    if reuse is not None:
-        if reuse.stiffness is not A:
-            raise ValueError("reuse system was assembled with another stiffness matrix")
-        s_d, s_n = reuse.s_d, reuse.s_n
-        eigvals, eigvecs, weights = reuse.eigvals, reuse.eigvecs, reuse.weights
-        t_f, t_g = reuse.t_f, reuse.t_g
-    else:
-        no = len(b.outer_nodes)
-        s = A.boundary_dtn
-        s_d = s[no:, no:].copy()
-        t_f = -s[no:, :no]
-        r = A.outer_dtn_chol
-        # with S_OO = R'R and W = R'^-1 T_f': S_N = S_D - W'W, and
-        # T_g = -(B S_OO^-1 T_f')' = -(B R^-1 W)', B being symmetric
-        w = solve_triangular(r, t_f.T, trans="T")
-        s_n = s_d - w.T @ w
-        s_n = 0.5 * (s_n + s_n.T)
-        t_g = -(A.outer_mass @ solve_triangular(r, w)).T
-        try:
-            eigvals, eigvecs = eigh(s_n, s_d)
-        except np.linalg.LinAlgError as exc:
-            raise KVAssemblyError(
-                f"S_D is not positive definite: {exc}") from exc
-        if 1.0 - eigvals[-1] < -1e-10:
-            raise KVAssemblyError(
-                f"S_D - S_N is indefinite: generalized eigenvalue "
-                f"{eigvals[-1]:.12g} exceeds 1 + 1e-10")
-        weights = 0.5 * (1.0 - eigvals)
-
+    if reuse is not None and reuse.stiffness is not A:
+        raise ValueError("reuse system was assembled with another stiffness matrix")
     data.check(mesh)
-    load = t_f @ data.f + t_g @ data.g
-    return KVSystem(s_d, s_n, eigvals, eigvecs, weights, t_f, t_g, load, A, data)
+    ops = A.interface
+    return KVSystem(A, data, ops.t_f @ data.f + ops.t_g @ data.g)
 
 
 def _spectral(system: KVSystem, epsilon):
@@ -245,9 +180,10 @@ def _spectral(system: KVSystem, epsilon):
     1e-8, where the closed form reads 1.1e-16.  Check each epsilon with
     _near_singular first.
     """
-    c = system.eigvecs.T @ system.load
-    a = c / (1.0 + epsilon - system.eigvals)
-    return (a, np.add.reduce(a * (system.weights * a - c), axis=-1),
+    ops = system.stiffness.interface
+    c = ops.eigvecs.T @ system.load
+    a = c / (1.0 + epsilon - ops.eigvals)
+    return (a, np.add.reduce(a * (ops.weights * a - c), axis=-1),
             0.5 * np.add.reduce(a * a, axis=-1))
 
 
@@ -261,9 +197,9 @@ def _near_singular(system: KVSystem, epsilon: float) -> str | None:
     condition inf).  The eigenvalues ascend, so min(d) and max(d) are d's
     end entries, bitwise.
     """
-    lam = system.eigvals
+    lam = system.stiffness.interface.eigvals
     d_min, d_max = 1.0 + epsilon - lam[-1], 1.0 + epsilon - lam[0]
-    if d_min > system.size * _EPS * d_max:
+    if d_min > len(lam) * _EPS * d_max:
         return None
     with np.errstate(divide="ignore"):
         return (f"interface system at epsilon {epsilon:g} is near singular: "
@@ -277,24 +213,26 @@ def solve_completion(system: KVSystem, epsilon: float,
 
     u, J and R_D come in closed form (see _spectral), and the condition
     estimate is max(d) / min(d); NearSingularError where _near_singular
-    says so, as at epsilon = 0.  Data other than system.data are assembled
-    with reuse=system first.  No sparse solve is made here: J and the flux
-    are computed on first read (see CompletionResult).
+    says so, as at epsilon = 0.  epsilon is checked first; data other than
+    system.data are then assembled on system.stiffness.  No sparse solve is
+    made here: J and the flux are computed on first read (see
+    CompletionResult).
     """
     epsilon = float(epsilon)
-    if data is not None and data is not system.data:
-        system = assemble_kv(system.stiffness.mesh, system.stiffness, data,
-                             reuse=system)
     if not 0.0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if data is not None and data is not system.data:
+        A = system.stiffness
+        system = assemble_kv(A.mesh, A, data)
     message = _near_singular(system, epsilon)
     if message:
         raise NearSingularError(message)
     a, J_less_constant, R_D = _spectral(system, epsilon)
-    u = system.eigvecs @ a
-    lam = system.eigvals
+    ops = system.stiffness.interface
+    u = ops.eigvecs @ a
+    lam = ops.eigvals
     condition = (1.0 + epsilon - lam[0]) / (1.0 + epsilon - lam[-1])
-    r = (1.0 + epsilon) * (system.s_d @ u) - system.s_n @ u - system.load
+    r = (1.0 + epsilon) * (ops.s_d @ u) - ops.s_n @ u - system.load
     residual = float(np.linalg.norm(r) / (np.linalg.norm(system.load) or 1.0))
     return CompletionResult(u, float(R_D), epsilon, residual, float(condition),
                             system, float(J_less_constant))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import completion as cp
 from . import fem
-from .completion import CauchyData, CompletionResult, KVSystem
+from .completion import CauchyData, CompletionResult
 from .mesh import (INNER, OUTER, Mesh, _resample_closed, boundary_node_normals,
                    circle_loop, dee_loop, generate_annulus_mesh,
                    polygon_centroid, scale_toward_centroid)
@@ -262,19 +262,17 @@ def add_noise(data: CauchyData, p: float, seed: int) -> CauchyData:
 
 
 def run_twin(mesh: Mesh, spec: TwinSpec, epsilon: float,
-             A: fem.StiffnessMatrix | None = None,
-             system: KVSystem | None = None) -> TwinReport:
+             A: fem.StiffnessMatrix | None = None) -> TwinReport:
     """Full pipeline: reference, noise, completion, error metrics.
 
-    Pass a previously assembled stiffness matrix and interface system to
-    amortize the geometry work across many runs on the same mesh.
+    Pass A to amortize: a stiffness matrix keeps its factorization and
+    interface operators, so runs on the same mesh share the geometry work.
     """
     if A is None:
-        A = system.stiffness if system is not None else fem.assemble_stiffness(mesh)
+        A = fem.assemble_stiffness(mesh)
     psi_ref, clean = generate_reference(mesh, A, spec)
     noisy = add_noise(clean, spec.noise_level, spec.seed)
-    result = cp.solve_completion(cp.assemble_kv(mesh, A, noisy, reuse=system),
-                                 epsilon)
+    result = cp.solve_completion(cp.assemble_kv(mesh, A, noisy), epsilon)
 
     u_ref = fem.trace(psi_ref, INNER)
     # normalized by max |u_ref|, so sign-changing references stay finite
@@ -291,16 +289,12 @@ def table1_grid(mesh: Mesh, seed: int = 0) -> tuple[str, dict]:
     reference tables, TABLE_EPSILONS.
     """
     A = fem.assemble_stiffness(mesh)
-    system = None
     rows = {}
     levels = TABLE_EPSILONS["TC1"]
     for p in levels:
         for case in ("TC1", "TC2"):
             eps = TABLE_EPSILONS[case][p]
-            report = run_twin(mesh, TwinSpec(case, p, seed), eps,
-                              A=A, system=system)
-            system = report.result.system
-            rows[(case, p)] = report
+            rows[(case, p)] = run_twin(mesh, TwinSpec(case, p, seed), eps, A=A)
     lines = ["noise_level  error_TC1  error_TC2"]
     for p in levels:
         lines.append(f"{p:>11.0%}  {rows[('TC1', p)].max_rel_err_u:9.4f}  "

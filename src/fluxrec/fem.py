@@ -5,11 +5,13 @@ with the weak form  a(psi, phi) = integral over the domain of
 (1/r) grad(psi) . grad(phi).  Everything here lives on the weighted
 stiffness matrix A of that form: the two auxiliary boundary-value solves
 (Dirichlet data on both loops, or weighted Neumann data on the outer loop
-plus Dirichlet on the inner), the boundary Dirichlet-to-Neumann matrix the
-interface system is cut from, traces and interpolants.  All of them go
-through one sparse factorization per mesh, of A with the boundary nodes
-eliminated last.  The weighted normal derivative (the boundary rows of
-A psi) and the energy norm of a field gap are test oracles, in
+plus Dirichlet on the inner), the boundary Dirichlet-to-Neumann matrix, the
+interface operators cut from it (S_D, S_N, their eigendecomposition and the
+data-to-load map), traces and interpolants.  All of them go through one
+sparse factorization per mesh, of A with the boundary nodes eliminated
+last, and the matrix caches each of them on first use, so the geometry
+work is done once per mesh.  The weighted normal derivative (the boundary
+rows of A psi) and the energy norm of a field gap are test oracles, in
 tests/oracles.py; the pipeline needs neither.
 """
 
@@ -21,10 +23,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
 from scipy.sparse.linalg import spilu, splu
 
-from .mesh import Mesh
+from .mesh import Mesh, triangle_areas
 
 
 class FemError(RuntimeError):
@@ -74,15 +76,31 @@ def triangle_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Per-triangle P1 basis gradients (M, 3, 2) and areas (M,)."""
     p = mesh.nodes[mesh.triangles]
     r, z = p[..., 0], p[..., 1]
-    area2 = ((r[:, 1] - r[:, 0]) * (z[:, 2] - z[:, 0])
-             - (z[:, 1] - z[:, 0]) * (r[:, 2] - r[:, 0]))
+    areas = triangle_areas(mesh.nodes, mesh.triangles)
     grads = np.empty_like(p)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         grads[:, i, 0] = z[:, j] - z[:, k]
         grads[:, i, 1] = r[:, k] - r[:, j]
-    grads /= area2[:, None, None]
-    return grads, 0.5 * area2
+    grads /= 2.0 * areas[:, None, None]
+    return grads, areas
+
+
+@dataclass(frozen=True)
+class Interface:
+    """A mesh's interface operators on the inner-loop nodes, which depend on
+    the geometry only: S_D (s_d), S_N (s_n), the ascending eigenpairs of
+    S_N v = lam S_D v (eigvecs S_D-orthonormal, as columns), the closed
+    form's misfit weights (1 - lam) / 2 and the data-to-load operator t_f,
+    t_g (n_i x n_o each): the load is l = t_f f + t_g g."""
+
+    s_d: np.ndarray
+    s_n: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    weights: np.ndarray
+    t_f: np.ndarray
+    t_g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,7 +117,9 @@ class StiffnessMatrix:
     `boundary_dtn` is read off its trailing block, and every field solve
     goes through it: a Dirichlet solve is one solve with that factor, and a
     Neumann solve is one dense solve on the outer loop, with the Cholesky
-    factor `outer_dtn_chol`, followed by a Dirichlet solve.
+    factor `outer_dtn_chol`, followed by a Dirichlet solve.  The interface
+    operators (`interface`) are cut from `boundary_dtn` with dense work
+    only, also on first use, so every data set on the mesh shares them.
     """
 
     matrix: sparse.csr_matrix
@@ -194,6 +214,42 @@ class StiffnessMatrix:
             return cholesky(self.boundary_dtn[:no, :no])
         except np.linalg.LinAlgError as exc:
             raise FemError(f"assemble: S_OO is not positive definite: {exc}") from exc
+
+    @cached_property
+    def interface(self) -> Interface:
+        """The interface operators, on first use, with no sparse solve.
+
+        S_D = S_II, T_f = -S_IO and S_OO are blocks of S = boundary_dtn.
+        The Neumann lift (zero weighted flux outside) of an inner basis
+        function is its Dirichlet lift corrected by the lift of the outer
+        values S_OO^-1 T_f', so S_N = S_D - T_f S_OO^-1 T_f'; Green
+        reciprocity against the lifted columns turns the load
+        -(A (tilde_d - tilde_n))[inner] of the lifts of f and g into
+        T_f f + T_g g, T_g = -T_f S_OO^-1 B (B = outer_mass).  FemError
+        unless S_D is positive definite and S_D - S_N positive semidefinite
+        (no eigenvalue above 1 + 1e-10).
+        """
+        no = len(self.mesh.boundary.outer_nodes)
+        s = self.boundary_dtn
+        s_d = s[no:, no:].copy()
+        t_f = -s[no:, :no]
+        r = self.outer_dtn_chol
+        # with S_OO = R'R and W = R'^-1 T_f': S_N = S_D - W'W, and
+        # T_g = -(B S_OO^-1 T_f')' = -(B R^-1 W)', B being symmetric
+        w = solve_triangular(r, t_f.T, trans="T")
+        s_n = s_d - w.T @ w
+        s_n = 0.5 * (s_n + s_n.T)
+        t_g = -(self.outer_mass @ solve_triangular(r, w)).T
+        try:
+            eigvals, eigvecs = eigh(s_n, s_d)
+        except np.linalg.LinAlgError as exc:
+            raise FemError(f"S_D is not positive definite: {exc}") from exc
+        if 1.0 - eigvals[-1] < -1e-10:
+            raise FemError(
+                f"S_D - S_N is indefinite: generalized eigenvalue "
+                f"{eigvals[-1]:.12g} exceeds 1 + 1e-10")
+        return Interface(s_d, s_n, eigvals, eigvecs, 0.5 * (1.0 - eigvals),
+                         t_f, t_g)
 
     @cached_property
     def outer_mass(self) -> sparse.csr_matrix:

@@ -71,20 +71,21 @@ def sweep(system: KVSystem, data: CauchyData | None, eps_grid) -> LCurve:
     epsilon; J's constant term is dense work once per data set, so a sweep
     makes no sparse solve.  Each row equals, bitwise, what solve_completion
     gives at that epsilon.  Data other than system.data are first assembled
-    with reuse=system.  Grid values at which the system is too near
+    on system.stiffness.  Grid values at which the system is too near
     singular are dropped and recorded with the NearSingularError message
     solve_completion would raise there.
     """
     grid = _check_grid(eps_grid)
     if data is not None and data is not system.data:
-        system = assemble_kv(system.stiffness.mesh, system.stiffness, data, reuse=system)
+        A = system.stiffness
+        system = assemble_kv(A.mesh, A, data)
     messages = {eps: _near_singular(system, eps) for eps in grid.tolist()}
     kept = grid[[message is None for message in messages.values()]]
     if len(kept) < 5:
         raise RuntimeError(
             f"only {len(kept)} sweep points succeeded; need at least 5")
     _, J_less_constant, R_D = _spectral(system, kept[:, None])
-    curve = LCurve(kept, J_less_constant + system.constant_term(), R_D,
+    curve = LCurve(kept, J_less_constant + system.constant_term, R_D,
                    dropped=[(eps, message) for eps, message in messages.items()
                             if message])
     find_corner(curve)

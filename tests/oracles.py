@@ -935,10 +935,10 @@ def colamd_interior_order(A) -> np.ndarray:
     return interior[np.argsort(factor.perm_c)]
 
 
-def neumann_block_interface(system) -> tuple[np.ndarray, np.ndarray]:
+def neumann_block_interface(A) -> tuple[np.ndarray, np.ndarray]:
     """S_N and T_g from a Neumann solve of every inner basis function
     (zero flux outside): S_N = (A cols_n)[inner], T_g = -cols_n[outer]' B."""
-    A, b = system.stiffness, system.stiffness.mesh.boundary
+    b = A.mesh.boundary
     ni = len(b.inner_nodes)
     cols_n = neumann_solve(A, np.zeros((len(b.outer_nodes), ni)), np.eye(ni))
     s_n = (A.matrix @ cols_n)[b.inner_nodes]
@@ -951,8 +951,9 @@ def sweep_by_epsilon(system, grid) -> LCurve:
     own near-singular test, V'l and dot products, as sweep computed them
     before its one array pass; RuntimeError below 5 points."""
     grid = np.asarray(grid, dtype=float)
-    lam, V = system.eigvals, system.eigvecs
-    constant = system.constant_term()
+    ops = system.stiffness.interface
+    lam, V = ops.eigvals, ops.eigvecs
+    constant = system.constant_term
     eps_ok, js, rds, dropped = [], [], [], []
     for eps in grid.tolist():
         d = 1.0 + eps - lam
@@ -1017,15 +1018,16 @@ def evaluate(system: KVSystem, data: CauchyData, u, epsilon: float = 0.0):
     psi_d = fem.solve_dirichlet(A, data.f, u)
     psi_n = fem.solve_neumann(A, data.g, u)
     J = 0.5 * energy_norm_sq(psi_d, psi_n, A)
-    R_D = 0.5 * float(u @ (system.s_d @ u))
+    R_D = 0.5 * float(u @ (system.stiffness.interface.s_d @ u))
     return J, R_D, J + epsilon * R_D
 
 
 def quadratic_misfit(system: KVSystem, u) -> float:
     """J through the interface quadratic form: v'(S_D - S_N)v/2 - l'v + c."""
     u = fem._boundary_values(u, system.size, "u")
-    return float(0.5 * u @ ((system.s_d - system.s_n) @ u) - system.load @ u
-                 + system.constant_term())
+    ops = system.stiffness.interface
+    return float(0.5 * u @ ((ops.s_d - ops.s_n) @ u) - system.load @ u
+                 + system.constant_term)
 
 
 def optimality_residual(system: KVSystem, u_opt, epsilon: float,

@@ -51,14 +51,13 @@ def _report(num, ok, detail):
 
 def test_criterion_01_manufactured_recovery(desk_mesh, desk_A):
     names = ["one", "z", "r2", "r2z", "quartic"]
-    system = None
     details = []
     ok = True
     for name in names:
         t0 = time.perf_counter()
         psi_ref, data = generate_reference(desk_mesh, desk_A,
                                            TwinSpec(f"MANUFACTURED:{name}"))
-        system = assemble_kv(desk_mesh, desk_A, data, reuse=system)
+        system = assemble_kv(desk_mesh, desk_A, data)
         res = solve_completion(system, 1e-8)
         star = MANUFACTURED[name].psi(desk_mesh.nodes[:, 0], desk_mesh.nodes[:, 1])
         u_star = star[desk_mesh.boundary.inner_nodes]
@@ -74,7 +73,6 @@ def test_criterion_01_manufactured_recovery(desk_mesh, desk_A):
 @pytest.fixture(scope="module")
 def table1_errors(iter_mesh, iter_A):
     errors = {}
-    system = None
     t0 = time.perf_counter()
     for case in ("TC1", "TC2"):
         for p in (0.0, 0.01, 0.05):
@@ -83,8 +81,7 @@ def table1_errors(iter_mesh, iter_A):
             # noise level 0 is seed-independent by the bit-exactness contract
             for seed in range(10 if p > 0 else 1):
                 rep = run_twin(iter_mesh, TwinSpec(case, p, seed), eps,
-                               A=iter_A, system=system)
-                system = rep.result.system
+                               A=iter_A)
                 runs.append(rep.max_rel_err_u)
             errors[(case, p)] = float(np.mean(runs))
     errors["elapsed"] = time.perf_counter() - t0
@@ -141,17 +138,13 @@ def test_criterion_03_quadratic_identity(desk_mesh, desk_A, iter_mesh, iter_A,
     _report(3, worst < 1e-9, f"max identity gap {worst:.2e} (< 1e-9)")
 
 
-def test_criterion_04_operator_ordering(desk_mesh, desk_A, iter_mesh, iter_A,
-                                        wide_mesh, wide_A):
+def test_criterion_04_operator_ordering(desk_A, iter_A, wide_A):
     details, ok = [], True
-    for name, mesh, A in (("desk", desk_mesh, desk_A),
-                          ("iter", iter_mesh, iter_A),
-                          ("wide", wide_mesh, wide_A)):
-        _, data = generate_reference(mesh, A, TwinSpec("TC2"))
-        system = assemble_kv(mesh, A, data)
-        gap_min = eigvalsh(system.s_d - system.s_n).min()
-        spd = eigvalsh(system.s_d).min() > 0.0
-        norm_d = np.linalg.norm(system.s_d, 2)
+    for name, A in (("desk", desk_A), ("iter", iter_A), ("wide", wide_A)):
+        ops = A.interface
+        gap_min = eigvalsh(ops.s_d - ops.s_n).min()
+        spd = eigvalsh(ops.s_d).min() > 0.0
+        norm_d = np.linalg.norm(ops.s_d, 2)
         mesh_ok = gap_min >= -1e-10 * norm_d and spd
         ok &= mesh_ok
         details.append(f"{name}: min eig gap {gap_min:.2e}, S_D SPD {spd}")
@@ -160,12 +153,10 @@ def test_criterion_04_operator_ordering(desk_mesh, desk_A, iter_mesh, iter_A,
 
 def test_criterion_05_discrete_optimality(iter_mesh, iter_A):
     details, ok = [], True
-    system = None
     for case in ("TC1", "TC2"):
         for p in (0.0, 0.01, 0.05):
             eps = TABLE_EPSILONS[case][p]
-            rep = run_twin(iter_mesh, TwinSpec(case, p, 3), eps, A=iter_A,
-                           system=system)
+            rep = run_twin(iter_mesh, TwinSpec(case, p, 3), eps, A=iter_A)
             system = rep.result.system
             opt = optimality_residual(system, rep.result.u_opt, eps)
             rel_opt = np.linalg.norm(opt) / np.linalg.norm(system.load)

@@ -6,6 +6,7 @@ from scipy.linalg import eigvalsh
 
 from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, interpolate,
                      solve_completion, solve_dirichlet, solve_neumann, trace)
+from fluxrec import completion as cp
 from fluxrec.completion import NearSingularError
 from fluxrec.experiments import TwinSpec, generate_reference
 from fluxrec.mesh import INNER
@@ -24,29 +25,29 @@ def test_zero_data_gives_zero_load(desk_mesh, desk_A):
     assert np.abs(system.load).max() < 1e-14
 
 
-def test_interface_matrices_symmetric(desk_system):
-    system, _ = desk_system
-    assert np.array_equal(system.s_d, system.s_d.T)
-    assert np.array_equal(system.s_n, system.s_n.T)
+def test_interface_matrices_symmetric(desk_A):
+    ops = desk_A.interface
+    assert np.array_equal(ops.s_d, ops.s_d.T)
+    assert np.array_equal(ops.s_n, ops.s_n.T)
 
 
-def test_gap_operator_nearly_singular(desk_system):
+def test_gap_operator_nearly_singular(desk_A):
     # the two interface operators agree asymptotically, so their difference
     # has eigenvalues clustering at zero while staying nonnegative
-    system, _ = desk_system
-    gap = eigvalsh(system.s_d - system.s_n)
-    norm_d = np.linalg.norm(system.s_d, 2)
+    ops = desk_A.interface
+    gap = eigvalsh(ops.s_d - ops.s_n)
+    norm_d = np.linalg.norm(ops.s_d, 2)
     assert gap.min() >= -1e-10 * norm_d
     assert gap.min() / gap.max() < 1e-8
-    assert eigvalsh(system.s_d).min() > 0
+    assert eigvalsh(ops.s_d).min() > 0
 
 
-def test_ordering_inequality(desk_system):
-    system, _ = desk_system
+def test_ordering_inequality(desk_A):
+    ops = desk_A.interface
     rng = np.random.default_rng(1)
     for _ in range(20):
-        v = rng.standard_normal(system.size)
-        assert v @ (system.s_n @ v) <= v @ (system.s_d @ v) + 1e-10
+        v = rng.standard_normal(len(ops.s_d))
+        assert v @ (ops.s_n @ v) <= v @ (ops.s_d @ v) + 1e-10
 
 
 @pytest.mark.parametrize("fixture", ["desk", "iter", "wide"])
@@ -124,7 +125,8 @@ def test_homogeneous_data_quadratic_form(desk_mesh, desk_A):
     J, R_D, _ = evaluate(system, data, u)
     assert J >= 0
     assert R_D > 0
-    assert abs(J - 0.5 * u @ ((system.s_d - system.s_n) @ u)) < 1e-9 * (1 + J)
+    ops = desk_A.interface
+    assert abs(J - 0.5 * u @ ((ops.s_d - ops.s_n) @ u)) < 1e-9 * (1 + J)
 
 
 def test_zero_data_completion_returns_zero(desk_mesh, desk_A):
@@ -218,12 +220,15 @@ def test_stability_constant_monotone_in_epsilon(desk_mesh, desk_A, desk_system):
     assert spread[0] <= spread[1] <= spread[2]
 
 
-def test_assembly_is_deterministic(desk_mesh, desk_A, desk_system):
+def test_assembly_is_deterministic(desk_mesh, desk_system):
+    # two stiffness matrices of one mesh, each with its own interface
     _, data = desk_system
-    s1 = assemble_kv(desk_mesh, desk_A, data)
-    s2 = assemble_kv(desk_mesh, desk_A, data)
-    assert s1.s_d.tobytes() == s2.s_d.tobytes()
-    assert s1.s_n.tobytes() == s2.s_n.tobytes()
+    s1, s2 = (assemble_kv(desk_mesh, assemble_stiffness(desk_mesh), data)
+              for _ in range(2))
+    ops1, ops2 = s1.stiffness.interface, s2.stiffness.interface
+    assert ops1 is not ops2
+    assert ops1.s_d.tobytes() == ops2.s_d.tobytes()
+    assert ops1.s_n.tobytes() == ops2.s_n.tobytes()
     assert s1.load.tobytes() == s2.load.tobytes()
 
 
@@ -279,11 +284,20 @@ def test_negative_epsilon_rejected(desk_system):
 
 
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0])
-def test_non_finite_or_negative_epsilon_rejected(desk_system, epsilon):
-    system, _ = desk_system
-    with pytest.raises(ValueError,
-                       match=f"^epsilon must be finite and nonnegative, got {epsilon}$"):
+def test_non_finite_or_negative_epsilon_rejected(desk_system, epsilon,
+                                                 monkeypatch):
+    system, data = desk_system
+    message = f"^epsilon must be finite and nonnegative, got {epsilon}$"
+    with pytest.raises(ValueError, match=message):
         solve_completion(system, epsilon)
+    # checked before other data are assembled, so a bad epsilon does no work
+    assembled = []
+    monkeypatch.setattr(cp, "assemble_kv",
+                        lambda *args, **kwargs: assembled.append(args))
+    other = CauchyData(data.f + 1.0, data.g)
+    with pytest.raises(ValueError, match=message):
+        solve_completion(system, epsilon, other)
+    assert assembled == []
 
 
 def test_data_length_validated(desk_mesh, desk_A):

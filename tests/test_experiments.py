@@ -100,14 +100,12 @@ def test_twin_sign_changing_reference_gives_finite_error(desk_mesh, desk_A):
 
 def test_mean_error_nondecreasing_in_noise(iter_mesh, iter_A):
     means = []
-    system = None
     for p in (0.0, 0.01, 0.05):
         errs = []
         for seed in range(10):
             rep = run_twin(iter_mesh,
                            TwinSpec("TC1", p, seed),
-                           TABLE_EPSILONS["TC1"][p], A=iter_A, system=system)
-            system = rep.result.system
+                           TABLE_EPSILONS["TC1"][p], A=iter_A)
             errs.append(rep.max_rel_err_u)
         means.append(np.mean(errs))
     assert means[0] <= means[1] <= means[2]
@@ -129,13 +127,11 @@ def test_field_error_localizes_at_inner_boundary(iter_mesh, iter_A):
 
 
 def test_optimum_improves_misfit(iter_mesh, iter_A):
-    system = None
     for case in ("TC1", "TC2"):
         for p in (0.0, 0.01, 0.05):
             rep = run_twin(iter_mesh, TwinSpec(case, p, 2),
-                           TABLE_EPSILONS[case][p], A=iter_A, system=system)
-            system = rep.result.system
-            assert rep.result.J < rep.result.system.constant_term()
+                           TABLE_EPSILONS[case][p], A=iter_A)
+            assert rep.result.J < rep.result.system.constant_term
 
 
 def test_stiffness_from_another_mesh_is_rejected(desk_mesh, desk_A):

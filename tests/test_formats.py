@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fluxrec import cli
 from fluxrec import io as fio
-from fluxrec.completion import CauchyData, KVAssemblyError, NearSingularError
+from fluxrec.completion import CauchyData, NearSingularError
 from fluxrec.fem import FemError, FluxField
 from fluxrec.mesh import (MeshFormatError, MeshGeometryError, MeshTopologyError,
                           MeshValidationError, load_mesh, save_mesh)
@@ -219,8 +219,9 @@ def documented_exit(exc) -> int:
 @settings(max_examples=40, deadline=None)
 @given(exc=st.sampled_from([
     cli.ConfigError("c"), MeshValidationError("v"), MeshTopologyError("t"),
-    MeshGeometryError("g"), KVAssemblyError("k"), NearSingularError("s"),
-    FemError("f"), NoTransitionError("n"), DegenerateCurveError("d"),
+    MeshGeometryError("g"), FemError("S_D - S_N is indefinite"),
+    NearSingularError("s"), FemError("f"), NoTransitionError("n"),
+    DegenerateCurveError("d"),
     np.linalg.LinAlgError("l"), MeshFormatError("m"), EmptyIsolineError("e"),
     ValueError("v"), OSError("o"), FileNotFoundError("f"),
     UnicodeDecodeError("ascii", b"\xff", 0, 1, "not ascii")]))

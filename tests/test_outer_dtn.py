@@ -2,10 +2,11 @@
 
 fem reads S, the boundary Dirichlet-to-Neumann matrix, off the trailing
 block of one boundary-last factor, which it keeps for every field solve,
-with the interior in a boundary-constrained minimum-degree order.  assemble_kv
-takes S_D, T_f and S_OO as blocks of S and builds S_N, T_g and J's constant
-term from them with dense work only, and a Neumann field solve is one dense
-outer solve and a Dirichlet solve.  These tests hold each of them, and the
+with the interior in a boundary-constrained minimum-degree order.  The
+stiffness matrix's interface takes S_D, T_f and S_OO as blocks of S and
+builds S_N and T_g from them with dense work only, KVSystem builds J's
+constant term from them the same way, and a Neumann field solve is one
+dense outer solve and a Dirichlet solve.  These tests hold each of them, and the
 outer boundary mass that carries the wall load, to the block-solve,
 two-lift, fresh-factor or edge-by-edge path it replaced (oracles in
 `oracles`), on the three fixed geometries and on generated ring-ladder
@@ -52,8 +53,7 @@ def _with_data(system, seed):
     n = len(system.data.f)
     f = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)
     g = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)
-    return assemble_kv(system.stiffness.mesh, system.stiffness, CauchyData(f, g),
-                       reuse=system)
+    return assemble_kv(system.stiffness.mesh, system.stiffness, CauchyData(f, g))
 
 
 def _check_schur(A):
@@ -83,7 +83,7 @@ def _check_field_solves(A, seed):
 
 
 def _check_constant(system):
-    C, ref = system.constant_term(), two_lift_constant(system)
+    C, ref = system.constant_term, two_lift_constant(system)
     assert abs(C - ref) <= 1e-12 * (1.0 + abs(C))
 
 
@@ -95,10 +95,10 @@ def _check_outer_mass(A, seed):
     assert _rel(A.outer_mass @ g, flux_load_by_edge(A, g)[outer]) <= 1e-14
 
 
-def _check_neumann_path(system):
-    s_n, t_g = neumann_block_interface(system)
-    assert _rel(system.s_n, s_n) <= 1e-12
-    assert _rel(system.t_g, t_g) <= 1e-12
+def _check_neumann_path(A):
+    s_n, t_g = neumann_block_interface(A)
+    assert _rel(A.interface.s_n, s_n) <= 1e-12
+    assert _rel(A.interface.t_g, t_g) <= 1e-12
 
 
 @pytest.fixture(scope="module", params=["desk", "iter", "wide"])
@@ -148,7 +148,7 @@ def test_outer_dtn_chol_is_fortran_ordered(base):
 
 
 def test_interface_matches_neumann_block_path(base):
-    _check_neumann_path(base)
+    _check_neumann_path(base.stiffness)
 
 
 def test_factor_has_less_fill_than_the_colamd_interior_order(base,
@@ -186,7 +186,7 @@ def test_oracles_hold_on_generated_meshes(mesh, seed):
     _check_dirichlet_blocks(system.stiffness)
     _check_field_solves(system.stiffness, seed)
     _check_outer_mass(system.stiffness, seed)
-    _check_neumann_path(system)
+    _check_neumann_path(system.stiffness)
     _check_constant(_with_data(system, seed))
 
 

@@ -2,12 +2,14 @@
 
 solve_completion and sweep take u, J and R_D from one generalized
 eigendecomposition of (S_N, S_D) per geometry, and assemble_kv takes the
-load from one data-to-load operator per geometry.  These tests hold that
+load from one data-to-load operator per geometry; both are the stiffness
+matrix's interface, which it computes once.  These tests hold that
 path to a dense LU solve of the same system, to the load of two sparse data
 lifts, to the direct volume integral of `evaluate` and (for sweep's one
 array pass) to the per-epsilon loop it replaced, over generated data,
 regularization strengths and grids, and count the sparse solves it makes:
-none per data set or epsilon, and one when the flux field is read.
+none per data set or epsilon, and one when the flux field is read, and
+the eigendecompositions: one per stiffness matrix.
 """
 
 import re
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 
 from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, fem,
                      find_corner, solve_completion, sweep)
-from fluxrec import completion as cp
-from fluxrec.completion import KVAssemblyError, NearSingularError
+from fluxrec.completion import NearSingularError
+from fluxrec.experiments import TwinSpec, add_noise, generate_reference, run_twin
 from fluxrec.fem import FemError
 from fluxrec.regularization import default_grid
 from oracles import evaluate, sweep_by_epsilon, two_lift_load
@@ -81,7 +83,7 @@ def _data(base, seed) -> CauchyData:
 
 
 def _refresh(base, data):
-    return assemble_kv(base.stiffness.mesh, base.stiffness, data, reuse=base)
+    return assemble_kv(base.stiffness.mesh, base.stiffness, data)
 
 
 @examples
@@ -101,7 +103,8 @@ def test_load_operator_matches_two_lift_load(any_base, seed, epsilon):
     assert np.linalg.norm(system.load - ref) <= 1e-12 * np.linalg.norm(ref)
     # the closed form on the two-lift load, as solve_completion computed it
     # before the operator
-    V, d = system.eigvecs, 1.0 + epsilon - system.eigvals
+    ops = system.stiffness.interface
+    V, d = ops.eigvecs, 1.0 + epsilon - ops.eigvals
     u_ref = V @ ((V.T @ ref) / d)
     u = solve_completion(system, epsilon).u_opt
     assert np.linalg.norm(u - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
@@ -114,7 +117,7 @@ def test_objective_matches_volume_integral(base, seed, epsilon):
     system = _refresh(base, data)
     res = solve_completion(system, epsilon)
     J, R_D, _ = evaluate(system, data, res.u_opt)
-    tol = 1e-9 * (1.0 + system.constant_term())
+    tol = 1e-9 * (1.0 + system.constant_term)
     assert abs(res.J - J) <= tol
     assert abs(res.R_D - R_D) <= tol
 
@@ -146,18 +149,42 @@ def test_other_data_equals_reuse_assembly(base, seed, epsilon):
 
 
 def test_eigendecomposition_diagonalizes_both_operators(base):
-    V, lam = base.eigvecs, base.eigvals
+    ops = base.stiffness.interface
+    V, lam = ops.eigvecs, ops.eigvals
     n = base.size
-    assert np.abs(V.T @ base.s_d @ V - np.eye(n)).max() < 1e-10
-    assert np.abs(V.T @ base.s_n @ V - np.diag(lam)).max() < 1e-10
+    assert np.abs(V.T @ ops.s_d @ V - np.eye(n)).max() < 1e-10
+    assert np.abs(V.T @ ops.s_n @ V - np.diag(lam)).max() < 1e-10
     # the ordering 0 <= S_N <= S_D puts every eigenvalue in [0, 1]
     assert -1e-10 < lam[0] and lam[-1] < 1.0 + 1e-10
 
 
 def test_reuse_carries_eigendecomposition(base):
     system = _refresh(base, _data(base, 1))
-    assert system.eigvals is base.eigvals
-    assert system.eigvecs is base.eigvecs
+    assert system.stiffness.interface is base.stiffness.interface
+
+
+def test_one_eigendecomposition_per_stiffness_matrix(iter_mesh, monkeypatch):
+    # every data set, solve, sweep and twin run on A shares its interface
+    calls = []
+    real = fem.eigh
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fem, "eigh", counted)
+    A = assemble_stiffness(iter_mesh)
+    _, clean = generate_reference(iter_mesh, A, TwinSpec("TC1"))
+    first, second, third, fourth = (add_noise(clean, 0.01, seed)
+                                    for seed in range(4))
+    assert calls == []
+    system = assemble_kv(iter_mesh, A, first)
+    assemble_kv(iter_mesh, A, second)
+    solve_completion(system, 5e-4, third)
+    sweep(system, fourth, default_grid())
+    for seed in range(2):
+        run_twin(iter_mesh, TwinSpec("TC2", 0.01, seed), 1e-3, A=A)
+    assert len(calls) == 1
 
 
 def test_sweep_makes_no_sparse_solve(base, solve_calls):
@@ -183,7 +210,7 @@ def test_sweep_matches_per_epsilon_loop(any_base, seed, grid):
     assert np.array_equal(curve.epsilons, ref.epsilons)
     assert curve.dropped == ref.dropped
     # the sums run in another order: J within a few ulps of C, R_D of itself
-    C = system.constant_term()
+    C = system.constant_term
     assert np.abs(curve.misfits - ref.misfits).max() <= 1e-12 * C
     assert np.all(np.abs(curve.regularizers - ref.regularizers)
                   <= 1e-13 * ref.regularizers)
@@ -200,7 +227,7 @@ def test_per_data_set_path_defers_sparse_solves(base, solve_calls):
     assert solve_calls == []
     # repeated reads return the cached value
     assert res.J == J and res.J_eps == J + res.epsilon * res.R_D
-    res.system.constant_term()
+    assert res.system.constant_term >= 0.0
     psi = res.psi_opt
     assert solve_calls == ["solve_neumann"]
     assert res.psi_opt is psi
@@ -209,13 +236,13 @@ def test_per_data_set_path_defers_sparse_solves(base, solve_calls):
     assert np.array_equal(psi.values,
                           fem.solve_neumann(base.stiffness, data.g, res.u_opt).values)
     J_direct, R_D, _ = evaluate(res.system, data, res.u_opt)
-    tol = 1e-9 * (1.0 + res.system.constant_term())
+    tol = 1e-9 * (1.0 + res.system.constant_term)
     assert abs(J - J_direct) <= tol
     assert abs(res.R_D - R_D) <= tol
 
 
 def test_condition_reported_for_every_epsilon(base):
-    d = 1.0 + 1e-3 - base.eigvals
+    d = 1.0 + 1e-3 - base.stiffness.interface.eigvals
     res = solve_completion(base, 1e-3)
     assert res.condition_estimate == pytest.approx(d.max() / d.min())
     with pytest.raises(NearSingularError, match="condition"):
@@ -243,7 +270,7 @@ def _zero_data(mesh) -> CauchyData:
 
 def test_assembly_rejects_indefinite_s_d(desk_mesh, monkeypatch):
     _negated_block(monkeypatch, outer=False)
-    with pytest.raises(KVAssemblyError, match="S_D is not positive definite"):
+    with pytest.raises(FemError, match="S_D is not positive definite"):
         assemble_kv(desk_mesh, assemble_stiffness(desk_mesh),
                     _zero_data(desk_mesh))
 
@@ -268,15 +295,17 @@ def test_assembly_rejects_asymmetric_s_oo(desk_mesh, monkeypatch):
                     _zero_data(desk_mesh))
 
 
-def test_assembly_rejects_violated_ordering(desk_mesh, desk_A, monkeypatch):
+def test_assembly_rejects_violated_ordering(desk_mesh, monkeypatch):
     # S_D - S_N = T_f S_OO^-1 T_f' is PSD by construction, so only an
-    # eigensolver fault can break the ordering: shift its eigenvalues
-    real = cp.eigh
+    # eigensolver fault can break the ordering: shift its eigenvalues.  A
+    # fresh stiffness matrix, as a shared one may hold its interface already
+    real = fem.eigh
 
     def shifted(*args):
         lam, vecs = real(*args)
         return lam + 1e-9, vecs
 
-    monkeypatch.setattr(cp, "eigh", shifted)
-    with pytest.raises(KVAssemblyError, match="indefinite"):
-        assemble_kv(desk_mesh, desk_A, _zero_data(desk_mesh))
+    monkeypatch.setattr(fem, "eigh", shifted)
+    with pytest.raises(FemError, match="indefinite"):
+        assemble_kv(desk_mesh, assemble_stiffness(desk_mesh),
+                    _zero_data(desk_mesh))
