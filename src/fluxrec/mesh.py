@@ -159,7 +159,8 @@ class Mesh:
     boundary_labels : (K,) str array
         One of ``"outer"`` / ``"inner"`` per boundary edge.
     edges : EdgeTable
-        Every unique edge with its label, built once by validation.
+        Every unique edge with its label and triangles, built once by
+        validation.
     boundary : BoundaryIndex
         Ordered boundary loops, chained once by validation.
     """
@@ -216,9 +217,13 @@ class EdgeTable:
     Attributes
     ----------
     nodes : (E, 2) int array
-        Node pairs, lower index first, rows in lexicographic order.
+        Node pairs, lower index first, rows in lexicographic order; stored
+        column by column (Fortran order), so each end is contiguous.
     labels : (E,) str array
         Boundary label, ``""`` on interior edges.
+    triangles : (E, 2) int array
+        The triangles holding each edge, in triangle order; -1 for the
+        missing second one of a boundary edge.
     triangle_rows : (M, 3) int array
         Row of each triangle's edges (a, b), (b, c), (c, a), for its
         vertices (a, b, c).
@@ -226,6 +231,7 @@ class EdgeTable:
 
     nodes: np.ndarray
     labels: np.ndarray
+    triangles: np.ndarray
     triangle_rows: np.ndarray
 
 
@@ -283,13 +289,17 @@ def build_edge_table(triangles: np.ndarray, boundary_edges: np.ndarray,
 
     labels = np.zeros(len(starts), dtype="U5")       # wide enough for both labels
     labels[rows] = boundary_labels
-    nodes = np.column_stack([lo[first], hi[first]])
+    nodes = np.stack([lo[first], hi[first]]).T       # contiguous columns
+    # a run's uses are in triangle order, and use k lies in triangle k // 3
+    uses = np.r_[order // 3, -1]
+    triangles = np.column_stack([uses[starts],
+                                 np.where(counts == 2, uses[starts + 1], -1)])
     triangle_rows = np.empty(len(order), dtype=np.int64)
     triangle_rows[order] = np.repeat(np.arange(len(starts)), counts)
     triangle_rows = triangle_rows.reshape(-1, 3)
-    for arr in (nodes, labels, triangle_rows):
+    for arr in (nodes, labels, triangles, triangle_rows):
         arr.setflags(write=False)
-    return EdgeTable(nodes, labels, triangle_rows)
+    return EdgeTable(nodes, labels, triangles, triangle_rows)
 
 
 def chain_walk(links: np.ndarray) -> list[tuple[list[int], bool]]:
@@ -306,9 +316,13 @@ def chain_walk(links: np.ndarray) -> list[tuple[list[int], bool]]:
     start = np.cumsum(degree) - degree
     # each vertex's links in index order, then a -1 sentinel
     by_vertex = np.r_[np.argsort(ends, kind="stable") // 2, -1]
-    first = by_vertex[start].tolist()
-    second = np.where(degree == 2, by_vertex[start + 1], -1).tolist()
-    ends = ends.tolist()
+    first = by_vertex[start]
+    second = np.where(degree == 2, by_vertex[start + 1], -1)
+    # a link leads from v to link_sum[link] - v; arriving at w by a link,
+    # the next is both_links[w] - link, which is -1 at a path's end
+    link_sum = (ends[0::2] + ends[1::2]).tolist()
+    both_links = (first + second).tolist()
+    first = first.tolist()
     seen = [False] * len(degree)
     chains = []
 
@@ -316,12 +330,12 @@ def chain_walk(links: np.ndarray) -> list[tuple[list[int], bool]]:
         path, link = [v], first[v]
         seen[v] = True
         while True:
-            w = ends[2 * link] + ends[2 * link + 1] - v
+            w = link_sum[link] - v
             if w == path[0]:
                 return path, True
             path.append(w)
             seen[w] = True
-            v, link = w, second[w] if first[w] == link else first[w]
+            v, link = w, both_links[w] - link
             if link < 0:
                 return path, False
 

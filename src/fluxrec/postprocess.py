@@ -1,19 +1,21 @@
 """Physical outputs from a reconstructed flux.
 
 Isoflux contours by marching triangles, and the plasma-boundary level
-search.  Contours are cut from the
-mesh's edge table: one crossing point per crossed edge, computed for all
-edges at once, chained by the mesh module's walk.  The boundary search takes
-the exact bottleneck level in one pass over the same edges: the highest
-level at which the inner-boundary-attached region of {psi > level} still
-escapes through the outer wall, on the graph of mesh nodes and edges (exact
-for P1 fields at sub-triangle resolution).  That is the join level of the
-two walls in the field's join tree, which lives on the vertices and edges
-of the mesh (Carr, Snoeyink & Axen, Comput. Geom. 24(2), 2003): the weight
-at which Kruskal's sweep, taking edges from the top weight down, first
-joins the walls.  Each node's edge to a higher neighbour is taken first,
-by pointer jumping to the top of each basin, and the sweep finishes over
-the few edges between basins.
+search.  Both read the field at the two ends of every edge of the mesh's
+edge table, and the boundary search does so once, for the level and its
+contour.  A contour is cut from its crossed edges: one crossing point per
+crossed edge, the crossed triangles taken as the sides of those edges, and
+the crossings chained by the mesh module's walk.  The boundary search takes
+the exact bottleneck level in one pass over the edges: the highest level
+at which the inner-boundary-attached region of {psi > level} still escapes
+through the outer wall, on the graph of mesh nodes and edges (exact for P1
+fields at sub-triangle resolution).  That is the join level of the two
+walls in the field's join tree, which lives on the vertices and edges of
+the mesh (Carr, Snoeyink & Axen, Comput. Geom. 24(2), 2003): the weight at
+which Kruskal's sweep, taking edges from the top weight down, first joins
+the walls.  Each node's edge to a higher neighbour is taken first, by
+pointer jumping to the top of each basin, and the sweep finishes over the
+top edge of each pair of basins.
 """
 
 from __future__ import annotations
@@ -60,9 +62,29 @@ def extract_isoline(fld: FluxField, level: float) -> Isoline:
     triangle list first reaches them, and `chain_walk` chains them: open
     polylines first, from their ends on the boundary, then closed ones.
     """
-    mesh = fld.mesh
     values = fld.values
-    vmin, vmax = float(values.min()), float(values.max())
+    return _isoline(fld, level, (values.min(), values.max()),
+                    _edge_ends(fld.mesh, values), 1.0)
+
+
+def _edge_ends(mesh: Mesh, values: np.ndarray) -> tuple:
+    """The values at the lower and at the higher node of every edge."""
+    return values[mesh.edges.nodes[:, 0]], values[mesh.edges.nodes[:, 1]]
+
+
+def _isoline(fld: FluxField, level: float, span: tuple, ends: tuple,
+             sign: float) -> Isoline:
+    """`extract_isoline(fld, level)`, given the field's (min, max) and the
+    `_edge_ends` of sign * fld.values, sign being 1 or -1.
+
+    Once no nodal value equals the level, an edge is crossed when exactly
+    one end lies below it, or equally exactly one above it, so the test
+    reads the same on -psi against the negated level.  The crossed
+    triangles are the sides of the crossed edges; each holds two of them,
+    taken in its local edge order.
+    """
+    values = fld.values
+    vmin, vmax = float(span[0]), float(span[1])
     if not (vmin <= level <= vmax):
         raise EmptyIsolineError(
             f"level {level} outside field range [{vmin}, {vmax}]")
@@ -71,20 +93,21 @@ def extract_isoline(fld: FluxField, level: float) -> Isoline:
     while np.any(values == lev):
         lev = max(lev + 1e-12 * rng, np.nextafter(lev, np.inf))
 
-    e = mesh.edges
-    below = values < lev                          # strict by construction
-    crossed = below[e.nodes[:, 0]] != below[e.nodes[:, 1]]
-    cut = crossed[e.triangle_rows]
-    # a crossed triangle has exactly two crossed edges, kept in local order,
-    # so one of its first two is crossed
-    hit = cut[:, 0] | cut[:, 1]
-    seg_rows = e.triangle_rows[hit][cut[hit]]
+    cut = sign * lev
+    crossed = (ends[0] < cut) != (ends[1] < cut)
+    rows = np.flatnonzero(crossed)
     iso = Isoline(level=float(level))
-    if len(seg_rows) == 0:
+    if len(rows) == 0:
         return iso
 
-    rows, first, inverse = np.unique(seg_rows, return_index=True,
-                                     return_inverse=True)
+    e = fld.mesh.edges
+    # every crossed triangle is listed twice, after the -1 of each crossed
+    # boundary edge
+    sides = np.sort(e.triangles[rows], axis=None)
+    tri_rows = e.triangle_rows[sides[np.count_nonzero(sides < 0)::2]]
+    seg_rows = tri_rows[crossed[tri_rows]]
+    _, first, inverse = np.unique(seg_rows, return_index=True,
+                                  return_inverse=True)
     order = np.argsort(first)                   # ids by first appearance
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -92,13 +115,13 @@ def extract_isoline(fld: FluxField, level: float) -> Isoline:
     lo, hi = e.nodes[rows[order]].T
     va, vb = values[lo], values[hi]
     t = ((lev - va) / (vb - va))[:, None]
-    points = (1.0 - t) * mesh.nodes[lo] + t * mesh.nodes[hi]
+    points = (1.0 - t) * fld.mesh.nodes[lo] + t * fld.mesh.nodes[hi]
 
     for path, is_closed in chain_walk(links):
         iso.polylines.append(points[path + path[:1] if is_closed else path])
         iso.polyline_closed.append(is_closed)
     iso.closed = all(iso.polyline_closed)
-    iso.inside_domain = not np.any(e.labels[crossed] == OUTER)
+    iso.inside_domain = not np.any(e.labels[rows] == OUTER)
     return iso
 
 
@@ -106,7 +129,7 @@ def extract_isoline(fld: FluxField, level: float) -> Isoline:
 # plasma boundary search
 # ---------------------------------------------------------------------------
 
-def _bottleneck_level(mesh: Mesh, values: np.ndarray) -> float:
+def _bottleneck_level(mesh: Mesh, ends: tuple) -> float:
     """Highest level at which {values > level} joins the two walls.
 
     On the node graph, two nodes are joined above a level when both ends of
@@ -127,10 +150,10 @@ def _bottleneck_level(mesh: Mesh, values: np.ndarray) -> float:
     the one Kruskal takes while the node is still alone, so these uphill
     edges are taken in one array step, by pointer jumping to the top of
     each basin, and the rest are taken one basin pair at a time, by the top
-    edge between the pair.
+    edge between the pair.  `ends` are the values' `_edge_ends`.
     """
     a, b = mesh.edges.nodes.T                     # a < b: a is higher on ties
-    a_higher = values[a] >= values[b]
+    a_higher = ends[0] >= ends[1]
     lo, hi = np.where(a_higher, b, a), np.where(a_higher, a, b)
     n = mesh.node_count
     source, sink = n, n + 1
@@ -143,13 +166,17 @@ def _bottleneck_level(mesh: Mesh, values: np.ndarray) -> float:
         if np.array_equal(root, up):
             break
         up = root
-    cross = np.flatnonzero(root[lo] != root[hi])
-    weights = values[lo[cross]]
+    cross = np.flatnonzero(root[a] != root[b])
+    weights = np.minimum(ends[0][cross], ends[1][cross])
     order = np.argsort(-weights)                  # top first, ties in any order
     u, v = root[lo[cross]][order], root[hi[cross]][order]
-    _, top = np.unique(np.minimum(u, v) * (n + 2) + np.maximum(u, v),
-                       return_index=True)
-    top.sort()                                    # the top edge per basin pair
+    # the first edge of each basin pair in that order is its top edge
+    pairs = np.minimum(u, v) * (n + 2) + np.maximum(u, v)
+    by_pair = np.argsort(pairs)
+    pairs = pairs[by_pair]
+    run_start = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=run_start[1:])
+    top = np.sort(np.minimum.reduceat(by_pair, np.flatnonzero(run_start)))
     joined = {}                                   # basin -> a basin it joined
 
     def find(x):
@@ -202,11 +229,13 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
         raise ValueError("plasma boundary search requires an inner boundary")
 
     # plasma side: the inner boundary carries the extreme flux; work in a
-    # sign convention where the plasma side is high
+    # sign convention where the plasma side is high.  Negation is exact, so
+    # the signed values at the edge ends serve the level and the isoline
     sign = 1.0 if inner_trace.mean() >= outer_trace.mean() else -1.0
-    values = sign * fld.values
-    rng = float(values.max() - values.min())
-    bottleneck = _bottleneck_level(mesh, values)
+    span = fld.values.min(), fld.values.max()
+    rng = float(span[1] - span[0])
+    ends = _edge_ends(mesh, fld.values if sign > 0 else -fld.values)
+    bottleneck = _bottleneck_level(mesh, ends)
     s_max = float((sign * inner_trace).max())
 
     if limiter is not None:
@@ -216,7 +245,7 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
             raise NoTransitionError(
                 "no closed flux surface encircling the inner boundary "
                 "inside the limiter")
-        iso = extract_isoline(fld, sign * (level + 1e-9 * rng))
+        iso = _isoline(fld, sign * (level + 1e-9 * rng), span, ends, sign)
         return sign * level, iso, "limiter"
 
     lo = float((sign * outer_trace).min())
@@ -230,7 +259,7 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
             "the inner-attached flux region is never closed: contours are "
             "open at every level; no X-point in the domain")
 
-    iso = extract_isoline(fld, sign * (bottleneck + 2e-6 * rng))
+    iso = _isoline(fld, sign * (bottleneck + 2e-6 * rng), span, ends, sign)
     return sign * bottleneck, iso, "xpoint"
 
 

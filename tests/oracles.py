@@ -10,7 +10,9 @@ columns; every field-solve oracle factors its matrix afresh in node
 order, and the interior-order oracle takes COLAMD's order from a
 factorization of the interior block; the sweep oracle solves one epsilon
 at a time; the limiter-sampling oracles test every point against both
-loops before they locate it.
+loops before they locate it; the triangle-scan isoline oracle, the former
+library cut, finds the crossed triangles by testing the edges of every
+triangle of ``Mesh.edges.triangle_rows``.
 
 The last section holds the checks that the library's pipeline never runs:
 the misfit as a direct volume integral, the interface quadratic form, the
@@ -34,8 +36,9 @@ from fluxrec.completion import CauchyData, KVSystem
 from fluxrec.fem import FluxField, StiffnessMatrix
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
                           _angles_about, _EdgeBoundExceeded, _resample_closed,
-                          distance_to_polyline, loops_intersect, points_in_polygon,
-                          polygon_area, polygon_centroid, triangle_areas)
+                          chain_walk, distance_to_polyline, loops_intersect,
+                          points_in_polygon, polygon_area, polygon_centroid,
+                          triangle_areas)
 from fluxrec.postprocess import EmptyIsolineError, Isoline
 from fluxrec.regularization import LCurve
 
@@ -451,6 +454,57 @@ def extract_isoline_dict(fld: FluxField, level: float,
     iso.closed = all(iso.polyline_closed) and bool(iso.polylines)
     iso.inside_domain = not any(labels.get(k) == OUTER for k in endpoints)
     return iso, segments
+
+
+def extract_isoline_scan(fld: FluxField, level: float) -> Isoline:
+    """Marching triangles over every triangle: the former library cut.
+
+    The level is perturbed off the nodal values as `extract_isoline` does.
+    Each edge row is crossed when one end only lies below the level; every
+    triangle's three rows are tested, and each crossed triangle gives its
+    two crossed rows in local order.  The crossed edges are numbered in the
+    order the triangle list first reaches them and chained by `chain_walk`.
+    """
+    mesh = fld.mesh
+    values = fld.values
+    vmin, vmax = float(values.min()), float(values.max())
+    if not (vmin <= level <= vmax):
+        raise EmptyIsolineError(
+            f"level {level} outside field range [{vmin}, {vmax}]")
+    rng = max(vmax - vmin, 1e-300)
+    lev = float(level)
+    while np.any(values == lev):
+        lev = max(lev + 1e-12 * rng, np.nextafter(lev, np.inf))
+
+    e = mesh.edges
+    below = values < lev                          # strict by construction
+    crossed = below[e.nodes[:, 0]] != below[e.nodes[:, 1]]
+    cut = crossed[e.triangle_rows]
+    # a crossed triangle has exactly two crossed edges, kept in local order,
+    # so one of its first two is crossed
+    hit = cut[:, 0] | cut[:, 1]
+    seg_rows = e.triangle_rows[hit][cut[hit]]
+    iso = Isoline(level=float(level))
+    if len(seg_rows) == 0:
+        return iso
+
+    rows, first, inverse = np.unique(seg_rows, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)                   # ids by first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    links = rank[inverse].reshape(-1, 2)
+    lo, hi = e.nodes[rows[order]].T
+    va, vb = values[lo], values[hi]
+    t = ((lev - va) / (vb - va))[:, None]
+    points = (1.0 - t) * mesh.nodes[lo] + t * mesh.nodes[hi]
+
+    for path, is_closed in chain_walk(links):
+        iso.polylines.append(points[path + path[:1] if is_closed else path])
+        iso.polyline_closed.append(is_closed)
+    iso.closed = all(iso.polyline_closed)
+    iso.inside_domain = not np.any(e.labels[crossed] == OUTER)
+    return iso
 
 
 # ---------------------------------------------------------------------------

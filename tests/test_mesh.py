@@ -394,11 +394,39 @@ def test_edge_table_matches_dict_reference(r0, a, b, triangularity, count,
     outer = dee_loop(r0, a, b, triangularity, count)
     m = generate_annulus_mesh(outer, scale_toward_centroid(outer, shrink),
                               a * h_over_a)
-    nodes, _, labels, triangle_rows = edge_table_dict(m)
+    nodes, owners, labels, triangle_rows = edge_table_dict(m)
     assert np.array_equal(m.edges.nodes, nodes)
     assert np.array_equal(m.edges.labels, labels)
+    assert np.array_equal(m.edges.triangles, owners)
     assert np.array_equal(m.edges.triangle_rows, triangle_rows)
     _assert_boundary_matches_dict_reference(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometry=st.sampled_from(["desk", "iter", "square", "ladder"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_edge_triangles_are_the_triangles_holding_the_edge(
+        desk_mesh, iter_mesh, geometry, seed):
+    rng = np.random.default_rng(seed)
+    if geometry == "desk":
+        m = desk_mesh
+    elif geometry == "iter":
+        m = iter_mesh
+    elif geometry == "square":
+        m = build_square_mesh(int(rng.integers(1, 9)))
+    else:
+        outer = _star_loop(6.0, 0.0, 2.0,
+                           rng.uniform(0.85, 1.15, rng.integers(8, 40)))
+        inner = scale_toward_centroid(outer, rng.uniform(0.3, 0.6))
+        m = generate_annulus_mesh(outer, inner, rng.uniform(0.3, 0.6))
+    e = m.edges
+    holders = [[] for _ in range(len(e.nodes))]
+    for t, rows in enumerate(e.triangle_rows.tolist()):
+        for row in rows:
+            holders[row].append(t)
+    assert e.triangles.tolist() == [h + [-1] * (2 - len(h)) for h in holders]
+    assert np.array_equal(e.triangles[:, 1] < 0, e.labels != "")
+    assert e.nodes[:, 0].flags.c_contiguous and e.nodes[:, 1].flags.c_contiguous
 
 
 @settings(max_examples=20, deadline=None)

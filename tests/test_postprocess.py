@@ -11,12 +11,12 @@ from fluxrec import FluxField, Mesh, interpolate
 from fluxrec.experiments import TwinSpec, loop_flux_field, run_twin
 from fluxrec.mesh import circle_loop, polygon_centroid
 from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
-                                 _bottleneck_level, _sample_field,
+                                 _bottleneck_level, _edge_ends, _sample_field,
                                  extract_isoline, find_plasma_boundary)
 from conftest import strip_mesh
 from oracles import (STATE_ORDER, RegionClassifier, bisect_transition,
                      bottleneck_level_dual, bottleneck_level_mst,
-                     encircles, extract_isoline_dict,
+                     encircles, extract_isoline_dict, extract_isoline_scan,
                      sample_field_polygon_first, sample_field_scan)
 
 
@@ -237,11 +237,34 @@ def test_exact_level_matches_bisection_oracle(desk_mesh, r_x, strength, tilt):
         < 1e-9 * rngspan
 
 
+@settings(max_examples=30, deadline=None)
+@given(r_x=st.floats(7.5, 8.1), strength=st.floats(0.5, 2.0),
+       tilt=st.floats(0.9, 1.1), limited=st.booleans(),
+       rho=st.floats(1.0, 1.2), shift=st.tuples(st.floats(-0.1, 0.1),
+                                                 st.floats(-0.1, 0.1)))
+def test_negated_field_gives_the_negated_boundary(desk_mesh, r_x, strength,
+                                                  tilt, limited, rho, shift):
+    # the search runs on -psi in its own sign convention, so the negated
+    # field must give the negated level and the very same contour
+    fld = _saddle_field(desk_mesh, r_x, strength, tilt)
+    limiter = circle_loop(6.0 + shift[0], shift[1], rho, 64) if limited else None
+    psi_p, iso, mode = find_plasma_boundary(fld, limiter=limiter)
+    neg_p, neg_iso, neg_mode = find_plasma_boundary(
+        FluxField(-fld.values, desk_mesh), limiter=limiter)
+    assert mode == neg_mode == ("limiter" if limited else "xpoint")
+    assert neg_p == -psi_p
+    assert len(neg_iso.polylines) == len(iso.polylines)
+    for p, q in zip(neg_iso.polylines, iso.polylines):
+        assert np.array_equal(p, q)
+    assert neg_iso.polyline_closed == iso.polyline_closed
+    assert (neg_iso.closed, neg_iso.inside_domain) == (iso.closed, iso.inside_domain)
+
+
 def _check_states_against_oracle(mesh, values, rng):
     """The oracle's states run open -> closed -> empty as the level rises,
     switching exactly at the bottleneck level B and at the inner-trace top."""
     cls = RegionClassifier(mesh, values)
-    bottleneck = _bottleneck_level(mesh, values)
+    bottleneck = _bottleneck_level(mesh, _edge_ends(mesh, values))
     s_max = values[mesh.boundary.inner_nodes].max()
     levels = np.sort(np.concatenate([
         rng.uniform(values.min(), values.max(), 12),
@@ -331,7 +354,8 @@ def test_node_graph_bottleneck_equals_triangle_graph_oracle(
     rng = np.random.default_rng(seed)
     mesh = _geometry(geometry, desk_mesh, iter_mesh, rng)
     values = _bottleneck_field(mesh, kind, rounded, flip, rng)
-    assert _bottleneck_level(mesh, values) == bottleneck_level_dual(mesh, values)
+    level = _bottleneck_level(mesh, _edge_ends(mesh, values))
+    assert level == bottleneck_level_dual(mesh, values)
 
 
 @settings(max_examples=120, deadline=None)
@@ -348,8 +372,34 @@ def test_contracted_bottleneck_equals_full_graph_oracle(
     mesh = _geometry(geometry, desk_mesh, iter_mesh, rng)
     values = _bottleneck_field(mesh, kind, rounded, flip, rng)
     with _deadline(10):
-        level = _bottleneck_level(mesh, values)
+        level = _bottleneck_level(mesh, _edge_ends(mesh, values))
     assert level == bottleneck_level_mst(mesh, values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(geometry=st.sampled_from(["desk", "iter", "l_hole", "ladder"]),
+       kind=st.sampled_from(["saddle", "rough", "uniform", "constant"]),
+       rounded=st.booleans(), flip=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), q=st.floats(0.0, 1.0),
+       on_node=st.booleans())
+def test_isoline_matches_triangle_scan_oracle(desk_mesh, iter_mesh, geometry,
+                                              kind, rounded, flip, seed, q,
+                                              on_node):
+    # the cut reaches the crossed triangles through the sides of the
+    # crossed edges; the oracle tests the edges of every triangle.  Saddle
+    # levels below the X-point, and most levels of noisy fields, give open
+    # contours that end on a wall
+    rng = np.random.default_rng(seed)
+    mesh = _geometry(geometry, desk_mesh, iter_mesh, rng)
+    fld = FluxField(_bottleneck_field(mesh, kind, rounded, flip, rng), mesh)
+    level = _isoline_level(fld.values, q, on_node)
+    fast, slow = extract_isoline(fld, level), extract_isoline_scan(fld, level)
+    assert fast.level == slow.level
+    assert len(fast.polylines) == len(slow.polylines)
+    for p, r in zip(fast.polylines, slow.polylines):
+        assert np.array_equal(p, r)
+    assert fast.polyline_closed == slow.polyline_closed
+    assert (fast.closed, fast.inside_domain) == (slow.closed, slow.inside_domain)
 
 
 def test_widest_wall_path_through_an_interior_maximum():
@@ -368,7 +418,8 @@ def test_widest_wall_path_through_an_interior_maximum():
     edges = mesh.edges.nodes.tolist()              # lower index first
     assert [outer, peak] in edges and [peak, inner] in edges
     assert outer in b.outer_nodes and inner in b.inner_nodes
-    assert _bottleneck_level(mesh, values) == bottleneck_level_mst(mesh, values) == 3.0
+    level = _bottleneck_level(mesh, _edge_ends(mesh, values))
+    assert level == bottleneck_level_mst(mesh, values) == 3.0
 
 
 def test_find_plasma_boundary_takes_only_the_fields_mesh(desk_mesh, xpoint_field):
