@@ -12,9 +12,8 @@ coordinates bit-exactly.  Its text-format section owns the rules of every
 text file of the package (mesh, CSV, CLI config): a line reader, a block
 parser naming the first bad row as ``path:line``, and a row writer.
 Validation builds, once per mesh, the table of unique edges with their
-boundary labels and the edges of each triangle, and chains each boundary
-loop once; the post-processing reads the table instead of rebuilding edge
-maps.  One walk over graphs of degree at most 2 (`chain_walk`) chains both
+triangles and the edges of each triangle, and chains each boundary loop
+once; the post-processing reads the table instead of rebuilding edge maps.  One walk over graphs of degree at most 2 (`chain_walk`) chains both
 the boundary loops and the isoflux contours.  The ring-ladder generator is
 array code: one stable merge of sorted angles stitches each band between
 two rings.
@@ -159,8 +158,7 @@ class Mesh:
     boundary_labels : (K,) str array
         One of ``"outer"`` / ``"inner"`` per boundary edge.
     edges : EdgeTable
-        Every unique edge with its label and triangles, built once by
-        validation.
+        Every unique edge with its triangles, built once by validation.
     boundary : BoundaryIndex
         Ordered boundary loops, chained once by validation.
     """
@@ -198,9 +196,8 @@ class Mesh:
 
     @cached_property
     def max_edge_length(self) -> float:
-        p = self.nodes[self.triangles]
-        e = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-        return float(np.max(np.linalg.norm(e, axis=1)))
+        lo, hi = self.edges.nodes.T
+        return float(np.max(np.linalg.norm(self.nodes[hi] - self.nodes[lo], axis=1)))
 
     @cached_property
     def _centroid_tree(self):
@@ -219,8 +216,6 @@ class EdgeTable:
     nodes : (E, 2) int array
         Node pairs, lower index first, rows in lexicographic order; stored
         column by column (Fortran order), so each end is contiguous.
-    labels : (E,) str array
-        Boundary label, ``""`` on interior edges.
     triangles : (E, 2) int array
         The triangles holding each edge, in triangle order; -1 for the
         missing second one of a boundary edge.
@@ -230,14 +225,12 @@ class EdgeTable:
     """
 
     nodes: np.ndarray
-    labels: np.ndarray
     triangles: np.ndarray
     triangle_rows: np.ndarray
 
 
-def build_edge_table(triangles: np.ndarray, boundary_edges: np.ndarray,
-                     boundary_labels: np.ndarray) -> EdgeTable:
-    """Edge table of a triangulation whose boundary edges carry labels.
+def build_edge_table(triangles: np.ndarray, boundary_edges: np.ndarray) -> EdgeTable:
+    """Edge table of a triangulation with its labeled boundary edges.
 
     Raises MeshValidationError when a boundary edge is listed twice, an edge
     is shared by more than two triangles, an edge of one triangle is
@@ -287,8 +280,6 @@ def build_edge_table(triangles: np.ndarray, boundary_edges: np.ndarray,
         raise MeshValidationError(
             f"boundary edge {(int(blo[i]), int(bhi[i]))} is not a triangle edge")
 
-    labels = np.zeros(len(starts), dtype="U5")       # wide enough for both labels
-    labels[rows] = boundary_labels
     nodes = np.stack([lo[first], hi[first]]).T       # contiguous columns
     # a run's uses are in triangle order, and use k lies in triangle k // 3
     uses = np.r_[order // 3, -1]
@@ -297,9 +288,9 @@ def build_edge_table(triangles: np.ndarray, boundary_edges: np.ndarray,
     triangle_rows = np.empty(len(order), dtype=np.int64)
     triangle_rows[order] = np.repeat(np.arange(len(starts)), counts)
     triangle_rows = triangle_rows.reshape(-1, 3)
-    for arr in (nodes, labels, triangles, triangle_rows):
+    for arr in (nodes, triangles, triangle_rows):
         arr.setflags(write=False)
-    return EdgeTable(nodes, labels, triangles, triangle_rows)
+    return EdgeTable(nodes, triangles, triangle_rows)
 
 
 def chain_walk(links: np.ndarray) -> list[tuple[list[int], bool]]:
@@ -405,7 +396,7 @@ def validate_mesh(nodes, triangles, edges, labels) -> tuple:
     if unknown:
         raise MeshValidationError(f"unknown boundary labels {sorted(unknown)}")
 
-    table = build_edge_table(triangles, edges, labels)
+    table = build_edge_table(triangles, edges)
 
     outer_edges = edges[labels == OUTER]
     inner_edges = edges[labels == INNER]

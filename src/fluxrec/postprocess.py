@@ -5,9 +5,10 @@ search.  Both read the field at the two ends of every edge of the mesh's
 edge table, and the boundary search does so once, for the level and its
 contour.  A contour is cut from its crossed edges: one crossing point per
 crossed edge, the crossed triangles taken as the sides of those edges, and
-the crossings chained by the mesh module's walk.  The boundary search takes
-the exact bottleneck level in one pass over the edges: the highest level
-at which the inner-boundary-attached region of {psi > level} still escapes
+the crossings chained by the mesh module's walk.  The boundary search
+orients the field once, on entry, with the plasma side high, and takes the
+exact bottleneck level in one pass over the edges: the highest level at
+which the inner-boundary-attached region of {psi > level} still escapes
 through the outer wall, on the graph of mesh nodes and edges (exact for P1
 fields at sub-triangle resolution).  That is the join level of the two
 walls in the field's join tree, which lives on the vertices and edges of
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import FluxField
-from .mesh import OUTER, Mesh, chain_walk, points_in_polygon
+from .mesh import Mesh, chain_walk, points_in_polygon
 
 
 class EmptyIsolineError(ValueError):
@@ -41,7 +42,8 @@ class Isoline:
     """One flux level's contour as chained polylines.
 
     closed is True when every chained polyline is a closed loop;
-    inside_domain is True when no polyline terminates on the outer boundary.
+    inside_domain is True when no polyline terminates on the outer boundary,
+    that is, no crossed boundary edge has both ends on the outer loop.
     """
 
     level: float
@@ -64,7 +66,7 @@ def extract_isoline(fld: FluxField, level: float) -> Isoline:
     """
     values = fld.values
     return _isoline(fld, level, (values.min(), values.max()),
-                    _edge_ends(fld.mesh, values), 1.0)
+                    _edge_ends(fld.mesh, values))
 
 
 def _edge_ends(mesh: Mesh, values: np.ndarray) -> tuple:
@@ -72,16 +74,11 @@ def _edge_ends(mesh: Mesh, values: np.ndarray) -> tuple:
     return values[mesh.edges.nodes[:, 0]], values[mesh.edges.nodes[:, 1]]
 
 
-def _isoline(fld: FluxField, level: float, span: tuple, ends: tuple,
-             sign: float) -> Isoline:
-    """`extract_isoline(fld, level)`, given the field's (min, max) and the
-    `_edge_ends` of sign * fld.values, sign being 1 or -1.
+def _isoline(fld: FluxField, level: float, span: tuple, ends: tuple) -> Isoline:
+    """`extract_isoline(fld, level)`, given the field's (min, max) and `_edge_ends`.
 
-    Once no nodal value equals the level, an edge is crossed when exactly
-    one end lies below it, or equally exactly one above it, so the test
-    reads the same on -psi against the negated level.  The crossed
-    triangles are the sides of the crossed edges; each holds two of them,
-    taken in its local edge order.
+    The crossed triangles are the sides of the crossed edges; each holds
+    two of them, taken in its local edge order.
     """
     values = fld.values
     vmin, vmax = float(span[0]), float(span[1])
@@ -93,8 +90,7 @@ def _isoline(fld: FluxField, level: float, span: tuple, ends: tuple,
     while np.any(values == lev):
         lev = max(lev + 1e-12 * rng, np.nextafter(lev, np.inf))
 
-    cut = sign * lev
-    crossed = (ends[0] < cut) != (ends[1] < cut)
+    crossed = (ends[0] < lev) != (ends[1] < lev)
     rows = np.flatnonzero(crossed)
     iso = Isoline(level=float(level))
     if len(rows) == 0:
@@ -121,7 +117,11 @@ def _isoline(fld: FluxField, level: float, span: tuple, ends: tuple,
         iso.polylines.append(points[path + path[:1] if is_closed else path])
         iso.polyline_closed.append(is_closed)
     iso.closed = all(iso.polyline_closed)
-    iso.inside_domain = not np.any(e.labels[rows] == OUTER)
+    # a crossed boundary edge is on the outer wall when both ends are
+    on_wall = np.zeros(fld.mesh.node_count, dtype=bool)
+    on_wall[fld.mesh.boundary.outer_nodes] = True
+    ends_on_wall = on_wall[e.nodes[rows[e.triangles[rows, 1] < 0]]]
+    iso.inside_domain = not ends_on_wall.all(axis=1).any()
     return iso
 
 
@@ -199,16 +199,18 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
                          limiter: np.ndarray | None = None):
     """Plasma boundary flux value and its isoline.
 
-    In a sign convention where the plasma (inner) side is high, the
-    inner-attached region of {psi > L} is 'open' (escapes through the outer
-    wall) for L below the bottleneck level B, 'closed' for B <= L < s_max and
-    'empty' from s_max, the top of the inner-boundary trace, up.  Without a
-    limiter, the boundary value is B itself, the level at which the closed
-    flux surfaces open to the wall (the X-point level); its isoline is drawn
-    2e-6 of the field range inside the closed band.  With a limiter
-    polyline, the boundary value is the extremal flux sampled along the
-    limiter, provided its surface is closed around the inner boundary.
-    `mesh`, if given, must be the field's own mesh.
+    A field whose inner trace is lower on average than its outer one is
+    negated, so that the plasma (inner) side is high, and the value and the
+    isoline level are negated back.  There, the inner-attached region of
+    {psi > L} is 'open' (escapes through the outer wall) for L below the
+    bottleneck level B, 'closed' for B <= L < s_max and 'empty' from s_max,
+    the top of the inner-boundary trace, up.  Without a limiter, the
+    boundary value is B itself, the level at which the closed flux surfaces
+    open to the wall (the X-point level); its isoline is drawn 2e-6 of the
+    field range inside the closed band.  With a limiter polyline, the
+    boundary value is the extremal flux sampled along the limiter, provided
+    its surface is closed around the inner boundary.  `mesh`, if given,
+    must be the field's own mesh.
 
     Returns (psi_p, Isoline, mode) with mode 'xpoint' or 'limiter'.  Raises
     NoTransitionError when the closed state never occurs (every level's
@@ -228,39 +230,42 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
     if len(inner_trace) == 0:
         raise ValueError("plasma boundary search requires an inner boundary")
 
-    # plasma side: the inner boundary carries the extreme flux; work in a
-    # sign convention where the plasma side is high.  Negation is exact, so
-    # the signed values at the edge ends serve the level and the isoline
-    sign = 1.0 if inner_trace.mean() >= outer_trace.mean() else -1.0
+    # plasma side: the inner boundary carries the extreme flux.  The search
+    # works on the field oriented with the plasma side high; negation is
+    # exact, so the level and its isoline are negated back bit for bit
+    flip = inner_trace.mean() < outer_trace.mean()
+    if flip:
+        fld = FluxField(-fld.values, mesh)
+        inner_trace, outer_trace = -inner_trace, -outer_trace
     span = fld.values.min(), fld.values.max()
     rng = float(span[1] - span[0])
-    ends = _edge_ends(mesh, fld.values if sign > 0 else -fld.values)
+    ends = _edge_ends(mesh, fld.values)
     bottleneck = _bottleneck_level(mesh, ends)
-    s_max = float((sign * inner_trace).max())
+    s_max = float(inner_trace.max())
 
     if limiter is not None:
-        psi_lim = sign * _sample_field(fld, limiter)
-        level = float(psi_lim.max())
+        mode, level = "limiter", float(_sample_field(fld, limiter).max())
         if not bottleneck <= level + 1e-9 * rng < s_max:
             raise NoTransitionError(
                 "no closed flux surface encircling the inner boundary "
                 "inside the limiter")
-        iso = _isoline(fld, sign * (level + 1e-9 * rng), span, ends, sign)
-        return sign * level, iso, "limiter"
-
-    lo = float((sign * outer_trace).min())
-    if bottleneck <= lo:
-        state = "closed" if lo < s_max else "empty"
-        raise NoTransitionError(
-            f"contours never escape through the outer wall (state {state!r} "
-            "at the wall extreme); no X-point in the domain")
-    if bottleneck >= s_max:
-        raise NoTransitionError(
-            "the inner-attached flux region is never closed: contours are "
-            "open at every level; no X-point in the domain")
-
-    iso = _isoline(fld, sign * (bottleneck + 2e-6 * rng), span, ends, sign)
-    return sign * bottleneck, iso, "xpoint"
+        iso = _isoline(fld, level + 1e-9 * rng, span, ends)
+    else:
+        lo = float(outer_trace.min())
+        if bottleneck <= lo:
+            state = "closed" if lo < s_max else "empty"
+            raise NoTransitionError(
+                f"contours never escape through the outer wall (state {state!r} "
+                "at the wall extreme); no X-point in the domain")
+        if bottleneck >= s_max:
+            raise NoTransitionError(
+                "the inner-attached flux region is never closed: contours are "
+                "open at every level; no X-point in the domain")
+        mode, level = "xpoint", bottleneck
+        iso = _isoline(fld, bottleneck + 2e-6 * rng, span, ends)
+    if flip:
+        level, iso.level = -level, -iso.level
+    return level, iso, mode
 
 
 def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
@@ -270,6 +275,8 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     pass a 1e-12 tolerance.  Candidates are the triangles with centroid
     within the longest mesh edge of the point, which misses none: every
     point of a triangle lies within 2/3 of its longest edge of its centroid.
+    The (point, triangle) candidate pairs come as two index arrays, from a
+    k-d tree of the points against the mesh's centroid tree.
     Only the points that no triangle holds are tested against the loops:
     one outside the outer boundary raises, one inside the inner hole is
     skipped, and any other lies outside the mesh and raises.  A point on a
@@ -285,10 +292,11 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     k = np.arange(len(seg)) - (np.cumsum(n) - n)[seg]
     pts = polyline[seg] + (k / n[seg])[:, None] * step[seg]
 
-    near = mesh._centroid_tree.query_ball_point(pts, h)
-    pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
-    # the empty head lets an empty limiter reach the loop tests
-    ti = np.concatenate([np.zeros(0, np.int64), *near]).astype(np.int64)
+    # imported here, as it adds about 7 MiB to every process that loads it
+    from scipy.spatial import cKDTree
+    pairs = cKDTree(pts).sparse_distance_matrix(mesh._centroid_tree, h,
+                                                output_type="ndarray")
+    pi, ti = pairs["i"], pairs["j"]
     tri_pts = mesh.nodes[mesh.triangles[ti]]
     v0 = tri_pts[:, 0]
     d1 = tri_pts[:, 1] - v0

@@ -464,6 +464,8 @@ def extract_isoline_scan(fld: FluxField, level: float) -> Isoline:
     triangle's three rows are tested, and each crossed triangle gives its
     two crossed rows in local order.  The crossed edges are numbered in the
     order the triangle list first reaches them and chained by `chain_walk`.
+    A crossed edge is on the outer wall when the mesh's boundary edge list
+    labels it so.
     """
     mesh = fld.mesh
     values = fld.values
@@ -503,7 +505,11 @@ def extract_isoline_scan(fld: FluxField, level: float) -> Isoline:
         iso.polylines.append(points[path + path[:1] if is_closed else path])
         iso.polyline_closed.append(is_closed)
     iso.closed = all(iso.polyline_closed)
-    iso.inside_domain = not np.any(e.labels[crossed] == OUTER)
+    outer = {(min(a, b), max(a, b)) for (a, b), lab
+             in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)
+             if lab == OUTER}
+    iso.inside_domain = not any(tuple(k) in outer
+                                for k in e.nodes[crossed].tolist())
     return iso
 
 

@@ -394,9 +394,8 @@ def test_edge_table_matches_dict_reference(r0, a, b, triangularity, count,
     outer = dee_loop(r0, a, b, triangularity, count)
     m = generate_annulus_mesh(outer, scale_toward_centroid(outer, shrink),
                               a * h_over_a)
-    nodes, owners, labels, triangle_rows = edge_table_dict(m)
+    nodes, owners, _, triangle_rows = edge_table_dict(m)
     assert np.array_equal(m.edges.nodes, nodes)
-    assert np.array_equal(m.edges.labels, labels)
     assert np.array_equal(m.edges.triangles, owners)
     assert np.array_equal(m.edges.triangle_rows, triangle_rows)
     _assert_boundary_matches_dict_reference(m)
@@ -425,7 +424,9 @@ def test_edge_triangles_are_the_triangles_holding_the_edge(
         for row in rows:
             holders[row].append(t)
     assert e.triangles.tolist() == [h + [-1] * (2 - len(h)) for h in holders]
-    assert np.array_equal(e.triangles[:, 1] < 0, e.labels != "")
+    # the edges missing a second triangle are exactly the boundary edges
+    assert np.array_equal(e.nodes[e.triangles[:, 1] < 0],
+                          np.unique(np.sort(m.boundary_edges, axis=1), axis=0))
     assert e.nodes[:, 0].flags.c_contiguous and e.nodes[:, 1].flags.c_contiguous
 
 
@@ -446,7 +447,7 @@ def test_save_load_is_bit_exact(tmp_path_factory, r0, z0, a, radii, shrink,
     back = load_mesh(path)
     for name in ("nodes", "triangles", "boundary_edges", "boundary_labels"):
         assert np.array_equal(getattr(back, name), getattr(m, name))
-    for name in ("nodes", "labels", "triangle_rows"):
+    for name in ("nodes", "triangle_rows"):
         assert np.array_equal(getattr(back.edges, name), getattr(m.edges, name))
     for name in ("outer_nodes", "inner_nodes", "outer_arcs", "inner_arcs"):
         assert np.array_equal(getattr(back.boundary, name), getattr(m.boundary, name))

@@ -148,6 +148,19 @@ def test_isoline_matches_dict_oracle(desk_mesh, desk_A, kind, seed, shape, q,
     assert fast.inside_domain == slow.inside_domain
 
 
+def test_contour_open_on_the_inner_loop_is_inside_the_domain(desk_mesh):
+    # a cap about a peak on the inner loop: one open polyline whose ends lie
+    # on inner boundary edges, so no crossed boundary edge is on the wall
+    fld = interpolate(desk_mesh, lambda r, z: -((r - 6.0) ** 2 + (z - 0.8) ** 2))
+    level = float(fld.values.max()) - 0.2
+    fast = extract_isoline(fld, level)
+    slow, _ = extract_isoline_dict(fld, level, desk_mesh)
+    assert fast.polyline_closed == slow.polyline_closed == [False]
+    assert np.array_equal(fast.polylines[0], slow.polylines[0])
+    assert fast.inside_domain and slow.inside_domain
+    assert not fast.closed
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=_FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), shape=_SADDLES,
        q=st.floats(0.0, 1.0), on_node=st.booleans())
@@ -244,8 +257,8 @@ def test_exact_level_matches_bisection_oracle(desk_mesh, r_x, strength, tilt):
                                                  st.floats(-0.1, 0.1)))
 def test_negated_field_gives_the_negated_boundary(desk_mesh, r_x, strength,
                                                   tilt, limited, rho, shift):
-    # the search runs on -psi in its own sign convention, so the negated
-    # field must give the negated level and the very same contour
+    # the search orients the field with the plasma side high, so the
+    # negated field must give the negated levels and the very same contour
     fld = _saddle_field(desk_mesh, r_x, strength, tilt)
     limiter = circle_loop(6.0 + shift[0], shift[1], rho, 64) if limited else None
     psi_p, iso, mode = find_plasma_boundary(fld, limiter=limiter)
@@ -253,6 +266,7 @@ def test_negated_field_gives_the_negated_boundary(desk_mesh, r_x, strength,
         FluxField(-fld.values, desk_mesh), limiter=limiter)
     assert mode == neg_mode == ("limiter" if limited else "xpoint")
     assert neg_p == -psi_p
+    assert neg_iso.level == -iso.level
     assert len(neg_iso.polylines) == len(iso.polylines)
     for p, q in zip(neg_iso.polylines, iso.polylines):
         assert np.array_equal(p, q)
@@ -447,7 +461,7 @@ def _limiter_on_nodes_and_edges(mesh, rng):
     limiter = circle_loop(6.0 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1),
                           rng.uniform(1.0, 2.0), 48)
     e = mesh.edges
-    pairs = e.nodes[e.labels == ""]
+    pairs = e.nodes[e.triangles[:, 1] >= 0]
     mids = 0.5 * (mesh.nodes[pairs[:, 0]] + mesh.nodes[pairs[:, 1]])
     for k in range(0, 48, 3):
         limiter[k] = mesh.nodes[np.argmin(np.linalg.norm(mesh.nodes - limiter[k], axis=1))]
