@@ -330,7 +330,9 @@ def assemble_stiffness(mesh: Mesh) -> StiffnessMatrix:
     r_quad = r_nodes @ _QUAD_POINTS.T                      # (M, 7)
     weight_int = areas * ((1.0 / r_quad) @ _QUAD_WEIGHTS)  # integral of 1/r per tri
 
-    local = np.einsum("mia,mja->mij", grads, grads) * weight_int[:, None, None]
+    gr, gz = grads[..., 0], grads[..., 1]
+    local = (gr[:, :, None] * gr[:, None, :]
+             + gz[:, :, None] * gz[:, None, :]) * weight_int[:, None, None]
     rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
     cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
     n = mesh.node_count

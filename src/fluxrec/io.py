@@ -41,8 +41,7 @@ def _read_node_csv(path, header: str, mesh: Mesh, nodes: np.ndarray, columns: sl
                 (~np.isfinite(values).all(axis=1), "non-finite value", index)]
 
     index, values = _parse_rows(
-        path, numbers[1:], [line.split(",") for line in lines[1:]], "row",
-        header.count(",") + 1,
+        path, numbers[1:], lines[1:], ",", "row", header.count(",") + 1,
         [(0, np.int64, "bad node index"), (columns, float, "bad value")], checks)
     if len(index) < len(nodes):         # rows are distinct nodes of `nodes`
         raise MeshFormatError(f"{path}: {missing}")
@@ -121,10 +120,10 @@ def read_polyline_csv(path) -> np.ndarray:
     no number among its tokens is a header.  A non-finite coordinate is a
     malformed row."""
     numbers, lines = _read_lines(path)
-    rows = [line.replace(",", " ").split() for line in lines]
-    if rows and not any(map(_is_number, rows[0])):
-        numbers, rows = numbers[1:], rows[1:]
-    pts, = _parse_rows(path, numbers, rows, "point", 2,
+    lines = [line.replace(",", " ") for line in lines]
+    if lines and not any(map(_is_number, lines[0].split())):
+        numbers, lines = numbers[1:], lines[1:]
+    pts, = _parse_rows(path, numbers, lines, None, "point", 2,
                        [(slice(None), float, "bad coordinate")], lambda p: [
                            (~np.isfinite(p).all(axis=1), "non-finite coordinate", p)])
     if len(pts) < 3:

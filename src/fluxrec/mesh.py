@@ -22,6 +22,7 @@ two rings.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -503,17 +504,32 @@ def _read_lines(path, comment: str | None = None) -> tuple[list[int], list[str]]
     return [i for i, line in enumerate(lines, start=1) if line], list(filter(None, lines))
 
 
-def _parse_rows(path, numbers, rows, what: str, width: int, groups,
+def _parse_rows(path, numbers, lines, sep, what: str, width: int, groups,
                 checks=None) -> list[np.ndarray]:
-    """Convert a block of token rows with one numpy call per column group.
+    """Convert a block of stripped lines, fields split at `sep` (None: runs
+    of blanks), with one numpy call per column group.
 
-    A group is (columns, dtype, message): token columns (a slice, or an
+    A group is (columns, dtype, message): field columns (a slice, or an
     index for a 1-D array) and the error if one does not convert.  `checks`
     maps the arrays to (mask, format, values) triples flagging bad rows.
     Raises MeshFormatError as ``path:line`` at the first row without `width`
-    tokens, with a token that does not convert, or flagged (reported as
+    fields, with a field that does not convert, or flagged (reported as
     ``format.format(value)``); within a row the earlier group or check wins.
+
+    Each group is first read by numpy's C reader (`np.loadtxt`) with its
+    warnings raised as errors: numpy versions differ on some rows that
+    ``int`` rejects (an integer column's ``1.0`` was once read with only a
+    DeprecationWarning), so the C reader never accepts a row that the token
+    path rejects.  An error, a warning, a wrong shape or a flagged row sends
+    the block down the token path (split each line, convert the token
+    columns, find the first faulty row), which is kept to name that row.
     """
+    arrays = _read_block(lines, sep, width, groups)
+    flags = checks(*arrays) if arrays is not None and checks else []
+    if arrays is not None and not any(mask.any() for mask, _, _ in flags):
+        return arrays
+    rows = [line.split(sep) for line in lines]
+
     def convert(block, groups):
         tokens = np.array(block, dtype=object).reshape(len(block), width)
         return [tokens[:, columns].astype(dtype) for columns, dtype, _ in groups]
@@ -543,6 +559,29 @@ def _parse_rows(path, numbers, rows, what: str, width: int, groups,
     return arrays
 
 
+def _read_block(lines, sep, width: int, groups) -> list[np.ndarray] | None:
+    """`_parse_rows`' groups read by ``np.loadtxt``, or None where it refuses
+    the block or the shapes show that a row is not `width` fields wide."""
+    spans = [np.arange(width)[columns] for columns, _, _ in groups]
+    partial = [span.size < width for span in spans]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = [np.loadtxt(lines, dtype, delimiter=sep, comments=None, ndmin=2,
+                                 usecols=np.atleast_1d(span) if cut else None)
+                      for span, cut, (_, dtype, _) in zip(spans, partial, groups)]
+    except (ValueError, OverflowError, Warning):
+        return None
+    if any(a.shape != (len(lines), span.size) for a, span in zip(arrays, spans)):
+        return None
+    if any(partial):    # usecols reads no field past the last used column
+        fields = (len(" ".join(lines).split()) if sep is None
+                  else sep.join(lines).count(sep) + 1)
+        if max(span.max() for span in spans) < width - 1 or fields != width * len(lines):
+            return None
+    return [a.reshape(len(lines), *span.shape) for a, span in zip(arrays, spans)]
+
+
 def _write_rows(path, *blocks) -> None:
     """Write blocks of (head, row format, column, ...) as ASCII text.
 
@@ -565,17 +604,16 @@ def load_mesh(path) -> Mesh:
     0-based, ``#`` starts a comment, labels are ``outer`` / ``inner``.  A
     malformed file raises MeshFormatError at its first faulty line.
     """
-    numbers, text = _read_lines(path, "#")
-    rows = [line.split() for line in text]
+    numbers, lines = _read_lines(path, "#")
     at = 0
 
     def block(name: str, what: str, width: int, groups, checks=None):
         """The rows counted by the `name` header, parsed."""
         nonlocal at
-        if at == len(rows):
+        if at == len(lines):
             raise MeshFormatError(
                 f"{path}: unexpected end of file while reading '{name}' header")
-        toks, where = rows[at], f"{path}:{numbers[at]}"
+        toks, where = lines[at].split(), f"{path}:{numbers[at]}"
         if len(toks) != 2:
             raise MeshFormatError(
                 f"{where}: expected 2 tokens for '{name}' header, got {len(toks)}")
@@ -588,11 +626,11 @@ def load_mesh(path) -> Mesh:
         if count < 0:
             raise MeshFormatError(f"{where}: negative count")
         start, at = at + 1, at + 1 + count        # slices never exceed the file
-        arrays = _parse_rows(path, numbers[start:at], rows[start:at], what, width,
-                             groups, checks)
-        if at > len(rows):
+        arrays = _parse_rows(path, numbers[start:at], lines[start:at], None, what,
+                             width, groups, checks)
+        if at > len(lines):
             raise MeshFormatError(f"{path}: unexpected end of file while reading "
-                                  f"{what} {len(rows) - start}")
+                                  f"{what} {len(lines) - start}")
         return arrays
 
     def out_of_range(index):
@@ -607,7 +645,7 @@ def load_mesh(path) -> Mesh:
         [(slice(0, 2), np.int64, "bad edge index"), (2, str, None)],
         lambda e, lab: [(out_of_range(e), "edge index out of range", lab),
                         (~np.isin(lab, (OUTER, INNER)), "unknown label '{}'", lab)])
-    if at < len(rows):
+    if at < len(lines):
         raise MeshFormatError(f"{path}:{numbers[at]}: trailing content")
     return Mesh(nodes, tris, edges, labels.astype("U8"))
 

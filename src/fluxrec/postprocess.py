@@ -185,13 +185,17 @@ def _bottleneck_level(mesh: Mesh, ends: tuple) -> float:
             x = joined[x]
         return x
 
-    for p, q, level in zip(u[top].tolist(), v[top].tolist(),
-                           weights[order[top]].tolist()):
-        p, q = find(p), find(q)
-        if p != q:
-            joined[p] = q
-            if find(source) == find(sink):
-                return level
+    start, size = 0, 64             # the loop mostly stops early, so the top
+    while start < len(top):         # edges go to Python in doubling chunks
+        chunk = top[start:start + size]
+        start, size = start + size, 2 * size
+        for p, q, level in zip(u[chunk].tolist(), v[chunk].tolist(),
+                               weights[order[chunk]].tolist()):
+            p, q = find(p), find(q)
+            if p != q:
+                joined[p] = q
+                if find(source) == find(sink):
+                    return level
     return -np.inf
 
 

@@ -6,7 +6,8 @@ text-format oracles read one token and write one value at a time, and the
 mesh-generator oracle works one point, ray and triangle at a time; the
 interface-load and constant-term oracles lift the data by two sparse
 solves, and the interface oracles solve for whole blocks of lifted
-columns; every field-solve oracle factors its matrix afresh in node
+columns; the stiffness oracle forms its local blocks by ``np.einsum``;
+every field-solve oracle factors its matrix afresh in node
 order, and the interior-order oracle takes COLAMD's order from a
 factorization of the interior block; the sweep oracle solves one epsilon
 at a time; the limiter-sampling oracles test every point against both
@@ -596,6 +597,80 @@ def load_mesh_by_token(path) -> Mesh:
                 np.array(labels, dtype="U8"))
 
 
+def _csv_lines(path):
+    """(line number, stripped text) of the non-blank lines."""
+    with open(path, "r", encoding="ascii") as fh:
+        return [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+
+
+def read_node_csv_by_token(path, header: str, nodes, columns: slice, outside: str,
+                           missing: str) -> np.ndarray:
+    """The node CSV reader (flux and Cauchy files) one row at a time, each
+    field converted by ``int`` or ``float``; the rows' `columns` come back
+    in the order of `nodes`."""
+    lines = _csv_lines(path)
+    first = lines[0][1] if lines and lines[0][0] == 1 else ""
+    if first != header:
+        raise MeshFormatError(f"{path}: unexpected header {first!r}")
+    width, wanted, values = header.count(",") + 1, set(nodes.tolist()), {}
+    for i, (lineno, line) in enumerate(lines[1:]):
+        toks = line.split(",")
+        if len(toks) != width:
+            raise MeshFormatError(
+                f"{path}:{lineno}: expected {width} tokens for row {i}, got {len(toks)}")
+        try:
+            node = int(toks[0])
+            if not -2**63 <= node < 2**63:
+                raise OverflowError
+        except (ValueError, OverflowError):
+            raise MeshFormatError(f"{path}:{lineno}: bad node index")
+        try:
+            row = [float(t) for t in toks[columns]]
+        except ValueError:
+            raise MeshFormatError(f"{path}:{lineno}: bad value")
+        if node not in wanted:
+            raise MeshFormatError(f"{path}:{lineno}: {outside.format(node)}")
+        if node in values:
+            raise MeshFormatError(f"{path}:{lineno}: node {node} listed twice")
+        if not all(map(math.isfinite, row)):
+            raise MeshFormatError(f"{path}:{lineno}: non-finite value")
+        values[node] = row
+    if len(values) < len(nodes):
+        raise MeshFormatError(f"{path}: {missing}")
+    return np.array([values[k] for k in nodes.tolist()], dtype=float).reshape(
+        len(nodes), -1)
+
+
+def read_polyline_csv_by_token(path) -> np.ndarray:
+    """The polyline reader one row at a time, each field by ``float``."""
+    rows = [(n, line.replace(",", " ").split()) for n, line in _csv_lines(path)]
+
+    def number(token):
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+    if rows and not any(map(number, rows[0][1])):
+        rows = rows[1:]
+    points = []
+    for i, (lineno, toks) in enumerate(rows):
+        if len(toks) != 2:
+            raise MeshFormatError(
+                f"{path}:{lineno}: expected 2 tokens for point {i}, got {len(toks)}")
+        try:
+            point = [float(t) for t in toks]
+        except ValueError:
+            raise MeshFormatError(f"{path}:{lineno}: bad coordinate")
+        if not all(map(math.isfinite, point)):
+            raise MeshFormatError(f"{path}:{lineno}: non-finite coordinate")
+        points.append(point)
+    if len(points) < 3:
+        raise MeshFormatError(f"{path}: fewer than 3 polyline points")
+    return np.array(points, dtype=float)
+
+
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
@@ -893,6 +968,19 @@ def _ladder_mesh_by_loop(outer: np.ndarray, inner: np.ndarray, center: np.ndarra
             f"generated edge length {mesh.max_edge_length:.4g} exceeds "
             f"1.5 * target_h = {1.5 * target_h:.4g}")
     return mesh
+
+
+def stiffness_by_einsum(mesh: Mesh):
+    """The stiffness matrix (CSR) with its local blocks formed by
+    ``np.einsum``, the former library form."""
+    grads, areas = fem.triangle_gradients(mesh)
+    r_quad = mesh.nodes[mesh.triangles][..., 0] @ fem._QUAD_POINTS.T
+    weight_int = areas * ((1.0 / r_quad) @ fem._QUAD_WEIGHTS)
+    local = np.einsum("mia,mja->mij", grads, grads) * weight_int[:, None, None]
+    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
+    n = mesh.node_count
+    return coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def flux_load_by_edge(A, g) -> np.ndarray:

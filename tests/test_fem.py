@@ -7,6 +7,7 @@ from fluxrec import (FluxField, assemble_stiffness, interpolate,
 from fluxrec.experiments import MANUFACTURED, refined_desk_mesh
 from fluxrec.mesh import INNER, OUTER, Mesh, boundary_node_normals, circle_loop, generate_annulus_mesh
 from conftest import build_square_mesh
+import oracles
 from oracles import energy_norm_sq, weighted_normal_derivative
 
 
@@ -107,6 +108,19 @@ def _linf_order(errors):
 def refine_meshes():
     meshes = [refined_desk_mesh(k) for k in range(3)]
     return [(m, assemble_stiffness(m)) for m in meshes]
+
+
+@pytest.mark.parametrize("which", ["desk", "iter", "desk r2"])
+def test_stiffness_matches_einsum_oracle(which, request, refine_meshes):
+    """The local blocks as two broadcast products are bitwise the einsum."""
+    if which == "desk r2":
+        mesh, A = refine_meshes[2]
+    else:
+        mesh = request.getfixturevalue(f"{which}_mesh")
+        A = assemble_stiffness(mesh)
+    got, want = A.matrix, oracles.stiffness_by_einsum(mesh)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
 
 
 @pytest.mark.parametrize("name", ["r2", "r2z", "quartic"])

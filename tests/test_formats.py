@@ -23,9 +23,15 @@ BASE_MESHES = [strip_mesh(), build_square_mesh(2), l_hole_square_mesh()]
 
 # tokens a corruption puts in place of another: a word, a non-integral and
 # an out-of-range number, a value beyond int64, a label, a header name and a
-# count beyond the file
+# count beyond the file; then tokens that numpy's C reader and ``float`` /
+# ``int`` judge differently: a digit separator, a hex literal, an integral
+# float and an exponent as an index, an explicit sign
 BAD_TOKENS = ["x", "1.5", "-1", "9", "99999999999999999999", "nan", "outer",
-              "wall", "triangles", "100000000000000"]
+              "wall", "triangles", "100000000000000",
+              "1_0", "0x10", "1.0", "+3", "1e5"]
+# the same kinds in a CSV field, with a '#' that is no comment there
+CSV_TOKENS = ["x", "1.5", "-1", "0", "99", "nan", "1e999", "", "psi",
+              "1_0", "0x10", "1.0", "+3", "1e5", "1#", "#"]
 
 
 def _mesh_rows(mesh, scale: float, shift: float) -> list[list[str]]:
@@ -86,24 +92,60 @@ def mesh_texts(draw, mesh=None):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
+def _csv_text(draw, rows, seps=(",",)) -> str:
+    """Rows joined by a drawn separator, the fields after the first row
+    sometimes padded with blanks, lines ended by LF or CRLF."""
+    sep = draw(st.sampled_from(seps))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join((sep if i == 0 else pad + sep + pad).join(row) + end
+                   for i, row in enumerate(rows))
+
+
 @st.composite
 def flux_texts(draw, mesh):
     """Flux CSV files of psi = r on `mesh` with up to two corruptions: a bad
     or repeated node, a bad value, a wrong field count, a missing row."""
     rows = [["node_index", "r", "z", "psi"]] + [
         [str(i), repr(r), repr(z), repr(r)] for i, (r, z) in enumerate(mesh.nodes.tolist())]
-    rows = _corrupt(draw, rows, 0, len(rows),
-                    ["x", "1.5", "-1", "0", "99", "nan", "1e999", "", "psi"])
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    return _csv_text(draw, _corrupt(draw, rows, 0, len(rows), CSV_TOKENS))
 
 
-def _outcome(load, path):
+@st.composite
+def cauchy_texts(draw, mesh):
+    """Cauchy CSV files on the outer nodes of `mesh`, corrupted as flux_texts."""
+    b = mesh.boundary
+    rows = [["gamma_v_node", "arc_length", "f", "g"]] + [
+        [str(k), repr(s), repr(s * s), repr(-s)]
+        for k, s in zip(b.outer_nodes.tolist(), b.outer_arcs.tolist())]
+    return _csv_text(draw, _corrupt(draw, rows, 0, len(rows), CSV_TOKENS))
+
+
+@st.composite
+def polyline_texts(draw):
+    """Polyline files of 3 to 6 points, with or without an r,z header,
+    comma or blank separated, with up to two corruptions."""
+    points = draw(st.lists(st.tuples(FLOATS, FLOATS), min_size=3, max_size=6))
+    rows = ([["r", "z"]] if draw(st.booleans()) else []) + [
+        [repr(r), repr(z)] for r, z in points]
+    return _csv_text(draw, _corrupt(draw, rows, 0, len(rows), CSV_TOKENS),
+                     (",", " ", ", ", "\t"))
+
+
+def _outcome(read, path):
+    """The bytes of the arrays read, or the exception's type and message."""
     try:
-        mesh = load(path)
+        got = read(path)
     except ValueError as exc:
         return type(exc), str(exc)
-    return [(a.dtype, a.shape, a.tobytes()) for a in
-            (mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels)]
+    return [(a.dtype, a.shape, a.tobytes()) for a in got]
+
+
+def _mesh_arrays(load):
+    def read(path):
+        mesh = load(path)
+        return mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels
+    return read
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,7 +153,8 @@ def _outcome(load, path):
 def test_load_mesh_matches_token_oracle(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("mesh") / "m.mesh"
     path.write_text(text)
-    assert _outcome(load_mesh, path) == _outcome(oracles.load_mesh_by_token, path)
+    assert (_outcome(_mesh_arrays(load_mesh), path)
+            == _outcome(_mesh_arrays(oracles.load_mesh_by_token), path))
 
 
 # -0.0, subnormals, huge, integral and ordinary floats
@@ -157,6 +200,39 @@ def written_objects(draw):
         draw(FLOATS), np.float64(draw(FLOATS)), draw(st.integers(-5, 5)),
         draw(st.sampled_from(["TC1", "closed"])), draw(st.booleans())]))
     return mesh, fld, data, _floats(draw, ki), curve, isoline, report
+
+
+@st.composite
+def csv_cases(draw):
+    mesh = draw(st.sampled_from(BASE_MESHES))
+    kind = draw(st.sampled_from(["flux", "cauchy", "polyline"]))
+    text = draw({"flux": flux_texts(mesh), "cauchy": cauchy_texts(mesh),
+                 "polyline": polyline_texts()}[kind])
+    return mesh, kind, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_cases())
+def test_csv_readers_match_token_oracles(tmp_path_factory, case):
+    mesh, kind, text = case
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_bytes(text.encode("ascii"))
+    n, outer = mesh.node_count, mesh.boundary.outer_nodes
+    readers = {
+        "flux": (lambda p: [fio.read_flux_csv(p, mesh).values],
+                 lambda p: [oracles.read_node_csv_by_token(
+                     p, "node_index,r,z,psi", np.arange(n), slice(3, 4),
+                     f"node index {{}} outside [0, {n})", "missing node values")[:, 0]]),
+        "cauchy": (lambda p: [getattr(fio.read_cauchy_csv(p, mesh), k) for k in "fg"],
+                   lambda p: list(oracles.read_node_csv_by_token(
+                       p, "gamma_v_node,arc_length,f,g", outer, slice(2, 4),
+                       "node {} is not on the outer boundary",
+                       "missing outer boundary rows").T)),
+        "polyline": (lambda p: [fio.read_polyline_csv(p)],
+                     lambda p: [oracles.read_polyline_csv_by_token(p)]),
+    }
+    read, oracle = readers[kind]
+    assert _outcome(read, path) == _outcome(oracle, path)
 
 
 @settings(max_examples=100, deadline=None)
