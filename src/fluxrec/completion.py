@@ -15,20 +15,29 @@ with V' S_D V = I, are fem's per-mesh interface operators, cached on the
 stiffness matrix (StiffnessMatrix.interface), so this module holds only
 what belongs to one data set: the load and the closed-form solve.  Every
 data set and eps has the closed (filter-factor) form
-u(eps) = V diag(1 / (1 + eps - lam)) V' l, at O(n_i * n_o) per data set
-with no sparse solve, and O(n_i) per eps for R_D and J less its constant
-term, n_i and n_o being the inner- and outer-boundary node counts.  A sweep
-over k values of eps is one (k x n_i) array pass.  The constant term is
-O(n_o^2) dense work, on first read, with no sparse solve: one BLAS
-triangular product and one triangular solve with fem's Cholesky factor of
-S_OO.  Only the flux field costs a sparse solve (a Neumann solve), on first
-read.  The checks of this closed form by fresh field solves (the misfit as
-a volume integral, the interface quadratic form and the optimality
-residual) are test oracles, in tests/oracles.py.
+u(eps) = V diag(1 / (1 + eps - lam)) V' l, with no sparse solve; n_i and
+n_o below are the inner- and outer-boundary node counts.  As built, a data
+set costs its dense products and a fixed handful of array calls:
+  - the load, two (n_i x n_o) mat-vecs, and c = V'l, one (n_i x n_i);
+  - a solve at one eps: the near-singular test on the two end
+    eigenvalues, about ten O(n_i) array calls for a = c / (1 + eps - lam),
+    J less its constant term and R_D, then three (n_i x n_i) mat-vecs for
+    u = V a and the residual;
+  - a sweep over k values of eps: one vector comparison over the grid to
+    screen it, then one (k x n_i) array pass for the J and R_D sums of
+    every kept eps, about ten array calls whatever k is;
+  - J's constant term, on first read: one sparse mat-vec with the outer
+    mass matrix, then one BLAS triangular product and one triangular solve
+    with fem's Cholesky factor of S_OO, O(n_o^2) dense work.
+Only the flux field costs a sparse solve (a Neumann solve), on first read.
+The checks of this closed form by fresh field solves (the misfit as a
+volume integral, the interface quadratic form and the optimality residual)
+are test oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -142,7 +151,8 @@ class KVSystem:
         """
         r = self.stiffness.outer_dtn_chol
         b = self.stiffness.outer_mass @ self.data.g
-        gap = dtrmv(r, self.data.f) - dtrsv(r, b, trans=1, overwrite_x=1)
+        gap = dtrmv(r, self.data.f)
+        gap -= dtrsv(r, b, trans=1, overwrite_x=1)
         return 0.5 * float(gap @ gap)
 
 
@@ -162,7 +172,9 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
         raise ValueError("reuse system was assembled with another stiffness matrix")
     data.check(mesh)
     ops = A.interface
-    return KVSystem(A, data, ops.t_f @ data.f + ops.t_g @ data.g)
+    load = ops.t_f @ data.f
+    load += ops.t_g @ data.g
+    return KVSystem(A, data, load)
 
 
 def _spectral(system: KVSystem, epsilon):
@@ -172,35 +184,47 @@ def _spectral(system: KVSystem, epsilon):
     c = V'l, d = 1 + eps - lam and a = c / d (one row per epsilon): the
     control is u = V a, R_D = |a|^2 / 2 and J = sum((1 - lam) a^2) / 2 - c'a
     + C (the quadratic identity, C the constant term, which is left to the
-    caller, as it is the same for every eps).  J - C and R_D are sums along
-    the last axis, so a row of the column case is bitwise the float case.
+    caller, as it is the same for every eps).  The terms of J - C, then
+    those of |a|^2, are built in one scratch array and summed along its last
+    axis, so a row of the column case is bitwise the float case.
     J is a difference of terms of size C, so it carries a roundoff floor of
     a few ulps of C, of either sign: for noise-free MANUFACTURED:one on the
     desk mesh (C = 0.42) the true J is 4.2e-13 at eps = 1e-6 and 4e-17 at
-    1e-8, where the closed form reads 1.1e-16.  Check each epsilon with
-    _near_singular first.
+    1e-8, where the closed form reads 1.1e-16.  Screen each epsilon with
+    _resolved first.
     """
     ops = system.stiffness.interface
     c = ops.eigvecs.T @ system.load
-    a = c / (1.0 + epsilon - ops.eigvals)
-    return (a, np.add.reduce(a * (ops.weights * a - c), axis=-1),
-            0.5 * np.add.reduce(a * a, axis=-1))
+    a = 1.0 + epsilon - ops.eigvals
+    np.divide(c, a, out=a)
+    terms = ops.weights * a
+    terms -= c
+    terms *= a
+    J_less_constant = np.add.reduce(terms, axis=-1)
+    np.multiply(a, a, out=terms)
+    return a, J_less_constant, 0.5 * np.add.reduce(terms, axis=-1)
 
 
-def _near_singular(system: KVSystem, epsilon: float) -> str | None:
-    """NearSingularError's message if the system at epsilon is too near
-    singular for its eigenvalues to resolve, else None.
+def _resolved(system: KVSystem, epsilon):
+    """(resolved, d_min, d_max): whether the eigenvalues resolve the system
+    at epsilon, and the ends of d = 1 + eps - lam.  epsilon is a float, or
+    an array of them, which is screened by one vector comparison.
 
     The eigenvalues carry an absolute error of about n_i ulps, so a
-    condition max(d) / min(d) above 1 / (n_i * machine epsilon) raises;
-    eps = 0 always does, as min(1 - lam) is 0 to roundoff (exactly 0 gives
-    condition inf).  The eigenvalues ascend, so min(d) and max(d) are d's
-    end entries, bitwise.
+    condition max(d) / min(d) above 1 / (n_i * machine epsilon) is not
+    resolved; eps = 0 never is, as min(1 - lam) is 0 to roundoff.  The
+    eigenvalues ascend, so min(d) and max(d) are d's end entries, bitwise.
+    Nothing here divides, so an unresolved epsilon raises no warning.
     """
     lam = system.stiffness.interface.eigvals
-    d_min, d_max = 1.0 + epsilon - lam[-1], 1.0 + epsilon - lam[0]
-    if d_min > len(lam) * _EPS * d_max:
-        return None
+    shifted = 1.0 + epsilon
+    d_min, d_max = shifted - lam[-1], shifted - lam[0]
+    return d_min > len(lam) * _EPS * d_max, d_min, d_max
+
+
+def _near_singular(epsilon: float, d_min, d_max) -> str:
+    """NearSingularError's message at an epsilon that _resolved refuses
+    (exactly 0 for d_min gives condition inf)."""
     with np.errstate(divide="ignore"):
         return (f"interface system at epsilon {epsilon:g} is near singular: "
                 f"smallest 1 + eps - lambda is {d_min:.3e}, condition "
@@ -212,8 +236,8 @@ def solve_completion(system: KVSystem, epsilon: float,
     """Solve the regularized interface system and reconstruct the flux.
 
     u, J and R_D come in closed form (see _spectral), and the condition
-    estimate is max(d) / min(d); NearSingularError where _near_singular
-    says so, as at epsilon = 0.  epsilon is checked first; data other than
+    estimate is max(d) / min(d); NearSingularError where _resolved refuses
+    epsilon, as at epsilon = 0.  epsilon is checked first; data other than
     system.data are then assembled on system.stiffness.  No sparse solve is
     made here: J and the flux are computed on first read (see
     CompletionResult).
@@ -224,16 +248,20 @@ def solve_completion(system: KVSystem, epsilon: float,
     if data is not None and data is not system.data:
         A = system.stiffness
         system = assemble_kv(A.mesh, A, data)
-    message = _near_singular(system, epsilon)
-    if message:
-        raise NearSingularError(message)
+    resolved, d_min, d_max = _resolved(system, epsilon)
+    if not resolved:
+        raise NearSingularError(_near_singular(epsilon, d_min, d_max))
     a, J_less_constant, R_D = _spectral(system, epsilon)
     ops = system.stiffness.interface
     u = ops.eigvecs @ a
-    lam = ops.eigvals
-    condition = (1.0 + epsilon - lam[0]) / (1.0 + epsilon - lam[-1])
-    r = (1.0 + epsilon) * (ops.s_d @ u) - ops.s_n @ u - system.load
-    residual = float(np.linalg.norm(r) / (np.linalg.norm(system.load) or 1.0))
-    return CompletionResult(u, float(R_D), epsilon, residual, float(condition),
-                            system, float(J_less_constant))
+    # each norm as sqrt(x @ x), bitwise what np.linalg.norm returns
+    load = system.load
+    r = ops.s_d @ u
+    r *= 1.0 + epsilon
+    r -= ops.s_n @ u
+    r -= load
+    residual = math.sqrt(r @ r) / (math.sqrt(load @ load) or 1.0)
+    return CompletionResult(u, float(R_D), epsilon, residual,
+                            float(d_max / d_min), system,
+                            float(J_less_constant))
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completion import (CauchyData, KVSystem, _near_singular, _spectral,
-                         assemble_kv)
+from .completion import (CauchyData, KVSystem, _near_singular, _resolved,
+                         _spectral, assemble_kv)
 
 
 class DegenerateCurveError(RuntimeError):
@@ -39,23 +40,31 @@ class LCurve:
 
 
 def _check_grid(eps_grid: np.ndarray) -> np.ndarray:
+    """The grid as a float array; ValueError unless it holds at least 5
+    finite positive values, each below the one before by more than 1e-9
+    relative (closer values leave the corner's second differences
+    roundoff).
+
+    A valid grid is settled by one comparison of neighbours and its end
+    pair: each value at most (1 - 1e-9) times the one before (false at a
+    nan), the last positive and the first finite.  The checks below run
+    only to choose the message, in their order of precedence.
+    """
     grid = np.asarray(eps_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 5:
         raise ValueError("eps_grid must hold at least 5 values")
+    apart = grid[1:] <= (1.0 - 1e-9) * grid[:-1]
+    if apart.all() and 0.0 < grid[-1] and grid[0] < math.inf:
+        return grid
     if not np.all(np.isfinite(grid)):
         raise ValueError("eps_grid values must be finite")
     if np.any(grid <= 0.0):
         raise ValueError("eps_grid values must be positive")
-    # a step up, a tie, or values closer than 1e-9 relative, over which the
-    # corner's second differences are roundoff
-    close = grid[1:] > (1.0 - 1e-9) * grid[:-1]
-    if close.any():
-        if np.any(np.diff(grid) >= 0.0):
-            raise ValueError("eps_grid must be sorted strictly decreasing")
-        hi, lo = grid[close.argmax():][:2].tolist()
-        raise ValueError(f"eps_grid values {hi!r} and {lo!r} differ by less "
-                         "than 1e-9 relative")
-    return grid
+    if np.any(np.diff(grid) >= 0.0):
+        raise ValueError("eps_grid must be sorted strictly decreasing")
+    hi, lo = grid[apart.argmin():][:2].tolist()
+    raise ValueError(f"eps_grid values {hi!r} and {lo!r} differ by less "
+                     "than 1e-9 relative")
 
 
 def default_grid(count: int = 20, lo: float = 1e-6, hi: float = 1e-1) -> np.ndarray:
@@ -72,22 +81,26 @@ def sweep(system: KVSystem, data: CauchyData | None, eps_grid) -> LCurve:
     makes no sparse solve.  Each row equals, bitwise, what solve_completion
     gives at that epsilon.  Data other than system.data are first assembled
     on system.stiffness.  Grid values at which the system is too near
-    singular are dropped and recorded with the NearSingularError message
-    solve_completion would raise there.
+    singular are screened out by one vector comparison, and recorded with
+    the NearSingularError message solve_completion would raise there.
     """
     grid = _check_grid(eps_grid)
     if data is not None and data is not system.data:
         A = system.stiffness
         system = assemble_kv(A.mesh, A, data)
-    messages = {eps: _near_singular(system, eps) for eps in grid.tolist()}
-    kept = grid[[message is None for message in messages.values()]]
+    resolved, d_min, d_max = _resolved(system, grid)
+    kept = grid[resolved]
     if len(kept) < 5:
         raise RuntimeError(
             f"only {len(kept)} sweep points succeeded; need at least 5")
+    dropped = []
+    if len(kept) < len(grid):
+        lost = ~resolved
+        dropped = [(eps, _near_singular(eps, lo, hi)) for eps, lo, hi
+                   in zip(grid[lost].tolist(), d_min[lost], d_max[lost])]
     _, J_less_constant, R_D = _spectral(system, kept[:, None])
-    curve = LCurve(kept, J_less_constant + system.constant_term, R_D,
-                   dropped=[(eps, message) for eps, message in messages.items()
-                            if message])
+    J_less_constant += system.constant_term
+    curve = LCurve(kept, J_less_constant, R_D, dropped=dropped)
     find_corner(curve)
     return curve
 
@@ -97,27 +110,38 @@ def find_corner(curve: LCurve) -> float:
 
     Curvature uses centered second differences of (log J, log R_D) against
     the point index; ties break toward larger epsilon.  Sets
-    curve.corner_index and returns the corner epsilon.
+    curve.corner_index and returns the corner epsilon.  Both coordinates
+    are rows of one (2, k) array, so each step is one array call.
     """
     if len(curve) < 5:
         raise ValueError("corner detection needs at least 5 points")
-    x = np.log(np.maximum(curve.misfits, 1e-300))
-    y = np.log(np.maximum(curve.regularizers, 1e-300))
+    p = np.array((curve.misfits, curve.regularizers), dtype=float)
+    np.maximum(p, 1e-300, out=p)
+    np.log(p, out=p)
 
-    p0 = np.array([x[0], y[0]])
-    pn = np.array([x[-1], y[-1]])
-    chord = pn - p0
-    span = max(np.linalg.norm(chord), np.ptp(x) + np.ptp(y), 1e-300)
-    offsets = np.abs((x - p0[0]) * chord[1] - (y - p0[1]) * chord[0]) / span
-    if offsets.max() < 1e-12 * span:
+    # each point's offset |cross| / span from the chord between the end
+    # points; the chord is a contiguous copy, so its dot product runs as
+    # before
+    chord = p[:, -1] - p[:, 0]
+    d = p - p[:, :1]
+    extent = p.max(axis=1) - p.min(axis=1)
+    span = max(math.sqrt(chord @ chord), float(extent[0] + extent[1]), 1e-300)
+    cross = d * chord[::-1, None]
+    cross = np.abs(cross[0] - cross[1])
+    if cross.max() / span < 1e-12 * span:
         raise DegenerateCurveError("log-log L-curve points are collinear")
 
-    xp = 0.5 * (x[2:] - x[:-2])
-    yp = 0.5 * (y[2:] - y[:-2])
-    xpp = x[2:] - 2.0 * x[1:-1] + x[:-2]
-    ypp = y[2:] - 2.0 * y[1:-1] + y[:-2]
-    speed = np.maximum((xp ** 2 + yp ** 2) ** 1.5, 1e-300)
-    curvature = np.abs(xp * ypp - yp * xpp) / speed
+    slope = p[:, 2:] - p[:, :-2]
+    slope *= 0.5
+    bend = p[:, 2:] - 2.0 * p[:, 1:-1]
+    bend += p[:, :-2]
+    speed = slope * slope
+    speed = speed[0] + speed[1]
+    speed **= 1.5
+    np.maximum(speed, 1e-300, out=speed)
+    turn = slope * bend[::-1]
+    curvature = np.abs(turn[0] - turn[1])
+    curvature /= speed
 
     # epsilons are decreasing, so the first argmax is the largest epsilon
     curve.corner_index = int(np.argmax(curvature)) + 1

@@ -10,7 +10,9 @@ columns; the stiffness oracle forms its local blocks by ``np.einsum``;
 every field-solve oracle factors its matrix afresh in node
 order, and the interior-order oracle takes COLAMD's order from a
 factorization of the interior block; the sweep oracle solves one epsilon
-at a time; the limiter-sampling oracles test every point against both
+at a time, the grid-check oracle runs each rule as a pass of its own and
+the corner oracle keeps log J and log R_D as two arrays; the
+limiter-sampling oracles test every point against both
 loops before they locate it; the triangle-scan isoline oracle, the former
 library cut, finds the crossed triangles by testing the edges of every
 triangle of ``Mesh.edges.triangle_rows``.
@@ -41,7 +43,7 @@ from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError
                           points_in_polygon, polygon_area, polygon_centroid,
                           triangle_areas)
 from fluxrec.postprocess import EmptyIsolineError, Isoline
-from fluxrec.regularization import LCurve
+from fluxrec.regularization import DegenerateCurveError, LCurve
 
 STATE_ORDER = {"open": 0, "closed": 1, "empty": 2}   # as the level rises
 
@@ -1122,6 +1124,56 @@ def sweep_by_epsilon(system, grid) -> LCurve:
         raise RuntimeError(
             f"only {len(eps_ok)} sweep points succeeded; need at least 5")
     return LCurve(np.array(eps_ok), np.array(js), np.array(rds), dropped=dropped)
+
+
+def check_grid_in_order(eps_grid: np.ndarray) -> np.ndarray:
+    """The sweep's grid check as it ran before its one-comparison fast
+    path: each rule a pass of its own, in order of precedence."""
+    grid = np.asarray(eps_grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 5:
+        raise ValueError("eps_grid must hold at least 5 values")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("eps_grid values must be finite")
+    if np.any(grid <= 0.0):
+        raise ValueError("eps_grid values must be positive")
+    # a step up, a tie, or values closer than 1e-9 relative, over which the
+    # corner's second differences are roundoff
+    close = grid[1:] > (1.0 - 1e-9) * grid[:-1]
+    if close.any():
+        if np.any(np.diff(grid) >= 0.0):
+            raise ValueError("eps_grid must be sorted strictly decreasing")
+        hi, lo = grid[close.argmax():][:2].tolist()
+        raise ValueError(f"eps_grid values {hi!r} and {lo!r} differ by less "
+                         "than 1e-9 relative")
+    return grid
+
+
+def find_corner_by_coordinate(curve: LCurve) -> float:
+    """The L-curve corner as find_corner found it before it stacked the two
+    log coordinates: each of log J and log R_D an array of its own."""
+    if len(curve) < 5:
+        raise ValueError("corner detection needs at least 5 points")
+    x = np.log(np.maximum(curve.misfits, 1e-300))
+    y = np.log(np.maximum(curve.regularizers, 1e-300))
+
+    p0 = np.array([x[0], y[0]])
+    pn = np.array([x[-1], y[-1]])
+    chord = pn - p0
+    span = max(np.linalg.norm(chord), np.ptp(x) + np.ptp(y), 1e-300)
+    offsets = np.abs((x - p0[0]) * chord[1] - (y - p0[1]) * chord[0]) / span
+    if offsets.max() < 1e-12 * span:
+        raise DegenerateCurveError("log-log L-curve points are collinear")
+
+    xp = 0.5 * (x[2:] - x[:-2])
+    yp = 0.5 * (y[2:] - y[:-2])
+    xpp = x[2:] - 2.0 * x[1:-1] + x[:-2]
+    ypp = y[2:] - 2.0 * y[1:-1] + y[:-2]
+    speed = np.maximum((xp ** 2 + yp ** 2) ** 1.5, 1e-300)
+    curvature = np.abs(xp * ypp - yp * xpp) / speed
+
+    # epsilons are decreasing, so the first argmax is the largest epsilon
+    curve.corner_index = int(np.argmax(curvature)) + 1
+    return curve.corner_epsilon
 
 
 # ---------------------------------------------------------------------------

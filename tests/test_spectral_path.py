@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dtrmv, dtrsv
 
 from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, fem,
                      find_corner, solve_completion, sweep)
@@ -108,6 +109,36 @@ def test_load_operator_matches_two_lift_load(any_base, seed, epsilon):
     u_ref = V @ ((V.T @ ref) / d)
     u = solve_completion(system, epsilon).u_opt
     assert np.linalg.norm(u - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
+
+
+@examples
+@given(seed=seeds, epsilon=epsilons)
+def test_in_place_forms_are_bitwise_the_array_expressions(any_base, seed,
+                                                          epsilon):
+    # the load, the constant term, the stacked J and R_D sums and the
+    # residual are built in place, with each norm as sqrt(x @ x): bitwise
+    # the out-of-place expressions and np.linalg.norm they replaced
+    system = _refresh(any_base, _data(any_base, seed))
+    A, data = system.stiffness, system.data
+    ops = A.interface
+    assert np.array_equal(system.load, ops.t_f @ data.f + ops.t_g @ data.g)
+    r = A.outer_dtn_chol
+    gap = dtrmv(r, data.f) - dtrsv(r, A.outer_mass @ data.g, trans=1)
+    assert system.constant_term == 0.5 * float(gap @ gap)
+    res = solve_completion(system, epsilon)
+    c = ops.eigvecs.T @ system.load
+    a = c / (1.0 + epsilon - ops.eigvals)
+    assert np.array_equal(res.u_opt, ops.eigvecs @ a)
+    assert res.R_D == float(0.5 * np.add.reduce(a * a))
+    assert res.J == float(np.add.reduce(a * (ops.weights * a - c))
+                          + system.constant_term)
+    u = res.u_opt
+    residual = (1.0 + epsilon) * (ops.s_d @ u) - ops.s_n @ u - system.load
+    assert res.residual_norm == float(np.linalg.norm(residual)
+                                      / (np.linalg.norm(system.load) or 1.0))
+    lam = ops.eigvals
+    assert res.condition_estimate == float((1.0 + epsilon - lam[0])
+                                           / (1.0 + epsilon - lam[-1]))
 
 
 @examples
@@ -218,6 +249,33 @@ def test_sweep_matches_per_epsilon_loop(any_base, seed, grid):
     if np.all(ref.misfits > 1e-9 * C):
         find_corner(ref)
         assert curve.corner_index == ref.corner_index
+
+
+def test_screen_matches_per_epsilon_test_at_its_threshold(any_base):
+    # grid values within 20% of the epsilon at which the condition reaches
+    # 1 / (n_i * machine epsilon), 1 + eps about an ulp apart: the sweep's
+    # vector screen drops exactly those that the per-epsilon test drops,
+    # with its messages, and solve_completion raises at exactly those
+    system = _refresh(any_base, _data(any_base, 5))
+    lam = system.stiffness.interface.eigvals
+    tol = system.size * np.finfo(float).eps
+    threshold = (lam[-1] - tol * lam[0]) / (1.0 - tol) - 1.0
+    assert threshold > 0.0
+    near = threshold * (1.0 + 0.02 * np.arange(10, -11, -1))
+    grid = np.concatenate([default_grid(5, 1e-6, 1e-2), near])
+    curve = sweep(system, None, grid)
+    ref = sweep_by_epsilon(system, grid)
+    assert np.array_equal(curve.epsilons, ref.epsilons)
+    assert curve.dropped == ref.dropped
+    dropped = dict(curve.dropped)
+    assert 0 < len(dropped) < len(near)
+    for eps in grid.tolist():
+        if eps in dropped:
+            with pytest.raises(NearSingularError) as raised:
+                solve_completion(system, eps)
+            assert str(raised.value) == dropped[eps]
+        else:
+            solve_completion(system, eps)
 
 
 def test_per_data_set_path_defers_sparse_solves(base, solve_calls):
