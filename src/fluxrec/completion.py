@@ -20,9 +20,11 @@ n_o below are the inner- and outer-boundary node counts.  As built, a data
 set costs its dense products and a fixed handful of array calls:
   - the load, two (n_i x n_o) mat-vecs, and c = V'l, one (n_i x n_i);
   - a solve at one eps: the near-singular test on the two end
-    eigenvalues, about ten O(n_i) array calls for a = c / (1 + eps - lam),
-    J less its constant term and R_D, then three (n_i x n_i) mat-vecs for
-    u = V a and the residual;
+    eigenvalues, the O(n_i) filter a = c / (1 + eps - lam) and one
+    (n_i x n_i) mat-vec for u = V a, and nothing more;
+  - the solve's diagnostics, each on first read: J less its constant term
+    and R_D, about seven O(n_i) array calls summed together, and the
+    residual, two (n_i x n_i) mat-vecs;
   - a sweep over k values of eps: one vector comparison over the grid to
     screen it, then one (k x n_i) array pass for the J and R_D sums of
     every kept eps, about ten array calls whatever k is;
@@ -85,26 +87,49 @@ class CauchyData:
 class CompletionResult:
     """Optimal inner-boundary value and the reconstructed flux.
 
-    u_opt, R_D and the diagnostics come with the closed-form solve.  J,
-    J_eps and psi_opt are computed on first read and cached: J adds the
-    system's constant term (dense, no sparse solve) to the closed form's
-    data-dependent part, and psi_opt costs one Neumann solve.
-    The reconstructed field is the Neumann solution at the optimum (the
-    Dirichlet solution is far more sensitive to noise on f, so it is never
-    used as the output field).
+    u_opt and the condition estimate come with the closed-form solve, which
+    keeps the eigenbasis coordinates c = V'l and a of u = V a.  R_D, J,
+    residual_norm and psi_opt are computed on first read and cached: R_D
+    and J less its constant term are summed together from c and a (see
+    _energies), J adds the system's constant term (dense, no sparse solve),
+    the residual costs two (n_i x n_i) mat-vecs and psi_opt one Neumann
+    solve.  The reconstructed field is the Neumann solution at the optimum
+    (the Dirichlet solution is far more sensitive to noise on f, so it is
+    never used as the output field).
     """
 
     u_opt: np.ndarray
-    R_D: float
     epsilon: float
-    residual_norm: float
     condition_estimate: float
     system: KVSystem = field(repr=False)
-    _J_less_constant: float = field(repr=False)
+    _c: np.ndarray = field(repr=False)
+    _a: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _sums(self) -> tuple[float, float]:
+        """(J - C, R_D), C the constant term."""
+        J_less_constant, R_D = _energies(self.system, self._c, self._a)
+        return float(J_less_constant), float(R_D)
+
+    @cached_property
+    def R_D(self) -> float:
+        return self._sums[1]
 
     @cached_property
     def J(self) -> float:
-        return float(self._J_less_constant + self.system.constant_term)
+        return float(self._sums[0] + self.system.constant_term)
+
+    @cached_property
+    def residual_norm(self) -> float:
+        """|(1 + eps) S_D u - S_N u - l| / |l|, each norm as sqrt(x @ x),
+        bitwise what np.linalg.norm returns."""
+        ops = self.system.stiffness.interface
+        u, load = self.u_opt, self.system.load
+        r = ops.s_d @ u
+        r *= 1.0 + self.epsilon
+        r -= ops.s_n @ u
+        r -= load
+        return math.sqrt(r @ r) / (math.sqrt(load @ load) or 1.0)
 
     @property
     def J_eps(self) -> float:
@@ -177,32 +202,39 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
     return KVSystem(A, data, load)
 
 
-def _spectral(system: KVSystem, epsilon):
-    """Closed-form optimum in the eigenbasis: (a, J - C, R_D).
+def _coordinates(system: KVSystem, epsilon):
+    """The closed-form optimum in the eigenbasis: (c, a), c = V'l and
+    a = c / (1 + eps - lam), so that the control is u = V a.
 
-    epsilon is a float, or a (k, 1) column of them for a sweep.  With
-    c = V'l, d = 1 + eps - lam and a = c / d (one row per epsilon): the
-    control is u = V a, R_D = |a|^2 / 2 and J = sum((1 - lam) a^2) / 2 - c'a
-    + C (the quadratic identity, C the constant term, which is left to the
-    caller, as it is the same for every eps).  The terms of J - C, then
-    those of |a|^2, are built in one scratch array and summed along its last
-    axis, so a row of the column case is bitwise the float case.
-    J is a difference of terms of size C, so it carries a roundoff floor of
-    a few ulps of C, of either sign: for noise-free MANUFACTURED:one on the
-    desk mesh (C = 0.42) the true J is 4.2e-13 at eps = 1e-6 and 4e-17 at
-    1e-8, where the closed form reads 1.1e-16.  Screen each epsilon with
-    _resolved first.
+    epsilon is a float, or a (k, 1) column of them for a sweep, which gives
+    one row of a per epsilon.  Screen each epsilon with _resolved first.
     """
     ops = system.stiffness.interface
     c = ops.eigvecs.T @ system.load
     a = 1.0 + epsilon - ops.eigvals
     np.divide(c, a, out=a)
-    terms = ops.weights * a
+    return c, a
+
+
+def _energies(system: KVSystem, c, a):
+    """(J - C, R_D) of the optimum whose coordinates _coordinates gave.
+
+    R_D = |a|^2 / 2 and J = sum((1 - lam) a^2) / 2 - c'a + C (the quadratic
+    identity, C the constant term, which is left to the caller, as it is
+    the same for every eps).  The terms of J - C, then those of |a|^2, are
+    built in one scratch array and summed along its last axis, so a row of
+    the column case is bitwise the float case.
+    J is a difference of terms of size C, so it carries a roundoff floor of
+    a few ulps of C, of either sign: for noise-free MANUFACTURED:one on the
+    desk mesh (C = 0.42) the true J is 4.2e-13 at eps = 1e-6 and 4e-17 at
+    1e-8, where the closed form reads 1.1e-16.
+    """
+    terms = system.stiffness.interface.weights * a
     terms -= c
     terms *= a
     J_less_constant = np.add.reduce(terms, axis=-1)
     np.multiply(a, a, out=terms)
-    return a, J_less_constant, 0.5 * np.add.reduce(terms, axis=-1)
+    return J_less_constant, 0.5 * np.add.reduce(terms, axis=-1)
 
 
 def _resolved(system: KVSystem, epsilon):
@@ -233,14 +265,14 @@ def _near_singular(epsilon: float, d_min, d_max) -> str:
 
 def solve_completion(system: KVSystem, epsilon: float,
                      data: CauchyData | None = None) -> CompletionResult:
-    """Solve the regularized interface system and reconstruct the flux.
+    """Solve the regularized interface system for u.
 
-    u, J and R_D come in closed form (see _spectral), and the condition
-    estimate is max(d) / min(d); NearSingularError where _resolved refuses
-    epsilon, as at epsilon = 0.  epsilon is checked first; data other than
-    system.data are then assembled on system.stiffness.  No sparse solve is
-    made here: J and the flux are computed on first read (see
-    CompletionResult).
+    u comes in closed form (see _coordinates), the O(n_i) filter and one
+    (n_i x n_i) mat-vec, and the condition estimate is max(d) / min(d);
+    NearSingularError where _resolved refuses epsilon, as at epsilon = 0.
+    epsilon is checked first; data other than system.data are then
+    assembled on system.stiffness.  Nothing else is computed here: J, R_D,
+    the residual and the flux come on first read (see CompletionResult).
     """
     epsilon = float(epsilon)
     if not 0.0 <= epsilon < np.inf:
@@ -251,17 +283,6 @@ def solve_completion(system: KVSystem, epsilon: float,
     resolved, d_min, d_max = _resolved(system, epsilon)
     if not resolved:
         raise NearSingularError(_near_singular(epsilon, d_min, d_max))
-    a, J_less_constant, R_D = _spectral(system, epsilon)
-    ops = system.stiffness.interface
-    u = ops.eigvecs @ a
-    # each norm as sqrt(x @ x), bitwise what np.linalg.norm returns
-    load = system.load
-    r = ops.s_d @ u
-    r *= 1.0 + epsilon
-    r -= ops.s_n @ u
-    r -= load
-    residual = math.sqrt(r @ r) / (math.sqrt(load @ load) or 1.0)
-    return CompletionResult(u, float(R_D), epsilon, residual,
-                            float(d_max / d_min), system,
-                            float(J_less_constant))
-
+    c, a = _coordinates(system, epsilon)
+    u = system.stiffness.interface.eigvecs @ a
+    return CompletionResult(u, epsilon, float(d_max / d_min), system, c, a)

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completion import (CauchyData, KVSystem, _near_singular, _resolved,
-                         _spectral, assemble_kv)
+from .completion import (CauchyData, KVSystem, _coordinates, _energies,
+                         _near_singular, _resolved, assemble_kv)
 
 
 class DegenerateCurveError(RuntimeError):
@@ -98,7 +98,8 @@ def sweep(system: KVSystem, data: CauchyData | None, eps_grid) -> LCurve:
         lost = ~resolved
         dropped = [(eps, _near_singular(eps, lo, hi)) for eps, lo, hi
                    in zip(grid[lost].tolist(), d_min[lost], d_max[lost])]
-    _, J_less_constant, R_D = _spectral(system, kept[:, None])
+    c, a = _coordinates(system, kept[:, None])
+    J_less_constant, R_D = _energies(system, c, a)
     J_less_constant += system.constant_term
     curve = LCurve(kept, J_less_constant, R_D, dropped=dropped)
     find_corner(curve)

@@ -10,8 +10,9 @@ columns; the stiffness oracle forms its local blocks by ``np.einsum``;
 every field-solve oracle factors its matrix afresh in node
 order, and the interior-order oracle takes COLAMD's order from a
 factorization of the interior block; the sweep oracle solves one epsilon
-at a time, the grid-check oracle runs each rule as a pass of its own and
-the corner oracle keeps log J and log R_D as two arrays; the
+at a time, the eager-solve oracle computes every diagnostic with u, the
+grid-check oracle runs each rule as a pass of its own and the corner
+oracle keeps log J and log R_D as two arrays; the
 limiter-sampling oracles test every point against both
 loops before they locate it; the triangle-scan isoline oracle, the former
 library cut, finds the crossed triangles by testing the edges of every
@@ -27,6 +28,8 @@ the ``fem`` module's own functions (``fem.solve_dirichlet``,
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -35,7 +38,8 @@ from scipy.sparse.csgraph import (breadth_first_order, connected_components,
 from scipy.sparse.linalg import splu
 
 from fluxrec import fem
-from fluxrec.completion import CauchyData, KVSystem
+from fluxrec.completion import (CauchyData, KVSystem, NearSingularError,
+                                _near_singular, _resolved, assemble_kv)
 from fluxrec.fem import FluxField, StiffnessMatrix
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
                           _angles_about, _EdgeBoundExceeded, _resample_closed,
@@ -1124,6 +1128,70 @@ def sweep_by_epsilon(system, grid) -> LCurve:
         raise RuntimeError(
             f"only {len(eps_ok)} sweep points succeeded; need at least 5")
     return LCurve(np.array(eps_ok), np.array(js), np.array(rds), dropped=dropped)
+
+
+@dataclass
+class EagerCompletionResult:
+    """solve_completion's result as it was before its diagnostics were
+    deferred: R_D and the residual come with the solve, J on first read."""
+
+    u_opt: np.ndarray
+    R_D: float
+    epsilon: float
+    residual_norm: float
+    condition_estimate: float
+    system: KVSystem = field(repr=False)
+    _J_less_constant: float = field(repr=False)
+
+    @cached_property
+    def J(self) -> float:
+        return float(self._J_less_constant + self.system.constant_term)
+
+    @property
+    def J_eps(self) -> float:
+        return self.J + self.epsilon * self.R_D
+
+
+def _spectral(system: KVSystem, epsilon):
+    """(a, J - C, R_D) of the closed-form optimum, in one pass."""
+    ops = system.stiffness.interface
+    c = ops.eigvecs.T @ system.load
+    a = 1.0 + epsilon - ops.eigvals
+    np.divide(c, a, out=a)
+    terms = ops.weights * a
+    terms -= c
+    terms *= a
+    J_less_constant = np.add.reduce(terms, axis=-1)
+    np.multiply(a, a, out=terms)
+    return a, J_less_constant, 0.5 * np.add.reduce(terms, axis=-1)
+
+
+def solve_completion_eager(system: KVSystem, epsilon: float,
+                           data: CauchyData | None = None) -> EagerCompletionResult:
+    """solve_completion as it ran before its diagnostics were deferred: u,
+    R_D, J less its constant term and the residual on every call."""
+    epsilon = float(epsilon)
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if data is not None and data is not system.data:
+        A = system.stiffness
+        system = assemble_kv(A.mesh, A, data)
+    resolved, d_min, d_max = _resolved(system, epsilon)
+    if not resolved:
+        raise NearSingularError(_near_singular(epsilon, d_min, d_max))
+    a, J_less_constant, R_D = _spectral(system, epsilon)
+    ops = system.stiffness.interface
+    u = ops.eigvecs @ a
+    # each norm as sqrt(x @ x), bitwise what np.linalg.norm returns
+    load = system.load
+    r = ops.s_d @ u
+    r *= 1.0 + epsilon
+    r -= ops.s_n @ u
+    r -= load
+    residual = math.sqrt(r @ r) / (math.sqrt(load @ load) or 1.0)
+    return EagerCompletionResult(u, float(R_D), epsilon, residual,
+                                 float(d_max / d_min), system,
+                                 float(J_less_constant))
 
 
 def check_grid_in_order(eps_grid: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ the eigendecompositions: one per stiffness matrix.
 """
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from fluxrec.completion import NearSingularError
 from fluxrec.experiments import TwinSpec, add_noise, generate_reference, run_twin
 from fluxrec.fem import FemError
 from fluxrec.regularization import default_grid
-from oracles import evaluate, sweep_by_epsilon, two_lift_load
+from oracles import (evaluate, solve_completion_eager, sweep_by_epsilon,
+                     two_lift_load)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 # log-uniform over the range of default_grid
@@ -85,6 +87,14 @@ def _data(base, seed) -> CauchyData:
 
 def _refresh(base, data):
     return assemble_kv(base.stiffness.mesh, base.stiffness, data)
+
+
+def _threshold(system) -> float:
+    """The epsilon at which the condition reaches 1 / (n_i * machine
+    epsilon), where solve_completion starts to raise NearSingularError."""
+    lam = system.stiffness.interface.eigvals
+    tol = system.size * np.finfo(float).eps
+    return (lam[-1] - tol * lam[0]) / (1.0 - tol) - 1.0
 
 
 @examples
@@ -257,9 +267,7 @@ def test_screen_matches_per_epsilon_test_at_its_threshold(any_base):
     # vector screen drops exactly those that the per-epsilon test drops,
     # with its messages, and solve_completion raises at exactly those
     system = _refresh(any_base, _data(any_base, 5))
-    lam = system.stiffness.interface.eigvals
-    tol = system.size * np.finfo(float).eps
-    threshold = (lam[-1] - tol * lam[0]) / (1.0 - tol) - 1.0
+    threshold = _threshold(system)
     assert threshold > 0.0
     near = threshold * (1.0 + 0.02 * np.arange(10, -11, -1))
     grid = np.concatenate([default_grid(5, 1e-6, 1e-2), near])
@@ -276,6 +284,74 @@ def test_screen_matches_per_epsilon_test_at_its_threshold(any_base):
             assert str(raised.value) == dropped[eps]
         else:
             solve_completion(system, eps)
+
+
+DIAGNOSTICS = ("u_opt", "R_D", "J", "J_eps", "residual_norm",
+               "condition_estimate", "epsilon")
+
+
+@examples
+@given(seed=seeds, epsilon=epsilons, near=st.none() | st.floats(-0.2, 0.2),
+       order=st.permutations(DIAGNOSTICS))
+def test_deferred_diagnostics_equal_eager_solve(any_base, seed, epsilon, near,
+                                                order):
+    # read in any order, each value is the one the eager solve computed
+    # with u; near the near-singular threshold (epsilon within 20% of it)
+    # both paths raise at the same epsilons, with the same message
+    system = _refresh(any_base, _data(any_base, seed))
+    if near is not None:
+        epsilon = _threshold(system) * (1.0 + near)
+    try:
+        ref = solve_completion_eager(system, epsilon)
+    except NearSingularError as exc:
+        with pytest.raises(NearSingularError) as raised:
+            solve_completion(system, epsilon)
+        assert str(raised.value) == str(exc)
+        return
+    res = solve_completion(system, epsilon)
+    for name in order:
+        value, expected = getattr(res, name), getattr(ref, name)
+        if name == "u_opt":
+            assert np.array_equal(value, expected)
+        else:
+            assert type(value) is float and value == expected, name
+
+
+class _Unavailable(Exception):
+    pass
+
+
+class _EigenpairsOnly:
+    """An interface that serves its eigendecomposition and nothing else."""
+
+    def __init__(self, ops):
+        self.eigvals, self.eigvecs = ops.eigvals, ops.eigvecs
+
+    def __getattr__(self, name):
+        raise _Unavailable(name)
+
+
+def test_solve_computes_u_alone(any_base):
+    system = _refresh(any_base, _data(any_base, 6))
+    res = solve_completion(system, 5e-4)
+    assert set(vars(res)) == {"u_opt", "epsilon", "condition_estimate",
+                              "system", "_c", "_a"}
+    # a second read returns the identical float
+    first = (res.R_D, res.J, res.residual_norm)
+    assert all(type(value) is float for value in first)
+    assert all(a is b for a, b in zip(first,
+                                      (res.R_D, res.J, res.residual_norm)))
+    # u needs neither S_N nor the weights of J, and the diagnostics that
+    # do are not computed until read
+    interface = _EigenpairsOnly(system.stiffness.interface)
+    stub = SimpleNamespace(stiffness=SimpleNamespace(interface=interface),
+                           data=system.data, load=system.load)
+    lazy = solve_completion(stub, 5e-4)
+    assert np.array_equal(lazy.u_opt, res.u_opt)
+    assert lazy.condition_estimate == res.condition_estimate
+    for name in ("R_D", "J", "J_eps", "residual_norm"):
+        with pytest.raises(_Unavailable):
+            getattr(lazy, name)
 
 
 def test_per_data_set_path_defers_sparse_solves(base, solve_calls):
