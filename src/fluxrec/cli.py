@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
 Commands: mesh, complete, twin, lcurve, contour.  Options come from a flat
-key=value config file, overridden by command-line flags.  Artifacts are
-deterministic: identical config and seed reproduce byte-identical files.
+key=value config file, overridden by command-line flags.  One table,
+_OPTIONS, declares each flag, its config key and its kind, which converts a
+flag's text and a config value alike; a command converts its options before
+it reads any file.  Identical config and seed reproduce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 `main` alone decides them, by exception kind: a file that cannot be read
@@ -34,11 +36,61 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_PRESETS = ("desk", "iter")     # the built-in mesh geometries
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _boolean(value) -> bool:
+    """A set switch, or a config file's `true` or `false`."""
+    if value is True or value == "true":
+        return True
+    if value == "false":
+        return False
+    raise ValueError(value)
+
+
+# the built-in mesh geometries, by name
+_PRESETS = {"desk": ex.desk_annulus_mesh, "iter": ex.iter_like_mesh}
+
+
+def _preset(name):
+    """The mesh builder of a preset name."""
+    return _PRESETS[name]
+
+
+_NOUNS = {float: "a number", int: "an integer", _boolean: "true or false",
+          _preset: " or ".join(_PRESETS)}
+
+# every command's options, as (flag, option, kind, help).  The option is the
+# config key; its kind converts a flag's text and a config value alike.  A
+# switch, of kind _boolean, takes no value on the command line
+_MESH = ("--mesh", "mesh_path", str, "mesh file")
+_DATA = ("--data", "data_path", str, "Cauchy data CSV")
+_EPSILON = ("--epsilon", "epsilon", float, "regularization strength")
+_TWIN = [("--case", "case", str, "twin case: TC1, TC2 or MANUFACTURED:<name>"),
+         ("--noise", "noise_level", float, "twin data noise, a fraction of its RMS"),
+         ("--seed", "seed", int, "twin data noise seed")]
+_OPTIONS = {
+    "mesh": [("--preset", "preset", _preset, "built-in geometry: desk or iter"),
+             ("--outer-csv", "outer_csv", str, "outer loop polyline CSV (r,z)"),
+             ("--inner-csv", "inner_csv", str, "inner loop polyline CSV (r,z)"),
+             ("--offset-factor", "offset_factor", float, "inner = outer scaled toward "
+              "centroid by this factor in (0, 1) when no inner given (default 0.5)"),
+             ("--target-h", "target_h", float, "edge length target")],
+    "complete": [_MESH, _DATA, _EPSILON],
+    "twin": [_MESH, *_TWIN, _EPSILON,
+             ("--table1", "table1", _boolean, "emit the full noise-by-case error grid")],
+    "lcurve": [_MESH, _DATA, *_TWIN,
+               ("--eps-max", "eps_max", float, "largest epsilon of the grid"),
+               ("--eps-min", "eps_min", float, "smallest epsilon of the grid"),
+               ("--eps-count", "eps_count", int, "grid size")],
+    "contour": [_MESH, ("--field", "field_path", str, "flux CSV"),
+                ("--level", "level", float, "flux level of the isoline"),
+                ("--plasma-boundary", "plasma_boundary", _boolean, "find the plasma boundary"),
+                ("--limiter", "limiter_path", str, "limiter polyline CSV for limiter mode")],
+}
+_KINDS = {option: kind for rows in _OPTIONS.values() for _, option, kind, _ in rows}
 
 
 def _read_config(path) -> dict:
@@ -48,7 +100,7 @@ def _read_config(path) -> dict:
         numbers, lines = _read_lines(path, "#")
     except (OSError, MeshFormatError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    known = _option_names(_build_parser())
+    known = {*_KINDS, "output_dir"}
     cfg, first = {}, {}
     for lineno, line in zip(numbers, lines):
         key, eq, value = line.partition("=")
@@ -63,15 +115,6 @@ def _read_config(path) -> dict:
         first[key] = lineno
         cfg[key] = value.strip()
     return cfg
-
-
-def _option_names(parser) -> set:
-    """The destinations of every command's options but --config and --help."""
-    commands, = (action.choices for action in parser._actions
-                 if isinstance(action, argparse._SubParsersAction))
-    names = {action.dest for command in commands.values()
-             for action in command._actions if action.option_strings}
-    return names - {"config", "help"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,106 +137,52 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fluxrec",
         description="Vacuum flux reconstruction from magnetic boundary data")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, rows in _OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--output-dir", help="artifact directory")
-
-    p_mesh = sub.add_parser("mesh", help="generate an annulus mesh")
-    common(p_mesh)
-    p_mesh.add_argument("--preset", choices=_PRESETS,
-                        help="built-in geometry")
-    p_mesh.add_argument("--outer-csv", help="outer loop polyline CSV (r,z)")
-    p_mesh.add_argument("--inner-csv", help="inner loop polyline CSV (r,z)")
-    p_mesh.add_argument("--offset-factor", type=float,
-                        help="inner = outer scaled toward centroid by this factor in "
-                             "(0, 1) when no inner given (default 0.5)")
-    p_mesh.add_argument("--target-h", type=float, help="edge length target")
-
-    p_cmp = sub.add_parser("complete", help="solve the data completion problem")
-    common(p_cmp)
-    p_cmp.add_argument("--mesh", dest="mesh_path")
-    p_cmp.add_argument("--data", dest="data_path", help="Cauchy data CSV")
-    p_cmp.add_argument("--epsilon", type=float)
-
-    p_twin = sub.add_parser("twin", help="run a twin experiment")
-    common(p_twin)
-    p_twin.add_argument("--mesh", dest="mesh_path")
-    p_twin.add_argument("--case", help="TC1, TC2 or MANUFACTURED:<name>")
-    p_twin.add_argument("--noise", dest="noise_level", type=float)
-    p_twin.add_argument("--seed", type=int)
-    p_twin.add_argument("--epsilon", type=float)
-    p_twin.add_argument("--table1", action="store_true",
-                        help="emit the full noise-by-case error grid")
-
-    p_lc = sub.add_parser("lcurve", help="sweep epsilon and find the corner")
-    common(p_lc)
-    p_lc.add_argument("--mesh", dest="mesh_path")
-    p_lc.add_argument("--data", dest="data_path")
-    p_lc.add_argument("--case", help="twin case used when no data file given")
-    p_lc.add_argument("--noise", dest="noise_level", type=float)
-    p_lc.add_argument("--seed", type=int)
-    p_lc.add_argument("--eps-max", type=float)
-    p_lc.add_argument("--eps-min", type=float)
-    p_lc.add_argument("--eps-count", type=int)
-
-    p_ct = sub.add_parser("contour", help="extract isolines / plasma boundary")
-    common(p_ct)
-    p_ct.add_argument("--mesh", dest="mesh_path")
-    p_ct.add_argument("--field", dest="field_path", help="flux CSV")
-    p_ct.add_argument("--level", type=float)
-    p_ct.add_argument("--plasma-boundary", action="store_true")
-    p_ct.add_argument("--limiter", dest="limiter_path",
-                      help="limiter polyline CSV for limiter mode")
+        for flag, option, kind, text in rows:
+            p.add_argument(flag, dest=option, help=text,
+                           action="store_true" if kind is _boolean else "store")
     return parser
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    """Config file values with command-line overrides on top."""
+    """Config file values with command-line overrides on top, as text (a set
+    switch as True)."""
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(_read_config(args.config))
     for key, value in vars(args).items():
-        # `is`: a flag set to 0 overrides too, although 0 == False
-        if key == "config" or value is None or value is False:
-            continue
-        cfg[key] = value
+        if key != "config" and value is not None and value is not False:
+            cfg[key] = value
     cfg.setdefault("output_dir", ".")
     return cfg
 
 
-def _boolean(value) -> bool:
-    """A set flag, or a config file's `true` or `false`."""
-    if value is True or value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ValueError(value)
-
-
-_NOUNS = {float: "a number", int: "an integer", _boolean: "true or false"}
-
-
-def _option(cfg, key, kind, default=None):
-    """Option `key` converted by `kind` (str, float, int or _boolean), else
-    `default`; with no default the option is required."""
+def _option(cfg, key, default=None):
+    """Option `key` converted by its kind, else `default`; with no default
+    the option is required."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required option: {key}")
         return default
+    kind = _KINDS[key]
     try:
         return kind(cfg[key])
-    except (TypeError, ValueError):
+    except (KeyError, ValueError):
         raise ConfigError(f"option {key} must be {_NOUNS[kind]}, got {cfg[key]!r}")
 
 
+def _given(cfg, **params) -> dict:
+    """The options named by params' values that were given, converted, keyed
+    by parameter: the library's own defaults stand for the others."""
+    return {param: _option(cfg, key) for param, key in params.items() if key in cfg}
+
+
 def _twin_spec(cfg) -> ex.TwinSpec:
-    return ex.TwinSpec(_option(cfg, "case", str), _option(cfg, "noise_level", float, 0.0),
-                       _option(cfg, "seed", int, 0))
-
-
-def _load_mesh(cfg):
-    return load_mesh(_option(cfg, "mesh_path", str))
+    return ex.TwinSpec(_option(cfg, "case"),
+                       **_given(cfg, noise_level="noise_level", seed="seed"))
 
 
 def _outdir(cfg) -> str:
@@ -202,31 +191,41 @@ def _outdir(cfg) -> str:
     return out
 
 
-def _cmd_mesh(cfg) -> int:
-    out = _outdir(cfg)
-    preset = cfg.get("preset")
-    if preset is not None and preset not in _PRESETS:
-        raise ConfigError(f"option preset must be {' or '.join(_PRESETS)}, "
-                          f"got {preset!r}")
-    if preset == "desk":
-        m = ex.desk_annulus_mesh()
-    elif preset == "iter":
-        m = ex.iter_like_mesh()
-    elif "outer_csv" in cfg:
+def _outdir_and_mesh(cfg):
+    """The output directory, made, and the mesh read: a command's options
+    are converted first, so a bad value is reported before any file is read."""
+    mesh_path = _option(cfg, "mesh_path")
+    return _outdir(cfg), load_mesh(mesh_path)
+
+
+def _csv_mesh(cfg):
+    """The builder of the mesh between the polyline files of cfg, its options
+    checked."""
+    factor = None if "inner_csv" in cfg else _option(cfg, "offset_factor", 0.5)
+    if factor is not None and not 0.0 < factor < 1.0:
+        raise ConfigError(f"option offset_factor must lie in (0, 1), got {factor!r}")
+    target_h = _option(cfg, "target_h")
+    if not 0.0 < target_h < np.inf:
+        raise ConfigError(f"option target_h must be finite and positive, got {target_h!r}")
+
+    def build():
         outer = fio.read_polyline_csv(cfg["outer_csv"])
-        if "inner_csv" in cfg:
-            inner = fio.read_polyline_csv(cfg["inner_csv"])
-        else:
-            factor = _option(cfg, "offset_factor", float, 0.5)
-            if not 0.0 < factor < 1.0:
-                raise ConfigError(f"option offset_factor must lie in (0, 1), got {factor!r}")
-            inner = scale_toward_centroid(outer, factor)
-        target_h = _option(cfg, "target_h", float)
-        if not 0.0 < target_h < np.inf:
-            raise ConfigError(f"option target_h must be finite and positive, got {target_h!r}")
-        m = generate_annulus_mesh(outer, inner, target_h)
+        inner = (fio.read_polyline_csv(cfg["inner_csv"]) if factor is None
+                 else scale_toward_centroid(outer, factor))
+        return generate_annulus_mesh(outer, inner, target_h)
+    return build
+
+
+def _cmd_mesh(cfg) -> int:
+    """generate an annulus mesh"""
+    if "preset" in cfg:
+        build = _option(cfg, "preset")
+    elif "outer_csv" in cfg:
+        build = _csv_mesh(cfg)
     else:
         raise ConfigError("mesh needs --preset or --outer-csv")
+    out = _outdir(cfg)
+    m = build()
     path = os.path.join(out, "mesh.txt")
     save_mesh(m, path)
     b = m.boundary
@@ -244,10 +243,10 @@ def _write_completion(out, mesh, result) -> None:
 
 
 def _cmd_complete(cfg) -> int:
-    out = _outdir(cfg)
-    mesh = _load_mesh(cfg)
-    data = fio.read_cauchy_csv(_option(cfg, "data_path", str), mesh)
-    epsilon = _option(cfg, "epsilon", float)
+    """solve the data completion problem"""
+    data_path, epsilon = _option(cfg, "data_path"), _option(cfg, "epsilon")
+    out, mesh = _outdir_and_mesh(cfg)
+    data = fio.read_cauchy_csv(data_path, mesh)
     A = assemble_stiffness(mesh)
     result = cp.solve_completion(cp.assemble_kv(mesh, A, data), epsilon)
     fio.write_report(os.path.join(out, "report.txt"), {
@@ -261,16 +260,17 @@ def _cmd_complete(cfg) -> int:
 
 
 def _cmd_twin(cfg) -> int:
-    out = _outdir(cfg)
-    mesh = _load_mesh(cfg)
-    if _option(cfg, "table1", _boolean, False):
-        text, rows = ex.table1_grid(mesh, seed=_option(cfg, "seed", int, 0))
+    """run a twin experiment"""
+    if _option(cfg, "table1", False):
+        seed = _given(cfg, seed="seed")
+        out, mesh = _outdir_and_mesh(cfg)
+        text, _ = ex.table1_grid(mesh, **seed)
         with open(os.path.join(out, "table1.txt"), "w", encoding="ascii") as fh:
             fh.write(text)
         print(text, end="")
         return EXIT_OK
-    spec = _twin_spec(cfg)
-    epsilon = _option(cfg, "epsilon", float)
+    spec, epsilon = _twin_spec(cfg), _option(cfg, "epsilon")
+    out, mesh = _outdir_and_mesh(cfg)
     report = ex.run_twin(mesh, spec, epsilon)
     result = report.result
     # at u = 0 both J and J_eps equal the constant term, as R_D(0) = 0
@@ -291,19 +291,17 @@ def _cmd_twin(cfg) -> int:
 
 
 def _cmd_lcurve(cfg) -> int:
-    out = _outdir(cfg)
-    mesh = _load_mesh(cfg)
+    """sweep epsilon and find the corner"""
+    spec = None if "data_path" in cfg else _twin_spec(cfg)
+    grid = reg.default_grid(**_given(cfg, count="eps_count", lo="eps_min", hi="eps_max"))
+    out, mesh = _outdir_and_mesh(cfg)
     A = assemble_stiffness(mesh)
-    if "data_path" in cfg:
+    if spec is None:
         data = fio.read_cauchy_csv(cfg["data_path"], mesh)
     else:
-        spec = _twin_spec(cfg)
         _, clean = ex.generate_reference(mesh, A, spec)
         data = ex.add_noise(clean, spec.noise_level, spec.seed)
-    system = cp.assemble_kv(mesh, A, data)
-    curve = reg.sweep(system, data, reg.default_grid(
-        _option(cfg, "eps_count", int, 20), _option(cfg, "eps_min", float, 1e-6),
-        _option(cfg, "eps_max", float, 1e-1)))
+    curve = reg.sweep(cp.assemble_kv(mesh, A, data), data, grid)
     fio.write_lcurve_csv(os.path.join(out, "lcurve.csv"), curve)
     print(f"corner epsilon = {curve.corner_epsilon:g} "
           f"({len(curve)} points, {len(curve.dropped)} dropped)")
@@ -311,10 +309,15 @@ def _cmd_lcurve(cfg) -> int:
 
 
 def _cmd_contour(cfg) -> int:
-    out = _outdir(cfg)
-    mesh = _load_mesh(cfg)
-    fld = fio.read_flux_csv(_option(cfg, "field_path", str), mesh)
-    if _option(cfg, "plasma_boundary", _boolean, False):
+    """extract isolines / plasma boundary"""
+    field_path = _option(cfg, "field_path")
+    boundary = _option(cfg, "plasma_boundary", False)
+    if not (boundary or "level" in cfg):
+        raise ConfigError("contour needs --level or --plasma-boundary")
+    level = None if boundary else _option(cfg, "level")
+    out, mesh = _outdir_and_mesh(cfg)
+    fld = fio.read_flux_csv(field_path, mesh)
+    if boundary:
         limiter = None
         if "limiter_path" in cfg:
             limiter = fio.read_polyline_csv(cfg["limiter_path"])
@@ -324,9 +327,7 @@ def _cmd_contour(cfg) -> int:
                          {"psi_P": psi_p, "mode": mode})
         print(f"psi_P = {psi_p:.6g}  mode = {mode}")
         return EXIT_OK
-    if "level" not in cfg:
-        raise ConfigError("contour needs --level or --plasma-boundary")
-    iso = pp.extract_isoline(fld, _option(cfg, "level", float))
+    iso = pp.extract_isoline(fld, level)
     fio.write_isoline_csv(os.path.join(out, "isoline.csv"), iso)
     print(f"{len(iso.polylines)} polyline(s), closed = {iso.closed}")
     return EXIT_OK

@@ -184,13 +184,11 @@ class KVSystem:
 def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
                 reuse: KVSystem | None = None) -> KVSystem:
     """The interface system of the Cauchy data: its load is two dense
-    mat-vecs with A.interface, which A computes once and keeps (FemError
-    there on a broken invariant).  ValueError on a mesh without an inner
-    loop, if A was assembled on another mesh, or if `reuse`, an earlier
-    system, holds another A; it shares nothing more, as A holds it all.
+    mat-vecs with A.interface, which A computes once and keeps (ValueError
+    there on a mesh without an inner loop, FemError on a broken invariant).
+    ValueError if A is of another mesh, or if `reuse`, an earlier system,
+    holds another A; it shares nothing more, as A holds it all.
     """
-    if len(mesh.boundary.inner_nodes) == 0:
-        raise ValueError("completion requires an inner boundary")
     if A.mesh is not mesh:
         raise ValueError("stiffness matrix was assembled on a different mesh")
     if reuse is not None and reuse.stiffness is not A:

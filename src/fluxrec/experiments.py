@@ -99,17 +99,6 @@ def loop_flux_field(loop_r: float, loop_z: float, strength: float = 1.0,
     return ManufacturedField(psi, grad)
 
 
-def manufactured(tag: str) -> ManufacturedField:
-    """Catalog lookup accepting 'r2' as well as 'MANUFACTURED:r2'."""
-    name = tag.split(":", 1)[1] if ":" in tag else tag
-    try:
-        return MANUFACTURED[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown manufactured solution {name!r}; "
-            f"have {sorted(MANUFACTURED)}") from None
-
-
 # ---------------------------------------------------------------------------
 # reference meshes
 # ---------------------------------------------------------------------------
@@ -155,14 +144,15 @@ def iter_like_mesh() -> Mesh:
 # twin experiments
 # ---------------------------------------------------------------------------
 
-def _default_g(r, z, n_r, n_z):
-    """Weighted flux of psi = r^2: g = 2 n_r.  Used when no g is supplied."""
-    return 2.0 * n_r
-
-
-TEST_CASES: dict[str, Callable] = {
-    "TC1": lambda r, z: 50.0 * np.sin(r) ** 2 + 50.0,
-    "TC2": lambda r, z: np.full_like(np.asarray(r, dtype=float), 40.0),
+# each twin case: its inner value u(r, z) and its wall flux g(r, z, n_r, n_z).
+# TC1 and TC2 take the flux of psi = r^2, g = 2 n_r
+TWIN_CASES: dict[str, tuple[Callable, Callable]] = {
+    "TC1": (lambda r, z: 50.0 * np.sin(r) ** 2 + 50.0,
+            lambda r, z, n_r, n_z: 2.0 * n_r),
+    "TC2": (lambda r, z: np.full_like(np.asarray(r, dtype=float), 40.0),
+            lambda r, z, n_r, n_z: 2.0 * n_r),
+    **{f"MANUFACTURED:{name}": (mf.psi, mf.weighted_flux)
+       for name, mf in MANUFACTURED.items()},
 }
 
 # regularization strengths used in the reference tables, per noise level
@@ -176,9 +166,9 @@ TABLE_EPSILONS = {
 class TwinSpec:
     """Recipe for one twin experiment.
 
-    case is 'TC1', 'TC2' or 'MANUFACTURED:<name>'.  g_spec overrides the
-    outer weighted-Neumann profile; manufactured cases always use their own
-    analytic flux.
+    case is a key of TWIN_CASES: 'TC1', 'TC2' or 'MANUFACTURED:<name>'.
+    g_spec, if given, overrides the case's outer weighted-Neumann profile,
+    for every case.
     """
 
     case: str
@@ -191,13 +181,9 @@ class TwinSpec:
             raise ValueError(f"noise_level must lie in [0, 0.5], got {self.noise_level}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.case.startswith("MANUFACTURED:"):
-            try:
-                manufactured(self.case)
-            except KeyError as exc:
-                raise ValueError(exc.args[0]) from None
-        elif self.case not in TEST_CASES:
-            raise ValueError(f"unknown test case {self.case!r}")
+        if self.case not in TWIN_CASES:
+            raise ValueError(f"unknown twin case {self.case!r}; "
+                             f"have {', '.join(TWIN_CASES)}")
 
 
 @dataclass
@@ -217,10 +203,10 @@ def generate_reference(mesh: Mesh, A: fem.StiffnessMatrix,
                        spec: TwinSpec) -> tuple[fem.FluxField, CauchyData]:
     """Reference flux and the compatible Cauchy data it induces.
 
-    The reference solves the Neumann problem with the spec's inner value and
-    g profile; the Dirichlet trace f is read off the outer boundary, so the
-    returned (f, g) pair is compatible by construction.  ValueError if A
-    was assembled on another mesh.
+    The reference solves the Neumann problem with the case's inner value and
+    g profile, or spec.g_spec if given; the Dirichlet trace f is read off the
+    outer boundary, so the returned (f, g) pair is compatible by
+    construction.  ValueError if A was assembled on another mesh.
     """
     if A.mesh is not mesh:
         raise ValueError("stiffness matrix was assembled on a different mesh")
@@ -229,16 +215,11 @@ def generate_reference(mesh: Mesh, A: fem.StiffnessMatrix,
     ri, zi = mesh.nodes[b.inner_nodes, 0], mesh.nodes[b.inner_nodes, 1]
     normals = boundary_node_normals(mesh, OUTER)
 
-    if spec.case.startswith("MANUFACTURED:"):
-        mf = manufactured(spec.case)
-        u_ref = mf.psi(ri, zi)
-        g = mf.weighted_flux(ro, zo, normals[:, 0], normals[:, 1])
-    else:
-        u_ref = TEST_CASES[spec.case](ri, zi)
-        g_fun = spec.g_spec if spec.g_spec is not None else _default_g
-        g = np.asarray(g_fun(ro, zo, normals[:, 0], normals[:, 1]), dtype=float)
-
-    psi_ref = fem.solve_neumann(A, g, u_ref)
+    u, flux = TWIN_CASES[spec.case]
+    if spec.g_spec is not None:
+        flux = spec.g_spec
+    g = np.asarray(flux(ro, zo, normals[:, 0], normals[:, 1]), dtype=float)
+    psi_ref = fem.solve_neumann(A, g, u(ri, zi))
     f = fem.trace(psi_ref, OUTER)
     return psi_ref, CauchyData(f, g)
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import subprocess
 import sys
@@ -228,7 +229,6 @@ def test_config_key_given_twice_gives_config_exit(desk_mesh_file, tmp_path, caps
 
 @pytest.mark.parametrize("value", ["iter2", "Desk", ""])
 def test_config_preset_must_be_a_preset(tmp_path, capsys, value):
-    # argparse checks the flag's choices; the config file's value is checked too
     cfg = tmp_path / "mesh.cfg"
     cfg.write_text(f"preset = {value}\n")
     assert main(["mesh", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
@@ -396,8 +396,10 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
     for flag, option, kind in flags:
         value = data.draw(st.none() | _FLAG_VALUE[kind])
         if value is not None:
-            argv.append(f"{flag}={value!r}" if kind is float else f"{flag}={value}")
-            expected[option] = value
+            # a flag's text reaches the run as given, to be converted there
+            text = repr(value) if kind is float else str(value)
+            argv.append(f"{flag}={text}")
+            expected[option] = text
     expected["command"] = command
     expected.setdefault("output_dir", ".")
     bad = data.draw(st.none() | st.integers(0, len(lines)))
@@ -422,6 +424,93 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
             message += f" {earlier + 1}"
         assert rc == 2 and not seen
         assert f"config error: {path}:{line + 1}: {message}" in err.getvalue()
+
+
+def test_parser_and_config_keys_follow_the_option_table(tmp_path):
+    parser = cli._build_parser()
+    commands, = (action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == list(cli._OPTIONS)
+    for command, rows in cli._OPTIONS.items():
+        actions = commands[command]._actions
+        assert [(action.option_strings, action.dest) for action in actions] == [
+            (["-h", "--help"], "help"), (["--config"], "config"),
+            (["--output-dir"], "output_dir"),
+            *[([flag], option) for flag, option, _, _ in rows]]
+        # argparse converts nothing: each flag keeps its text
+        assert all(action.type is None and action.choices is None for action in actions)
+    keys = sorted({option for rows in cli._OPTIONS.values() for _, option, _, _ in rows})
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = v\n" for key in [*keys, "output_dir"]))
+    assert cli._read_config(path) == dict.fromkeys([*keys, "output_dir"], "v")
+    for key in ("config", "help", "command", "noise", "mesh", "output-dir"):
+        path.write_text(f"{key} = v\n")
+        with pytest.raises(cli.ConfigError, match=f"unknown option '{key}'"):
+            cli._read_config(path)
+
+
+# each command's options set to values that convert, with input files that
+# do not exist: the run then exits 4, unless an option value is bad
+_MISSING_INPUTS = {
+    "mesh": {"--outer-csv": "missing.csv", "--target-h": "0.4"},
+    "complete": {"--mesh": "missing.mesh", "--data": "missing.csv", "--epsilon": "1e-3"},
+    "twin": {"--mesh": "missing.mesh", "--case": "TC1", "--epsilon": "1e-3"},
+    "lcurve": {"--mesh": "missing.mesh", "--case": "TC1"},
+    "contour": {"--mesh": "missing.mesh", "--field": "missing.csv", "--level": "0"},
+}
+# texts that read alike as a flag's value and as a config value
+_TEXT = st.text(alphabet="abefinrstuxy019.+-_:", max_size=7)
+
+
+def _converts(kind, text):
+    try:
+        kind(text)
+    except (KeyError, ValueError):
+        return False
+    return True
+
+
+def test_missing_inputs_give_io_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for command, flags in _MISSING_INPUTS.items():
+        argv = [command, *[f"{flag}={value}" for flag, value in flags.items()]]
+        assert main(argv) == 4, argv
+        assert "i/o error: " in capsys.readouterr().err
+
+
+# every option with a kind but str, in each command that has it
+_CONVERTED = [(command, flag, option, kind) for command, rows in cli._OPTIONS.items()
+              for flag, option, kind, _ in rows if kind is not str]
+
+
+@pytest.mark.parametrize("command, flag, option, kind", _CONVERTED,
+                         ids=[f"{command}-{option}" for command, _, option, _ in _CONVERTED])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_bad_option_value_exits_alike_from_flag_or_config(tmp_path_factory, command, flag,
+                                                          option, kind, data):
+    # a switch takes no value on the command line, so only its config key
+    # can hold a bad one
+    text = data.draw(_TEXT.filter(lambda text: not _converts(kind, text)))
+    tmp = tmp_path_factory.mktemp("bad")
+    flags = {key: str(tmp / value) if "missing" in value else value
+             for key, value in _MISSING_INPUTS[command].items() if key != flag}
+    argv = [command, *[f"{key}={value}" for key, value in flags.items()]]
+    (tmp / "run.cfg").write_text(f"{option} = {text}\n")
+    runs = {"config": [*argv, "--config", str(tmp / "run.cfg")]}
+    if kind is not cli._boolean:
+        runs["flag"] = [*argv, f"{flag}={text}"]
+    errors = set()
+    for source, args in runs.items():
+        out = tmp / source
+        out.mkdir()
+        with redirect_stderr(io.StringIO()) as err:
+            assert main([*args, "--output-dir", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        errors.add(err.getvalue())
+    message, = errors
+    assert message.startswith(f"config error: option {option} must be ")
+    assert message.endswith(f", got {text!r}\n")
 
 
 def test_attached_double_dash_is_an_option_value():

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxrec import assemble_kv, assemble_stiffness, interpolate
-from fluxrec.experiments import (TABLE_EPSILONS, TwinSpec,
+from fluxrec.experiments import (TABLE_EPSILONS, TWIN_CASES, TwinSpec,
                                  add_noise, generate_reference, loop_flux_field,
-                                 manufactured, run_twin, table1_grid)
+                                 run_twin, table1_grid)
 from fluxrec.completion import CauchyData
 from fluxrec.mesh import circle_loop, generate_annulus_mesh
 
@@ -34,10 +34,19 @@ def test_tc1_reference_is_nontrivial(desk_mesh, desk_A):
 
 
 def test_unknown_case_rejected():
-    with pytest.raises(ValueError):
-        TwinSpec("TC3")
-    with pytest.raises(KeyError):
-        manufactured("MANUFACTURED:septic")
+    for case in ("TC3", "MANUFACTURED:septic", "r2"):
+        with pytest.raises(ValueError, match=f"unknown twin case '{case}'") as info:
+            TwinSpec(case)
+        assert str(info.value).endswith(", ".join(TWIN_CASES))
+        assert "MANUFACTURED:r2z" in str(info.value)
+
+
+def test_flux_override_applies_to_manufactured_case(desk_mesh, desk_A):
+    spec = TwinSpec("MANUFACTURED:r2", g_spec=lambda r, z, nr, nz: np.zeros_like(r))
+    psi_ref, data = generate_reference(desk_mesh, desk_A, spec)
+    assert np.abs(data.g).max() == 0.0
+    _, own = generate_reference(desk_mesh, desk_A, TwinSpec("MANUFACTURED:r2"))
+    assert np.abs(own.g).max() > 1.0
 
 
 def test_noise_zero_is_identity(desk_mesh, desk_A):
