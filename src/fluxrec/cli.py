@@ -3,8 +3,9 @@
 Commands: mesh, complete, twin, lcurve, contour.  Options come from a flat
 key=value config file, overridden by command-line flags.  One table,
 _OPTIONS, declares each flag, its config key and its kind, which converts a
-flag's text and a config value alike; a command converts its options before
-it reads any file.  Identical config and seed reproduce byte-identical files.
+flag's text and a config value alike; a command converts its options, and
+checks each value's domain with the library's own check, before it reads
+any file.  Identical config and seed reproduce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 `main` alone decides them, by exception kind: a file that cannot be read
@@ -193,7 +194,8 @@ def _outdir(cfg) -> str:
 
 def _outdir_and_mesh(cfg):
     """The output directory, made, and the mesh read: a command's options
-    are converted first, so a bad value is reported before any file is read."""
+    are converted and checked by the library first, so a bad value is
+    reported before any file is read."""
     mesh_path = _option(cfg, "mesh_path")
     return _outdir(cfg), load_mesh(mesh_path)
 
@@ -244,7 +246,8 @@ def _write_completion(out, mesh, result) -> None:
 
 def _cmd_complete(cfg) -> int:
     """solve the data completion problem"""
-    data_path, epsilon = _option(cfg, "data_path"), _option(cfg, "epsilon")
+    data_path = _option(cfg, "data_path")
+    epsilon = cp._check_epsilon(_option(cfg, "epsilon"))
     out, mesh = _outdir_and_mesh(cfg)
     data = fio.read_cauchy_csv(data_path, mesh)
     A = assemble_stiffness(mesh)
@@ -263,13 +266,15 @@ def _cmd_twin(cfg) -> int:
     """run a twin experiment"""
     if _option(cfg, "table1", False):
         seed = _given(cfg, seed="seed")
+        ex.TwinSpec("TC1", **seed)  # the library's check of the seed
         out, mesh = _outdir_and_mesh(cfg)
         text, _ = ex.table1_grid(mesh, **seed)
         with open(os.path.join(out, "table1.txt"), "w", encoding="ascii") as fh:
             fh.write(text)
         print(text, end="")
         return EXIT_OK
-    spec, epsilon = _twin_spec(cfg), _option(cfg, "epsilon")
+    spec = _twin_spec(cfg)
+    epsilon = cp._check_epsilon(_option(cfg, "epsilon"))
     out, mesh = _outdir_and_mesh(cfg)
     report = ex.run_twin(mesh, spec, epsilon)
     result = report.result
@@ -293,7 +298,8 @@ def _cmd_twin(cfg) -> int:
 def _cmd_lcurve(cfg) -> int:
     """sweep epsilon and find the corner"""
     spec = None if "data_path" in cfg else _twin_spec(cfg)
-    grid = reg.default_grid(**_given(cfg, count="eps_count", lo="eps_min", hi="eps_max"))
+    grid = reg._check_grid(reg.default_grid(
+        **_given(cfg, count="eps_count", lo="eps_min", hi="eps_max")))
     out, mesh = _outdir_and_mesh(cfg)
     A = assemble_stiffness(mesh)
     if spec is None:

@@ -30,7 +30,8 @@ set costs its dense products and a fixed handful of array calls:
     every kept eps, about ten array calls whatever k is;
   - J's constant term, on first read: one sparse mat-vec with the outer
     mass matrix, then one BLAS triangular product and one triangular solve
-    with fem's Cholesky factor of S_OO, O(n_o^2) dense work.
+    with R, S_OO's Cholesky factor, which fem reads off its factor's
+    trailing block (no Cholesky factorization), O(n_o^2) dense work.
 Only the flux field costs a sparse solve (a Neumann solve), on first read.
 The checks of this closed form by fresh field solves (the misfit as a
 volume integral, the interface quadratic form and the optimality residual)
@@ -168,11 +169,12 @@ class KVSystem:
         The gap is the Dirichlet lift of f less the Neumann lift of g, both
         zero on the inner loop, so it is the lift of its outer trace
         f - S_OO^-1 b, b = B g, and its energy is
-        f'S_OO f - 2 f'b + b'S_OO^-1 b = |R f - R'^-1 b|^2, with fem's
-        Cholesky factor S_OO = R'R.  R f and R'^-1 b are BLAS calls on the
-        Fortran-ordered factor, with no finiteness scan of R per data set:
-        fem's cholesky checked R when it built it, and CauchyData rejects
-        non-finite f and g.
+        f'S_OO f - 2 f'b + b'S_OO^-1 b = |R f - R'^-1 b|^2, with
+        S_OO = R'R and R = StiffnessMatrix.outer_dtn_chol.  R f and R'^-1 b
+        are BLAS calls on the Fortran-ordered R, with no finiteness scan of
+        R per data set: R is part of the factor's trailing block, whose
+        every entry reaches S_D, which eigh checked when fem built the
+        interface, and CauchyData rejects non-finite f and g.
         """
         r = self.stiffness.outer_dtn_chol
         b = self.stiffness.outer_mass @ self.data.g
@@ -261,6 +263,14 @@ def _near_singular(epsilon: float, d_min, d_max) -> str:
                 f"{d_max / abs(d_min):.3e}")
 
 
+def _check_epsilon(epsilon) -> float:
+    """epsilon as a float; ValueError unless it is finite and nonnegative."""
+    epsilon = float(epsilon)
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    return epsilon
+
+
 def solve_completion(system: KVSystem, epsilon: float,
                      data: CauchyData | None = None) -> CompletionResult:
     """Solve the regularized interface system for u.
@@ -272,9 +282,7 @@ def solve_completion(system: KVSystem, epsilon: float,
     assembled on system.stiffness.  Nothing else is computed here: J, R_D,
     the residual and the flux come on first read (see CompletionResult).
     """
-    epsilon = float(epsilon)
-    if not 0.0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     if data is not None and data is not system.data:
         A = system.stiffness
         system = assemble_kv(A.mesh, A, data)

@@ -5,14 +5,18 @@ with the weak form  a(psi, phi) = integral over the domain of
 (1/r) grad(psi) . grad(phi).  Everything here lives on the weighted
 stiffness matrix A of that form: the two auxiliary boundary-value solves
 (Dirichlet data on both loops, or weighted Neumann data on the outer loop
-plus Dirichlet on the inner), the boundary Dirichlet-to-Neumann matrix, the
-interface operators cut from it (S_D, S_N, their eigendecomposition and the
-data-to-load map), traces and interpolants.  All of them go through one
-sparse factorization per mesh, of A with the boundary nodes eliminated
-last, and the matrix caches each of them on first use, so the geometry
-work is done once per mesh.  The weighted normal derivative (the boundary
-rows of A psi) and the energy norm of a field gap are test oracles, in
-tests/oracles.py; the pipeline needs neither.
+plus Dirichlet on the inner), the interface operators (S_D, S_N, their
+eigendecomposition and the data-to-load map), traces and interpolants.
+All of them go through one sparse factorization per mesh, of A with the
+boundary nodes eliminated last, and the matrix caches each of them on
+first use, so the geometry work is done once per mesh.  The factor's
+trailing block, scaled by its pivots, is the Cholesky factor of the
+boundary Dirichlet-to-Neumann matrix S (an LDL' split), and every
+interface operator is read off its blocks: S itself is never formed and
+nothing is Cholesky-factored.  The weighted normal derivative (the
+boundary rows of A psi) and the energy norm of a field gap are test
+oracles, in tests/oracles.py, as is a dense Schur-complement path to the
+interface operators; the pipeline needs none of them.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
+from scipy.linalg import eigh, solve_triangular
+from scipy.linalg.blas import dtrmv, dtrsv
 from scipy.sparse.linalg import spilu, splu
 
 from .mesh import Mesh, triangle_areas
@@ -92,7 +97,9 @@ class Interface:
     the geometry only: S_D (s_d), S_N (s_n), the ascending eigenpairs of
     S_N v = lam S_D v (eigvecs S_D-orthonormal, as columns), the closed
     form's misfit weights (1 - lam) / 2 and the data-to-load operator t_f,
-    t_g (n_i x n_o each): the load is l = t_f f + t_g g."""
+    t_g (n_i x n_o each): the load is l = t_f f + t_g g.  All are read off
+    the scaled trailing block of the stiffness matrix's factor (see
+    StiffnessMatrix.interface), with no Schur complement formed."""
 
     s_d: np.ndarray
     s_n: np.ndarray
@@ -113,13 +120,16 @@ class StiffnessMatrix:
     One sparse factorization is kept per mesh, computed on first use: A
     without one boundary node's row and column, the interior eliminated
     first in a boundary-constrained minimum-degree order (`_interior_order`)
-    and the boundary last.  The boundary Dirichlet-to-Neumann matrix
-    `boundary_dtn` is read off its trailing block, and every field solve
-    goes through it: a Dirichlet solve is one solve with that factor, and a
-    Neumann solve is one dense solve on the outer loop, with the Cholesky
-    factor `outer_dtn_chol`, followed by a Dirichlet solve.  The interface
-    operators (`interface`) are cut from `boundary_dtn` with dense work
-    only, also on first use, so every data set on the mesh shares them.
+    and the boundary last.  Its trailing block U_TT, on the outer loop then
+    the inner loop without the held node, is kept scaled by its pivots D:
+    U^ = D^-1/2 U_TT is the upper Cholesky factor of the boundary
+    Dirichlet-to-Neumann matrix S there (S_TT = U^'U^), so S is never
+    formed.  Every field solve goes through the factor and U^: a Dirichlet
+    solve is two triangular mat-vecs with U^ and one solve with the
+    factor, and a Neumann solve adds two triangular solves on the outer
+    loop with `outer_dtn_chol`, U^'s outer block.  The interface operators
+    (`interface`) are products of U^'s blocks, dense work only, also on
+    first use, so every data set on the mesh shares them.
     """
 
     matrix: sparse.csr_matrix
@@ -149,43 +159,11 @@ class StiffnessMatrix:
         return factor, order
 
     @cached_property
-    def _schur(self) -> np.ndarray:
-        """S = A_GG - A_GF A_FF^-1 A_FG on the `_boundary` nodes G, F the
-        interior, for a mesh with or without an inner loop.
-
-        The trailing block of the factor is S without the held node's row
-        and column; as S annihilates constants, those follow from zero row
-        sums.  FemError unless S is symmetric within 1e-12 relative and the
-        held node's diagonal entry is positive.
-        """
-        k = len(self._boundary) - 1
-        block = _trailing_block(self._factor[0], k)
-        s = np.empty((k + 1, k + 1))
-        s[:k, :k] = block
-        s[:k, k] = s[k, :k] = -block.sum(axis=1)
-        s[k, k] = block.sum()
-        asym = np.abs(s - s.T).max()
-        if asym > 1e-12 * np.abs(s).max():
-            raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
-                           f"asymmetry {asym:.3e} exceeds 1e-12 relative")
-        if not s[k, k] > 0.0:
-            raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
-                           f"has diagonal entry {s[k, k]:.3e} at the held node")
-        return 0.5 * (s + s.T)
-
-    @property
-    def boundary_dtn(self) -> np.ndarray:
-        """S = A_GG - A_GF A_FF^-1 A_FG, G the boundary nodes (outer loop,
-        then inner loop, in BoundaryIndex order) and F the interior: the
-        weighted flux of the field with the given boundary values and no
-        interior load.  Its blocks are the interface matrices: S_II = S_D,
-        S_IO = -T_f, and S_OO the outer Dirichlet-to-Neumann matrix.
-        ValueError on a mesh without an inner loop.
-        """
-        if len(self.mesh.boundary.inner_nodes) == 0:
-            raise ValueError("a weighted-Neumann solve or interface system "
-                             "requires an inner boundary")
-        return self._schur
+    def _scaled_tail(self) -> np.ndarray:
+        """U^ = D^-1/2 U_TT, the factor's trailing block on the tail T
+        (`_boundary` without the held node) scaled by its pivots D, Fortran-
+        ordered: S_TT = U^'U^ (see `_trailing_block`)."""
+        return _trailing_block(self._factor[0], len(self._boundary) - 1)
 
     def _dirichlet_solve(self, values: np.ndarray) -> np.ndarray:
         """Nodal solution with the given `_boundary` values and no interior
@@ -193,13 +171,16 @@ class StiffnessMatrix:
 
         With the held node's value c subtracted (constants lie in A's
         kernel), the field has residual 0 on the interior and S (x_G - c) on
-        the boundary, so one solve with the factor gives the interior; the
+        the boundary, whose tail rows are U^'(U^(x_T - c)), two triangular
+        mat-vecs; so one solve with the factor gives the interior.  The
         boundary values are then written back exactly.
         """
         factor, order = self._factor
+        u = self._scaled_tail
         rhs = np.zeros(len(order))
-        rhs[len(order) - len(values) + 1:] = (
-            self._schur @ (values - values[-1]))[:-1]
+        rhs[len(order) - len(u):] = dtrmv(
+            u, dtrmv(u, values[:-1] - values[-1], overwrite_x=1),
+            trans=1, overwrite_x=1)
         x = np.empty(self.mesh.node_count)
         x[order] = factor.solve(rhs) + values[-1]
         x[self._boundary] = values
@@ -207,38 +188,49 @@ class StiffnessMatrix:
 
     @cached_property
     def outer_dtn_chol(self) -> np.ndarray:
-        """Upper Cholesky factor R of the outer block S_OO = R'R of
-        boundary_dtn; FemError if S_OO is not positive definite."""
-        no = len(self.mesh.boundary.outer_nodes)
-        try:
-            return cholesky(self.boundary_dtn[:no, :no])
-        except np.linalg.LinAlgError as exc:
-            raise FemError(f"assemble: S_OO is not positive definite: {exc}") from exc
+        """Upper Cholesky factor R of the outer Dirichlet-to-Neumann matrix
+        S_OO = R'R: the outer loop leads the tail, so R is U^'s outer block,
+        copied Fortran-ordered.  ValueError on a mesh without an inner
+        loop, where the held node lies on the outer loop."""
+        b = self.mesh.boundary
+        if len(b.inner_nodes) == 0:
+            raise ValueError("a weighted-Neumann solve or interface system "
+                             "requires an inner boundary")
+        no = len(b.outer_nodes)
+        return np.asfortranarray(self._scaled_tail[:no, :no])
 
     @cached_property
     def interface(self) -> Interface:
         """The interface operators, on first use, with no sparse solve.
 
-        S_D = S_II, T_f = -S_IO and S_OO are blocks of S = boundary_dtn.
-        The Neumann lift (zero weighted flux outside) of an inner basis
-        function is its Dirichlet lift corrected by the lift of the outer
-        values S_OO^-1 T_f', so S_N = S_D - T_f S_OO^-1 T_f'; Green
-        reciprocity against the lifted columns turns the load
-        -(A (tilde_d - tilde_n))[inner] of the lifts of f and g into
-        T_f f + T_g g, T_g = -T_f S_OO^-1 B (B = outer_mass).  FemError
-        unless S_D is positive definite and S_D - S_N positive semidefinite
-        (no eigenvalue above 1 + 1e-10).
+        Every block of the boundary Dirichlet-to-Neumann matrix S is a
+        product of U^'s blocks, so none of S is formed.  S_OO = R'R and
+        S_OI = R'U^_OI on the inner nodes but the held one, whose column
+        follows from zero row sums; with W = R'^-1 T_f' = -R'^-1 S_OI that
+        makes W = -U^_OI, held column R 1 + U^_OI 1.  The Neumann lift (zero
+        weighted flux outside) of an inner basis function is its Dirichlet
+        lift corrected by the lift of the outer values S_OO^-1 T_f', so
+        S_N = S_D - W'W = U^_II'U^_II, its held row and column from zero row
+        sums (the Neumann lift of a constant is that constant), and
+        S_D = S_N + W'W, T_f = W'R.  Green reciprocity against the lifted
+        columns turns the load -(A (tilde_d - tilde_n))[inner] of the lifts
+        of f and g into T_f f + T_g g, T_g = -T_f S_OO^-1 B = -(B R^-1 W)'
+        (B = outer_mass).  FemError unless S_D is positive definite and
+        S_D - S_N positive semidefinite (no eigenvalue above 1 + 1e-10).
         """
-        no = len(self.mesh.boundary.outer_nodes)
-        s = self.boundary_dtn
-        s_d = s[no:, no:].copy()
-        t_f = -s[no:, :no]
         r = self.outer_dtn_chol
-        # with S_OO = R'R and W = R'^-1 T_f': S_N = S_D - W'W, and
-        # T_g = -(B S_OO^-1 T_f')' = -(B R^-1 W)', B being symmetric
-        w = solve_triangular(r, t_f.T, trans="T")
-        s_n = s_d - w.T @ w
-        s_n = 0.5 * (s_n + s_n.T)
+        no = len(r)
+        u_oi, u_ii = self._scaled_tail[:no, no:], self._scaled_tail[no:, no:]
+        ni = len(u_ii) + 1
+        w = np.empty((no, ni))
+        np.negative(u_oi, out=w[:, :-1])
+        w[:, -1] = r.sum(axis=1) + u_oi.sum(axis=1)
+        s_n = np.empty((ni, ni))
+        s_n[:-1, :-1] = u_ii.T @ u_ii
+        s_n[:-1, -1] = s_n[-1, :-1] = -s_n[:-1, :-1].sum(axis=1)
+        s_n[-1, -1] = -s_n[-1, :-1].sum()
+        s_d = s_n + w.T @ w
+        t_f = w.T @ r
         t_g = -(self.outer_mass @ solve_triangular(r, w)).T
         try:
             eigvals, eigvecs = eigh(s_n, s_d)
@@ -301,20 +293,27 @@ def _interior_order(A: StiffnessMatrix) -> np.ndarray:
 
 
 def _trailing_block(factor, k: int) -> np.ndarray:
-    """Schur complement of the leading unknowns of a factored symmetric
-    positive definite matrix, on its last k unknowns in their own order:
-    U_TT' diag(U_TT)^-1 U_TT (an LDL' split), un-permuted by perm_c.
+    """D^-1/2 U_TT, Fortran-ordered, for U_TT the last k rows and columns of
+    the U factor of a symmetric positive definite matrix and D = diag(U_TT):
+    the upper Cholesky factor of the Schur complement U_TT' D^-1 U_TT of the
+    leading unknowns on the last k (an LDL' split).
 
-    SuperLU may reorder columns; the block is that complement only if the
-    last k unknowns stay a set there and every pivot is diagonal.
+    SuperLU may reorder columns; the block is that factor only if the last
+    k unknowns keep their own order there and every pivot is diagonal, and
+    only if every pivot of the block is positive.
     """
     n = factor.shape[0]
-    tail = factor.perm_c[n - k:] - (n - k)
-    if not (np.array_equal(factor.perm_r, factor.perm_c) and tail.min() >= 0):
-        raise FemError("assemble: boundary nodes not eliminated last")
-    u = factor.U[n - k:, n - k:].toarray()
-    s = u.T @ (u / u.diagonal()[:, None])
-    return s[np.ix_(tail, tail)]
+    if not (np.array_equal(factor.perm_r, factor.perm_c)
+            and np.array_equal(factor.perm_c[n - k:], np.arange(n - k, n))):
+        raise FemError("assemble: boundary nodes not eliminated last, "
+                       "in their own order")
+    u = factor.U[n - k:, n - k:].toarray(order="F")
+    pivots = u.diagonal()
+    if not np.all(pivots > 0.0):
+        raise FemError(f"assemble: trailing pivot {pivots.min():.3e} of the "
+                       f"boundary-last factor is not positive")
+    u /= np.sqrt(pivots)[:, None]
+    return u
 
 
 def assemble_stiffness(mesh: Mesh) -> StiffnessMatrix:
@@ -379,16 +378,23 @@ def solve_neumann(A: StiffnessMatrix, g, v) -> FluxField:
 
     The inner Dirichlet condition removes the constant nullspace, so the
     solution is unique.  Eliminating the interior leaves S_OO w + S_OI v = B g
-    for the outer values w (S = boundary_dtn, B = outer_mass), one dense
-    solve with the Cholesky factor of S_OO; the field is then the Dirichlet
-    solution with w outside and v inside.
+    for the outer values w (S the boundary Dirichlet-to-Neumann matrix,
+    B = outer_mass).  With the held node's value v_h subtracted from w and
+    v (S annihilates constants), S_OO = R'R and S_OI = R'U^_OI on the other
+    inner values v', that is w = R^-1 (R'^-1 B g - U^_OI (v' - v_h)) + v_h,
+    two triangular solves with R = outer_dtn_chol; the field is then the
+    Dirichlet solution with w outside and v inside.
     """
     b = A.mesh.boundary
     no = len(b.outer_nodes)
     g = _boundary_values(g, no, "g")
     v = _boundary_values(v, len(b.inner_nodes), "v")
-    flux = A.outer_mass @ g - A.boundary_dtn[:no, no:] @ v
-    w = cho_solve((A.outer_dtn_chol, False), flux, check_finite=False)
+    r = A.outer_dtn_chol
+    held = v[-1]
+    y = dtrsv(r, A.outer_mass @ g, trans=1, overwrite_x=1)
+    y -= A._scaled_tail[:no, no:] @ (v[:-1] - held)
+    w = dtrsv(r, y, overwrite_x=1)
+    w += held
     x = A._dirichlet_solve(np.concatenate([w, v]))
     return FluxField(x, A.mesh)
 

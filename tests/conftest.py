@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import sparse
 
-from fluxrec import assemble_stiffness
+from fluxrec import assemble_stiffness, fem
 from fluxrec.experiments import desk_annulus_mesh, iter_like_mesh
 from fluxrec.mesh import INNER, OUTER, Mesh, circle_loop, generate_annulus_mesh
 
@@ -36,6 +39,26 @@ def wide_mesh():
 @pytest.fixture(scope="session")
 def wide_A(wide_mesh):
     return assemble_stiffness(wide_mesh)
+
+
+def negate_trailing_rows(monkeypatch, mesh, count: int) -> None:
+    """Make fem's factorizations of mesh serve U with the rows of the first
+    `count` unknowns of its boundary tail negated: n_o rows negate the
+    outer block, the tail's length all of the trailing block."""
+    b = mesh.boundary
+    k = len(b.outer_nodes) + len(b.inner_nodes) - 1
+    real = fem.splu
+
+    def negated(*args, **kwargs):
+        factor = real(*args, **kwargs)
+        n = factor.shape[0]
+        sign = np.ones(n)
+        sign[n - k:n - k + count] = -1.0
+        return SimpleNamespace(shape=factor.shape, perm_c=factor.perm_c,
+                               perm_r=factor.perm_r,
+                               U=sparse.diags(sign) @ factor.U)
+
+    monkeypatch.setattr(fem, "splu", negated)
 
 
 def build_square_mesh(n: int = 10, r0: float = 1.0, size: float = 1.0) -> Mesh:

@@ -5,9 +5,11 @@ plasma-boundary oracles span a tree over every edge of their graph; the
 text-format oracles read one token and write one value at a time, and the
 mesh-generator oracle works one point, ray and triangle at a time; the
 interface-load and constant-term oracles lift the data by two sparse
-solves, and the interface oracles solve for whole blocks of lifted
-columns; the stiffness oracle forms its local blocks by ``np.einsum``;
-every field-solve oracle factors its matrix afresh in node
+solves, the interface oracles solve for whole blocks of lifted columns,
+and the dense-Schur oracle forms the whole boundary Dirichlet-to-Neumann
+matrix from the kept factor and Cholesky-factors its outer block; the
+stiffness oracle forms its local blocks by ``np.einsum``; every
+field-solve oracle factors its matrix afresh in node
 order, and the interior-order oracle takes COLAMD's order from a
 factorization of the interior block; the sweep oracle solves one epsilon
 at a time, the eager-solve oracle computes every diagnostic with u, the
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   minimum_spanning_tree)
@@ -40,7 +43,7 @@ from scipy.sparse.linalg import splu
 from fluxrec import fem
 from fluxrec.completion import (CauchyData, KVSystem, NearSingularError,
                                 _near_singular, _resolved, assemble_kv)
-from fluxrec.fem import FluxField, StiffnessMatrix
+from fluxrec.fem import FemError, FluxField, StiffnessMatrix
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
                           _angles_about, _EdgeBoundExceeded, _resample_closed,
                           chain_walk, distance_to_polyline, loops_intersect,
@@ -1098,6 +1101,79 @@ def neumann_block_interface(A) -> tuple[np.ndarray, np.ndarray]:
     s_n = (A.matrix @ cols_n)[b.inner_nodes]
     t_g = -flux_load_by_edge(A, cols_n[b.outer_nodes])[b.outer_nodes].T
     return s_n, t_g
+
+
+@dataclass(frozen=True)
+class DenseSchurInterface:
+    """The boundary Dirichlet-to-Neumann matrix S (outer loop, then inner
+    loop), the Cholesky factor R of its outer block S_OO = R'R and the
+    interface operators cut from S, as interface_by_dense_schur built them."""
+
+    s: np.ndarray
+    r: np.ndarray
+    ops: fem.Interface
+
+
+def interface_by_dense_schur(A) -> DenseSchurInterface:
+    """S, R and the interface operators by the dense path: S as the whole
+    Schur complement U_TT' D^-1 U_TT of the kept factor's trailing block
+    (un-permuted by perm_c), its held node's row and column from zero row
+    sums, S_OO Cholesky-factored and W = R'^-1 T_f' by a triangular solve.
+
+    FemError unless the boundary is eliminated last with diagonal pivots, S
+    is symmetric within 1e-12 relative, the held node's diagonal entry is
+    positive and S_OO positive definite, and the eigenvalue checks of
+    StiffnessMatrix.interface hold.  ValueError on a mesh without an inner
+    loop.
+    """
+    if len(A.mesh.boundary.inner_nodes) == 0:
+        raise ValueError("a weighted-Neumann solve or interface system "
+                         "requires an inner boundary")
+    factor = A._factor[0]
+    b = A.mesh.boundary
+    k = len(b.outer_nodes) + len(b.inner_nodes) - 1
+    n = factor.shape[0]
+    tail = factor.perm_c[n - k:] - (n - k)
+    if not (np.array_equal(factor.perm_r, factor.perm_c) and tail.min() >= 0):
+        raise FemError("assemble: boundary nodes not eliminated last")
+    u = factor.U[n - k:, n - k:].toarray()
+    block = (u.T @ (u / u.diagonal()[:, None]))[np.ix_(tail, tail)]
+    s = np.empty((k + 1, k + 1))
+    s[:k, :k] = block
+    s[:k, k] = s[k, :k] = -block.sum(axis=1)
+    s[k, k] = block.sum()
+    asym = np.abs(s - s.T).max()
+    if asym > 1e-12 * np.abs(s).max():
+        raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
+                       f"asymmetry {asym:.3e} exceeds 1e-12 relative")
+    if not s[k, k] > 0.0:
+        raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
+                       f"has diagonal entry {s[k, k]:.3e} at the held node")
+    s = 0.5 * (s + s.T)
+
+    no = len(b.outer_nodes)
+    try:
+        r = cholesky(s[:no, :no])
+    except np.linalg.LinAlgError as exc:
+        raise FemError(f"assemble: S_OO is not positive definite: {exc}") from exc
+    s_d = s[no:, no:].copy()
+    t_f = -s[no:, :no]
+    # with S_OO = R'R and W = R'^-1 T_f': S_N = S_D - W'W, and
+    # T_g = -(B S_OO^-1 T_f')' = -(B R^-1 W)', B being symmetric
+    w = solve_triangular(r, t_f.T, trans="T")
+    s_n = s_d - w.T @ w
+    s_n = 0.5 * (s_n + s_n.T)
+    t_g = -(A.outer_mass @ solve_triangular(r, w)).T
+    try:
+        eigvals, eigvecs = eigh(s_n, s_d)
+    except np.linalg.LinAlgError as exc:
+        raise FemError(f"S_D is not positive definite: {exc}") from exc
+    if 1.0 - eigvals[-1] < -1e-10:
+        raise FemError(
+            f"S_D - S_N is indefinite: generalized eigenvalue "
+            f"{eigvals[-1]:.12g} exceeds 1 + 1e-10")
+    return DenseSchurInterface(s, r, fem.Interface(
+        s_d, s_n, eigvals, eigvecs, 0.5 * (1.0 - eigvals), t_f, t_g))
 
 
 def sweep_by_epsilon(system, grid) -> LCurve:

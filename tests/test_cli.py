@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from fluxrec import assemble_stiffness, cli, interpolate
 from fluxrec.cli import main
-from fluxrec.completion import CauchyData
+from fluxrec.completion import CauchyData, _check_epsilon
 from fluxrec.experiments import TwinSpec, desk_annulus_mesh, generate_reference
 from fluxrec.io import (read_cauchy_csv, write_cauchy_csv, write_flux_csv,
                         read_flux_csv)
 from fluxrec.mesh import circle_loop, load_mesh, save_mesh
+from fluxrec.regularization import _check_grid, default_grid
 from conftest import build_square_mesh
 
 
@@ -44,7 +45,7 @@ def test_complete_with_zero_data(desk_mesh_file, tmp_path):
     mesh = load_mesh(desk_mesh_file)
     n = len(mesh.boundary.outer_nodes)
     data_path = tmp_path / "data.csv"
-    from fluxrec.completion import CauchyData
+    from fluxrec.completion import CauchyData, _check_epsilon
     write_cauchy_csv(data_path, mesh, CauchyData(np.zeros(n), np.zeros(n)))
     out = tmp_path / "out"
     rc = main(["complete", "--mesh", desk_mesh_file, "--data", str(data_path),
@@ -288,7 +289,37 @@ def test_infinite_epsilon_gives_config_exit(desk_mesh_file, tmp_path, capsys, co
     assert rc == 2
     assert ("config error: epsilon must be finite and nonnegative, got inf"
             in capsys.readouterr().err)
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+def _library_message(check) -> str:
+    with pytest.raises(ValueError) as exc:
+        check()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("command, check", [
+    (["twin", "--table1", "--seed", "-3"], lambda: TwinSpec("TC1", seed=-3)),
+    (["twin", "--case", "TC1", "--epsilon", "inf"],
+     lambda: _check_epsilon(np.inf)),
+    (["complete", "--data", "data.csv", "--epsilon", "-1"],
+     lambda: _check_epsilon(-1.0)),
+    (["lcurve", "--case", "TC1", "--eps-count", "3"],
+     lambda: _check_grid(default_grid(count=3))),
+    (["lcurve", "--case", "TC1", "--eps-min", "1", "--eps-max", "0.1"],
+     lambda: _check_grid(default_grid(lo=1.0, hi=0.1))),
+], ids=["table1_seed", "twin_epsilon", "complete_epsilon", "eps_count",
+        "eps_range"])
+def test_option_domain_is_checked_before_the_mesh_is_read(tmp_path, capsys,
+                                                          command, check):
+    # the mesh file is missing, so a check made after reading it exits 4
+    out = tmp_path / "out"
+    rc = main([*command, "--mesh", str(tmp_path / "missing.mesh"),
+               "--output-dir", str(out)])
+    assert rc == 2
+    assert (f"config error: {_library_message(check)}\n"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("which", ["outer", "inner", "limiter"])
@@ -614,7 +645,7 @@ def _complete(desk_mesh_file, tmp_path, edit):
     mesh = load_mesh(desk_mesh_file)
     n = len(mesh.boundary.outer_nodes)
     path = tmp_path / "data.csv"
-    from fluxrec.completion import CauchyData
+    from fluxrec.completion import CauchyData, _check_epsilon
     write_cauchy_csv(path, mesh, CauchyData(np.zeros(n), np.zeros(n)))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(edit(lines)) + "\n")

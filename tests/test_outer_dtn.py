@@ -1,18 +1,20 @@
-"""The boundary Dirichlet-to-Neumann matrix and the solve-free interface path.
+"""The interface operators read off the boundary-last factor, and the
+field solves that go through it.
 
-fem reads S, the boundary Dirichlet-to-Neumann matrix, off the trailing
-block of one boundary-last factor, which it keeps for every field solve,
-with the interior in a boundary-constrained minimum-degree order.  The
-stiffness matrix's interface takes S_D, T_f and S_OO as blocks of S and
-builds S_N and T_g from them with dense work only, KVSystem builds J's
-constant term from them the same way, and a Neumann field solve is one
-dense outer solve and a Dirichlet solve.  These tests hold each of them, and the
-outer boundary mass that carries the wall load, to the block-solve,
-two-lift, fresh-factor or edge-by-edge path it replaced (oracles in
-`oracles`), on the three fixed geometries and on generated ring-ladder
-meshes, check the guards on the factor's column order and on S, hold the
-factor's fill below that of the former COLAMD interior order, and count
-the sparse factorizations a mesh makes and keeps.
+fem keeps one boundary-last factor per mesh, with the interior in a
+boundary-constrained minimum-degree order, and its trailing block scaled by
+its pivots, U^, the Cholesky factor of the boundary Dirichlet-to-Neumann
+matrix S.  The stiffness matrix's interface reads R (S_OO = R'R), S_D, S_N,
+T_f and T_g off U^'s blocks with no S formed and nothing Cholesky-factored,
+KVSystem builds J's constant term from R, and a Neumann field solve is two
+triangular solves with R and a Dirichlet solve.  These tests hold each of
+them, and the outer boundary mass that carries the wall load, to the dense
+Schur-complement, block-solve, two-lift, fresh-factor or edge-by-edge path
+(oracles in `oracles`), on the three fixed geometries and on generated
+ring-ladder meshes, check the guards on the factor's column order and its
+trailing pivots, hold the factor's fill below that of the former COLAMD
+interior order, and count the sparse factorizations, Cholesky calls and
+eigendecompositions a mesh makes.
 """
 
 import gc
@@ -21,6 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,11 +32,11 @@ from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, fem,
 from fluxrec.fem import FemError
 from fluxrec.mesh import (MeshGeometryError, generate_annulus_mesh,
                           scale_toward_centroid)
-from conftest import build_square_mesh
+from conftest import build_square_mesh, negate_trailing_rows
 from oracles import (colamd_interior_order, dirichlet_block_interface,
                      dirichlet_solve, flux_load_by_edge,
-                     neumann_block_interface, neumann_solve,
-                     schur_by_block_solve, two_lift_constant)
+                     interface_by_dense_schur, neumann_block_interface,
+                     neumann_solve, schur_by_block_solve, two_lift_constant)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -57,16 +60,37 @@ def _with_data(system, seed):
 
 
 def _check_schur(A):
-    no = len(A.mesh.boundary.outer_nodes)
-    assert _rel(A.boundary_dtn[:no, :no], schur_by_block_solve(A)) <= 1e-12
+    """S_OO = R'R against the block solve."""
+    r = A.outer_dtn_chol
+    assert _rel(r.T @ r, schur_by_block_solve(A)) <= 1e-12
 
 
 def _check_dirichlet_blocks(A):
-    """S_II = S_D and -S_IO = T_f, against the Dirichlet block solve."""
+    """S_D and T_f, and the dense Schur complement's blocks S_II = S_D and
+    -S_IO = T_f, against the Dirichlet block solve."""
     no = len(A.mesh.boundary.outer_nodes)
     s_d, t_f = dirichlet_block_interface(A)
-    assert _rel(A.boundary_dtn[no:, no:], s_d) <= 1e-10
-    assert _rel(-A.boundary_dtn[no:, :no], t_f) <= 1e-10
+    s = interface_by_dense_schur(A).s
+    for got_s_d, got_t_f in ((A.interface.s_d, A.interface.t_f),
+                             (s[no:, no:], -s[no:, :no])):
+        assert _rel(got_s_d, s_d) <= 1e-10
+        assert _rel(got_t_f, t_f) <= 1e-10
+
+
+def _check_dense_schur(A):
+    """Each operator read off U^ against the dense Schur-complement path,
+    which forms S and Cholesky-factors S_OO: R, S_D and S_N within 1e-13
+    relative, the eigenvalues within 1e-13 absolute and T_f, T_g within
+    1e-10 relative (T_f's largest entry is small beside S's, and both paths
+    carry S's roundoff into it)."""
+    ref = interface_by_dense_schur(A)
+    ops = A.interface
+    assert _rel(A.outer_dtn_chol, ref.r) <= 1e-13
+    assert _rel(ops.s_d, ref.ops.s_d) <= 1e-13
+    assert _rel(ops.s_n, ref.ops.s_n) <= 1e-13
+    assert np.abs(ops.eigvals - ref.ops.eigvals).max() <= 1e-13
+    assert _rel(ops.t_f, ref.ops.t_f) <= 1e-10
+    assert _rel(ops.t_g, ref.ops.t_g) <= 1e-10
 
 
 def _check_field_solves(A, seed):
@@ -116,11 +140,21 @@ def test_boundary_dtn_blocks_match_dirichlet_block_solve(base):
 
 
 def test_boundary_dtn_is_symmetric_and_annihilates_constants(base):
-    s = base.stiffness.boundary_dtn
+    # S from the dense oracle; of the operators read off U^, S_D and S_N
+    # are exactly symmetric and S_N annihilates the inner constants
+    s = interface_by_dense_schur(base.stiffness).s
     no = len(base.stiffness.mesh.boundary.outer_nodes)
     assert np.array_equal(s, s.T)
     assert s[no, no] > 0.0
     assert np.abs(s.sum(axis=1)).max() <= 1e-12 * np.abs(s).max()
+    ops = base.stiffness.interface
+    assert np.array_equal(ops.s_d, ops.s_d.T)
+    assert np.array_equal(ops.s_n, ops.s_n.T)
+    assert np.abs(ops.s_n.sum(axis=1)).max() <= 1e-12 * np.abs(ops.s_n).max()
+
+
+def test_interface_matches_dense_schur(base):
+    _check_dense_schur(base.stiffness)
 
 
 @settings(max_examples=5, deadline=None)
@@ -158,7 +192,9 @@ def test_factor_has_less_fill_than_the_colamd_interior_order(base,
     monkeypatch.setattr(fem, "_interior_order", colamd_interior_order)
     ref = fem.StiffnessMatrix(A.matrix, A.mesh)
     assert kept.nnz < ref._factor[0].nnz
-    assert _rel(A.boundary_dtn, ref.boundary_dtn) <= 1e-12
+    # the tail keeps its order, so both trailing blocks are S_TT's
+    # Cholesky factor
+    assert _rel(A._scaled_tail, ref._scaled_tail) <= 1e-12
 
 
 @st.composite
@@ -187,6 +223,7 @@ def test_oracles_hold_on_generated_meshes(mesh, seed):
     _check_field_solves(system.stiffness, seed)
     _check_outer_mass(system.stiffness, seed)
     _check_neumann_path(system.stiffness)
+    _check_dense_schur(system.stiffness)
     _check_constant(_with_data(system, seed))
 
 
@@ -239,11 +276,11 @@ def test_factor_is_boundary_last_without_pivoting(desk_A, desk_factor):
                           np.concatenate([b.outer_nodes, b.inner_nodes[:-1]]))
 
 
-def test_outer_dtn_unpermutes_a_reordered_tail(desk_factor):
+def test_outer_dtn_rejects_a_reordered_tail(desk_factor):
+    # R is the leading block of U^ only with the outer loop first, in order
     factor, _, k = desk_factor
-    fake = _fake_factor(factor, k, _reversed_tail)
-    assert _rel(fem._trailing_block(fake, k),
-                fem._trailing_block(factor, k)) <= 1e-15
+    with pytest.raises(FemError, match="not eliminated last, in their own order"):
+        fem._trailing_block(_fake_factor(factor, k, _reversed_tail), k)
 
 
 @pytest.mark.parametrize("perm_c, perm_r", [(_swapped_ends, None),
@@ -256,21 +293,21 @@ def test_outer_dtn_rejects_broken_factor_order(desk_factor, perm_c, perm_r):
         fem._trailing_block(_fake_factor(factor, k, perm_c, perm_r), k)
 
 
-def test_boundary_dtn_rejects_a_non_positive_held_diagonal(desk_mesh,
-                                                          monkeypatch):
-    # a negated trailing block is symmetric, but S then has a negative
-    # diagonal entry at the held node (its asymmetry guard is tested in
-    # test_spectral_path)
-    real = fem._trailing_block
-    monkeypatch.setattr(fem, "_trailing_block",
-                        lambda factor, k: -real(factor, k))
-    with pytest.raises(FemError, match="diagonal entry .* at the held node"):
-        assemble_stiffness(desk_mesh).boundary_dtn
+def test_factor_rejects_a_non_positive_trailing_pivot(desk_mesh, monkeypatch):
+    # a negated trailing block has negative pivots, so U^ = D^-1/2 U_TT is
+    # no Cholesky factor (an outer block alone is tested in test_spectral_path)
+    b = desk_mesh.boundary
+    negate_trailing_rows(monkeypatch, desk_mesh,
+                         len(b.outer_nodes) + len(b.inner_nodes) - 1)
+    with pytest.raises(FemError,
+                       match="assemble: trailing pivot .* is not positive"):
+        assemble_stiffness(desk_mesh).interface
 
 
 def test_mesh_without_inner_boundary_has_no_boundary_dtn():
     A = assemble_stiffness(build_square_mesh(4))
-    for call in (lambda: A.boundary_dtn, lambda: solve_neumann(A, 0.0, 0.0)):
+    for call in (lambda: A.outer_dtn_chol, lambda: A.interface,
+                 lambda: solve_neumann(A, 0.0, 0.0)):
         with pytest.raises(ValueError, match="requires an inner boundary"):
             call()
 
@@ -301,6 +338,22 @@ class _Watched:
 
 
 def test_one_factor_outlives_assembly(iter_mesh, monkeypatch):
+    # set-up and the field solves make one eigendecomposition and no
+    # Cholesky factorization: fem imports none, and none is called
+    assert not [name for name in vars(fem) if name.startswith("cho")]
+    called = {"cholesky": 0, "eigh": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            called[name] += 1
+            return real(*args, **kwargs)
+        return call
+    for module in (scipy.linalg, np.linalg):
+        monkeypatch.setattr(module, "cholesky",
+                            counted("cholesky", module.cholesky))
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        counted("cholesky", scipy.linalg.cho_factor))
+    monkeypatch.setattr(fem, "eigh", counted("eigh", fem.eigh))
     made = {"splu": [], "spilu": []}
     for name in made:
         def watched(*args, real=getattr(fem, name), log=made[name], **kwargs):
@@ -319,5 +372,6 @@ def test_one_factor_outlives_assembly(iter_mesh, monkeypatch):
     alive = [ref() for ref, _ in made["splu"] + made["spilu"]
              if ref() is not None]
     assert alive == [A._factor[0]]
-    # U was read once, for S; the field solves read neither L nor U
+    # U was read once, for U^; the field solves read neither L nor U
     assert A._factor[0].read == ["U"]
+    assert called == {"cholesky": 0, "eigh": 1}

@@ -27,6 +27,7 @@ from fluxrec.completion import NearSingularError
 from fluxrec.experiments import TwinSpec, add_noise, generate_reference, run_twin
 from fluxrec.fem import FemError
 from fluxrec.regularization import default_grid
+from conftest import negate_trailing_rows
 from oracles import (evaluate, solve_completion_eager, sweep_by_epsilon,
                      two_lift_load)
 
@@ -383,48 +384,30 @@ def test_condition_reported_for_every_epsilon(base):
         solve_completion(base, 0.0)
 
 
-def _negated_block(monkeypatch, outer: bool):
-    """Serve the boundary Dirichlet-to-Neumann matrix with its outer-outer
-    (or inner-inner) block negated."""
-    real = fem.StiffnessMatrix.boundary_dtn
-
-    def negated(A):
-        s = real.__get__(A).copy()
-        no = len(A.mesh.boundary.outer_nodes)
-        s[np.s_[:no, :no] if outer else np.s_[no:, no:]] *= -1.0
-        return s
-
-    monkeypatch.setattr(fem.StiffnessMatrix, "boundary_dtn", property(negated))
-
-
 def _zero_data(mesh) -> CauchyData:
     n = len(mesh.boundary.outer_nodes)
     return CauchyData(np.zeros(n), np.zeros(n))
 
 
 def test_assembly_rejects_indefinite_s_d(desk_mesh, monkeypatch):
-    _negated_block(monkeypatch, outer=False)
+    # S_D = S_N + W'W is positive definite by construction once the
+    # trailing pivots are positive, so only a fault in what reaches the
+    # eigensolver can break it: hand it S_D negated
+    real = fem.eigh
+    monkeypatch.setattr(fem, "eigh", lambda s_n, s_d: real(s_n, -s_d))
     with pytest.raises(FemError, match="S_D is not positive definite"):
         assemble_kv(desk_mesh, assemble_stiffness(desk_mesh),
                     _zero_data(desk_mesh))
 
 
 def test_assembly_rejects_indefinite_s_oo(desk_mesh, monkeypatch):
-    _negated_block(monkeypatch, outer=True)
-    with pytest.raises(FemError, match="S_OO is not positive definite"):
-        assemble_kv(desk_mesh, assemble_stiffness(desk_mesh),
-                    _zero_data(desk_mesh))
-
-
-def test_assembly_rejects_asymmetric_s_oo(desk_mesh, monkeypatch):
-    # the outer loop leads the boundary-last factor's tail
-    def skew(factor, k):
-        s = real(factor, k)
-        s[0, 1] += 1e-10 * np.abs(s).max()
-        return s
-    real = fem._trailing_block
-    monkeypatch.setattr(fem, "_trailing_block", skew)
-    with pytest.raises(FemError, match="asymmetry"):
+    # S_OO = R'R with R = D_O^-1/2 U_OO, so S_OO is positive definite
+    # exactly when the outer pivots are positive: negate the outer rows of
+    # the trailing block
+    negate_trailing_rows(monkeypatch, desk_mesh,
+                         len(desk_mesh.boundary.outer_nodes))
+    with pytest.raises(FemError,
+                       match="assemble: trailing pivot .* is not positive"):
         assemble_kv(desk_mesh, assemble_stiffness(desk_mesh),
                     _zero_data(desk_mesh))
 
