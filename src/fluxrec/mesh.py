@@ -162,6 +162,9 @@ class Mesh:
         Every unique edge with its triangles, built once by validation.
     boundary : BoundaryIndex
         Ordered boundary loops, chained once by validation.
+
+    Points are located through `_triangle_grid`, a uniform cell grid of the
+    triangles built on first use and kept with the mesh.
     """
 
     nodes: np.ndarray
@@ -201,11 +204,91 @@ class Mesh:
         return float(np.max(np.linalg.norm(self.nodes[hi] - self.nodes[lo], axis=1)))
 
     @cached_property
-    def _centroid_tree(self):
-        """k-d tree of the triangle centroids, for locating points."""
-        # imported here, as it adds about 7 MiB to every process that loads it
-        from scipy.spatial import cKDTree
-        return cKDTree(self.nodes[self.triangles].mean(axis=1))
+    def _triangle_grid(self) -> "_TriangleGrid":
+        """Uniform cell grid of the triangles, for locating points."""
+        return _TriangleGrid.build(self.nodes[self.triangles],
+                                  self.max_edge_length)
+
+
+# cell side of the triangle grid, as a fraction of the longest mesh edge
+_GRID_CELL = 0.5
+# pad of each triangle's bounding box, as a fraction of the longest mesh
+# edge.  A point whose barycentric coordinates are all >= -1e-12 lies
+# within 2e-12 box widths of the box, and no box is wider than the longest
+# edge: the pad covers that bound 5e5 times over, which leaves room for
+# the rounding of the barycentric test on thin triangles
+_GRID_PAD = 1e-6
+
+
+@dataclass(frozen=True)
+class _TriangleGrid:
+    """Triangles bucketed by the cells of a uniform grid (Akman et al.,
+    Computer-Aided Design 21(7), 1989).
+
+    Cell (i, j) is the square `origin + cell * [i, i+1) x [j, j+1)`, with
+    flat index `i * shape[1] + j`.  It lists, in ascending order, every
+    triangle whose bounding box, padded by `_GRID_PAD` longest edges, meets
+    it: `triangles[starts[c]:starts[c + 1]]` (CSR, int32).  The grid spans
+    the padded boxes, from `origin` to `corner`; a point outside that span
+    lies in no triangle.  A point's cell is computed from its coordinates
+    by the same rounding as the boxes' cells, which is monotone, so a point
+    inside a padded box falls in one of that box's cells.
+    """
+
+    origin: np.ndarray
+    corner: np.ndarray
+    cell: float
+    shape: tuple
+    starts: np.ndarray
+    triangles: np.ndarray
+
+    @classmethod
+    def build(cls, corners: np.ndarray, h: float) -> "_TriangleGrid":
+        """Grid of the (M, 3, 2) triangle `corners`, whose longest edge is h."""
+        pad = _GRID_PAD * h
+        lo = np.minimum(np.minimum(corners[:, 0], corners[:, 1]), corners[:, 2]) - pad
+        hi = np.maximum(np.maximum(corners[:, 0], corners[:, 1]), corners[:, 2]) + pad
+        origin, corner = lo.min(axis=0), hi.max(axis=0)
+        # at most about four cells per triangle, should a thin mesh span
+        # far more cells of side h / 2 than it has triangles
+        cell = max(_GRID_CELL * h,
+                   math.sqrt(np.prod(corner - origin) / (4 * len(corners))))
+        first = np.floor((lo - origin) / cell).astype(np.int64)
+        span = np.floor((hi - origin) / cell).astype(np.int64) - first + 1
+        shape = tuple(int(k) for k in (first + span).max(axis=0))
+        # one key (cell, triangle) per cell of each box, taken by offset
+        # from the box's first cell, and sorted by cell and then triangle
+        m = len(corners)
+        keys = []
+        for di in range(span[:, 0].max()):
+            for dj in range(span[:, 1].max()):
+                t = np.flatnonzero((span[:, 0] > di) & (span[:, 1] > dj))
+                keys.append(((first[t, 0] + di) * shape[1] + first[t, 1] + dj) * m + t)
+        key = np.concatenate(keys)
+        key.sort()
+        starts = np.zeros(shape[0] * shape[1] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(key // m, minlength=len(starts) - 1),
+                  out=starts[1:])
+        return cls(origin, corner, cell, shape, starts,
+                   (key % m).astype(np.int32))
+
+    def covers(self, points: np.ndarray) -> np.ndarray:
+        """Whether each point lies within the grid's span."""
+        return ((points >= self.origin) & (points <= self.corner)).all(axis=1)
+
+    def candidates(self, points: np.ndarray) -> tuple:
+        """(point, triangle) index pairs: each point with its cell's
+        triangles, by point and then triangle.  A point beyond the span
+        takes the nearest cell, none of whose triangles holds it."""
+        ij = np.floor((points - self.origin) / self.cell)
+        np.clip(ij, 0, np.subtract(self.shape, 1), out=ij)    # before the cast
+        ij = ij.astype(np.int64)
+        cells = ij[:, 0] * self.shape[1] + ij[:, 1]
+        start = self.starts[cells]
+        count = self.starts[cells + 1] - start
+        pi = np.repeat(np.arange(len(points)), count)
+        offset = np.repeat(start - (np.cumsum(count) - count), count)
+        return pi, self.triangles[np.arange(len(pi)) + offset]
 
 
 @dataclass(frozen=True)

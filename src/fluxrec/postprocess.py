@@ -276,17 +276,29 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     """P1 field values at points of a polyline (subdivided per segment).
 
     Each point takes the lowest-index triangle whose barycentric coordinates
-    pass a 1e-12 tolerance.  Candidates are the triangles with centroid
-    within the longest mesh edge of the point, which misses none: every
-    point of a triangle lies within 2/3 of its longest edge of its centroid.
-    The (point, triangle) candidate pairs come as two index arrays, from a
-    k-d tree of the points against the mesh's centroid tree.
-    Only the points that no triangle holds are tested against the loops:
-    one outside the outer boundary raises, one inside the inner hole is
-    skipped, and any other lies outside the mesh and raises.  A point on a
-    loop, within the tolerance, is held by a triangle and sampled.
+    pass a 1e-12 tolerance.  Its candidates are the triangles listed in its
+    cell of the mesh's triangle grid, which misses none: a triangle that
+    passes the test has a padded bounding box holding the point, and is
+    listed, in ascending order, in every cell that box meets.  So the first
+    candidate that passes is the point's triangle.  Only the points that no
+    triangle holds are tested against the loops: one outside the outer
+    boundary raises, one inside the inner hole is skipped, and any other
+    lies outside the mesh and raises.  A point on a loop, within the
+    tolerance, is held by a triangle and sampled.  The polyline's vertices
+    beyond the grid, which no triangle holds, take the outer-loop test
+    before it is subdivided, so a far vertex raises without being cut into
+    countless points.
     """
     mesh = fld.mesh
+    bidx = mesh.boundary
+    outer = mesh.nodes[bidx.outer_nodes]
+    grid = mesh._triangle_grid
+    beyond = polyline[~grid.covers(polyline)]
+    # the ray cast's crossing abscissa may overflow for a far vertex, on a
+    # row that the vertex does not cross
+    with np.errstate(over="ignore"):
+        if len(beyond) and not points_in_polygon(beyond, outer).all():
+            raise ValueError("limiter leaves the outer boundary")
     h = mesh.max_edge_length
     step = np.roll(polyline, -1, axis=0) - polyline
     # one dot product per segment, rounded as np.linalg.norm rounds one vector
@@ -296,11 +308,7 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     k = np.arange(len(seg)) - (np.cumsum(n) - n)[seg]
     pts = polyline[seg] + (k / n[seg])[:, None] * step[seg]
 
-    # imported here, as it adds about 7 MiB to every process that loads it
-    from scipy.spatial import cKDTree
-    pairs = cKDTree(pts).sparse_distance_matrix(mesh._centroid_tree, h,
-                                                output_type="ndarray")
-    pi, ti = pairs["i"], pairs["j"]
+    pi, ti = grid.candidates(pts)
     tri_pts = mesh.nodes[mesh.triangles[ti]]
     v0 = tri_pts[:, 0]
     d1 = tri_pts[:, 1] - v0
@@ -311,18 +319,19 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
     ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
 
-    # lowest-index containing triangle per point: sort the hits by (point, triangle)
+    # the pairs come by point and then triangle: a point's first hit is its
+    # lowest-index containing triangle
     hits = np.flatnonzero(ok)
-    hits = hits[np.lexsort((ti[hits], pi[hits]))]
     first = hits[np.diff(pi[hits], prepend=-1) != 0]
     located = np.zeros(len(pts), dtype=bool)
     located[pi[first]] = True
     loose = pts[~located]
-    bidx = mesh.boundary
-    if not points_in_polygon(loose, mesh.nodes[bidx.outer_nodes]).all():
-        raise ValueError("limiter leaves the outer boundary")
-    if len(bidx.inner_nodes):
-        loose = loose[~points_in_polygon(loose, mesh.nodes[bidx.inner_nodes])]
+    if len(loose):
+        if not points_in_polygon(loose, outer).all():
+            raise ValueError("limiter leaves the outer boundary")
+        if len(bidx.inner_nodes):
+            loose = loose[~points_in_polygon(loose,
+                                             mesh.nodes[bidx.inner_nodes])]
     if len(first) == len(loose) == 0:
         raise ValueError("limiter lies entirely inside the plasma hole")
     if len(loose):

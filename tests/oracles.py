@@ -15,8 +15,9 @@ factorization of the interior block; the sweep oracle solves one epsilon
 at a time, the eager-solve oracle computes every diagnostic with u, the
 grid-check oracle runs each rule as a pass of its own and the corner
 oracle keeps log J and log R_D as two arrays; the
-limiter-sampling oracles test every point against both
-loops before they locate it; the triangle-scan isoline oracle, the former
+limiter-sampling oracles locate points by a k-d tree of the triangle
+centroids or by a scan of every triangle, and one of them tests every
+point against both loops before it locates it; the triangle-scan isoline oracle, the former
 library cut, finds the crossed triangles by testing the edges of every
 triangle of ``Mesh.edges.triangle_rows``.
 
@@ -38,6 +39,7 @@ from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   minimum_spanning_tree)
+from scipy.spatial import cKDTree
 from scipy.sparse.linalg import splu
 
 from fluxrec import fem
@@ -218,6 +220,72 @@ def bottleneck_level_mst(mesh: Mesh, values: np.ndarray) -> float:
     return float(weights[order[worst - 1]])
 
 
+def _centroid_tree(mesh: Mesh) -> cKDTree:
+    """k-d tree of the triangle centroids."""
+    return cKDTree(mesh.nodes[mesh.triangles].mean(axis=1))
+
+
+def sample_field_by_centroid_tree(fld: FluxField,
+                                  polyline: np.ndarray) -> np.ndarray:
+    """P1 field values at points of a polyline (subdivided per segment),
+    located through a k-d tree of the triangle centroids: the former
+    library sampler.
+
+    Each point takes the lowest-index triangle whose barycentric coordinates
+    pass a 1e-12 tolerance.  Candidates are the triangles with centroid
+    within the longest mesh edge of the point, which misses none: every
+    point of a triangle lies within 2/3 of its longest edge of its centroid.
+    The (point, triangle) candidate pairs come as two index arrays, from a
+    k-d tree of the points against the centroid tree.
+    Only the points that no triangle holds are tested against the loops:
+    one outside the outer boundary raises, one inside the inner hole is
+    skipped, and any other lies outside the mesh and raises.  A point on a
+    loop, within the tolerance, is held by a triangle and sampled.
+    """
+    mesh = fld.mesh
+    h = mesh.max_edge_length
+    step = np.roll(polyline, -1, axis=0) - polyline
+    # one dot product per segment, rounded as np.linalg.norm rounds one vector
+    length = np.sqrt(step[:, None, :] @ step[:, :, None]).ravel()
+    n = np.maximum(1, np.ceil(length / (0.5 * h))).astype(np.int64)
+    seg = np.repeat(np.arange(len(polyline)), n)
+    k = np.arange(len(seg)) - (np.cumsum(n) - n)[seg]
+    pts = polyline[seg] + (k / n[seg])[:, None] * step[seg]
+
+    pairs = cKDTree(pts).sparse_distance_matrix(_centroid_tree(mesh), h,
+                                                output_type="ndarray")
+    pi, ti = pairs["i"], pairs["j"]
+    tri_pts = mesh.nodes[mesh.triangles[ti]]
+    v0 = tri_pts[:, 0]
+    d1 = tri_pts[:, 1] - v0
+    d2 = tri_pts[:, 2] - v0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    rel = pts[pi] - v0
+    l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
+    ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
+
+    # lowest-index containing triangle per point: sort the hits by (point, triangle)
+    hits = np.flatnonzero(ok)
+    hits = hits[np.lexsort((ti[hits], pi[hits]))]
+    first = hits[np.diff(pi[hits], prepend=-1) != 0]
+    located = np.zeros(len(pts), dtype=bool)
+    located[pi[first]] = True
+    loose = pts[~located]
+    bidx = mesh.boundary
+    if not points_in_polygon(loose, mesh.nodes[bidx.outer_nodes]).all():
+        raise ValueError("limiter leaves the outer boundary")
+    if len(bidx.inner_nodes):
+        loose = loose[~points_in_polygon(loose, mesh.nodes[bidx.inner_nodes])]
+    if len(first) == len(loose) == 0:
+        raise ValueError("limiter lies entirely inside the plasma hole")
+    if len(loose):
+        raise ValueError(f"limiter point {loose[0]} is outside the mesh")
+    vals = fld.values[mesh.triangles[ti[first]]]
+    l1, l2 = l1[first], l2[first]
+    return vals[:, 0] * (1 - l1 - l2) + vals[:, 1] * l1 + vals[:, 2] * l2
+
+
 def sample_field_polygon_first(fld: FluxField,
                               polyline: np.ndarray) -> np.ndarray:
     """P1 field values at points of a polyline (subdivided per segment),
@@ -250,7 +318,7 @@ def sample_field_polygon_first(fld: FluxField,
     if len(pts) == 0:
         raise ValueError("limiter lies entirely inside the plasma hole")
 
-    near = mesh._centroid_tree.query_ball_point(pts, h)
+    near = _centroid_tree(mesh).query_ball_point(pts, h)
     pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
     ti = np.concatenate(near).astype(np.int64)
     tri_pts = mesh.nodes[mesh.triangles[ti]]

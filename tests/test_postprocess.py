@@ -9,15 +9,18 @@ from scipy.optimize import brentq
 
 from fluxrec import FluxField, Mesh, interpolate
 from fluxrec.experiments import TwinSpec, loop_flux_field, run_twin
-from fluxrec.mesh import circle_loop, polygon_centroid
+from fluxrec.mesh import (circle_loop, dee_loop, generate_annulus_mesh,
+                          points_in_polygon, polygon_centroid,
+                          scale_toward_centroid)
 from fluxrec.postprocess import (EmptyIsolineError, NoTransitionError,
                                  _bottleneck_level, _edge_ends, _sample_field,
                                  extract_isoline, find_plasma_boundary)
-from conftest import strip_mesh
+from conftest import l_hole_square_mesh, strip_mesh
 from oracles import (STATE_ORDER, RegionClassifier, bisect_transition,
                      bottleneck_level_dual, bottleneck_level_mst,
                      encircles, extract_isoline_dict, extract_isoline_scan,
-                     sample_field_polygon_first, sample_field_scan)
+                     sample_field_by_centroid_tree, sample_field_polygon_first,
+                     sample_field_scan)
 
 
 @pytest.fixture(scope="module")
@@ -512,6 +515,123 @@ def test_sample_field_matches_polygon_first_sampler(request, geometry, offset,
         assert fast == slow
     else:
         assert np.array_equal(fast, slow)
+
+
+def _assert_samples_as_the_tree_oracle(fld, limiter):
+    """The k-d tree sampler's bits, or its message."""
+    fast = _sample_or_message(lambda: _sample_field(fld, limiter))
+    slow = _sample_or_message(lambda: sample_field_by_centroid_tree(fld, limiter))
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert fast.dtype == slow.dtype and fast.tobytes() == slow.tobytes()
+
+
+_VERTEX_KINDS = ("node", "edge", "cell", "random", "hole", "wall")
+
+
+def _limiter_vertex(mesh, kind, rng):
+    """A limiter vertex of one kind: a mesh node, a point of a mesh edge,
+    a point on a cell line of the triangle grid, a random point of the
+    mesh's box, a point of the hole or a point past the outer wall."""
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    if kind == "node":
+        return mesh.nodes[rng.integers(mesh.node_count)]
+    if kind == "edge":
+        a, b = mesh.nodes[mesh.edges.nodes[rng.integers(len(mesh.edges.nodes))]]
+        return a + rng.choice([0.5, rng.uniform()]) * (b - a)
+    if kind == "cell":
+        grid = mesh._triangle_grid
+        p = rng.uniform(lo, hi)
+        for axis in ([0], [1], [0, 1])[rng.integers(3)]:
+            p[axis] = grid.origin[axis] + rng.integers(grid.shape[axis] + 1) * grid.cell
+        return p
+    if kind == "random":
+        return rng.uniform(lo, hi)
+    outer = mesh.nodes[mesh.boundary.outer_nodes]
+    if kind == "wall":
+        centre = polygon_centroid(outer)
+        return centre + rng.uniform(1.0, 1.2) * (outer[rng.integers(len(outer))] - centre)
+    inner = mesh.nodes[mesh.boundary.inner_nodes]
+    for p in rng.uniform(inner.min(axis=0), inner.max(axis=0), (20, 2)):
+        if points_in_polygon(p, inner)[0]:
+            return p
+    return inner.mean(axis=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(geometry=st.sampled_from(["desk", "iter", "lhole", "ladder"]),
+       kinds=st.lists(st.sampled_from(_VERTEX_KINDS), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_field_matches_centroid_tree_oracle(request, geometry, kinds,
+                                                   seed):
+    # vertices on nodes, edges and grid cell lines, where several triangles
+    # or cells hold a point, and segments across the hole and past the wall:
+    # the same bits, or the same message
+    rng = np.random.default_rng(seed)
+    if geometry == "lhole":
+        mesh = l_hole_square_mesh()
+    elif geometry == "ladder":
+        a = rng.uniform(1.0, 3.0)
+        outer = dee_loop(rng.uniform(5.0, 8.0), a, rng.uniform(1.0, 4.0),
+                         rng.uniform(0.0, 0.5), int(rng.integers(12, 60)))
+        mesh = generate_annulus_mesh(outer, scale_toward_centroid(
+            outer, rng.uniform(0.3, 0.7)), a * rng.uniform(0.15, 0.4))
+    else:
+        mesh = request.getfixturevalue(f"{geometry}_mesh")
+    limiter = np.array([_limiter_vertex(mesh, kind, rng) for kind in kinds])
+    fld = interpolate(mesh, lambda r, z: np.sin(r) * np.cos(2.0 * z) + r * z)
+    _assert_samples_as_the_tree_oracle(fld, limiter)
+
+
+def test_triangle_held_within_the_tolerance_across_a_cell_line():
+    # the longest edge is 2, so the cells are 1 wide, and triangle 0's box
+    # starts at r = 2, on a cell line.  The point lies 1e-14 left of that
+    # line, outside triangle 0 but within its barycentric tolerance, so
+    # triangle 0 is its lowest-index holder: only the box's pad lists
+    # triangle 0 in the point's cell
+    nodes = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 1.0], [1.0, 1.0], [3.0, 1.0]])
+    mesh = Mesh(nodes, np.array([[1, 4, 2], [0, 1, 2], [0, 2, 3]]),
+                np.array([[0, 1], [1, 4], [4, 2], [2, 3], [3, 0]]),
+                np.array(["outer"] * 5))
+    fld = FluxField(np.array([0.3, -1.7, 2.9, 0.1, 5.0]), mesh)
+    point = np.array([[2.0 - 1e-14, 1.0 - 1e-14]])
+    assert 0 in mesh._triangle_grid.candidates(point)[1]
+    got = _sample_field(fld, point)
+    assert got.tobytes() == sample_field_scan(fld.values, mesh, point).tobytes()
+    assert got.tobytes() == sample_field_by_centroid_tree(fld, point).tobytes()
+
+
+def test_thin_ring_grid_has_few_cells_and_samples_as_the_oracle():
+    # one layer of 1600 triangles spans about 1e5 cells of half its longest
+    # edge; the grid takes wider cells, at most about four per triangle
+    mesh = generate_annulus_mesh(circle_loop(6.0, 0.0, 3.0, 400),
+                                 circle_loop(6.0, 0.0, 2.97, 400), 0.05)
+    grid = mesh._triangle_grid
+    assert np.prod(grid.shape) <= 5 * mesh.triangle_count
+    fld = interpolate(mesh, lambda r, z: np.sin(r) * np.cos(2.0 * z) + r * z)
+    for radius, count in ((2.985, 7), (2.999, 64), (2.96, 16), (3.01, 5)):
+        _assert_samples_as_the_tree_oracle(fld, circle_loop(6.0, 0.0, radius, count))
+
+
+@pytest.mark.parametrize("far", [1e300, -1e300, -1.7e308])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_far_limiter_vertex_leaves_the_outer_boundary(desk_mesh, far, axis):
+    # raised before the polyline is subdivided, with no overflow warning
+    fld = interpolate(desk_mesh, lambda r, z: -((r - 6.0) ** 2 + z ** 2))
+    limiter = circle_loop(6.0, 0.0, 1.5, 16)
+    limiter[3, axis] = far
+    with pytest.raises(ValueError, match="^limiter leaves the outer boundary$"):
+        find_plasma_boundary(fld, limiter=limiter)
+
+
+def test_located_limiter_runs_no_loop_test(desk_mesh, monkeypatch):
+    def loop_test(points, loop):
+        raise AssertionError("a loop test ran")
+    monkeypatch.setattr("fluxrec.postprocess.points_in_polygon", loop_test)
+    fld = interpolate(desk_mesh, lambda r, z: -((r - 6.0) ** 2 + z ** 2))
+    psi_p, _, mode = find_plasma_boundary(fld, limiter=circle_loop(6.0, 0.0, 1.5, 64))
+    assert mode == "limiter" and abs(psi_p + 1.5 ** 2) < 0.05
 
 
 def test_limiter_points_on_the_inner_loop_are_sampled(desk_mesh):
