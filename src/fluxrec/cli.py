@@ -237,11 +237,16 @@ def _cmd_mesh(cfg) -> int:
     return EXIT_OK
 
 
-def _write_completion(out, mesh, result) -> None:
-    """u_opt.csv, psi_opt.csv and psi_opt.vtk of a completion result."""
+def _write_completion(out, mesh, result, **fields) -> None:
+    """u_opt.csv, psi_opt.csv and psi_opt.vtk of a completion result, and a
+    flux CSV of each further field, named by its keyword: the node files
+    render the mesh's node columns and psi once."""
     fio.write_control_csv(os.path.join(out, "u_opt.csv"), mesh, result.u_opt)
-    fio.write_flux_csv(os.path.join(out, "psi_opt.csv"), result.psi_opt)
-    fio.write_vtk(os.path.join(out, "psi_opt.vtk"), result.psi_opt)
+    psi = result.psi_opt
+    fio.save_fields(
+        csv=[(os.path.join(out, f"{name}.csv"), fld)
+             for name, fld in {"psi_opt": psi, **fields}.items()],
+        vtk=[(os.path.join(out, "psi_opt.vtk"), psi)])
 
 
 def _cmd_complete(cfg) -> int:
@@ -287,9 +292,8 @@ def _cmd_twin(cfg) -> int:
         "J": result.J, "R_D": result.R_D, "J_eps": result.J_eps,
         "residual_norm": result.residual_norm,
     })
-    _write_completion(out, mesh, result)
+    _write_completion(out, mesh, result, field_rel_err=report.field_rel_err)
     fio.write_control_csv(os.path.join(out, "u_ref.csv"), mesh, report.u_ref)
-    fio.write_flux_csv(os.path.join(out, "field_rel_err.csv"), report.field_rel_err)
     print(f"max_rel_err_u = {report.max_rel_err_u:.6g}  "
           f"J = {result.J:.6g}  R_D = {result.R_D:.6g}")
     return EXIT_OK

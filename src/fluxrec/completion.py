@@ -15,23 +15,9 @@ with V' S_D V = I, are fem's per-mesh interface operators, cached on the
 stiffness matrix (StiffnessMatrix.interface), so this module holds only
 what belongs to one data set: the load and the closed-form solve.  Every
 data set and eps has the closed (filter-factor) form
-u(eps) = V diag(1 / (1 + eps - lam)) V' l, with no sparse solve; n_i and
-n_o below are the inner- and outer-boundary node counts.  As built, a data
-set costs its dense products and a fixed handful of array calls:
-  - the load, two (n_i x n_o) mat-vecs, and c = V'l, one (n_i x n_i);
-  - a solve at one eps: the near-singular test on the two end
-    eigenvalues, the O(n_i) filter a = c / (1 + eps - lam) and one
-    (n_i x n_i) mat-vec for u = V a, and nothing more;
-  - the solve's diagnostics, each on first read: J less its constant term
-    and R_D, about seven O(n_i) array calls summed together, and the
-    residual, two (n_i x n_i) mat-vecs;
-  - a sweep over k values of eps: one vector comparison over the grid to
-    screen it, then one (k x n_i) array pass for the J and R_D sums of
-    every kept eps, about ten array calls whatever k is;
-  - J's constant term, on first read: one sparse mat-vec with the outer
-    mass matrix, then one BLAS triangular product and one triangular solve
-    with R, S_OO's Cholesky factor, which fem reads off its factor's
-    trailing block (no Cholesky factorization), O(n_o^2) dense work.
+u(eps) = V diag(1 / (1 + eps - lam)) V' l, with no sparse solve: a data
+set costs its dense products and a fixed handful of array calls, listed
+step by step in README's design paragraph.
 Only the flux field costs a sparse solve (a Neumann solve), on first read.
 The checks of this closed form by fresh field solves (the misfit as a
 volume integral, the interface quadratic form and the optimality residual)

@@ -3,6 +3,10 @@
 The text-format helpers of `fluxrec.mesh` read and write them: a malformed
 row raises MeshFormatError as ``path:line``, and floats are written with
 shortest round-trip repr, so artifacts are byte-stable and reload losslessly.
+The node-indexed files, flux CSVs and VTK files, have one writer,
+`save_fields`: it renders the mesh's node columns and each field's values
+once for all the files of a call, so a command's node files render each
+number once.  `write_flux_csv` and `write_vtk` write one file through it.
 """
 
 from __future__ import annotations
@@ -11,14 +15,14 @@ import numpy as np
 
 from .completion import CauchyData
 from .fem import FluxField
-from .mesh import Mesh, MeshFormatError, _parse_rows, _read_lines, _write_rows
+from .mesh import Mesh, MeshFormatError, _parse_rows, _read_lines, _text, _write_rows
 from .postprocess import Isoline
 from .regularization import LCurve
 
 
 def write_report(path, entries: dict) -> None:
     """key = value lines, one per entry."""
-    _write_rows(path, ("", "{} = {}\n", list(entries), list(entries.values())))
+    _write_rows(path, ("", "{} = {}\n", list(entries), _text(entries.values())))
 
 
 def _read_node_csv(path, header: str, mesh: Mesh, nodes: np.ndarray, columns: slice,
@@ -53,8 +57,7 @@ def _read_node_csv(path, header: str, mesh: Mesh, nodes: np.ndarray, columns: sl
 
 
 def write_flux_csv(path, fld: FluxField) -> None:
-    _write_rows(path, ("node_index,r,z,psi\n", "{},{},{},{}\n",
-                       np.arange(fld.mesh.node_count), *fld.mesh.nodes.T, fld.values))
+    save_fields(csv=[(path, fld)])
 
 
 def read_flux_csv(path, mesh: Mesh) -> FluxField:
@@ -66,16 +69,39 @@ def read_flux_csv(path, mesh: Mesh) -> FluxField:
 
 def write_vtk(path, fld: FluxField) -> None:
     """Legacy ASCII unstructured-grid file with one point scalar field."""
-    mesh = fld.mesh
+    save_fields(vtk=[(path, fld)])
+
+
+def save_fields(csv=(), vtk=()) -> None:
+    """Write fields of one mesh: each (path, field) of `csv` as a flux CSV
+    of ``node_index,r,z,psi`` rows, and of `vtk` as a legacy ASCII
+    unstructured-grid file with the field as its point scalars.
+
+    The mesh's node columns are rendered once for all the files, and a field
+    given for several files once for them all; the text is dropped on
+    return.  Raises ValueError for fields of different meshes.
+    """
+    files = [*csv, *vtk]
+    if not files:
+        return
+    mesh = files[0][1].mesh
+    if any(fld.mesh is not mesh for _, fld in files):
+        raise ValueError("fields of different meshes")
+    fields = {id(fld): fld for _, fld in files}     # each field once
+    text = {key: _text(fld.values) for key, fld in fields.items()}
     n, m = mesh.node_count, mesh.triangle_count
-    _write_rows(
-        path,
-        ("# vtk DataFile Version 3.0\nfluxrec field export\nASCII\n"
-         f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n", "{} {} 0.0\n",
-         *mesh.nodes.T),
-        (f"CELLS {m} {4 * m}\n", "3 {} {} {}\n", *mesh.triangles.T),
-        (f"CELL_TYPES {m}\n" + "5\n" * m + f"POINT_DATA {n}\n"
-         "SCALARS psi double 1\nLOOKUP_TABLE default\n", "{}\n", fld.values))
+    r, z = map(_text, mesh.nodes.T)
+    nodes = list(map(",".join, zip(_text(range(n)), r, z))) if csv else []
+    for path, fld in csv:
+        _write_rows(path, ("node_index,r,z,psi\n", "{},{}\n", nodes, text[id(fld)]))
+    for path, fld in vtk:
+        _write_rows(
+            path,
+            ("# vtk DataFile Version 3.0\nfluxrec field export\nASCII\n"
+             f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n", "{} {} 0.0\n", r, z),
+            (f"CELLS {m} {4 * m}\n", "3 {} {} {}\n", *mesh.triangles.T),
+            (f"CELL_TYPES {m}\n" + "5\n" * m + f"POINT_DATA {n}\n"
+             "SCALARS psi double 1\nLOOKUP_TABLE default\n", "{}\n", text[id(fld)]))
 
 
 def write_cauchy_csv(path, mesh: Mesh, data: CauchyData) -> None:

@@ -25,6 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -82,7 +83,9 @@ def points_in_polygon(points: np.ndarray, loop: np.ndarray) -> np.ndarray:
     x1, y1 = loop[:, 0][None, :], loop[:, 1][None, :]
     x2, y2 = np.roll(loop[:, 0], -1)[None, :], np.roll(loop[:, 1], -1)[None, :]
     straddle = (y1 > y) != (y2 > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a row the point does not straddle may divide by zero, or overflow for
+    # a point near the float limit; the straddle mask drops those rows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xcross = (x2 - x1) * (y - y1) / (y2 - y1) + x1
     hits = straddle & (x < xcross)
     return np.sum(hits, axis=1) % 2 == 1
@@ -665,18 +668,35 @@ def _read_block(lines, sep, width: int, groups) -> list[np.ndarray] | None:
     return [a.reshape(len(lines), *span.shape) for a, span in zip(arrays, spans)]
 
 
+def _text(values) -> list[str]:
+    """Each value as ``str`` prints its Python scalar (``tolist``), which is
+    what ``"{}".format`` prints: a float in its shortest round-trip repr."""
+    return list(map(str, values.tolist() if isinstance(values, np.ndarray) else values))
+
+
+# rows joined into one string per write, which bounds the strings of a block
+_CHUNK_ROWS = 4096
+
+
 def _write_rows(path, *blocks) -> None:
     """Write blocks of (head, row format, column, ...) as ASCII text.
 
-    Each array column goes to Python scalars once (``tolist``), so a float
-    prints as its shortest round-trip repr, and each block's rows go out in
-    one ``writelines``.
+    A row format puts one separator between its fields, after a constant
+    lead and before a constant tail: a VTK cell row has the lead ``3 ``,
+    blanks between its indices and a line end for tail.  A column is text,
+    a list of str rendered by the caller (and maybe shared with other
+    files), or an array, rendered here by `_text`.  Rows are joined in C
+    (``str.join`` over ``zip`` of the columns) and go out `_CHUNK_ROWS` at a
+    time.
     """
     with open(path, "w", encoding="ascii") as fh:
         for head, row, *columns in blocks:
+            lead, *seps, tail = row.split("{}")
+            texts = [_text(c) if isinstance(c, np.ndarray) else c for c in columns]
+            rows = iter(texts[0]) if not seps else map(seps[0].join, zip(*texts))
             fh.write(head)
-            fh.writelines(map(row.format, *[
-                c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
+            while chunk := list(islice(rows, _CHUNK_ROWS)):
+                fh.write(lead + (tail + lead).join(chunk) + tail)
 
 
 def load_mesh(path) -> Mesh:

@@ -294,11 +294,8 @@ def _sample_field(fld: FluxField, polyline: np.ndarray) -> np.ndarray:
     outer = mesh.nodes[bidx.outer_nodes]
     grid = mesh._triangle_grid
     beyond = polyline[~grid.covers(polyline)]
-    # the ray cast's crossing abscissa may overflow for a far vertex, on a
-    # row that the vertex does not cross
-    with np.errstate(over="ignore"):
-        if len(beyond) and not points_in_polygon(beyond, outer).all():
-            raise ValueError("limiter leaves the outer boundary")
+    if len(beyond) and not points_in_polygon(beyond, outer).all():
+        raise ValueError("limiter leaves the outer boundary")
     h = mesh.max_edge_length
     step = np.roll(polyline, -1, axis=0) - polyline
     # one dot product per segment, rounded as np.linalg.norm rounds one vector

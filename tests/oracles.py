@@ -17,9 +17,10 @@ grid-check oracle runs each rule as a pass of its own and the corner
 oracle keeps log J and log R_D as two arrays; the
 limiter-sampling oracles locate points by a k-d tree of the triangle
 centroids or by a scan of every triangle, and one of them tests every
-point against both loops before it locates it; the triangle-scan isoline oracle, the former
-library cut, finds the crossed triangles by testing the edges of every
-triangle of ``Mesh.edges.triangle_rows``.
+point against both loops before it locates it; the point-in-polygon
+oracle casts its ray across one edge at a time; the triangle-scan isoline
+oracle, the former library cut, finds the crossed triangles by testing the
+edges of every triangle of ``Mesh.edges.triangle_rows``.
 
 The last section holds the checks that the library's pipeline never runs:
 the misfit as a direct volume integral, the interface quadratic form, the
@@ -589,6 +590,21 @@ def extract_isoline_scan(fld: FluxField, level: float) -> Isoline:
     iso.inside_domain = not any(tuple(k) in outer
                                 for k in e.nodes[crossed].tolist())
     return iso
+
+
+def points_in_polygon_by_edge(points, loop) -> np.ndarray:
+    """Ray casting one point and one loop edge at a time in Python floats:
+    an edge counts when the point's horizontal line straddles it and the
+    point lies left of the crossing, computed for that edge alone."""
+    loop = np.asarray(loop, dtype=float).tolist()
+    inside = []
+    for x, y in np.atleast_2d(np.asarray(points, dtype=float)).tolist():
+        odd = False
+        for (x1, y1), (x2, y2) in zip(loop, loop[1:] + loop[:1]):
+            if (y1 > y) != (y2 > y) and x < (x2 - x1) * (y - y1) / (y2 - y1) + x1:
+                odd = not odd
+        inside.append(odd)
+    return np.array(inside, dtype=bool)
 
 
 # ---------------------------------------------------------------------------

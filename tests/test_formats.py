@@ -5,6 +5,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,9 @@ from fluxrec import io as fio
 from fluxrec.completion import CauchyData, NearSingularError
 from fluxrec.fem import FemError, FluxField
 from fluxrec.mesh import (MeshFormatError, MeshGeometryError, MeshTopologyError,
-                          MeshValidationError, load_mesh, save_mesh)
+                          MeshValidationError, circle_loop, dee_loop,
+                          generate_annulus_mesh, load_mesh, save_mesh,
+                          scale_toward_centroid)
 from fluxrec.postprocess import EmptyIsolineError, Isoline, NoTransitionError
 from fluxrec.regularization import DegenerateCurveError, LCurve
 from conftest import build_square_mesh, l_hole_square_mesh, strip_mesh
@@ -259,6 +262,110 @@ def test_writers_match_row_oracles(tmp_path_factory, objects):
         write(out / f"{i}.new")
         oracle(out / f"{i}.old")
         assert (out / f"{i}.new").read_bytes() == (out / f"{i}.old").read_bytes(), i
+
+
+@st.composite
+def field_files(draw):
+    """The format and field of each of up to six files, in any order, for up
+    to three fields, a field in any number of files, on one mesh, generated
+    or a stand-in."""
+    if draw(st.booleans()):
+        outer = draw(st.sampled_from([circle_loop(6.0, 0.0, 2.0, 24),
+                                      dee_loop(6.0, 2.0, 3.0, 0.3, 32)]))
+        mesh = generate_annulus_mesh(outer, scale_toward_centroid(
+            outer, draw(st.floats(0.3, 0.7))), draw(st.floats(0.4, 1.0)))
+    else:
+        n, m = draw(st.integers(1, 8)), draw(st.integers(0, 6))
+        mesh = SimpleNamespace(
+            nodes=_floats(draw, 2 * n).reshape(n, 2), node_count=n, triangle_count=m,
+            triangles=np.array(draw(st.lists(st.integers(-2, n + 1), min_size=3 * m,
+                                             max_size=3 * m)), dtype=np.int64).reshape(m, 3))
+    fields = [SimpleNamespace(mesh=mesh, values=_floats(draw, mesh.node_count))
+              for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.lists(st.tuples(st.sampled_from(["csv", "vtk"]),
+                                   st.sampled_from(fields)), min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=field_files())
+def test_shared_rendering_matches_row_oracles(tmp_path_factory, files):
+    """Node files written together, once and again, and one at a time, are
+    each the row oracle's bytes."""
+    out = tmp_path_factory.mktemp("fields")
+    paths = [out / f"{i}.{kind}" for i, (kind, _) in enumerate(files)]
+    oracle = {"csv": oracles.write_flux_csv_by_row, "vtk": oracles.write_vtk_by_row}
+    single = {"csv": fio.write_flux_csv, "vtk": fio.write_vtk}
+    for path, (kind, fld) in zip(paths, files):
+        oracle[kind](path.with_suffix(".old"), fld)
+    for _ in range(2):
+        fio.save_fields(**{kind: [(path, fld) for path, (k, fld) in zip(paths, files)
+                                  if k == kind] for kind in ("csv", "vtk")})
+        for path in paths:
+            assert path.read_bytes() == path.with_suffix(".old").read_bytes(), path.name
+    for path, (kind, fld) in zip(paths, files):
+        single[kind](path, fld)
+        assert path.read_bytes() == path.with_suffix(".old").read_bytes(), path.name
+
+
+def test_save_fields_rejects_fields_of_different_meshes(tmp_path):
+    a, b = build_square_mesh(2), build_square_mesh(2)
+    with pytest.raises(ValueError, match="fields of different meshes"):
+        fio.save_fields(csv=[(tmp_path / "a.csv", FluxField(np.zeros(9), a))],
+                        vtk=[(tmp_path / "b.vtk", FluxField(np.zeros(9), b))])
+    assert not list(tmp_path.iterdir())
+
+
+def _respell(draw, token: str) -> str:
+    """Another spelling of a float token that reads as the same float: a
+    trailing zero, an exponent, a plus sign, a leading zero or 17 digits."""
+    mantissa, e, exponent = token.partition("e")
+    kind = draw(st.sampled_from(["zero", "exponent", "plus", "lead", "digits"]))
+    if kind == "zero":
+        return mantissa + ("0" if "." in mantissa else ".0") + e + exponent
+    if kind == "exponent":
+        return token.upper() if e else token + "e0"
+    if kind == "plus":
+        return token if token.startswith("-") else "+" + token
+    if kind == "lead":
+        return token if token.startswith("-") else "0" + token
+    return "%.16e" % float(token)
+
+
+def _rewritten(tmp_path, text: str):
+    """The mesh file `text` loaded, then saved, and the r column of a flux
+    CSV of psi = r on the mesh read."""
+    (tmp_path / "m.mesh").write_text(text)
+    mesh = load_mesh(tmp_path / "m.mesh")
+    save_mesh(mesh, tmp_path / "back.mesh")
+    fld = FluxField(mesh.nodes[:, 0].copy(), mesh)
+    fio.save_fields(csv=[(tmp_path / "f.csv", fld)], vtk=[(tmp_path / "f.vtk", fld)])
+    r = [line.split(",")[1] for line in (tmp_path / "f.csv").read_text().splitlines()[1:]]
+    return (tmp_path / "back.mesh").read_text(), r
+
+
+def test_non_canonical_coordinates_are_written_in_shortest_repr(tmp_path):
+    text, r = _rewritten(tmp_path, "nodes 4\n6.50 0\n7.5 0.0\n7.5 6.5e0\n+6.5 +6.5\n"
+                         "triangles 2\n0 1 2\n0 2 3\nboundary_edges 4\n"
+                         "0 1 outer\n1 2 outer\n2 3 outer\n3 0 outer\n")
+    assert text.splitlines()[1:5] == ["6.5 0.0", "7.5 0.0", "7.5 6.5", "6.5 6.5"]
+    assert r == ["6.5", "7.5", "7.5", "6.5"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=st.floats(1e-3, 1e3), shift=st.floats(-1e3, 1e3), data=st.data())
+def test_written_numbers_come_from_the_floats_not_the_tokens(tmp_path_factory, scale,
+                                                             shift, data):
+    """A mesh file whose coordinates are spelled otherwise is written back
+    as the one written from its floats."""
+    mesh = BASE_MESHES[0]
+    rows = _mesh_rows(mesh, scale, shift)
+    canonical = "\n".join(map(" ".join, rows)) + "\n"
+    for row in rows[1:mesh.node_count + 1]:
+        row[:] = [_respell(data.draw, token) for token in row]
+    text, r = _rewritten(tmp_path_factory.mktemp("spelled"),
+                         "\n".join(map(" ".join, rows)) + "\n")
+    assert text == canonical
+    assert r == [row.split(" ")[0] for row in canonical.splitlines()[1:mesh.node_count + 1]]
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from fluxrec.mesh import (INNER, OUTER, Mesh, MeshFormatError, MeshGeometryError,
                           MeshTopologyError, MeshValidationError, _angles_about,
                           _ray_crossings, _stitch_rings, chain_loop, circle_loop,
-                          dee_loop, generate_annulus_mesh, load_mesh, polygon_area,
-                          polygon_centroid, save_mesh, scale_toward_centroid,
-                          triangle_areas)
+                          dee_loop, generate_annulus_mesh, load_mesh, points_in_polygon,
+                          polygon_area, polygon_centroid, save_mesh,
+                          scale_toward_centroid, triangle_areas)
 from conftest import build_square_mesh, l_hole_square_mesh, strip_mesh
 from oracles import (boundary_index_dict, edge_table_dict, generate_annulus_mesh_by_loop,
-                     ray_crossings_by_ray, stitch_rings_two_pointer)
+                     points_in_polygon_by_edge, ray_crossings_by_ray,
+                     stitch_rings_two_pointer)
 
 STRIP_FILE = """\
 # minimal strip
@@ -234,6 +235,27 @@ def test_ray_along_an_edge_keeps_the_edge_start():
     got = _ray_crossings(loop, center, theta)
     assert np.array_equal(got, [[5.0, 0.0]])
     assert got.tobytes() == ray_crossings_by_ray(loop, center, theta).tobytes()
+
+
+# coordinates across the whole float range, the largest near its limit
+_COORD = (st.sampled_from([1.7e308, -1.7e308, 1e300, -1e300, 0.0, 6.0, -1.7])
+          | st.floats(-1.7e308, 1.7e308))
+
+
+@settings(max_examples=100, deadline=None)
+@given(r0=st.floats(4.0, 8.0), z0=st.floats(-1.0, 1.0), a=st.floats(1e-3, 3.0),
+       radii=st.lists(st.floats(0.5, 1.5), min_size=3, max_size=40),
+       far=st.lists(st.tuples(_COORD, _COORD), max_size=10),
+       near=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), max_size=10))
+@example(6.0, 0.0, 2.9, [1.0] * 16, [(6.0, -1.7e308)], [])
+def test_points_in_polygon_matches_per_edge_oracle(r0, z0, a, radii, far, near):
+    # pytest turns a RuntimeWarning, such as an overflow in the crossing
+    # abscissa of a far point, into an error
+    loop = _star_loop(r0, z0, a, radii)
+    points = np.array([*far, *((r0 + a * dr, z0 + a * dz) for dr, dz in near),
+                       *loop, (r0, z0)]).reshape(-1, 2)
+    assert np.array_equal(points_in_polygon(points, loop),
+                          points_in_polygon_by_edge(points, loop))
 
 
 @pytest.mark.parametrize("fixture", ["desk_mesh", "iter_mesh", "wide_mesh"])
