@@ -26,7 +26,6 @@ are test oracles, in tests/oracles.py.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,20 +73,19 @@ class CauchyData:
 class CompletionResult:
     """Optimal inner-boundary value and the reconstructed flux.
 
-    u_opt and the condition estimate come with the closed-form solve, which
-    keeps the eigenbasis coordinates c = V'l and a of u = V a.  R_D, J,
-    residual_norm and psi_opt are computed on first read and cached: R_D
-    and J less its constant term are summed together from c and a (see
-    _energies), J adds the system's constant term (dense, no sparse solve),
-    the residual costs two (n_i x n_i) mat-vecs and psi_opt one Neumann
-    solve.  The reconstructed field is the Neumann solution at the optimum
-    (the Dirichlet solution is far more sensitive to noise on f, so it is
-    never used as the output field).
+    u_opt comes with the closed-form solve, which keeps the eigenbasis
+    coordinates c = V'l and a of u = V a.  R_D, J, residual_norm and psi_opt
+    are computed on first read and cached: R_D and J less its constant term
+    are summed together from c and a (see _energies), J adds the system's
+    constant term (dense, no sparse solve), the residual costs two
+    (n_i x n_i) mat-vecs and psi_opt one Neumann solve.  The reconstructed
+    field is the Neumann solution at the optimum (the Dirichlet solution is
+    far more sensitive to noise on f, so it is never used as the output
+    field).
     """
 
     u_opt: np.ndarray
     epsilon: float
-    condition_estimate: float
     system: KVSystem = field(repr=False)
     _c: np.ndarray = field(repr=False)
     _a: np.ndarray = field(repr=False)
@@ -108,15 +106,11 @@ class CompletionResult:
 
     @cached_property
     def residual_norm(self) -> float:
-        """|(1 + eps) S_D u - S_N u - l| / |l|, each norm as sqrt(x @ x),
-        bitwise what np.linalg.norm returns."""
+        """|(1 + eps) S_D u - S_N u - l| / |l|."""
         ops = self.system.stiffness.interface
         u, load = self.u_opt, self.system.load
-        r = ops.s_d @ u
-        r *= 1.0 + self.epsilon
-        r -= ops.s_n @ u
-        r -= load
-        return math.sqrt(r @ r) / (math.sqrt(load @ load) or 1.0)
+        r = (1.0 + self.epsilon) * (ops.s_d @ u) - ops.s_n @ u - load
+        return float(np.linalg.norm(r) / (np.linalg.norm(load) or 1.0))
 
     @property
     def J_eps(self) -> float:
@@ -138,10 +132,6 @@ class KVSystem:
     stiffness: StiffnessMatrix
     data: CauchyData
     load: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.load)
 
     def system_matrix(self, epsilon: float) -> np.ndarray:
         """(1 + eps) S_D - S_N."""
@@ -262,11 +252,11 @@ def solve_completion(system: KVSystem, epsilon: float,
     """Solve the regularized interface system for u.
 
     u comes in closed form (see _coordinates), the O(n_i) filter and one
-    (n_i x n_i) mat-vec, and the condition estimate is max(d) / min(d);
-    NearSingularError where _resolved refuses epsilon, as at epsilon = 0.
-    epsilon is checked first; data other than system.data are then
-    assembled on system.stiffness.  Nothing else is computed here: J, R_D,
-    the residual and the flux come on first read (see CompletionResult).
+    (n_i x n_i) mat-vec.  Where _resolved refuses epsilon, as at epsilon = 0,
+    NearSingularError names the condition.  epsilon is checked first; data
+    other than system.data are then assembled on system.stiffness.  Nothing
+    else is computed here: J, R_D, the residual and the flux come on first
+    read (see CompletionResult).
     """
     epsilon = _check_epsilon(epsilon)
     if data is not None and data is not system.data:
@@ -277,4 +267,4 @@ def solve_completion(system: KVSystem, epsilon: float,
         raise NearSingularError(_near_singular(epsilon, d_min, d_max))
     c, a = _coordinates(system, epsilon)
     u = system.stiffness.interface.eigvecs @ a
-    return CompletionResult(u, epsilon, float(d_max / d_min), system, c, a)
+    return CompletionResult(u, epsilon, system, c, a)

@@ -191,10 +191,8 @@ class TwinReport:
     """Outcome of one twin run: the completion result (its system holds the
     noisy data) and its errors against the reference."""
 
-    spec: TwinSpec
     result: CompletionResult
     u_ref: np.ndarray
-    psi_ref: fem.FluxField
     max_rel_err_u: float
     field_rel_err: fem.FluxField
 
@@ -260,7 +258,7 @@ def run_twin(mesh: Mesh, spec: TwinSpec, epsilon: float,
     err = np.abs(result.u_opt - u_ref).max() / np.abs(u_ref).max()
     field_err = fem.FluxField(np.abs(result.psi_opt.values - psi_ref.values)
                               / np.abs(psi_ref.values).max(), mesh)
-    return TwinReport(spec, result, u_ref, psi_ref, float(err), field_err)
+    return TwinReport(result, u_ref, float(err), field_err)
 
 
 def table1_grid(mesh: Mesh, seed: int = 0) -> tuple[str, dict]:

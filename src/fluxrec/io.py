@@ -6,7 +6,7 @@ shortest round-trip repr, so artifacts are byte-stable and reload losslessly.
 The node-indexed files, flux CSVs and VTK files, have one writer,
 `save_fields`: it renders the mesh's node columns and each field's values
 once for all the files of a call, so a command's node files render each
-number once.  `write_flux_csv` and `write_vtk` write one file through it.
+number once.  `write_flux_csv` writes one file through it.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ def read_flux_csv(path, mesh: Mesh) -> FluxField:
     psi = _read_node_csv(path, "node_index,r,z,psi", mesh, np.arange(n), slice(3, 4),
                          f"node index {{}} outside [0, {n})", "missing node values")
     return FluxField(psi[:, 0], mesh)
-
-
-def write_vtk(path, fld: FluxField) -> None:
-    """Legacy ASCII unstructured-grid file with one point scalar field."""
-    save_fields(vtk=[(path, fld)])
 
 
 def save_fields(csv=(), vtk=()) -> None:

@@ -13,7 +13,8 @@ text file of the package (mesh, CSV, CLI config): a line reader, a block
 parser naming the first bad row as ``path:line``, and a row writer.
 Validation builds, once per mesh, the table of unique edges with their
 triangles and the edges of each triangle, and chains each boundary loop
-once; the post-processing reads the table instead of rebuilding edge maps.  One walk over graphs of degree at most 2 (`chain_walk`) chains both
+once; the post-processing reads the table instead of rebuilding edge maps.
+One walk over graphs of degree at most 2 (`chain_walk`) chains both
 the boundary loops and the isoflux contours.  The ring-ladder generator is
 array code: one stable merge of sorted angles stitches each band between
 two rings.
@@ -606,34 +607,34 @@ def _parse_rows(path, numbers, lines, sep, what: str, width: int, groups,
     warnings raised as errors: numpy versions differ on some rows that
     ``int`` rejects (an integer column's ``1.0`` was once read with only a
     DeprecationWarning), so the C reader never accepts a row that the token
-    path rejects.  An error, a warning, a wrong shape or a flagged row sends
-    the block down the token path (split each line, convert the token
-    columns, find the first faulty row), which is kept to name that row.
+    path rejects.  An error, a warning or a wrong shape sends the block down
+    the token path (split each line, convert the token columns, find the
+    first faulty row), which is kept to name that row.  A flagged row is
+    named from whichever arrays were read.
     """
-    arrays = _read_block(lines, sep, width, groups)
-    flags = checks(*arrays) if arrays is not None and checks else []
-    if arrays is not None and not any(mask.any() for mask, _, _ in flags):
-        return arrays
-    rows = [line.split(sep) for line in lines]
+    arrays, first = _read_block(lines, sep, width, groups), None
+    if arrays is None:
+        rows = [line.split(sep) for line in lines]
 
-    def convert(block, groups):
-        tokens = np.array(block, dtype=object).reshape(len(block), width)
-        return [tokens[:, columns].astype(dtype) for columns, dtype, _ in groups]
+        def convert(block, groups):
+            tokens = np.array(block, dtype=object).reshape(len(block), width)
+            return [tokens[:, columns].astype(dtype) for columns, dtype, _ in groups]
 
-    def fault(i, tokens):
-        if len(tokens) != width:
-            return f"expected {width} tokens for {what} {i}, got {len(tokens)}"
-        for group in groups:
-            try:
-                convert([tokens], [group])
-            except (ValueError, OverflowError):
-                return group[2]
+        def fault(i, tokens):
+            if len(tokens) != width:
+                return f"expected {width} tokens for {what} {i}, got {len(tokens)}"
+            for group in groups:
+                try:
+                    convert([tokens], [group])
+                except (ValueError, OverflowError):
+                    return group[2]
 
-    try:
-        arrays, first = convert(rows, groups), None
-    except (ValueError, OverflowError):        # error path: find the bad row
-        first = next((i, m) for i, tokens in enumerate(rows) if (m := fault(i, tokens)))
-        arrays = convert(rows[:first[0]], groups)
+        try:
+            arrays = convert(rows, groups)
+        except (ValueError, OverflowError):    # error path: find the bad row
+            first = next((i, m) for i, tokens in enumerate(rows)
+                         if (m := fault(i, tokens)))
+            arrays = convert(rows[:first[0]], groups)
     flags = checks(*arrays) if checks else []
     bad = np.logical_or.reduce([mask for mask, _, _ in flags], initial=False)
     if bad.any():                   # rows before the first fault, so they are earlier

@@ -1,22 +1,11 @@
 """Physical outputs from a reconstructed flux.
 
 Isoflux contours by marching triangles, and the plasma-boundary level
-search.  Both read the field at the two ends of every edge of the mesh's
-edge table, and the boundary search does so once, for the level and its
-contour.  A contour is cut from its crossed edges: one crossing point per
-crossed edge, the crossed triangles taken as the sides of those edges, and
-the crossings chained by the mesh module's walk.  The boundary search
-orients the field once, on entry, with the plasma side high, and takes the
-exact bottleneck level in one pass over the edges: the highest level at
-which the inner-boundary-attached region of {psi > level} still escapes
-through the outer wall, on the graph of mesh nodes and edges (exact for P1
-fields at sub-triangle resolution).  That is the join level of the two
-walls in the field's join tree, which lives on the vertices and edges of
-the mesh (Carr, Snoeyink & Axen, Comput. Geom. 24(2), 2003): the weight at
-which Kruskal's sweep, taking edges from the top weight down, first joins
-the walls.  Each node's edge to a higher neighbour is taken first, by
-pointer jumping to the top of each basin, and the sweep finishes over the
-top edge of each pair of basins.
+search, both read off the field at the two ends of every edge of the mesh's
+edge table (README's design paragraph walks through both).  The boundary
+level is the join level of the two walls in the field's join tree, which
+lives on the vertices and edges of the mesh (Carr, Snoeyink & Axen, Comput.
+Geom. 24(2), 2003); `_bottleneck_level` computes it.
 """
 
 from __future__ import annotations
@@ -41,16 +30,13 @@ class NoTransitionError(RuntimeError):
 class Isoline:
     """One flux level's contour as chained polylines.
 
-    closed is True when every chained polyline is a closed loop;
-    inside_domain is True when no polyline terminates on the outer boundary,
-    that is, no crossed boundary edge has both ends on the outer loop.
+    closed is True when every chained polyline is a closed loop.
     """
 
     level: float
     polylines: list = field(default_factory=list)
     polyline_closed: list = field(default_factory=list)
     closed: bool = False
-    inside_domain: bool = False
 
 
 def extract_isoline(fld: FluxField, level: float) -> Isoline:
@@ -117,11 +103,6 @@ def _isoline(fld: FluxField, level: float, span: tuple, ends: tuple) -> Isoline:
         iso.polylines.append(points[path + path[:1] if is_closed else path])
         iso.polyline_closed.append(is_closed)
     iso.closed = all(iso.polyline_closed)
-    # a crossed boundary edge is on the outer wall when both ends are
-    on_wall = np.zeros(fld.mesh.node_count, dtype=bool)
-    on_wall[fld.mesh.boundary.outer_nodes] = True
-    ends_on_wall = on_wall[e.nodes[rows[e.triangles[rows, 1] < 0]]]
-    iso.inside_domain = not ends_on_wall.all(axis=1).any()
     return iso
 
 

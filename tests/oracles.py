@@ -450,9 +450,8 @@ def extract_isoline_dict(fld: FluxField, level: float,
     """Marching triangles with a Python loop over crossed triangles, crossing
     points and ids kept in dicts keyed by node pair, and a dict adjacency
     walk: open chains from their contour endpoints first, in order of first
-    crossing, then closed chains.  Boundary labels come from a dict over the
-    boundary edge list.  Returns the isoline and its segments, one pair of
-    crossing points per crossed triangle."""
+    crossing, then closed chains.  Returns the isoline and its segments, one
+    pair of crossing points per crossed triangle."""
     values = fld.values
     vmin, vmax = float(values.min()), float(values.max())
     if not (vmin <= level <= vmax):
@@ -508,7 +507,6 @@ def extract_isoline_dict(fld: FluxField, level: float,
                 return path, True
             path.append(cur)
 
-    endpoints = []
     for start in sorted((k for k, v in adjacency.items() if len(v) == 1),
                         key=lambda k: edge_ids[k]):
         if all(seen[s] for s in adjacency[start]):
@@ -516,7 +514,6 @@ def extract_isoline_dict(fld: FluxField, level: float,
         path, _ = walk(start)
         iso.polylines.append(np.array([edge_point[e] for e in path]))
         iso.polyline_closed.append(False)
-        endpoints += [path[0], path[-1]]
     for start in sorted(adjacency, key=lambda k: edge_ids[k]):
         if all(seen[s] for s in adjacency[start]):
             continue
@@ -524,14 +521,9 @@ def extract_isoline_dict(fld: FluxField, level: float,
         pts = np.array([edge_point[e] for e in path])
         if is_closed:
             pts = np.vstack([pts, pts[:1]])
-        else:
-            endpoints += [path[0], path[-1]]
         iso.polylines.append(pts)
         iso.polyline_closed.append(bool(is_closed))
-    labels = {(min(a, b), max(a, b)): str(lab) for (a, b), lab
-              in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)}
     iso.closed = all(iso.polyline_closed) and bool(iso.polylines)
-    iso.inside_domain = not any(labels.get(k) == OUTER for k in endpoints)
     return iso, segments
 
 
@@ -543,8 +535,6 @@ def extract_isoline_scan(fld: FluxField, level: float) -> Isoline:
     triangle's three rows are tested, and each crossed triangle gives its
     two crossed rows in local order.  The crossed edges are numbered in the
     order the triangle list first reaches them and chained by `chain_walk`.
-    A crossed edge is on the outer wall when the mesh's boundary edge list
-    labels it so.
     """
     mesh = fld.mesh
     values = fld.values
@@ -584,11 +574,6 @@ def extract_isoline_scan(fld: FluxField, level: float) -> Isoline:
         iso.polylines.append(points[path + path[:1] if is_closed else path])
         iso.polyline_closed.append(is_closed)
     iso.closed = all(iso.polyline_closed)
-    outer = {(min(a, b), max(a, b)) for (a, b), lab
-             in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)
-             if lab == OUTER}
-    iso.inside_domain = not any(tuple(k) in outer
-                                for k in e.nodes[crossed].tolist())
     return iso
 
 
@@ -1272,7 +1257,7 @@ def sweep_by_epsilon(system, grid) -> LCurve:
     for eps in grid.tolist():
         d = 1.0 + eps - lam
         d_min, d_max = d.min(), d.max()
-        if not d_min > system.size * np.finfo(float).eps * d_max:
+        if not d_min > len(system.load) * np.finfo(float).eps * d_max:
             with np.errstate(divide="ignore"):
                 condition = d_max / abs(d_min)
             dropped.append((eps, f"interface system at epsilon {eps:g} is "
@@ -1299,7 +1284,6 @@ class EagerCompletionResult:
     R_D: float
     epsilon: float
     residual_norm: float
-    condition_estimate: float
     system: KVSystem = field(repr=False)
     _J_less_constant: float = field(repr=False)
 
@@ -1349,8 +1333,7 @@ def solve_completion_eager(system: KVSystem, epsilon: float,
     r -= ops.s_n @ u
     r -= load
     residual = math.sqrt(r @ r) / (math.sqrt(load @ load) or 1.0)
-    return EagerCompletionResult(u, float(R_D), epsilon, residual,
-                                 float(d_max / d_min), system,
+    return EagerCompletionResult(u, float(R_D), epsilon, residual, system,
                                  float(J_less_constant))
 
 
@@ -1441,7 +1424,7 @@ def evaluate(system: KVSystem, data: CauchyData, u, epsilon: float = 0.0):
     matrix, which equals the lifted field's energy exactly (the lift pairs
     against itself).
     """
-    u = fem._boundary_values(u, system.size, "u")
+    u = fem._boundary_values(u, len(system.load), "u")
     A = system.stiffness
     psi_d = fem.solve_dirichlet(A, data.f, u)
     psi_n = fem.solve_neumann(A, data.g, u)
@@ -1452,7 +1435,7 @@ def evaluate(system: KVSystem, data: CauchyData, u, epsilon: float = 0.0):
 
 def quadratic_misfit(system: KVSystem, u) -> float:
     """J through the interface quadratic form: v'(S_D - S_N)v/2 - l'v + c."""
-    u = fem._boundary_values(u, system.size, "u")
+    u = fem._boundary_values(u, len(system.load), "u")
     ops = system.stiffness.interface
     return float(0.5 * u @ ((ops.s_d - ops.s_n) @ u) - system.load @ u
                  + system.constant_term)
@@ -1470,7 +1453,7 @@ def optimality_residual(system: KVSystem, u_opt, epsilon: float,
     if data is None:
         data = system.data
     A = system.stiffness
-    u_opt = fem._boundary_values(u_opt, system.size, "u_opt")
+    u_opt = fem._boundary_values(u_opt, len(system.load), "u_opt")
     psi_d = fem.solve_dirichlet(A, data.f, u_opt)
     psi_n = fem.solve_neumann(A, data.g, u_opt)
     psi_d0 = fem.solve_dirichlet(A, 0.0, u_opt)

@@ -131,7 +131,7 @@ def test_criterion_03_quadratic_identity(desk_mesh, desk_A, iter_mesh, iter_A,
         system = assemble_kv(mesh, A, data)
         rng = np.random.default_rng(123)
         for _ in range(20):
-            v = rng.standard_normal(system.size) * 30.0
+            v = rng.standard_normal(len(system.load)) * 30.0
             direct = evaluate(system, data, v)[0]
             gap = abs(direct - quadratic_misfit(system, v)) / (1.0 + abs(direct))
             worst = max(worst, gap)

@@ -58,7 +58,7 @@ def test_quadratic_identity(fixture, request):
     system = assemble_kv(mesh, A, data)
     rng = np.random.default_rng(42)
     for _ in range(20):
-        v = rng.standard_normal(system.size) * 10.0
+        v = rng.standard_normal(len(system.load)) * 10.0
         direct = evaluate(system, data, v)[0]
         quad = quadratic_misfit(system, v)
         assert abs(direct - quad) < 1e-9 * (1.0 + abs(direct))
@@ -121,7 +121,7 @@ def test_homogeneous_data_quadratic_form(desk_mesh, desk_A):
     data = CauchyData(np.zeros(n), np.zeros(n))
     system = assemble_kv(desk_mesh, desk_A, data)
     rng = np.random.default_rng(2)
-    u = rng.standard_normal(system.size)
+    u = rng.standard_normal(len(system.load))
     J, R_D, _ = evaluate(system, data, u)
     assert J >= 0
     assert R_D > 0
@@ -188,7 +188,7 @@ def test_optimality_residual_linearity(desk_system):
     system, data = desk_system
     res = solve_completion(system, 1e-4)
     rng = np.random.default_rng(9)
-    delta = rng.standard_normal(system.size)
+    delta = rng.standard_normal(len(system.load))
     r = optimality_residual(system, res.u_opt + delta, 1e-4)
     predicted = system.system_matrix(1e-4) @ delta
     scale = max(np.abs(predicted).max(), 1.0)
@@ -269,12 +269,8 @@ def test_factorization_reuse_amortizes(desk_mesh):
 
 def test_epsilon_zero_reports_condition_or_near_singular(desk_system):
     system, data = desk_system
-    try:
-        res = solve_completion(system, 0.0)
-        assert res.condition_estimate is not None
-        assert res.condition_estimate > 1e6
-    except NearSingularError:
-        pass
+    with pytest.raises(NearSingularError, match="condition"):
+        solve_completion(system, 0.0)
 
 
 def test_negative_epsilon_rejected(desk_system):

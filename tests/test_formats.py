@@ -248,7 +248,8 @@ def test_writers_match_row_oracles(tmp_path_factory, objects):
         (lambda p: fio.write_report(p, report),
          lambda p: oracles.write_report_by_row(p, report)),
         (lambda p: fio.write_flux_csv(p, fld), lambda p: oracles.write_flux_csv_by_row(p, fld)),
-        (lambda p: fio.write_vtk(p, fld), lambda p: oracles.write_vtk_by_row(p, fld)),
+        (lambda p: fio.save_fields(vtk=[(p, fld)]),
+         lambda p: oracles.write_vtk_by_row(p, fld)),
         (lambda p: fio.write_cauchy_csv(p, mesh, data),
          lambda p: oracles.write_cauchy_csv_by_row(p, mesh, data)),
         (lambda p: fio.write_control_csv(p, mesh, u),
@@ -294,7 +295,6 @@ def test_shared_rendering_matches_row_oracles(tmp_path_factory, files):
     out = tmp_path_factory.mktemp("fields")
     paths = [out / f"{i}.{kind}" for i, (kind, _) in enumerate(files)]
     oracle = {"csv": oracles.write_flux_csv_by_row, "vtk": oracles.write_vtk_by_row}
-    single = {"csv": fio.write_flux_csv, "vtk": fio.write_vtk}
     for path, (kind, fld) in zip(paths, files):
         oracle[kind](path.with_suffix(".old"), fld)
     for _ in range(2):
@@ -303,7 +303,7 @@ def test_shared_rendering_matches_row_oracles(tmp_path_factory, files):
         for path in paths:
             assert path.read_bytes() == path.with_suffix(".old").read_bytes(), path.name
     for path, (kind, fld) in zip(paths, files):
-        single[kind](path, fld)
+        fio.save_fields(**{kind: [(path, fld)]})
         assert path.read_bytes() == path.with_suffix(".old").read_bytes(), path.name
 
 

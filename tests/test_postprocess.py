@@ -40,7 +40,6 @@ def test_isoline_of_linear_field_is_flat(desk_mesh):
     pts = np.vstack(iso.polylines)
     assert np.abs(pts[:, 1] - 0.5).max() < 1e-10
     assert not iso.closed            # the plane z=0.5 exits through the wall
-    assert not iso.inside_domain
 
 
 def test_isoline_level_out_of_range(desk_mesh):
@@ -148,19 +147,17 @@ def test_isoline_matches_dict_oracle(desk_mesh, desk_A, kind, seed, shape, q,
         assert np.array_equal(p, r)
     assert fast.polyline_closed == slow.polyline_closed
     assert fast.closed == slow.closed
-    assert fast.inside_domain == slow.inside_domain
 
 
-def test_contour_open_on_the_inner_loop_is_inside_the_domain(desk_mesh):
+def test_contour_open_on_the_inner_loop_is_one_open_polyline(desk_mesh):
     # a cap about a peak on the inner loop: one open polyline whose ends lie
-    # on inner boundary edges, so no crossed boundary edge is on the wall
+    # on inner boundary edges
     fld = interpolate(desk_mesh, lambda r, z: -((r - 6.0) ** 2 + (z - 0.8) ** 2))
     level = float(fld.values.max()) - 0.2
     fast = extract_isoline(fld, level)
     slow, _ = extract_isoline_dict(fld, level, desk_mesh)
     assert fast.polyline_closed == slow.polyline_closed == [False]
     assert np.array_equal(fast.polylines[0], slow.polylines[0])
-    assert fast.inside_domain and slow.inside_domain
     assert not fast.closed
 
 
@@ -274,7 +271,7 @@ def test_negated_field_gives_the_negated_boundary(desk_mesh, r_x, strength,
     for p, q in zip(neg_iso.polylines, iso.polylines):
         assert np.array_equal(p, q)
     assert neg_iso.polyline_closed == iso.polyline_closed
-    assert (neg_iso.closed, neg_iso.inside_domain) == (iso.closed, iso.inside_domain)
+    assert neg_iso.closed == iso.closed
 
 
 def _check_states_against_oracle(mesh, values, rng):
@@ -416,7 +413,7 @@ def test_isoline_matches_triangle_scan_oracle(desk_mesh, iter_mesh, geometry,
     for p, r in zip(fast.polylines, slow.polylines):
         assert np.array_equal(p, r)
     assert fast.polyline_closed == slow.polyline_closed
-    assert (fast.closed, fast.inside_domain) == (slow.closed, slow.inside_domain)
+    assert fast.closed == slow.closed
 
 
 def test_widest_wall_path_through_an_interior_maximum():
