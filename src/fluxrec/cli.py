@@ -322,8 +322,12 @@ def _cmd_contour(cfg) -> int:
     """extract isolines / plasma boundary"""
     field_path = _option(cfg, "field_path")
     boundary = _option(cfg, "plasma_boundary", False)
+    if boundary and "level" in cfg:
+        raise ConfigError("contour takes --level or --plasma-boundary, not both")
     if not (boundary or "level" in cfg):
         raise ConfigError("contour needs --level or --plasma-boundary")
+    if not boundary and "limiter_path" in cfg:
+        raise ConfigError("contour --limiter needs --plasma-boundary, not --level")
     level = None if boundary else _option(cfg, "level")
     out, mesh = _outdir_and_mesh(cfg)
     fld = fio.read_flux_csv(field_path, mesh)

@@ -148,7 +148,7 @@ class KVSystem:
         f'S_OO f - 2 f'b + b'S_OO^-1 b = |R f - R'^-1 b|^2, with
         S_OO = R'R and R = StiffnessMatrix.outer_dtn_chol.  R f and R'^-1 b
         are BLAS calls on the Fortran-ordered R, with no finiteness scan of
-        R per data set: R is part of the factor's trailing block, whose
+        R per data set: R is a block of the Cholesky factor U^, whose
         every entry reaches S_D, which eigh checked when fem built the
         interface, and CauchyData rejects non-finite f and g.
         """

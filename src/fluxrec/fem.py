@@ -7,13 +7,12 @@ stiffness matrix A of that form: the two auxiliary boundary-value solves
 (Dirichlet data on both loops, or weighted Neumann data on the outer loop
 plus Dirichlet on the inner), the interface operators (S_D, S_N, their
 eigendecomposition and the data-to-load map), traces and interpolants.
-All of them go through one sparse factorization per mesh, of A with the
-boundary nodes eliminated last, and the matrix caches each of them on
-first use, so the geometry work is done once per mesh.  The factor's
-trailing block, scaled by its pivots, is the Cholesky factor of the
-boundary Dirichlet-to-Neumann matrix S (an LDL' split), and every
-interface operator is read off its blocks: S itself is never formed and
-nothing is Cholesky-factored.  The weighted normal derivative (the
+All of them go through one sparse factorization per mesh, of the
+interior block of A bordered by the boundary rows, and one dense Cholesky
+factorization, of the boundary Dirichlet-to-Neumann matrix S formed from
+that factor's boundary rows; the matrix caches each on first use, so the
+geometry work is done once per mesh.  Every interface operator is read off
+the blocks of S's Cholesky factor.  The weighted normal derivative (the
 boundary rows of A psi) and the energy norm of a field gap are test
 oracles, in tests/oracles.py, as is a dense Schur-complement path to the
 interface operators; the pipeline needs none of them.
@@ -27,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, solve_triangular
-from scipy.linalg.blas import dtrmv, dtrsv
+from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.linalg.blas import dsyrk, dtrsv
 from scipy.sparse.linalg import spilu, splu
 
 from .mesh import Mesh, triangle_areas
@@ -57,6 +56,11 @@ _QUAD_WEIGHTS = np.array([9 / 40,
                           (155.0 - _SQRT15) / 1200.0])
 # The 2-point Gauss rule on an edge, as fractions of the way along it.
 _EDGE_POINTS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+# The share of the boundary tail that a column of L_TI must hold to join the
+# dense rank update of the Schur complement (StiffnessMatrix._tail_chol).
+# Shares from 0.05 to 0.2 build the iter and desk r1, r2 factors alike; with
+# every column in the sparse product the build takes 1.3 to 2.4 times as long.
+_HEAVY_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,8 @@ class Interface:
     S_N v = lam S_D v (eigvecs S_D-orthonormal, as columns), the closed
     form's misfit weights (1 - lam) / 2 and the data-to-load operator t_f,
     t_g (n_i x n_o each): the load is l = t_f f + t_g g.  All are read off
-    the scaled trailing block of the stiffness matrix's factor (see
-    StiffnessMatrix.interface), with no Schur complement formed."""
+    the Cholesky factor of the boundary Dirichlet-to-Neumann matrix (see
+    StiffnessMatrix.interface)."""
 
     s_d: np.ndarray
     s_n: np.ndarray
@@ -117,17 +121,16 @@ class StiffnessMatrix:
     Row sums vanish (the operator annihilates constants) and the diagonal is
     strictly positive; both are verified at assembly.
 
-    One sparse factorization is kept per mesh, computed on first use: A
-    without one boundary node's row and column, the interior eliminated
-    first in a boundary-constrained minimum-degree order (`_interior_order`)
-    and the boundary last.  Its trailing block U_TT, on the outer loop then
-    the inner loop without the held node, is kept scaled by its pivots D:
-    U^ = D^-1/2 U_TT is the upper Cholesky factor of the boundary
-    Dirichlet-to-Neumann matrix S there (S_TT = U^'U^), so S is never
-    formed.  Every field solve goes through the factor and U^: a Dirichlet
-    solve is two triangular mat-vecs with U^ and one solve with the
-    factor, and a Neumann solve adds two triangular solves on the outer
-    loop with `outer_dtn_chol`, U^'s outer block.  The interface operators
+    One sparse factorization is kept per mesh, computed on first use: the
+    bordered matrix [[A_II, 0], [A_TI, I]] with the interior I in a
+    boundary-constrained minimum-degree order (`_interior_order`) and the
+    tail T last, the outer loop then the inner loop without one held node
+    (A's kernel is the constants).  Its L carries L_TI = A_TI U_II^-1, from
+    which the boundary Dirichlet-to-Neumann matrix S_TT = A_TT - L_TI D
+    L_TI' (D the pivots of A_II) is formed densely and Cholesky-factored,
+    S_TT = U^'U^.  A Dirichlet solve is one solve with the sparse factor,
+    and a Neumann solve adds two triangular solves on the outer loop with
+    `outer_dtn_chol`, U^'s outer block.  The interface operators
     (`interface`) are products of U^'s blocks, dense work only, also on
     first use, so every data set on the mesh shares them.
     """
@@ -143,47 +146,76 @@ class StiffnessMatrix:
 
     @cached_property
     def _factor(self):
-        """SuperLU factor of A without the row and column of the last
-        boundary node (the held node, on the last loop present), and the
-        node at each of its positions.
+        """SuperLU factor of the bordered matrix [[A_II, 0], [A_TI, I]] and
+        the node at each of its positions: the interior I first, in
+        `_interior_order`, then the tail T, `_boundary` without the held node
+        (the last boundary node, on the last loop present).
 
-        A's kernel is the constants, so holding one node leaves the matrix
-        symmetric positive definite; it is factored without pivoting, the
-        interior first (in `_interior_order`), then the rest of the boundary
-        in `_boundary` order.
+        A_II is symmetric positive definite, so it is factored without
+        pivoting in its given order; FemError unless SuperLU kept that
+        order.  U's tail block is then the identity and L's tail rows are
+        L_TI = A_TI U_II^-1, so SuperLU does no dense work on the tail.
         """
-        order = np.concatenate([_interior_order(self), self._boundary[:-1]])
-        reduced = self.matrix.tocsc()[order][:, order].tocsc()
-        factor = splu(reduced, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
+        interior = _interior_order(self)
+        order = np.concatenate([interior, self._boundary[:-1]])
+        n, ni = len(order), len(interior)
+        # A's entries in the interior columns, at their positions in order
+        # (the held node's row drops out), then the tail's identity
+        at = np.full(self.mesh.node_count, -1)
+        at[order] = np.arange(n)
+        coo = self.matrix.tocoo()
+        row, col = at[coo.row], at[coo.col]
+        keep = (row >= 0) & (col >= 0) & (col < ni)
+        tail = np.arange(ni, n)
+        bordered = sparse.csc_matrix(
+            (np.concatenate([coo.data[keep], np.ones(n - ni)]),
+             (np.concatenate([row[keep], tail]), np.concatenate([col[keep], tail]))),
+            shape=(n, n))
+        factor = splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        if not (np.array_equal(factor.perm_c, np.arange(n))
+                and np.array_equal(factor.perm_r, factor.perm_c)):
+            raise FemError("assemble: the bordered factor does not keep its "
+                           "unknowns in their own order")
         return factor, order
 
     @cached_property
-    def _scaled_tail(self) -> np.ndarray:
-        """U^ = D^-1/2 U_TT, the factor's trailing block on the tail T
-        (`_boundary` without the held node) scaled by its pivots D, Fortran-
-        ordered: S_TT = U^'U^ (see `_trailing_block`)."""
-        return _trailing_block(self._factor[0], len(self._boundary) - 1)
+    def _tail_chol(self) -> np.ndarray:
+        """U^, the upper Cholesky factor of the boundary Dirichlet-to-Neumann
+        matrix on the tail T (`_boundary` without the held node),
+        Fortran-ordered: S_TT = U^'U^.
+
+        With A_II = L_II D L_II' and L_TI read off the bordered factor,
+        S_TT = A_TT - G G' for G = L_TI D^1/2.  The columns of G that hold
+        at least `_HEAVY_SHARE` of the tail go to one dense rank update
+        (dsyrk), the rest to one sparse product.  FemError unless S_TT is
+        positive definite.
+        """
+        factor, order = self._factor
+        k = len(self._boundary) - 1
+        ni = len(order) - k
+        g = factor.L[ni:, :ni]
+        g.data *= np.repeat(np.sqrt(factor.U.diagonal()[:ni]), np.diff(g.indptr))
+        heavy = np.diff(g.indptr) >= _HEAVY_SHARE * k
+        light = g[:, ~heavy]
+        tail = order[ni:]
+        s = self.matrix[tail][:, tail].toarray(order="F")
+        s -= (light @ light.T).toarray()
+        s = dsyrk(-1.0, g[:, heavy].toarray(order="F"), beta=1.0, c=s, overwrite_c=1)
+        try:
+            return cholesky(s, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise FemError(f"assemble: the boundary Dirichlet-to-Neumann "
+                           f"matrix is not positive definite: {exc}") from exc
 
     def _dirichlet_solve(self, values: np.ndarray) -> np.ndarray:
         """Nodal solution with the given `_boundary` values and no interior
-        load.
-
-        With the held node's value c subtracted (constants lie in A's
-        kernel), the field has residual 0 on the interior and S (x_G - c) on
-        the boundary, whose tail rows are U^'(U^(x_T - c)), two triangular
-        mat-vecs; so one solve with the factor gives the interior.  The
-        boundary values are then written back exactly.
-        """
+        load: x_I = A_II^-1 (-A_IB x_B), one solve with the bordered factor,
+        whose leading unknowns are I whatever the tail's right-hand side."""
         factor, order = self._factor
-        u = self._scaled_tail
-        rhs = np.zeros(len(order))
-        rhs[len(order) - len(u):] = dtrmv(
-            u, dtrmv(u, values[:-1] - values[-1], overwrite_x=1),
-            trans=1, overwrite_x=1)
-        x = np.empty(self.mesh.node_count)
-        x[order] = factor.solve(rhs) + values[-1]
+        x = np.zeros(self.mesh.node_count)
         x[self._boundary] = values
+        ni = len(order) - len(values) + 1
+        x[order[:ni]] = factor.solve(-(self.matrix @ x)[order])[:ni]
         return x
 
     @cached_property
@@ -197,14 +229,14 @@ class StiffnessMatrix:
             raise ValueError("a weighted-Neumann solve or interface system "
                              "requires an inner boundary")
         no = len(b.outer_nodes)
-        return np.asfortranarray(self._scaled_tail[:no, :no])
+        return np.asfortranarray(self._tail_chol[:no, :no])
 
     @cached_property
     def interface(self) -> Interface:
         """The interface operators, on first use, with no sparse solve.
 
         Every block of the boundary Dirichlet-to-Neumann matrix S is a
-        product of U^'s blocks, so none of S is formed.  S_OO = R'R and
+        product of U^'s blocks.  S_OO = R'R and
         S_OI = R'U^_OI on the inner nodes but the held one, whose column
         follows from zero row sums; with W = R'^-1 T_f' = -R'^-1 S_OI that
         makes W = -U^_OI, held column R 1 + U^_OI 1.  The Neumann lift (zero
@@ -220,7 +252,7 @@ class StiffnessMatrix:
         """
         r = self.outer_dtn_chol
         no = len(r)
-        u_oi, u_ii = self._scaled_tail[:no, no:], self._scaled_tail[no:, no:]
+        u_oi, u_ii = self._tail_chol[:no, no:], self._tail_chol[no:, no:]
         ni = len(u_ii) + 1
         w = np.empty((no, ni))
         np.negative(u_oi, out=w[:, :-1])
@@ -283,37 +315,13 @@ def _interior_order(A: StiffnessMatrix) -> np.ndarray:
     interior = np.setdiff1d(np.arange(n), A._boundary)
     vertex = np.full(n, len(interior))
     vertex[interior] = np.arange(len(interior))
-    contract = sparse.csr_matrix((np.ones(n), (vertex, np.arange(n))),
-                                 shape=(len(interior) + 1, n))
-    graph = (contract @ abs(A.matrix) @ contract.T).tocsc()
+    coo = A.matrix.tocoo()
+    graph = sparse.csc_matrix((np.abs(coo.data), (vertex[coo.row], vertex[coo.col])),
+                              shape=(len(interior) + 1, len(interior) + 1))
     perm_c = spilu(graph, drop_tol=1e300, fill_factor=1,
                    permc_spec="MMD_AT_PLUS_A").perm_c
     at = np.argsort(perm_c)
     return interior[at[at < len(interior)]]
-
-
-def _trailing_block(factor, k: int) -> np.ndarray:
-    """D^-1/2 U_TT, Fortran-ordered, for U_TT the last k rows and columns of
-    the U factor of a symmetric positive definite matrix and D = diag(U_TT):
-    the upper Cholesky factor of the Schur complement U_TT' D^-1 U_TT of the
-    leading unknowns on the last k (an LDL' split).
-
-    SuperLU may reorder columns; the block is that factor only if the last
-    k unknowns keep their own order there and every pivot is diagonal, and
-    only if every pivot of the block is positive.
-    """
-    n = factor.shape[0]
-    if not (np.array_equal(factor.perm_r, factor.perm_c)
-            and np.array_equal(factor.perm_c[n - k:], np.arange(n - k, n))):
-        raise FemError("assemble: boundary nodes not eliminated last, "
-                       "in their own order")
-    u = factor.U[n - k:, n - k:].toarray(order="F")
-    pivots = u.diagonal()
-    if not np.all(pivots > 0.0):
-        raise FemError(f"assemble: trailing pivot {pivots.min():.3e} of the "
-                       f"boundary-last factor is not positive")
-    u /= np.sqrt(pivots)[:, None]
-    return u
 
 
 def assemble_stiffness(mesh: Mesh) -> StiffnessMatrix:
@@ -392,7 +400,7 @@ def solve_neumann(A: StiffnessMatrix, g, v) -> FluxField:
     r = A.outer_dtn_chol
     held = v[-1]
     y = dtrsv(r, A.outer_mass @ g, trans=1, overwrite_x=1)
-    y -= A._scaled_tail[:no, no:] @ (v[:-1] - held)
+    y -= A._tail_chol[:no, no:] @ (v[:-1] - held)
     w = dtrsv(r, y, overwrite_x=1)
     w += held
     x = A._dirichlet_solve(np.concatenate([w, v]))

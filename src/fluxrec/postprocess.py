@@ -192,10 +192,13 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
     the top of the inner-boundary trace, up.  Without a limiter, the
     boundary value is B itself, the level at which the closed flux surfaces
     open to the wall (the X-point level); its isoline is drawn 2e-6 of the
-    field range inside the closed band.  With a limiter polyline, the
-    boundary value is the extremal flux sampled along the limiter, provided
-    its surface is closed around the inner boundary.  `mesh`, if given,
-    must be the field's own mesh.
+    field range inside the closed band, or halfway across a narrower one.
+    With a limiter polyline, the boundary value is the extremal flux sampled
+    along the limiter, provided its surface is closed around the inner
+    boundary.  A bottleneck within 1e-9 of the field range of the wall
+    extreme or of s_max counts as reaching it, so roundoff in a flux-surface
+    wall or inner trace does not decide whether an X-point exists.  `mesh`,
+    if given, must be the field's own mesh.
 
     Returns (psi_p, Isoline, mode) with mode 'xpoint' or 'limiter'.  Raises
     NoTransitionError when the closed state never occurs (every level's
@@ -224,30 +227,32 @@ def find_plasma_boundary(fld: FluxField, mesh: Mesh | None = None,
         inner_trace, outer_trace = -inner_trace, -outer_trace
     span = fld.values.min(), fld.values.max()
     rng = float(span[1] - span[0])
+    margin = 1e-9 * rng
     ends = _edge_ends(mesh, fld.values)
     bottleneck = _bottleneck_level(mesh, ends)
     s_max = float(inner_trace.max())
 
     if limiter is not None:
         mode, level = "limiter", float(_sample_field(fld, limiter).max())
-        if not bottleneck <= level + 1e-9 * rng < s_max:
+        if not bottleneck <= level + margin < s_max:
             raise NoTransitionError(
                 "no closed flux surface encircling the inner boundary "
                 "inside the limiter")
-        iso = _isoline(fld, level + 1e-9 * rng, span, ends)
+        iso = _isoline(fld, level + margin, span, ends)
     else:
         lo = float(outer_trace.min())
-        if bottleneck <= lo:
+        if bottleneck <= lo + margin:
             state = "closed" if lo < s_max else "empty"
             raise NoTransitionError(
                 f"contours never escape through the outer wall (state {state!r} "
                 "at the wall extreme); no X-point in the domain")
-        if bottleneck >= s_max:
+        if bottleneck >= s_max - margin:
             raise NoTransitionError(
                 "the inner-attached flux region is never closed: contours are "
                 "open at every level; no X-point in the domain")
         mode, level = "xpoint", bottleneck
-        iso = _isoline(fld, bottleneck + 2e-6 * rng, span, ends)
+        inside = min(2e-6 * rng, 0.5 * (s_max - bottleneck))
+        iso = _isoline(fld, bottleneck + inside, span, ends)
     if flip:
         level, iso.level = -level, -iso.level
     return level, iso, mode

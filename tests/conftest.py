@@ -41,24 +41,28 @@ def wide_A(wide_mesh):
     return assemble_stiffness(wide_mesh)
 
 
-def negate_trailing_rows(monkeypatch, mesh, count: int) -> None:
-    """Make fem's factorizations of mesh serve U with the rows of the first
-    `count` unknowns of its boundary tail negated: n_o rows negate the
-    outer block, the tail's length all of the trailing block."""
+def inflate_tail_rows(monkeypatch, mesh, count: int) -> None:
+    """Make fem's bordered factorizations of mesh serve L with the rows of
+    the first `count` unknowns of its boundary tail scaled by 10.  The
+    diagonal of the Schur complement A_TT - L_TI D L_TI' that fem forms is
+    then A_jj - 100 (A_jj - S_jj) on those rows, negative wherever
+    S_jj < 0.99 A_jj (S_jj <= 0.85 A_jj on the desk mesh): n_o rows break
+    the outer block, the tail's length all of it."""
     b = mesh.boundary
     k = len(b.outer_nodes) + len(b.inner_nodes) - 1
     real = fem.splu
 
-    def negated(*args, **kwargs):
+    def inflated(*args, **kwargs):
         factor = real(*args, **kwargs)
         n = factor.shape[0]
-        sign = np.ones(n)
-        sign[n - k:n - k + count] = -1.0
+        scale = np.ones(n)
+        scale[n - k:n - k + count] = 10.0
         return SimpleNamespace(shape=factor.shape, perm_c=factor.perm_c,
-                               perm_r=factor.perm_r,
-                               U=sparse.diags(sign) @ factor.U)
+                               perm_r=factor.perm_r, solve=factor.solve,
+                               L=(sparse.diags(scale) @ factor.L).tocsc(),
+                               U=factor.U)
 
-    monkeypatch.setattr(fem, "splu", negated)
+    monkeypatch.setattr(fem, "splu", inflated)
 
 
 def build_square_mesh(n: int = 10, r0: float = 1.0, size: float = 1.0) -> Mesh:

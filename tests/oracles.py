@@ -7,7 +7,8 @@ mesh-generator oracle works one point, ray and triangle at a time; the
 interface-load and constant-term oracles lift the data by two sparse
 solves, the interface oracles solve for whole blocks of lifted columns,
 and the dense-Schur oracle forms the whole boundary Dirichlet-to-Neumann
-matrix from the kept factor and Cholesky-factors its outer block; the
+matrix by one solve per boundary node with a factor of its own and
+Cholesky-factors its outer block; the
 stiffness oracle forms its local blocks by ``np.einsum``; every
 field-solve oracle factors its matrix afresh in node
 order, and the interior-order oracle takes COLAMD's order from a
@@ -1137,21 +1138,23 @@ def two_lift_constant(system) -> float:
     return 0.5 * float(gap @ (A.matrix @ gap))
 
 
-def schur_by_block_solve(A) -> np.ndarray:
-    """S_OO = A_OO - A_OF A_FF^-1 A_FO, F the interior nodes, from a fresh
-    factorization of A_FF and one solve per outer node."""
+def schur_by_block_solve(A, nodes=None) -> np.ndarray:
+    """S_NN = A_NN - A_NF A_FF^-1 A_FN on the given boundary nodes N (the
+    outer loop by default), F the interior nodes, from a fresh factorization
+    of A_FF and one solve per node of N."""
     b = A.mesh.boundary
+    nodes = b.outer_nodes if nodes is None else nodes
     interior = np.setdiff1d(np.arange(A.mesh.node_count),
                             np.concatenate([b.outer_nodes, b.inner_nodes]))
     csc = A.matrix.tocsc()
-    a_fo = csc[interior][:, b.outer_nodes].toarray()
-    a_oo = csc[b.outer_nodes][:, b.outer_nodes].toarray()
-    return a_oo - a_fo.T @ splu(csc[interior][:, interior].tocsc()).solve(a_fo)
+    a_fn = csc[interior][:, nodes].toarray()
+    a_nn = csc[nodes][:, nodes].toarray()
+    return a_nn - a_fn.T @ splu(csc[interior][:, interior].tocsc()).solve(a_fn)
 
 
 def colamd_interior_order(A) -> np.ndarray:
     """The interior nodes in the column order of a default (COLAMD)
-    factorization of A_FF, F the interior nodes: the boundary-last factor's
+    factorization of A_FF, F the interior nodes: the bordered factor's
     interior order before the constrained minimum-degree order."""
     b = A.mesh.boundary
     interior = np.setdiff1d(np.arange(A.mesh.node_count),
@@ -1185,39 +1188,23 @@ class DenseSchurInterface:
 
 def interface_by_dense_schur(A) -> DenseSchurInterface:
     """S, R and the interface operators by the dense path: S as the whole
-    Schur complement U_TT' D^-1 U_TT of the kept factor's trailing block
-    (un-permuted by perm_c), its held node's row and column from zero row
-    sums, S_OO Cholesky-factored and W = R'^-1 T_f' by a triangular solve.
+    Schur complement of the interior on the boundary (`schur_by_block_solve`
+    on both loops, from a factor of its own), S_OO Cholesky-factored and
+    W = R'^-1 T_f' by a triangular solve.
 
-    FemError unless the boundary is eliminated last with diagonal pivots, S
-    is symmetric within 1e-12 relative, the held node's diagonal entry is
-    positive and S_OO positive definite, and the eigenvalue checks of
-    StiffnessMatrix.interface hold.  ValueError on a mesh without an inner
-    loop.
+    FemError unless S is symmetric within 1e-12 relative, S_OO is positive
+    definite and the eigenvalue checks of StiffnessMatrix.interface hold.
+    ValueError on a mesh without an inner loop.
     """
-    if len(A.mesh.boundary.inner_nodes) == 0:
+    b = A.mesh.boundary
+    if len(b.inner_nodes) == 0:
         raise ValueError("a weighted-Neumann solve or interface system "
                          "requires an inner boundary")
-    factor = A._factor[0]
-    b = A.mesh.boundary
-    k = len(b.outer_nodes) + len(b.inner_nodes) - 1
-    n = factor.shape[0]
-    tail = factor.perm_c[n - k:] - (n - k)
-    if not (np.array_equal(factor.perm_r, factor.perm_c) and tail.min() >= 0):
-        raise FemError("assemble: boundary nodes not eliminated last")
-    u = factor.U[n - k:, n - k:].toarray()
-    block = (u.T @ (u / u.diagonal()[:, None]))[np.ix_(tail, tail)]
-    s = np.empty((k + 1, k + 1))
-    s[:k, :k] = block
-    s[:k, k] = s[k, :k] = -block.sum(axis=1)
-    s[k, k] = block.sum()
+    s = schur_by_block_solve(A, np.concatenate([b.outer_nodes, b.inner_nodes]))
     asym = np.abs(s - s.T).max()
     if asym > 1e-12 * np.abs(s).max():
         raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
                        f"asymmetry {asym:.3e} exceeds 1e-12 relative")
-    if not s[k, k] > 0.0:
-        raise FemError(f"assemble: boundary Dirichlet-to-Neumann matrix "
-                       f"has diagonal entry {s[k, k]:.3e} at the held node")
     s = 0.5 * (s + s.T)
 
     no = len(b.outer_nodes)

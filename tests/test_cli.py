@@ -207,6 +207,35 @@ def test_config_plasma_boundary_is_true_or_false(desk_mesh_file, tmp_path, capsy
                 f"got {value!r}" in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("given, message", [
+    ({"level": "0.25", "plasma_boundary": None},
+     "contour takes --level or --plasma-boundary, not both"),
+    ({"level": "0.25", "limiter_path": "limiter.csv"},
+     "contour --limiter needs --plasma-boundary, not --level")],
+    ids=["level_and_plasma_boundary", "level_and_limiter"])
+@pytest.mark.parametrize("from_config", ["none", "level", "other"])
+def test_contour_conflicting_options_exit_alike_from_flag_or_config(
+        tmp_path, given, message, from_config):
+    # no file is read: the mesh, field and limiter do not exist
+    flags = {"level": "--level", "plasma_boundary": "--plasma-boundary",
+             "limiter_path": "--limiter"}
+    argv = ["contour", "--mesh", str(tmp_path / "missing.mesh"),
+            "--field", str(tmp_path / "missing.csv")]
+    lines = []
+    for option, value in given.items():
+        if from_config == ("level" if option == "level" else "other"):
+            lines.append(f"{option} = {'true' if value is None else value}\n")
+        else:
+            argv += [flags[option]] + ([] if value is None else [value])
+    (tmp_path / "run.cfg").write_text("".join(lines))
+    out = tmp_path / "out"
+    with redirect_stderr(io.StringIO()) as err:
+        assert main([*argv, "--config", str(tmp_path / "run.cfg"),
+                     "--output-dir", str(out)]) == 2
+    assert err.getvalue() == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_key_that_is_no_option_gives_config_exit(desk_mesh_file, tmp_path,
                                                         capsys):
     # `noise` is the flag; its option, and so its config key, is `noise_level`

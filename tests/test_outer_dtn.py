@@ -1,20 +1,21 @@
-"""The interface operators read off the boundary-last factor, and the
-field solves that go through it.
+"""The interface operators read off the Schur complement's Cholesky
+factor, and the field solves that go through the bordered factor.
 
-fem keeps one boundary-last factor per mesh, with the interior in a
-boundary-constrained minimum-degree order, and its trailing block scaled by
-its pivots, U^, the Cholesky factor of the boundary Dirichlet-to-Neumann
-matrix S.  The stiffness matrix's interface reads R (S_OO = R'R), S_D, S_N,
-T_f and T_g off U^'s blocks with no S formed and nothing Cholesky-factored,
-KVSystem builds J's constant term from R, and a Neumann field solve is two
-triangular solves with R and a Dirichlet solve.  These tests hold each of
-them, and the outer boundary mass that carries the wall load, to the dense
-Schur-complement, block-solve, two-lift, fresh-factor or edge-by-edge path
-(oracles in `oracles`), on the three fixed geometries and on generated
-ring-ladder meshes, check the guards on the factor's column order and its
-trailing pivots, hold the factor's fill below that of the former COLAMD
-interior order, and count the sparse factorizations, Cholesky calls and
-eigendecompositions a mesh makes.
+fem keeps one sparse factor per mesh, of the bordered matrix
+[[A_II, 0], [A_TI, I]] with the interior in a boundary-constrained
+minimum-degree order and the boundary tail last, forms the boundary
+Dirichlet-to-Neumann matrix S_TT = A_TT - L_TI D L_TI' from its tail rows
+and keeps S_TT's Cholesky factor U^.  The stiffness matrix's interface
+reads R (S_OO = R'R), S_D, S_N, T_f and T_g off U^'s blocks, KVSystem
+builds J's constant term from R, a Dirichlet field solve is one solve with
+the bordered factor and a Neumann solve adds two triangular solves with R.
+These tests hold each of them, and the outer boundary mass that carries
+the wall load, to the dense Schur-complement, block-solve, two-lift,
+fresh-factor or edge-by-edge path (oracles in `oracles`), on the three
+fixed geometries and on generated ring-ladder meshes, check the guards on
+the factor's order and on S_TT's definiteness, hold the factor's fill
+below that of the former COLAMD interior order, and count the sparse
+factorizations, Cholesky calls and eigendecompositions a mesh makes.
 """
 
 import gc
@@ -24,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import cholesky
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +34,7 @@ from fluxrec import (CauchyData, assemble_kv, assemble_stiffness, fem,
 from fluxrec.fem import FemError
 from fluxrec.mesh import (MeshGeometryError, generate_annulus_mesh,
                           scale_toward_centroid)
-from conftest import build_square_mesh, negate_trailing_rows
+from conftest import build_square_mesh, inflate_tail_rows
 from oracles import (colamd_interior_order, dirichlet_block_interface,
                      dirichlet_solve, flux_load_by_edge,
                      interface_by_dense_schur, neumann_block_interface,
@@ -192,9 +194,8 @@ def test_factor_has_less_fill_than_the_colamd_interior_order(base,
     monkeypatch.setattr(fem, "_interior_order", colamd_interior_order)
     ref = fem.StiffnessMatrix(A.matrix, A.mesh)
     assert kept.nnz < ref._factor[0].nnz
-    # the tail keeps its order, so both trailing blocks are S_TT's
-    # Cholesky factor
-    assert _rel(A._scaled_tail, ref._scaled_tail) <= 1e-12
+    # the tail keeps its order, so both give S_TT's Cholesky factor
+    assert _rel(A._tail_chol, ref._tail_chol) <= 1e-12
 
 
 @st.composite
@@ -229,24 +230,52 @@ def test_oracles_hold_on_generated_meshes(mesh, seed):
 
 @pytest.fixture(scope="module")
 def desk_factor(desk_A):
-    """The desk mesh's boundary-last factor, its node order and the length
+    """The desk mesh's bordered factor, its node order and the length
     of its tail."""
     factor, order = desk_A._factor
     b = desk_A.mesh.boundary
     return factor, order, len(b.outer_nodes) + len(b.inner_nodes) - 1
 
 
-def _fake_factor(factor, k, perm_c, perm_r=None):
-    """The factor with its unknowns moved to other positions, as SuperLU's
-    column postorder or row pivoting could move them.  perm_c(n, k) gives
-    the position of each unknown; perm_r, the row positions, defaults to
-    perm_c."""
-    n = factor.shape[0]
-    cols = perm_c(n, k)
-    at = np.argsort(cols)                   # the unknown at each position
-    return SimpleNamespace(shape=factor.shape, perm_c=cols,
-                           perm_r=cols if perm_r is None else perm_r(n, k),
-                           U=factor.U[at][:, at])
+def _check_bordered_factor(A):
+    """U's tail columns are those of the identity, and U^ is the Cholesky
+    factor of S_TT from the dense Schur-complement oracle, within 1e-12
+    relative."""
+    factor, order = A._factor
+    k = len(A._boundary) - 1
+    n = len(order)
+    assert _rel(factor.U[:, n - k:].toarray(), np.eye(n)[:, n - k:]) == 0.0
+    s = interface_by_dense_schur(A).s
+    assert _rel(A._tail_chol, cholesky(s[:k, :k])) <= 1e-12
+
+
+def test_bordered_factor_gives_the_dense_schur_cholesky(base):
+    _check_bordered_factor(base.stiffness)
+
+
+@settings(max_examples=8, deadline=None)
+@given(mesh=ring_ladder_meshes(), seed=seeds)
+def test_bordered_factor_holds_on_generated_meshes(mesh, seed):
+    A = assemble_stiffness(mesh)
+    _check_bordered_factor(A)
+    _check_field_solves(A, seed)
+
+
+def _fake_factor(mesh, perm_c, perm_r=None):
+    """splu with the bordered factor's unknowns moved to other positions,
+    as SuperLU's column postorder or row pivoting could move them.
+    perm_c(n, k) gives the position of each unknown, k the length of
+    mesh's boundary tail; perm_r, the row positions, defaults to perm_c."""
+    b = mesh.boundary
+    k = len(b.outer_nodes) + len(b.inner_nodes) - 1
+    real = fem.splu
+
+    def moved(*args, **kwargs):
+        n = real(*args, **kwargs).shape[0]
+        cols = perm_c(n, k)
+        return SimpleNamespace(shape=(n, n), perm_c=cols,
+                               perm_r=cols if perm_r is None else perm_r(n, k))
+    return moved
 
 
 def _identity(n, k):
@@ -276,31 +305,35 @@ def test_factor_is_boundary_last_without_pivoting(desk_A, desk_factor):
                           np.concatenate([b.outer_nodes, b.inner_nodes[:-1]]))
 
 
-def test_outer_dtn_rejects_a_reordered_tail(desk_factor):
+def _rejected(A, monkeypatch, perm_c, perm_r=None):
+    monkeypatch.setattr(fem, "splu", _fake_factor(A.mesh, perm_c, perm_r))
+    with pytest.raises(FemError, match="assemble: the bordered factor does "
+                       "not keep its unknowns in their own order"):
+        fem.StiffnessMatrix(A.matrix, A.mesh)._factor
+
+
+def test_outer_dtn_rejects_a_reordered_tail(desk_A, monkeypatch):
     # R is the leading block of U^ only with the outer loop first, in order
-    factor, _, k = desk_factor
-    with pytest.raises(FemError, match="not eliminated last, in their own order"):
-        fem._trailing_block(_fake_factor(factor, k, _reversed_tail), k)
+    _rejected(desk_A, monkeypatch, _reversed_tail)
 
 
 @pytest.mark.parametrize("perm_c, perm_r", [(_swapped_ends, None),
                                             (_identity, _swapped_ends)],
                          ids=["interior_in_tail", "off_diagonal_pivots"])
-def test_outer_dtn_rejects_broken_factor_order(desk_factor, perm_c, perm_r):
-    factor, _, k = desk_factor
-    with pytest.raises(FemError,
-                       match="assemble: boundary nodes not eliminated last"):
-        fem._trailing_block(_fake_factor(factor, k, perm_c, perm_r), k)
+def test_outer_dtn_rejects_broken_factor_order(desk_A, perm_c, perm_r,
+                                               monkeypatch):
+    _rejected(desk_A, monkeypatch, perm_c, perm_r)
 
 
 def test_factor_rejects_a_non_positive_trailing_pivot(desk_mesh, monkeypatch):
-    # a negated trailing block has negative pivots, so U^ = D^-1/2 U_TT is
-    # no Cholesky factor (an outer block alone is tested in test_spectral_path)
+    # inflated tail rows of L_TI leave S_TT indefinite, so its Cholesky
+    # factorization meets a non-positive pivot (an outer block alone is
+    # tested in test_spectral_path)
     b = desk_mesh.boundary
-    negate_trailing_rows(monkeypatch, desk_mesh,
-                         len(b.outer_nodes) + len(b.inner_nodes) - 1)
-    with pytest.raises(FemError,
-                       match="assemble: trailing pivot .* is not positive"):
+    inflate_tail_rows(monkeypatch, desk_mesh,
+                      len(b.outer_nodes) + len(b.inner_nodes) - 1)
+    with pytest.raises(FemError, match="assemble: the boundary "
+                       "Dirichlet-to-Neumann matrix is not positive definite"):
         assemble_stiffness(desk_mesh).interface
 
 
@@ -338,9 +371,8 @@ class _Watched:
 
 
 def test_one_factor_outlives_assembly(iter_mesh, monkeypatch):
-    # set-up and the field solves make one eigendecomposition and no
-    # Cholesky factorization: fem imports none, and none is called
-    assert not [name for name in vars(fem) if name.startswith("cho")]
+    # set-up and the field solves make one eigendecomposition and one
+    # Cholesky factorization, of S_TT
     called = {"cholesky": 0, "eigh": 0}
 
     def counted(name, real):
@@ -353,6 +385,7 @@ def test_one_factor_outlives_assembly(iter_mesh, monkeypatch):
                             counted("cholesky", module.cholesky))
     monkeypatch.setattr(scipy.linalg, "cho_factor",
                         counted("cholesky", scipy.linalg.cho_factor))
+    monkeypatch.setattr(fem, "cholesky", counted("cholesky", fem.cholesky))
     monkeypatch.setattr(fem, "eigh", counted("eigh", fem.eigh))
     made = {"splu": [], "spilu": []}
     for name in made:
@@ -372,6 +405,6 @@ def test_one_factor_outlives_assembly(iter_mesh, monkeypatch):
     alive = [ref() for ref, _ in made["splu"] + made["spilu"]
              if ref() is not None]
     assert alive == [A._factor[0]]
-    # U was read once, for U^; the field solves read neither L nor U
-    assert A._factor[0].read == ["U"]
-    assert called == {"cholesky": 0, "eigh": 1}
+    # L and U were read once each, for S_TT; the field solves read neither
+    assert sorted(A._factor[0].read) == ["L", "U"]
+    assert called == {"cholesky": 1, "eigh": 1}

@@ -204,6 +204,44 @@ def test_radial_field_has_no_transition(desk_mesh):
         find_plasma_boundary(fld)
 
 
+def _no_transition_message(fld) -> str:
+    with pytest.raises(NoTransitionError) as raised:
+        find_plasma_boundary(fld)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("psi, reason", [
+    # the outer wall is a flux surface: the wall trace spreads by roundoff
+    (lambda r, z: (r - 6.0) ** 2 + z * z, "never escape"),
+    # the inner loop is a flux surface that runs on to the wall at its own
+    # level: the inner trace spreads by roundoff
+    (lambda r, z: np.where(r < 6.0, -((r - 6.0) ** 2 + z * z), -0.64),
+     "never closed")], ids=["wall_surface", "inner_surface"])
+def test_roundoff_does_not_decide_the_xpoint(desk_mesh, psi, reason):
+    # the field, its 6-digit rounding (whose traces are exact) and their
+    # negations all find no X-point, with one message
+    fld = interpolate(desk_mesh, psi)
+    messages = {_no_transition_message(FluxField(sign * v, desk_mesh))
+                for v in (fld.values, np.round(fld.values, 6))
+                for sign in (1.0, -1.0)}
+    assert len(messages) == 1 and reason in messages.pop()
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-5])
+def test_xpoint_isoline_stays_in_a_narrow_closed_band(desk_mesh, delta):
+    # the inner loop is a flux surface and the right half sits delta below
+    # it out to the wall, so the closed band [B, s_max) is narrower than
+    # 2e-6 of the field range; its isoline is drawn inside it
+    fld = interpolate(desk_mesh, lambda r, z: np.where(
+        r < 6.0, -((r - 6.0) ** 2 + z * z), -0.64 - delta))
+    for sign in (1.0, -1.0):
+        psi_p, iso, mode = find_plasma_boundary(FluxField(sign * fld.values,
+                                                          desk_mesh))
+        assert mode == "xpoint" and psi_p == sign * (-0.64 - delta)
+        assert -0.64 - delta < sign * iso.level < -0.64
+        assert iso.polylines
+
+
 def test_pure_quadratic_saddle_has_no_closed_contours(desk_mesh):
     # a pure saddle admits no closed level curves at all (no interior
     # extremum), so the boundary search must report no transition.  The

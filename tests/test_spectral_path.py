@@ -27,7 +27,7 @@ from fluxrec.completion import NearSingularError
 from fluxrec.experiments import TwinSpec, add_noise, generate_reference, run_twin
 from fluxrec.fem import FemError
 from fluxrec.regularization import default_grid
-from conftest import negate_trailing_rows
+from conftest import inflate_tail_rows
 from oracles import (evaluate, solve_completion_eager, sweep_by_epsilon,
                      two_lift_load)
 
@@ -393,9 +393,9 @@ def _zero_data(mesh) -> CauchyData:
 
 
 def test_assembly_rejects_indefinite_s_d(desk_mesh, monkeypatch):
-    # S_D = S_N + W'W is positive definite by construction once the
-    # trailing pivots are positive, so only a fault in what reaches the
-    # eigensolver can break it: hand it S_D negated
+    # S_D = S_N + W'W is positive definite by construction once the Schur
+    # complement's Cholesky factor exists, so only a fault in what reaches
+    # the eigensolver can break it: hand it S_D negated
     real = fem.eigh
     monkeypatch.setattr(fem, "eigh", lambda s_n, s_d: real(s_n, -s_d))
     with pytest.raises(FemError, match="S_D is not positive definite"):
@@ -404,13 +404,13 @@ def test_assembly_rejects_indefinite_s_d(desk_mesh, monkeypatch):
 
 
 def test_assembly_rejects_indefinite_s_oo(desk_mesh, monkeypatch):
-    # S_OO = R'R with R = D_O^-1/2 U_OO, so S_OO is positive definite
-    # exactly when the outer pivots are positive: negate the outer rows of
-    # the trailing block
-    negate_trailing_rows(monkeypatch, desk_mesh,
-                         len(desk_mesh.boundary.outer_nodes))
-    with pytest.raises(FemError,
-                       match="assemble: trailing pivot .* is not positive"):
+    # S_OO = R'R is the leading block of the Schur complement that fem
+    # Cholesky-factors, so an indefinite S_OO stops that factorization:
+    # inflate the outer rows of L_TI
+    inflate_tail_rows(monkeypatch, desk_mesh,
+                      len(desk_mesh.boundary.outer_nodes))
+    with pytest.raises(FemError, match="assemble: the boundary "
+                       "Dirichlet-to-Neumann matrix is not positive definite"):
         assemble_kv(desk_mesh, assemble_stiffness(desk_mesh),
                     _zero_data(desk_mesh))
 
