@@ -1,23 +1,25 @@
 """Batch command-line front end.
 
-Commands: mesh, complete, twin, lcurve, contour.  Options come from a flat
-key=value config file, overridden by command-line flags.  One table,
-_OPTIONS, declares each flag, its config key and its kind, which converts a
-flag's text and a config value alike; a command converts its options, and
-checks each value's domain with the library's own check, before it reads
-any file.  Identical config and seed reproduce byte-identical files.
+Commands: mesh, complete, twin, lcurve, contour.  One table, _OPTIONS,
+declares each flag, its config key and its kind.  Flags override a flat
+key=value config file and are read by its rule: a flag is matched by its
+full name, a value flag takes `--flag=value` or `--flag value` whatever the
+value looks like (`--level -5e-1`), a switch takes none, and the last
+repeat holds; -h or --help lists the flags.  A kind converts a flag's text
+and a config value alike, and a command checks each value's domain with the
+library's own check before it reads any file.  Identical config and seed
+reproduce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 `main` alone decides them, by exception kind: a file that cannot be read
 or is malformed (OSError, UnicodeError, MeshFormatError) exits 4; a mesh
 that fails validation or meshing, or a numerical failure (RuntimeError,
-LinAlgError), exits 3; any other ValueError is a bad option value and exits
-2.  The library checks each value once, so commands catch nothing.
+LinAlgError), exits 3; any other ValueError, a bad option value or command
+line, exits 2.  The library checks each value once, so commands catch nothing.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -43,12 +45,8 @@ class ConfigError(ValueError):
 
 
 def _boolean(value) -> bool:
-    """A set switch, or a config file's `true` or `false`."""
-    if value is True or value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ValueError(value)
+    """A config file's `true` or `false`; a set switch reads as `true`."""
+    return {"true": True, "false": False}[value]
 
 
 # the built-in mesh geometries, by name
@@ -92,6 +90,8 @@ _OPTIONS = {
                 ("--limiter", "limiter_path", str, "limiter polyline CSV for limiter mode")],
 }
 _KINDS = {option: kind for rows in _OPTIONS.values() for _, option, kind, _ in rows}
+_COMMON = [("--config", "config", str, "flat key=value config file"),
+           ("--output-dir", "output_dir", str, "artifact directory")]
 
 
 def _read_config(path) -> dict:
@@ -118,47 +118,45 @@ def _read_config(path) -> dict:
     return cfg
 
 
-class _Parser(argparse.ArgumentParser):
-    """Keeps the attached ``--flag=--`` as the value ``--``.
-
-    argparse before Python 3.13 drops every ``--`` from an option's values,
-    so that form would read as an empty list instead of a string.
-    """
-
-    def _get_values(self, action, arg_strings):
-        if action.option_strings and arg_strings == ["--"]:
-            value = self._get_value(action, "--")
-            self._check_value(action, value)
-            return value
-        return super()._get_values(action, arg_strings)
+def _help(command=None) -> None:
+    """Print the commands, or the flags of one, from the table's help texts."""
+    if command is None:
+        rows = [(name, run.__doc__) for name, run in _COMMANDS.items()]
+    else:
+        rows = [(flag if kind is _boolean else f"{flag} {option.upper()}", text)
+                for flag, option, kind, text in [*_COMMON, *_OPTIONS[command]]]
+    print(f"usage: fluxrec {command or 'COMMAND'} [FLAG ...]")
+    for name, text in rows:
+        print(f"  {name:<31}{text}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fluxrec",
-        description="Vacuum flux reconstruction from magnetic boundary data")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, rows in _OPTIONS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--output-dir", help="artifact directory")
-        for flag, option, kind, text in rows:
-            p.add_argument(flag, dest=option, help=text,
-                           action="store_true" if kind is _boolean else "store")
-    return parser
-
-
-def _merge(args: argparse.Namespace) -> dict:
-    """Config file values with command-line overrides on top, as text (a set
-    switch as True)."""
-    cfg: dict = {}
-    if args.config:
-        cfg.update(_read_config(args.config))
-    for key, value in vars(args).items():
-        if key != "config" and value is not None and value is not False:
-            cfg[key] = value
-    cfg.setdefault("output_dir", ".")
-    return cfg
+def _read_args(argv) -> dict | None:
+    """A command line's options over its --config file's, as text, with the
+    command and output_dir (default `.`); None once help is printed."""
+    command, *words = argv or [""]
+    if command in ("-h", "--help"):
+        return _help()
+    if command not in _COMMANDS:
+        raise ConfigError(f"command must be {', '.join(_COMMANDS)}, got {command!r}")
+    rows = {flag: (option, kind) for flag, option, kind, _ in [*_COMMON, *_OPTIONS[command]]}
+    flags = {"command": command}
+    words = iter(words)
+    for word in words:
+        if word in ("-h", "--help"):
+            return _help(command)
+        flag, eq, value = word.partition("=")
+        if flag not in rows:
+            raise ConfigError(f"{command} has no flag {flag!r}")
+        option, kind = rows[flag]
+        if kind is _boolean and eq:
+            raise ConfigError(f"switch {flag} takes no value, got {word!r}")
+        if not eq:
+            value = "true" if kind is _boolean else next(words, None)
+        if value is None:
+            raise ConfigError(f"flag {flag} needs a value")
+        flags[option] = value
+    cfg = _read_config(flags.pop("config")) if "config" in flags else {}
+    return {"output_dir": ".", **cfg, **flags}
 
 
 def _option(cfg, key, default=None):
@@ -366,13 +364,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        return _COMMANDS[args.command](_merge(args))
+        cfg = _read_args(sys.argv[1:] if argv is None else argv)
+        return EXIT_OK if cfg is None else _COMMANDS[cfg["command"]](cfg)
     except (OSError, RuntimeError, ValueError) as exc:
         for kinds, code, kind in _FAILURES:
             if isinstance(exc, kinds):

@@ -69,6 +69,11 @@ def _check_grid(eps_grid: np.ndarray) -> np.ndarray:
 
 def default_grid(count: int = 20, lo: float = 1e-6, hi: float = 1e-1) -> np.ndarray:
     """Logarithmically spaced grid, decreasing, bracketing practical values."""
+    if not count >= 0:
+        raise ValueError(f"eps_grid count must be nonnegative, got {count!r}")
+    for name, end in (("lo", lo), ("hi", hi)):
+        if not 0.0 < end < math.inf:
+            raise ValueError(f"eps_grid end {name} must be finite and positive, got {end!r}")
     return np.geomspace(hi, lo, count)
 
 

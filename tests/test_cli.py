@@ -1,9 +1,8 @@
-import argparse
 import io
 import subprocess
 import sys
 import warnings
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
 import numpy as np
@@ -487,18 +486,23 @@ def test_config_file_values_reach_the_run_under_the_flags(tmp_path_factory, comm
 
 
 def test_parser_and_config_keys_follow_the_option_table(tmp_path):
-    parser = cli._build_parser()
-    commands, = (action.choices for action in parser._actions
-                 if isinstance(action, argparse._SubParsersAction))
-    assert list(commands) == list(cli._OPTIONS)
+    # each command's flags, --config and --output-dir read to their options:
+    # a value flag keeps its text, a set switch reads as `true`, and a flag
+    # overrides its config key
+    assert list(cli._COMMANDS) == list(cli._OPTIONS)
+    path = tmp_path / "case.cfg"
+    path.write_text("case = from-config\n")
     for command, rows in cli._OPTIONS.items():
-        actions = commands[command]._actions
-        assert [(action.option_strings, action.dest) for action in actions] == [
-            (["-h", "--help"], "help"), (["--config"], "config"),
-            (["--output-dir"], "output_dir"),
-            *[([flag], option) for flag, option, _, _ in rows]]
-        # argparse converts nothing: each flag keeps its text
-        assert all(action.type is None and action.choices is None for action in actions)
+        argv = [command, "--config", str(path), "--output-dir", "out"]
+        expected = {"command": command, "output_dir": "out", "case": "from-config"}
+        for flag, option, kind, _ in rows:
+            if kind is cli._boolean:
+                argv.append(flag)
+                expected[option] = "true"
+            else:
+                argv += [flag, f"{option} text"]
+                expected[option] = f"{option} text"
+        assert cli._read_args(argv) == expected
     keys = sorted({option for rows in cli._OPTIONS.values() for _, option, _, _ in rows})
     path = tmp_path / "all.cfg"
     path.write_text("".join(f"{key} = v\n" for key in [*keys, "output_dir"]))
@@ -559,7 +563,8 @@ def test_bad_option_value_exits_alike_from_flag_or_config(tmp_path_factory, comm
     (tmp / "run.cfg").write_text(f"{option} = {text}\n")
     runs = {"config": [*argv, "--config", str(tmp / "run.cfg")]}
     if kind is not cli._boolean:
-        runs["flag"] = [*argv, f"{flag}={text}"]
+        runs["attached"] = [*argv, f"{flag}={text}"]
+        runs["separate"] = [*argv, flag, text]
     errors = set()
     for source, args in runs.items():
         out = tmp / source
@@ -571,6 +576,105 @@ def test_bad_option_value_exits_alike_from_flag_or_config(tmp_path_factory, comm
     message, = errors
     assert message.startswith(f"config error: option {option} must be ")
     assert message.endswith(f", got {text!r}\n")
+
+
+# any text a value may hold: numbers in exponent form, signed infinities,
+# nan, and words that start with `-`, a flag's name among them
+_VALUE = (_TEXT | st.floats().map(repr) | st.integers(-1000, 1000).map(str)
+          | st.sampled_from(["-1e-3", "-5e-1", "-1E+300", "-inf", "nan", "-x", "--",
+                             "-h", "--help", "--eps", "--seed", ""]))
+
+
+@pytest.mark.parametrize("command, flag, option, kind",
+                         [row for row in _CONVERTED if row[3] is not cli._boolean],
+                         ids=[f"{command}-{option}" for command, _, option, kind in _CONVERTED
+                              if kind is not cli._boolean])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_flag_value_reads_alike_separate_attached_or_from_config(
+        tmp_path_factory, command, flag, option, kind, data):
+    # `--flag text`, `--flag=text` and `key = text` are one run.  The inputs
+    # are missing, so a value that passes exits 4 naming the same file.  A
+    # grid count above 1000 is left out: the grid is built before that file
+    # is read
+    text = data.draw(_VALUE.filter(
+        lambda text: option != "eps_count" or not _converts(int, text) or int(text) <= 1000))
+    tmp = tmp_path_factory.mktemp("alike")
+    flags = {key: str(tmp / value) if "missing" in value else value
+             for key, value in _MISSING_INPUTS[command].items() if key != flag}
+    argv = [command, *[f"{key}={value}" for key, value in flags.items()]]
+    (tmp / "run.cfg").write_text(f"{option} = {text}\n")
+    runs = {"config": [*argv, "--config", str(tmp / "run.cfg")],
+            "attached": [*argv, f"{flag}={text}"], "separate": [*argv, flag, text]}
+    results = set()
+    for source, args in runs.items():
+        with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+            rc = main([*args, "--output-dir", str(tmp / source)])
+        results.add((rc, err.getvalue()))
+    assert len(results) == 1, results
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["twin", "--case", "TC1", "--epsilon", "-1e-3"],
+     "epsilon must be finite and nonnegative, got -0.001"),
+    (["twin", "--case", "-x", "--epsilon", "1e-3"], "unknown twin case '-x'"),
+    (["contour", "--field", "f.csv", "--level", "-5e-1", "--plasma-boundary"],
+     "contour takes --level or --plasma-boundary, not both"),
+    (["lcurve", "--case", "TC1", "--eps-min", "-1e-3"],
+     "eps_grid end lo must be finite and positive, got -0.001"),
+], ids=["negative_epsilon", "dash_case", "negative_level", "negative_eps_min"])
+def test_value_that_starts_with_a_dash_reaches_the_library(tmp_path, capsys, argv, message):
+    assert main([*argv, "--mesh", str(tmp_path / "missing.mesh"),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "command must be mesh, complete, twin, lcurve, contour, got ''"),
+    (["solve"], "command must be mesh, complete, twin, lcurve, contour, got 'solve'"),
+    (["--case", "TC1"], "got '--case'"),
+    (["twin", "--eps", "5e-4"], "twin has no flag '--eps'"),
+    (["contour", "--plasma"], "contour has no flag '--plasma'"),
+    (["mesh", "--case", "TC1"], "mesh has no flag '--case'"),
+    (["twin", "TC1"], "twin has no flag 'TC1'"),
+    (["twin", "--case"], "flag --case needs a value"),
+    (["twin", "--table1=true"], "switch --table1 takes no value, got '--table1=true'"),
+    (["twin", "--table1="], "switch --table1 takes no value"),
+], ids=["no_command", "unknown_command", "flag_before_command", "abbreviated",
+        "abbreviated_switch", "flag_of_another_command", "word", "missing_value",
+        "switch_value", "empty_switch_value"])
+def test_malformed_command_line_gives_config_exit(tmp_path, capsys, monkeypatch, argv,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    with patch.dict(cli._COMMANDS, {command: pytest.fail for command in cli._COMMANDS}):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [None, *cli._OPTIONS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_the_commands_or_a_commands_flags(capsys, command, flag):
+    # help is read as a flag, before any later fault on the line
+    argv = [flag] if command is None else [command, "--output-dir", "o", flag, "--bogus"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    listed = [line.split()[0] for line in out.splitlines()[1:]]
+    if command is None:
+        assert listed == list(cli._COMMANDS)
+    else:
+        assert listed == ["--config", "--output-dir",
+                          *[flag for flag, _, _, _ in cli._OPTIONS[command]]]
+
+
+def test_help_as_a_value_is_a_value():
+    seen = []
+    with patch.dict(cli._COMMANDS, {"lcurve": seen.append}):
+        main(["lcurve", "--case", "--help", "--case", "-h", "--data", "--help"])
+    assert seen == [{"command": "lcurve", "output_dir": ".", "case": "-h", "data_path": "--help"}]
 
 
 def test_attached_double_dash_is_an_option_value():

@@ -430,7 +430,7 @@ def test_corrupted_files_exit_with_documented_codes(tmp_path_factory, texts):
     argv = ["contour", "--mesh", str(out / "m.mesh"), "--field", str(out / "f.csv"),
             "--level", "1.5", "--output-dir", str(out)]
     try:
-        cli._COMMANDS["contour"](cli._merge(cli._build_parser().parse_args(argv)))
+        cli._COMMANDS["contour"](cli._read_args(argv))
         expected = 0
     except Exception as exc:                     # what reaches cli.main
         expected = documented_exit(exc)

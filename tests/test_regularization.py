@@ -165,6 +165,21 @@ def test_default_grid_shape():
     assert np.all(np.diff(grid) < 0)
 
 
+@pytest.mark.parametrize("given, message", [
+    ({"count": -3}, "eps_grid count must be nonnegative, got -3"),
+    ({"lo": 0.0}, "eps_grid end lo must be finite and positive, got 0.0"),
+    ({"lo": -1e-3}, "eps_grid end lo must be finite and positive, got -0.001"),
+    ({"lo": float("nan")}, "eps_grid end lo must be finite and positive, got nan"),
+    ({"hi": float("inf")}, "eps_grid end hi must be finite and positive, got inf"),
+    ({"hi": -float("inf")}, "eps_grid end hi must be finite and positive, got -inf"),
+], ids=["negative_count", "zero_lo", "negative_lo", "nan_lo", "inf_hi", "minus_inf_hi"])
+def test_default_grid_names_a_bad_argument_before_numpy_sees_it(given, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_grid(**given)
+
+
 def _outcome(call, arg):
     """What a call returns, or the type and message of what it raises."""
     try:
