@@ -83,7 +83,7 @@ _OPTIONS = {
     "lcurve": [_MESH, _DATA, *_TWIN,
                ("--eps-max", "eps_max", float, "largest epsilon of the grid"),
                ("--eps-min", "eps_min", float, "smallest epsilon of the grid"),
-               ("--eps-count", "eps_count", int, "grid size")],
+               ("--eps-count", "eps_count", int, "grid size, at most 10000")],
     "contour": [_MESH, ("--field", "field_path", str, "flux CSV"),
                 ("--level", "level", float, "flux level of the isoline"),
                 ("--plasma-boundary", "plasma_boundary", _boolean, "find the plasma boundary"),

@@ -12,10 +12,14 @@ interior block of A bordered by the boundary rows, and one dense Cholesky
 factorization, of the boundary Dirichlet-to-Neumann matrix S formed from
 that factor's boundary rows; the matrix caches each on first use, so the
 geometry work is done once per mesh.  Every interface operator is read off
-the blocks of S's Cholesky factor.  The weighted normal derivative (the
-boundary rows of A psi) and the energy norm of a field gap are test
-oracles, in tests/oracles.py, as is a dense Schur-complement path to the
-interface operators; the pipeline needs none of them.
+the blocks of S's Cholesky factor.  SuperLU makes the sparse
+factorization, and the incomplete one the interior order comes from, with
+no supernode relaxation and one-column panels (`_RELAX`, `_PANEL_SIZE`):
+faster than its defaults on these small 2-D matrices, for the same factor
+up to roundoff.  The weighted normal derivative (the boundary rows of
+A psi) and the energy norm of a field gap are test oracles, in
+tests/oracles.py, as is a dense Schur-complement path to the interface
+operators; the pipeline needs none of them.
 """
 
 from __future__ import annotations
@@ -61,6 +65,18 @@ _EDGE_POINTS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 # Shares from 0.05 to 0.2 build the iter and desk r1, r2 factors alike; with
 # every column in the sparse product the build takes 1.3 to 2.4 times as long.
 _HEAVY_SHARE = 0.1
+# SuperLU's supernode relaxation and panel width (Demmel, Eisenstat,
+# Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20(3), 1999), for the
+# bordered factor and the ordering's incomplete factorization.  Of relax in
+# {1, 2, 4, 10, 20} and panel_size in {1, 2, 4, 8, 20}, (1, 1) factored
+# desk r0 and r1 fastest, and iter and desk r2 within 0.11 and 0.27 ms of
+# the fastest; SuperLU's defaults, (10, 20), took 1.2 to 1.7 times as long.
+# Relaxed supernodes store and update explicit zeros (26% of the stored
+# factor on desk r1), and wide panels do not repay their dense block
+# updates on matrices this small.  The order and the nonzeros of L and U
+# are the same.
+_RELAX = 1
+_PANEL_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -155,6 +171,8 @@ class StiffnessMatrix:
         pivoting in its given order; FemError unless SuperLU kept that
         order.  U's tail block is then the identity and L's tail rows are
         L_TI = A_TI U_II^-1, so SuperLU does no dense work on the tail.
+        SuperLU runs at `_RELAX` and `_PANEL_SIZE`: the same L and U up to
+        roundoff as at its defaults, in 0.6 to 0.8 of the time.
         """
         interior = _interior_order(self)
         order = np.concatenate([interior, self._boundary[:-1]])
@@ -171,7 +189,8 @@ class StiffnessMatrix:
             (np.concatenate([coo.data[keep], np.ones(n - ni)]),
              (np.concatenate([row[keep], tail]), np.concatenate([col[keep], tail]))),
             shape=(n, n))
-        factor = splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        factor = splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      relax=_RELAX, panel_size=_PANEL_SIZE)
         if not (np.array_equal(factor.perm_c, np.arange(n))
                 and np.array_equal(factor.perm_r, factor.perm_c)):
             raise FemError("assemble: the bordered factor does not keep its "
@@ -312,14 +331,16 @@ def _interior_order(A: StiffnessMatrix) -> np.ndarray:
     factorization exactly singular.
     """
     n = A.mesh.node_count
-    interior = np.setdiff1d(np.arange(n), A._boundary)
+    free = np.ones(n, dtype=bool)
+    free[A._boundary] = False
+    interior = np.flatnonzero(free)
     vertex = np.full(n, len(interior))
     vertex[interior] = np.arange(len(interior))
     coo = A.matrix.tocoo()
     graph = sparse.csc_matrix((np.abs(coo.data), (vertex[coo.row], vertex[coo.col])),
                               shape=(len(interior) + 1, len(interior) + 1))
-    perm_c = spilu(graph, drop_tol=1e300, fill_factor=1,
-                   permc_spec="MMD_AT_PLUS_A").perm_c
+    perm_c = spilu(graph, drop_tol=1e300, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                   relax=_RELAX, panel_size=_PANEL_SIZE).perm_c
     at = np.argsort(perm_c)
     return interior[at[at < len(interior)]]
 

@@ -67,10 +67,18 @@ def _check_grid(eps_grid: np.ndarray) -> np.ndarray:
                      "than 1e-9 relative")
 
 
+# The largest grid default_grid builds: a sweep holds (count x n_i) arrays,
+# and 10 000 x 120 floats take 9.6 MB.
+_MAX_COUNT = 10_000
+
+
 def default_grid(count: int = 20, lo: float = 1e-6, hi: float = 1e-1) -> np.ndarray:
-    """Logarithmically spaced grid, decreasing, bracketing practical values."""
+    """Logarithmically spaced grid, decreasing, bracketing practical values,
+    of at most 10 000 values."""
     if not count >= 0:
         raise ValueError(f"eps_grid count must be nonnegative, got {count!r}")
+    if count > _MAX_COUNT:
+        raise ValueError(f"eps_grid count must be at most {_MAX_COUNT}, got {count!r}")
     for name, end in (("lo", lo), ("hi", hi)):
         if not 0.0 < end < math.inf:
             raise ValueError(f"eps_grid end {name} must be finite and positive, got {end!r}")

@@ -12,7 +12,9 @@ Cholesky-factors its outer block; the
 stiffness oracle forms its local blocks by ``np.einsum``; every
 field-solve oracle factors its matrix afresh in node
 order, and the interior-order oracle takes COLAMD's order from a
-factorization of the interior block; the sweep oracle solves one epsilon
+factorization of the interior block; the SuperLU-defaults oracles make
+fem's factorizations at SuperLU's own supernode relaxation and panel
+width; the sweep oracle solves one epsilon
 at a time, the eager-solve oracle computes every diagnostic with u, the
 grid-check oracle runs each rule as a pass of its own and the corner
 oracle keeps log J and log R_D as two arrays; the
@@ -42,7 +44,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   minimum_spanning_tree)
 from scipy.spatial import cKDTree
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from fluxrec import fem
 from fluxrec.completion import (CauchyData, KVSystem, NearSingularError,
@@ -1162,6 +1164,18 @@ def colamd_interior_order(A) -> np.ndarray:
     csc = A.matrix.tocsc()
     factor = splu(csc[interior][:, interior].tocsc())
     return interior[np.argsort(factor.perm_c)]
+
+
+def splu_at_defaults(*args, relax, panel_size, **kwargs):
+    """SciPy's splu at SuperLU's default supernode relaxation and panel
+    width: a call from fem, which must pass both, with the two dropped."""
+    return splu(*args, **kwargs)
+
+
+def spilu_at_defaults(*args, relax, panel_size, **kwargs):
+    """SciPy's spilu at SuperLU's default supernode relaxation and panel
+    width: a call from fem, which must pass both, with the two dropped."""
+    return spilu(*args, **kwargs)
 
 
 def neumann_block_interface(A) -> tuple[np.ndarray, np.ndarray]:

@@ -579,8 +579,10 @@ def test_bad_option_value_exits_alike_from_flag_or_config(tmp_path_factory, comm
 
 
 # any text a value may hold: numbers in exponent form, signed infinities,
-# nan, and words that start with `-`, a flag's name among them
+# nan, counts up to 10**18, and words that start with `-`, a flag's name
+# among them
 _VALUE = (_TEXT | st.floats().map(repr) | st.integers(-1000, 1000).map(str)
+          | st.integers(-10 ** 18, 10 ** 18).map(str)
           | st.sampled_from(["-1e-3", "-5e-1", "-1E+300", "-inf", "nan", "-x", "--",
                              "-h", "--help", "--eps", "--seed", ""]))
 
@@ -594,11 +596,8 @@ _VALUE = (_TEXT | st.floats().map(repr) | st.integers(-1000, 1000).map(str)
 def test_flag_value_reads_alike_separate_attached_or_from_config(
         tmp_path_factory, command, flag, option, kind, data):
     # `--flag text`, `--flag=text` and `key = text` are one run.  The inputs
-    # are missing, so a value that passes exits 4 naming the same file.  A
-    # grid count above 1000 is left out: the grid is built before that file
-    # is read
-    text = data.draw(_VALUE.filter(
-        lambda text: option != "eps_count" or not _converts(int, text) or int(text) <= 1000))
+    # are missing, so a value that passes exits 4 naming the same file
+    text = data.draw(_VALUE)
     tmp = tmp_path_factory.mktemp("alike")
     flags = {key: str(tmp / value) if "missing" in value else value
              for key, value in _MISSING_INPUTS[command].items() if key != flag}
@@ -612,6 +611,18 @@ def test_flag_value_reads_alike_separate_attached_or_from_config(
             rc = main([*args, "--output-dir", str(tmp / source)])
         results.add((rc, err.getvalue()))
     assert len(results) == 1, results
+
+
+@pytest.mark.parametrize("count", ["10001", "1000000000000000", "1000000000000000000"])
+def test_grid_count_over_the_cap_exits_before_the_mesh_is_read(tmp_path, capsys, count):
+    # the grid is built before the mesh is read, so an absurd count must not
+    # reach numpy's allocator
+    assert main(["lcurve", "--case", "TC1", "--eps-count", count,
+                 "--mesh", str(tmp_path / "missing.mesh"),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: eps_grid count must be at most 10000, got {count}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -21,6 +21,7 @@ factorizations, Cholesky calls and eigendecompositions a mesh makes.
 import gc
 import weakref
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from conftest import build_square_mesh, inflate_tail_rows
 from oracles import (colamd_interior_order, dirichlet_block_interface,
                      dirichlet_solve, flux_load_by_edge,
                      interface_by_dense_schur, neumann_block_interface,
-                     neumann_solve, schur_by_block_solve, two_lift_constant)
+                     neumann_solve, schur_by_block_solve, spilu_at_defaults,
+                     splu_at_defaults, two_lift_constant)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -198,6 +200,34 @@ def test_factor_has_less_fill_than_the_colamd_interior_order(base,
     assert _rel(A._tail_chol, ref._tail_chol) <= 1e-12
 
 
+def _check_superlu_defaults(A):
+    """fem's supernode relaxation and panel width change how SuperLU
+    schedules its work, not what it computes.  Against a factor made at
+    SuperLU's defaults, the interior order and the nonzeros of L and U are
+    the same, no more entries are stored, and L_TI and the pivots D are
+    within 1e-15 relative.  U^ is within 1e-14: S_TT = A_TT - L_TI D L_TI'
+    and its Cholesky factorization carry those last-bit moves into U^ (up
+    to 2.1e-15 on the desk mesh)."""
+    ref = fem.StiffnessMatrix(A.matrix, A.mesh)
+    with patch.object(fem, "splu", splu_at_defaults), \
+            patch.object(fem, "spilu", spilu_at_defaults):
+        ref._tail_chol
+    (factor, nodes), (ref_factor, ref_nodes) = A._factor, ref._factor
+    # the interior in `_interior_order`, then the tail
+    assert np.array_equal(nodes, ref_nodes)
+    assert (factor.L.nnz, factor.U.nnz) == (ref_factor.L.nnz, ref_factor.U.nnz)
+    assert factor.nnz <= ref_factor.nnz
+    ni = len(nodes) - len(A._boundary) + 1
+    if ni:
+        assert _rel(factor.L[ni:, :ni].toarray(), ref_factor.L[ni:, :ni].toarray()) <= 1e-15
+    assert _rel(factor.U.diagonal(), ref_factor.U.diagonal()) <= 1e-15
+    assert _rel(A._tail_chol, ref._tail_chol) <= 1e-14
+
+
+def test_superlu_settings_keep_the_default_factor(base):
+    _check_superlu_defaults(base.stiffness)
+
+
 @st.composite
 def ring_ladder_meshes(draw):
     r0 = draw(st.floats(4.0, 8.0))
@@ -226,6 +256,12 @@ def test_oracles_hold_on_generated_meshes(mesh, seed):
     _check_neumann_path(system.stiffness)
     _check_dense_schur(system.stiffness)
     _check_constant(_with_data(system, seed))
+
+
+@settings(max_examples=10, deadline=None)
+@given(mesh=ring_ladder_meshes())
+def test_superlu_settings_keep_the_default_factor_on_generated_meshes(mesh):
+    _check_superlu_defaults(assemble_stiffness(mesh))
 
 
 @pytest.fixture(scope="module")

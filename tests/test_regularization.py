@@ -165,14 +165,23 @@ def test_default_grid_shape():
     assert np.all(np.diff(grid) < 0)
 
 
+def test_default_grid_builds_up_to_its_cap():
+    grid = default_grid(10_000)
+    assert len(grid) == 10_000
+    assert np.all(np.diff(grid) < 0)
+
+
 @pytest.mark.parametrize("given, message", [
     ({"count": -3}, "eps_grid count must be nonnegative, got -3"),
+    ({"count": 10_001}, "eps_grid count must be at most 10000, got 10001"),
+    ({"count": 10 ** 15}, "eps_grid count must be at most 10000, got 1000000000000000"),
     ({"lo": 0.0}, "eps_grid end lo must be finite and positive, got 0.0"),
     ({"lo": -1e-3}, "eps_grid end lo must be finite and positive, got -0.001"),
     ({"lo": float("nan")}, "eps_grid end lo must be finite and positive, got nan"),
     ({"hi": float("inf")}, "eps_grid end hi must be finite and positive, got inf"),
     ({"hi": -float("inf")}, "eps_grid end hi must be finite and positive, got -inf"),
-], ids=["negative_count", "zero_lo", "negative_lo", "nan_lo", "inf_hi", "minus_inf_hi"])
+], ids=["negative_count", "count_over_cap", "absurd_count", "zero_lo", "negative_lo",
+        "nan_lo", "inf_hi", "minus_inf_hi"])
 def test_default_grid_names_a_bad_argument_before_numpy_sees_it(given, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
