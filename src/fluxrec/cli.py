@@ -16,6 +16,10 @@ or is malformed (OSError, UnicodeError, MeshFormatError) exits 4; a mesh
 that fails validation or meshing, or a numerical failure (RuntimeError,
 LinAlgError), exits 3; any other ValueError, a bad option value or command
 line, exits 2.  The library checks each value once, so commands catch nothing.
+
+At load the module imports only `io`, `mesh` and `postprocess`, which need
+numpy alone; `complete`, `twin` and `lcurve` import the solver modules, and
+with them scipy, when they run.  So `mesh` and `contour` load no scipy.
 """
 
 from __future__ import annotations
@@ -25,14 +29,11 @@ import sys
 
 import numpy as np
 
-from . import completion as cp
-from . import experiments as ex
 from . import io as fio
 from . import postprocess as pp
-from . import regularization as reg
-from .fem import assemble_stiffness
 from .mesh import (MeshFormatError, MeshGeometryError, MeshValidationError, _read_lines,
-                   generate_annulus_mesh, load_mesh, save_mesh, scale_toward_centroid)
+                   desk_annulus_mesh, generate_annulus_mesh, iter_like_mesh, load_mesh,
+                   save_mesh, scale_toward_centroid)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,7 +51,7 @@ def _boolean(value) -> bool:
 
 
 # the built-in mesh geometries, by name
-_PRESETS = {"desk": ex.desk_annulus_mesh, "iter": ex.iter_like_mesh}
+_PRESETS = {"desk": desk_annulus_mesh, "iter": iter_like_mesh}
 
 
 def _preset(name):
@@ -179,9 +180,11 @@ def _given(cfg, **params) -> dict:
     return {param: _option(cfg, key) for param, key in params.items() if key in cfg}
 
 
-def _twin_spec(cfg) -> ex.TwinSpec:
-    return ex.TwinSpec(_option(cfg, "case"),
-                       **_given(cfg, noise_level="noise_level", seed="seed"))
+def _twin_spec(cfg):
+    """The experiments.TwinSpec of cfg's twin options."""
+    from .experiments import TwinSpec
+    return TwinSpec(_option(cfg, "case"),
+                    **_given(cfg, noise_level="noise_level", seed="seed"))
 
 
 def _outdir(cfg) -> str:
@@ -216,14 +219,22 @@ def _csv_mesh(cfg):
     return build
 
 
+# mesh options that exclude each other: a preset is a whole geometry, and
+# an inner loop read from a file is not scaled from the outer one
+_MESH_CONFLICTS = [("preset", "outer_csv"), ("preset", "inner_csv"), ("preset", "target_h"),
+                   ("preset", "offset_factor"), ("inner_csv", "offset_factor")]
+
+
 def _cmd_mesh(cfg) -> int:
     """generate an annulus mesh"""
-    if "preset" in cfg:
-        build = _option(cfg, "preset")
-    elif "outer_csv" in cfg:
-        build = _csv_mesh(cfg)
-    else:
+    preset = _option(cfg, "preset") if "preset" in cfg else None
+    flags = {option: flag for flag, option, _, _ in _OPTIONS["mesh"]}
+    for first, second in _MESH_CONFLICTS:
+        if first in cfg and second in cfg:
+            raise ConfigError(f"mesh takes {flags[first]} or {flags[second]}, not both")
+    if preset is None and "outer_csv" not in cfg:
         raise ConfigError("mesh needs --preset or --outer-csv")
+    build = preset or _csv_mesh(cfg)
     out = _outdir(cfg)
     m = build()
     path = os.path.join(out, "mesh.txt")
@@ -249,6 +260,8 @@ def _write_completion(out, mesh, result, **fields) -> None:
 
 def _cmd_complete(cfg) -> int:
     """solve the data completion problem"""
+    from . import completion as cp
+    from .fem import assemble_stiffness
     data_path = _option(cfg, "data_path")
     epsilon = cp._check_epsilon(_option(cfg, "epsilon"))
     out, mesh = _outdir_and_mesh(cfg)
@@ -267,6 +280,7 @@ def _cmd_complete(cfg) -> int:
 
 def _cmd_twin(cfg) -> int:
     """run a twin experiment"""
+    from . import completion as cp, experiments as ex
     if _option(cfg, "table1", False):
         seed = _given(cfg, seed="seed")
         ex.TwinSpec("TC1", **seed)  # the library's check of the seed
@@ -299,6 +313,8 @@ def _cmd_twin(cfg) -> int:
 
 def _cmd_lcurve(cfg) -> int:
     """sweep epsilon and find the corner"""
+    from . import completion as cp, experiments as ex, regularization as reg
+    from .fem import assemble_stiffness
     spec = None if "data_path" in cfg else _twin_spec(cfg)
     grid = reg._check_grid(reg.default_grid(
         **_given(cfg, count="eps_count", lo="eps_min", hi="eps_max")))

@@ -34,7 +34,8 @@ from scipy.linalg.blas import dtrmv, dtrsv
 
 from . import fem
 from .fem import FluxField, StiffnessMatrix
-from .mesh import Mesh
+# CauchyData lives with the mesh and keeps its path here
+from .mesh import CauchyData, Mesh
 
 
 class NearSingularError(RuntimeError):
@@ -42,31 +43,6 @@ class NearSingularError(RuntimeError):
 
 
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class CauchyData:
-    """Paired Dirichlet trace f and weighted Neumann trace g on the outer loop."""
-
-    f: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        f = np.ascontiguousarray(np.asarray(self.f, dtype=np.float64))
-        g = np.ascontiguousarray(np.asarray(self.g, dtype=np.float64))
-        if f.shape != g.shape or f.ndim != 1:
-            raise ValueError("f and g must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-            raise ValueError("non-finite Cauchy data")
-        f.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-
-    def check(self, mesh: Mesh) -> None:
-        n = len(mesh.boundary.outer_nodes)
-        if len(self.f) != n:
-            raise ValueError(f"Cauchy data length {len(self.f)} != {n} outer nodes")
 
 
 @dataclass

@@ -21,9 +21,9 @@ import numpy as np
 from . import completion as cp
 from . import fem
 from .completion import CauchyData, CompletionResult
-from .mesh import (INNER, OUTER, Mesh, _resample_closed, boundary_node_normals,
-                   circle_loop, dee_loop, generate_annulus_mesh,
-                   polygon_centroid, scale_toward_centroid)
+# the reference meshes live with the mesh generator and keep their paths here
+from .mesh import (INNER, OUTER, Mesh, boundary_node_normals, desk_annulus_mesh,
+                   iter_like_mesh, refined_desk_mesh)
 
 
 @dataclass(frozen=True)
@@ -97,47 +97,6 @@ def loop_flux_field(loop_r: float, loop_z: float, strength: float = 1.0,
                 -strength * r * b_r)
 
     return ManufacturedField(psi, grad)
-
-
-# ---------------------------------------------------------------------------
-# reference meshes
-# ---------------------------------------------------------------------------
-
-def desk_annulus_mesh() -> Mesh:
-    """Small concentric-circle annulus: ~1000 nodes, 30 inner boundary nodes."""
-    outer = circle_loop(6.0, 0.0, 2.9, 110)
-    inner = circle_loop(6.0, 0.0, 0.8, 30)
-    return generate_annulus_mesh(outer, inner, 0.2, node_budget=1000)
-
-
-def refined_desk_mesh(refine: int) -> Mesh:
-    """Desk annulus geometry at target_h scaled by 1/2**refine."""
-    factor = 2 ** refine
-    outer = circle_loop(6.0, 0.0, 2.9, 110 * factor)
-    inner = circle_loop(6.0, 0.0, 0.8, 30 * factor)
-    return generate_annulus_mesh(outer, inner, 0.2 / factor)
-
-
-def iter_like_mesh() -> Mesh:
-    """D-shaped vessel with an empirically shaped inner contour.
-
-    977 nodes, 1804 triangles, 120 outer + 30 inner boundary nodes; both
-    loops are sampled uniformly in arc length so no generator subdivision
-    occurs and the counts are pinned.  The inner contour is an irregular
-    10-gon (fixed jitter): like a hand-drawn contour it has corners, which
-    spreads the inner-boundary traces across the interface-operator
-    spectrum and gives noise sensitivities comparable to the reference
-    tables.
-    """
-    fine = dee_loop(6.2, 3.35, 5.0, 0.45, 2048)
-    outer = _resample_closed(fine, 120)
-    corners = _resample_closed(scale_toward_centroid(fine, 0.25), 10)
-    rng = np.random.default_rng(12345)
-    centroid = polygon_centroid(corners)
-    spread = corners - centroid
-    corners = centroid + spread * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, 10))[:, None]
-    inner = _resample_closed(corners, 30)
-    return generate_annulus_mesh(outer, inner, 0.32, node_budget=977)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ with the weak form  a(psi, phi) = integral over the domain of
 (1/r) grad(psi) . grad(phi).  Everything here lives on the weighted
 stiffness matrix A of that form: the two auxiliary boundary-value solves
 (Dirichlet data on both loops, or weighted Neumann data on the outer loop
-plus Dirichlet on the inner), the interface operators (S_D, S_N, their
-eigendecomposition and the data-to-load map), traces and interpolants.
-All of them go through one sparse factorization per mesh, of the
-interior block of A bordered by the boundary rows, and one dense Cholesky
-factorization, of the boundary Dirichlet-to-Neumann matrix S formed from
-that factor's boundary rows; the matrix caches each on first use, so the
-geometry work is done once per mesh.  Every interface operator is read off
+plus Dirichlet on the inner) and the interface operators (S_D, S_N, their
+eigendecomposition and the data-to-load map).  The field type, traces and
+interpolants solve nothing, so they live in `fluxrec.mesh`; fem keeps
+them at their old paths (`fem.FluxField`, `fem.trace`, `fem.interpolate`).
+The solves and the operators all go through one sparse factorization per
+mesh, of the interior block of A bordered by the boundary rows, and one
+dense Cholesky factorization, of the boundary Dirichlet-to-Neumann matrix S
+formed from that factor's boundary rows; the matrix caches each on first
+use, so the geometry work is done once per mesh.  Every interface operator is read off
 the blocks of S's Cholesky factor.  SuperLU makes the sparse
 factorization, and the incomplete one the interior order comes from, with
 no supernode relaxation and one-column panels (`_RELAX`, `_PANEL_SIZE`):
@@ -34,7 +36,9 @@ from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.linalg.blas import dsyrk, dtrsv
 from scipy.sparse.linalg import spilu, splu
 
-from .mesh import Mesh, triangle_areas
+# FluxField, trace and interpolate live with the mesh, as they solve nothing;
+# they keep their paths here
+from .mesh import FluxField, Mesh, interpolate, trace, triangle_areas
 
 
 class FemError(RuntimeError):
@@ -77,24 +81,6 @@ _HEAVY_SHARE = 0.1
 # are the same.
 _RELAX = 1
 _PANEL_SIZE = 1
-
-
-@dataclass(frozen=True)
-class FluxField:
-    """Nodal P1 coefficients of a scalar flux on a mesh (webers)."""
-
-    values: np.ndarray
-    mesh: Mesh
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if values.shape != (self.mesh.node_count,):
-            raise ValueError(
-                f"field has {values.shape} values for {self.mesh.node_count} nodes")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite field value")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 def triangle_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -427,12 +413,3 @@ def solve_neumann(A: StiffnessMatrix, g, v) -> FluxField:
     x = A._dirichlet_solve(np.concatenate([w, v]))
     return FluxField(x, A.mesh)
 
-
-def trace(field: FluxField, where: str) -> np.ndarray:
-    """Nodal values along a boundary in BoundaryIndex ordering."""
-    return field.values[field.mesh.boundary.nodes_for(where)].copy()
-
-
-def interpolate(mesh: Mesh, func) -> FluxField:
-    """Nodal interpolant of func(r, z) as a FluxField."""
-    return FluxField(func(mesh.nodes[:, 0], mesh.nodes[:, 1]), mesh)

@@ -7,17 +7,16 @@ The node-indexed files, flux CSVs and VTK files, have one writer,
 `save_fields`: it renders the mesh's node columns and each field's values
 once for all the files of a call, so a command's node files render each
 number once.  `write_flux_csv` writes one file through it.
+The module imports only `fluxrec.mesh`, so writing a file loads no solver:
+the L-curve and isoline writers read their result's fields by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .completion import CauchyData
-from .fem import FluxField
-from .mesh import Mesh, MeshFormatError, _parse_rows, _read_lines, _text, _write_rows
-from .postprocess import Isoline
-from .regularization import LCurve
+from .mesh import (CauchyData, FluxField, Mesh, MeshFormatError, _parse_rows, _read_lines,
+                   _text, _write_rows)
 
 
 def write_report(path, entries: dict) -> None:
@@ -121,14 +120,15 @@ def write_control_csv(path, mesh: Mesh, u: np.ndarray) -> None:
                        b.inner_nodes, b.inner_arcs, u))
 
 
-def write_lcurve_csv(path, curve: LCurve) -> None:
+def write_lcurve_csv(path, curve) -> None:
+    """A regularization.LCurve's points, its corner flagged."""
     _write_rows(path, ("epsilon,J,R_D,is_corner\n", "{},{},{},{}\n",
                        curve.epsilons, curve.misfits, curve.regularizers,
                        (np.arange(len(curve)) == curve.corner_index).astype(int)))
 
 
-def write_isoline_csv(path, iso: Isoline) -> None:
-    """Polylines as polyline_id,vertex_index,r,z rows."""
+def write_isoline_csv(path, iso) -> None:
+    """A postprocess.Isoline's polylines as polyline_id,vertex_index,r,z rows."""
     sizes = np.array([len(poly) for poly in iso.polylines], dtype=int)
     _write_rows(path, ("polyline_id,vertex_index,r,z\n", "{},{},{},{}\n",
                        np.repeat(np.arange(len(sizes)), sizes),

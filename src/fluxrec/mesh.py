@@ -17,7 +17,13 @@ once; the post-processing reads the table instead of rebuilding edge maps.
 One walk over graphs of degree at most 2 (`chain_walk`) chains both
 the boundary loops and the isoflux contours.  The ring-ladder generator is
 array code: one stable merge of sorted angles stitches each band between
-two rings.
+two rings; it refuses a mesh of over `_MAX_NODES` nodes before making any
+array of that size, and the reference meshes are built by it here.
+
+The arrays that live on a mesh, a nodal flux (`FluxField`, with `trace`
+and `interpolate`) and the outer-loop Cauchy data (`CauchyData`), are
+defined here too, as they solve nothing.  The module imports no other
+module of the package, and needs numpy alone.
 """
 
 from __future__ import annotations
@@ -572,6 +578,63 @@ def boundary_node_normals(mesh: Mesh, where: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# arrays on a mesh
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FluxField:
+    """Nodal P1 coefficients of a scalar flux on a mesh (webers)."""
+
+    values: np.ndarray
+    mesh: Mesh
+
+    def __post_init__(self):
+        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        if values.shape != (self.mesh.node_count,):
+            raise ValueError(
+                f"field has {values.shape} values for {self.mesh.node_count} nodes")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite field value")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+
+@dataclass(frozen=True)
+class CauchyData:
+    """Paired Dirichlet trace f and weighted Neumann trace g on the outer loop."""
+
+    f: np.ndarray
+    g: np.ndarray
+
+    def __post_init__(self):
+        f = np.ascontiguousarray(np.asarray(self.f, dtype=np.float64))
+        g = np.ascontiguousarray(np.asarray(self.g, dtype=np.float64))
+        if f.shape != g.shape or f.ndim != 1:
+            raise ValueError("f and g must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+            raise ValueError("non-finite Cauchy data")
+        f.setflags(write=False)
+        g.setflags(write=False)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+
+    def check(self, mesh: Mesh) -> None:
+        n = len(mesh.boundary.outer_nodes)
+        if len(self.f) != n:
+            raise ValueError(f"Cauchy data length {len(self.f)} != {n} outer nodes")
+
+
+def trace(field: FluxField, where: str) -> np.ndarray:
+    """Nodal values along a boundary in BoundaryIndex ordering."""
+    return field.values[field.mesh.boundary.nodes_for(where)].copy()
+
+
+def interpolate(mesh: Mesh, func) -> FluxField:
+    """Nodal interpolant of func(r, z) as a FluxField."""
+    return FluxField(func(mesh.nodes[:, 0], mesh.nodes[:, 1]), mesh)
+
+
+# ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
 
@@ -840,6 +903,12 @@ def _stitch_rings(idx_a, ang_a, idx_b, ang_b) -> np.ndarray:
     return np.column_stack([idx_a[i % na], idx_b[j % nb], third])
 
 
+# The largest mesh the generator makes: 10**7 nodes, 800 times desk r2's
+# 12 465, whose arrays (nodes, triangles, edge table, the ladder's rings)
+# already take gigabytes.  A target_h of 1e-12 would ask for terabytes.
+_MAX_NODES = 10 ** 7
+
+
 def generate_annulus_mesh(outer: np.ndarray, inner: np.ndarray, target_h: float,
                           node_budget: int | None = None) -> Mesh:
     """Mesh the region between two closed polylines with a ring ladder.
@@ -858,6 +927,10 @@ def generate_annulus_mesh(outer: np.ndarray, inner: np.ndarray, target_h: float,
     node_budget : int, optional
         If given, intermediate ring sizes are nudged so the total node count
         equals the budget exactly (boundary counts are never altered).
+
+    Raises ValueError, not MeshGeometryError, for a node_budget over
+    `_MAX_NODES`, or a target_h whose mesh, of about area / (0.9 target_h)^2
+    nodes, would be over it.
     """
     outer = np.asarray(outer, dtype=float)
     inner = np.asarray(inner, dtype=float)
@@ -870,6 +943,15 @@ def generate_annulus_mesh(outer: np.ndarray, inner: np.ndarray, target_h: float,
             raise MeshGeometryError(f"{name} loop has a non-finite coordinate")
         if np.any(loop[:, 0] <= 0.0):
             raise MeshGeometryError(f"{name} loop has r <= 0")
+    # the ladder's first try spaces nodes 0.9 target_h apart both ways; this
+    # runs before any array sized by 1 / target_h is made, and multiplies,
+    # so a target_h whose square underflows is refused too
+    area = abs(polygon_area(outer)) - abs(polygon_area(inner))
+    if area > _MAX_NODES * (0.9 * target_h) ** 2:
+        raise ValueError(f"target_h {target_h!r} would mesh the annulus with "
+                         f"over {_MAX_NODES} nodes")
+    if node_budget is not None and node_budget > _MAX_NODES:
+        raise ValueError(f"node_budget {node_budget} is over {_MAX_NODES} nodes")
     scale = max(np.ptp(outer[:, 0]), np.ptp(outer[:, 1]))
     if not points_in_polygon(inner, outer).all():
         raise MeshGeometryError("inner loop is not strictly inside the outer loop")
@@ -999,3 +1081,44 @@ def dee_loop(center_r: float, a: float, b: float, triangularity: float,
     t = 2.0 * math.pi * np.arange(count) / count
     return np.column_stack([center_r + a * np.cos(t + triangularity * np.sin(t)),
                             b * np.sin(t)])
+
+
+# ---------------------------------------------------------------------------
+# reference meshes
+# ---------------------------------------------------------------------------
+
+def desk_annulus_mesh() -> Mesh:
+    """Small concentric-circle annulus: ~1000 nodes, 30 inner boundary nodes."""
+    outer = circle_loop(6.0, 0.0, 2.9, 110)
+    inner = circle_loop(6.0, 0.0, 0.8, 30)
+    return generate_annulus_mesh(outer, inner, 0.2, node_budget=1000)
+
+
+def refined_desk_mesh(refine: int) -> Mesh:
+    """Desk annulus geometry at target_h scaled by 1/2**refine."""
+    factor = 2 ** refine
+    outer = circle_loop(6.0, 0.0, 2.9, 110 * factor)
+    inner = circle_loop(6.0, 0.0, 0.8, 30 * factor)
+    return generate_annulus_mesh(outer, inner, 0.2 / factor)
+
+
+def iter_like_mesh() -> Mesh:
+    """D-shaped vessel with an empirically shaped inner contour.
+
+    977 nodes, 1804 triangles, 120 outer + 30 inner boundary nodes; both
+    loops are sampled uniformly in arc length so no generator subdivision
+    occurs and the counts are pinned.  The inner contour is an irregular
+    10-gon (fixed jitter): like a hand-drawn contour it has corners, which
+    spreads the inner-boundary traces across the interface-operator
+    spectrum and gives noise sensitivities comparable to the reference
+    tables.
+    """
+    fine = dee_loop(6.2, 3.35, 5.0, 0.45, 2048)
+    outer = _resample_closed(fine, 120)
+    corners = _resample_closed(scale_toward_centroid(fine, 0.25), 10)
+    rng = np.random.default_rng(12345)
+    centroid = polygon_centroid(corners)
+    spread = corners - centroid
+    corners = centroid + spread * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, 10))[:, None]
+    inner = _resample_closed(corners, 30)
+    return generate_annulus_mesh(outer, inner, 0.32, node_budget=977)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import FluxField
-from .mesh import Mesh, chain_walk, points_in_polygon
+from .mesh import FluxField, Mesh, chain_walk, points_in_polygon
 
 
 class EmptyIsolineError(ValueError):

@@ -400,6 +400,48 @@ def test_mesh_option_domain_error_gives_config_exit(tmp_path, capsys, option, va
     assert not (tmp_path / "mesh.txt").exists()
 
 
+def test_mesh_over_the_node_cap_gives_config_exit(tmp_path, capsys):
+    # the generator refuses the mesh before numpy is asked for terabytes
+    for name, radius in (("outer", 2.9), ("inner", 0.8)):
+        np.savetxt(tmp_path / f"{name}.csv", circle_loop(6.0, 0.0, radius, 24),
+                   delimiter=",")
+    out = tmp_path / "out"
+    assert main(["mesh", "--outer-csv", str(tmp_path / "outer.csv"), "--inner-csv",
+                 str(tmp_path / "inner.csv"), "--target-h", "1e-12",
+                 "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: target_h 1e-12 would mesh the "
+                                       "annulus with over 10000000 nodes\n")
+    assert not (out / "mesh.txt").exists()
+
+
+@pytest.mark.parametrize("first, second", [
+    ("--preset", "--outer-csv"), ("--preset", "--inner-csv"), ("--preset", "--target-h"),
+    ("--preset", "--offset-factor"), ("--inner-csv", "--offset-factor")])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_mesh_conflicting_options_exit_before_any_file_is_read(tmp_path, first, second,
+                                                               from_config):
+    # a preset is a whole geometry, and an inner loop read from a file is not
+    # scaled from the outer one, so one option of each pair would be dropped.
+    # The polyline files do not exist
+    values = {"--preset": "desk", "--outer-csv": str(tmp_path / "outer.csv"),
+              "--inner-csv": str(tmp_path / "inner.csv"), "--target-h": "0.1",
+              "--offset-factor": "0.3"}
+    argv = ["mesh", first, values[first]]
+    if first != "--preset":
+        argv += ["--outer-csv", values["--outer-csv"], "--target-h", "0.1"]
+    if from_config:
+        (tmp_path / "run.cfg").write_text(
+            f"{second[2:].replace('-', '_')} = {values[second]}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        argv += [second, values[second]]
+    out = tmp_path / "out"
+    with redirect_stderr(io.StringIO()) as err:
+        assert main([*argv, "--output-dir", str(out)]) == 2
+    assert err.getvalue() == f"config error: mesh takes {first} or {second}, not both\n"
+    assert not out.exists()
+
+
 # valued flags of three commands: (flag, option, type)
 _FLAGS = {
     "mesh": [("--outer-csv", "outer_csv", str), ("--inner-csv", "inner_csv", str),

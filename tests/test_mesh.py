@@ -143,6 +143,22 @@ def test_generate_rejects_target_h_not_finite_and_positive(target_h):
                               circle_loop(6.0, 0.0, 1.0, 12), target_h)
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"target_h": 1e-12}, "target_h 1e-12 would mesh the annulus with over 10000000 nodes"),
+    ({"target_h": 5e-324}, "target_h 5e-324 would mesh the annulus with over 10000000 nodes"),
+    ({"target_h": 0.3, "node_budget": 10 ** 15},
+     "node_budget 1000000000000000 is over 10000000 nodes")],
+    ids=["tiny_target_h", "target_h_whose_square_underflows", "node_budget"])
+def test_generate_refuses_a_mesh_over_the_node_cap(params, message):
+    # refused before any array sized by 1 / target_h is made, which would
+    # take terabytes here; a ValueError but no MeshGeometryError, as it is
+    # the request, not the geometry, that is at fault
+    with pytest.raises(ValueError, match=f"^{message}$") as err:
+        generate_annulus_mesh(circle_loop(6.0, 0.0, 2.0, 24),
+                              circle_loop(6.0, 0.0, 1.0, 12), **params)
+    assert not isinstance(err.value, MeshGeometryError)
+
+
 @pytest.mark.parametrize("which", ["outer", "inner"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_generate_rejects_non_finite_loop(which, bad):
