@@ -7,8 +7,9 @@ full name, a value flag takes `--flag=value` or `--flag value` whatever the
 value looks like (`--level -5e-1`), a switch takes none, and the last
 repeat holds; -h or --help lists the flags.  A kind converts a flag's text
 and a config value alike, and a command checks each value's domain with the
-library's own check before it reads any file.  Identical config and seed
-reproduce byte-identical files.
+library's own check, and refuses a pair of _CONFLICTS, before it reads any
+file; it makes its output directory once its artifacts are computed, so a
+failed run leaves none.  Identical config and seed reproduce identical files.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 `main` alone decides them, by exception kind: a file that cannot be read
@@ -188,17 +189,10 @@ def _twin_spec(cfg):
 
 
 def _outdir(cfg) -> str:
+    """The output directory, made: a command asks once its artifacts are computed."""
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _outdir_and_mesh(cfg):
-    """The output directory, made, and the mesh read: a command's options
-    are converted and checked by the library first, so a bad value is
-    reported before any file is read."""
-    mesh_path = _option(cfg, "mesh_path")
-    return _outdir(cfg), load_mesh(mesh_path)
 
 
 def _csv_mesh(cfg):
@@ -219,25 +213,38 @@ def _csv_mesh(cfg):
     return build
 
 
-# mesh options that exclude each other: a preset is a whole geometry, and
-# an inner loop read from a file is not scaled from the outer one
-_MESH_CONFLICTS = [("preset", "outer_csv"), ("preset", "inner_csv"), ("preset", "target_h"),
-                   ("preset", "offset_factor"), ("inner_csv", "offset_factor")]
+# each command's pairs of options of which it would drop one: a preset is a
+# whole geometry, an inner loop file is not scaled from the outer loop, Table
+# 1 runs its own cases, noises and epsilons, and a data file is not a twin's
+_CONFLICTS = {
+    "mesh": [("preset", "outer_csv"), ("preset", "inner_csv"), ("preset", "target_h"),
+             ("preset", "offset_factor"), ("inner_csv", "offset_factor")],
+    "twin": [("table1", "case"), ("table1", "noise_level"), ("table1", "epsilon")],
+    "lcurve": [("data_path", "case"), ("data_path", "noise_level"), ("data_path", "seed")],
+    "contour": [("level", "plasma_boundary")],
+}
+
+
+def _refuse_conflicts(cfg) -> None:
+    """Refuse the first _CONFLICTS pair given together; its options are
+    converted first, and a switch set to false is not given."""
+    command = cfg["command"]
+    given = {key for pair in _CONFLICTS[command] for key in pair
+             if key in cfg and _option(cfg, key) is not False}
+    flags = {option: flag for flag, option, _, _ in _OPTIONS[command]}
+    for first, second in _CONFLICTS[command]:
+        if {first, second} <= given:
+            raise ConfigError(f"{command} takes {flags[first]} or {flags[second]}, not both")
 
 
 def _cmd_mesh(cfg) -> int:
     """generate an annulus mesh"""
-    preset = _option(cfg, "preset") if "preset" in cfg else None
-    flags = {option: flag for flag, option, _, _ in _OPTIONS["mesh"]}
-    for first, second in _MESH_CONFLICTS:
-        if first in cfg and second in cfg:
-            raise ConfigError(f"mesh takes {flags[first]} or {flags[second]}, not both")
-    if preset is None and "outer_csv" not in cfg:
+    _refuse_conflicts(cfg)
+    if "preset" not in cfg and "outer_csv" not in cfg:
         raise ConfigError("mesh needs --preset or --outer-csv")
-    build = preset or _csv_mesh(cfg)
-    out = _outdir(cfg)
+    build = _option(cfg, "preset") if "preset" in cfg else _csv_mesh(cfg)
     m = build()
-    path = os.path.join(out, "mesh.txt")
+    path = os.path.join(_outdir(cfg), "mesh.txt")
     save_mesh(m, path)
     b = m.boundary
     print(f"mesh: {m.node_count} nodes, {m.triangle_count} triangles, "
@@ -264,10 +271,11 @@ def _cmd_complete(cfg) -> int:
     from .fem import assemble_stiffness
     data_path = _option(cfg, "data_path")
     epsilon = cp._check_epsilon(_option(cfg, "epsilon"))
-    out, mesh = _outdir_and_mesh(cfg)
+    mesh = load_mesh(_option(cfg, "mesh_path"))
     data = fio.read_cauchy_csv(data_path, mesh)
     A = assemble_stiffness(mesh)
     result = cp.solve_completion(cp.assemble_kv(mesh, A, data), epsilon)
+    out = _outdir(cfg)
     fio.write_report(os.path.join(out, "report.txt"), {
         "J": result.J, "R_D": result.R_D, "J_eps": result.J_eps,
         "epsilon": result.epsilon, "residual_norm": result.residual_norm,
@@ -281,22 +289,23 @@ def _cmd_complete(cfg) -> int:
 def _cmd_twin(cfg) -> int:
     """run a twin experiment"""
     from . import completion as cp, experiments as ex
+    _refuse_conflicts(cfg)
     if _option(cfg, "table1", False):
         seed = _given(cfg, seed="seed")
         ex.TwinSpec("TC1", **seed)  # the library's check of the seed
-        out, mesh = _outdir_and_mesh(cfg)
-        text, _ = ex.table1_grid(mesh, **seed)
-        with open(os.path.join(out, "table1.txt"), "w", encoding="ascii") as fh:
+        text, _ = ex.table1_grid(load_mesh(_option(cfg, "mesh_path")), **seed)
+        with open(os.path.join(_outdir(cfg), "table1.txt"), "w", encoding="ascii") as fh:
             fh.write(text)
         print(text, end="")
         return EXIT_OK
     spec = _twin_spec(cfg)
     epsilon = cp._check_epsilon(_option(cfg, "epsilon"))
-    out, mesh = _outdir_and_mesh(cfg)
+    mesh = load_mesh(_option(cfg, "mesh_path"))
     report = ex.run_twin(mesh, spec, epsilon)
     result = report.result
     # at u = 0 both J and J_eps equal the constant term, as R_D(0) = 0
     j0 = result.system.constant_term
+    out = _outdir(cfg)
     fio.write_report(os.path.join(out, "twin_report.txt"), {
         "case": spec.case, "noise_level": spec.noise_level, "seed": spec.seed,
         "epsilon": result.epsilon, "max_rel_err_u": report.max_rel_err_u,
@@ -315,10 +324,11 @@ def _cmd_lcurve(cfg) -> int:
     """sweep epsilon and find the corner"""
     from . import completion as cp, experiments as ex, regularization as reg
     from .fem import assemble_stiffness
+    _refuse_conflicts(cfg)
     spec = None if "data_path" in cfg else _twin_spec(cfg)
     grid = reg._check_grid(reg.default_grid(
         **_given(cfg, count="eps_count", lo="eps_min", hi="eps_max")))
-    out, mesh = _outdir_and_mesh(cfg)
+    mesh = load_mesh(_option(cfg, "mesh_path"))
     A = assemble_stiffness(mesh)
     if spec is None:
         data = fio.read_cauchy_csv(cfg["data_path"], mesh)
@@ -326,7 +336,7 @@ def _cmd_lcurve(cfg) -> int:
         _, clean = ex.generate_reference(mesh, A, spec)
         data = ex.add_noise(clean, spec.noise_level, spec.seed)
     curve = reg.sweep(cp.assemble_kv(mesh, A, data), data, grid)
-    fio.write_lcurve_csv(os.path.join(out, "lcurve.csv"), curve)
+    fio.write_lcurve_csv(os.path.join(_outdir(cfg), "lcurve.csv"), curve)
     print(f"corner epsilon = {curve.corner_epsilon:g} "
           f"({len(curve)} points, {len(curve.dropped)} dropped)")
     return EXIT_OK
@@ -334,29 +344,29 @@ def _cmd_lcurve(cfg) -> int:
 
 def _cmd_contour(cfg) -> int:
     """extract isolines / plasma boundary"""
+    _refuse_conflicts(cfg)
     field_path = _option(cfg, "field_path")
     boundary = _option(cfg, "plasma_boundary", False)
-    if boundary and "level" in cfg:
-        raise ConfigError("contour takes --level or --plasma-boundary, not both")
     if not (boundary or "level" in cfg):
         raise ConfigError("contour needs --level or --plasma-boundary")
     if not boundary and "limiter_path" in cfg:
         raise ConfigError("contour --limiter needs --plasma-boundary, not --level")
     level = None if boundary else _option(cfg, "level")
-    out, mesh = _outdir_and_mesh(cfg)
+    mesh = load_mesh(_option(cfg, "mesh_path"))
     fld = fio.read_flux_csv(field_path, mesh)
     if boundary:
         limiter = None
         if "limiter_path" in cfg:
             limiter = fio.read_polyline_csv(cfg["limiter_path"])
         psi_p, iso, mode = pp.find_plasma_boundary(fld, limiter=limiter)
+        out = _outdir(cfg)
         fio.write_isoline_csv(os.path.join(out, "boundary.csv"), iso)
         fio.write_report(os.path.join(out, "boundary_report.txt"),
                          {"psi_P": psi_p, "mode": mode})
         print(f"psi_P = {psi_p:.6g}  mode = {mode}")
         return EXIT_OK
     iso = pp.extract_isoline(fld, level)
-    fio.write_isoline_csv(os.path.join(out, "isoline.csv"), iso)
+    fio.write_isoline_csv(os.path.join(_outdir(cfg), "isoline.csv"), iso)
     print(f"{len(iso.polylines)} polyline(s), closed = {iso.closed}")
     return EXIT_OK
 

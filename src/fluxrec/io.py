@@ -24,10 +24,11 @@ def write_report(path, entries: dict) -> None:
     _write_rows(path, ("", "{} = {}\n", list(entries), _text(entries.values())))
 
 
-def _read_node_csv(path, header: str, mesh: Mesh, nodes: np.ndarray, columns: slice,
+def _read_node_csv(path, header: str, mesh: Mesh, nodes: np.ndarray, unread: int,
                    outside: str, missing: str) -> np.ndarray:
     """Float columns of the CSV rows under a first line `header`, one row per
-    node of `nodes` and in its order.  Raises MeshFormatError for another
+    node of `nodes` and in its order; a row's node index comes first, then
+    `unread` columns, not checked.  Raises MeshFormatError for another
     header, at the first malformed row, or row whose node is not in `nodes`
     (`outside` formats the node), repeats an earlier row's or has a
     non-finite value, and for a missing row (`missing`)."""
@@ -36,16 +37,17 @@ def _read_node_csv(path, header: str, mesh: Mesh, nodes: np.ndarray, columns: sl
     if first != header:
         raise MeshFormatError(f"{path}: unexpected header {first!r}")
 
-    def checks(index, values):
+    def checks(index, _, values):
         repeat = np.ones(len(index), dtype=bool)
         repeat[np.unique(index, return_index=True)[1]] = False
         return [(~np.isin(index, nodes), outside, index),
                 (repeat, "node {} listed twice", index),
                 (~np.isfinite(values).all(axis=1), "non-finite value", index)]
 
-    index, values = _parse_rows(
-        path, numbers[1:], lines[1:], ",", "row", header.count(",") + 1,
-        [(0, np.int64, "bad node index"), (columns, float, "bad value")], checks)
+    index, _, values = _parse_rows(
+        path, numbers[1:], lines[1:], ",", "row",
+        [(np.int64, (), "bad node index"), (object, (unread,), None),
+         (float, (header.count(",") - unread,), "bad value")], checks)
     if len(index) < len(nodes):         # rows are distinct nodes of `nodes`
         raise MeshFormatError(f"{path}: {missing}")
     slot = np.full(mesh.node_count, -1)
@@ -61,7 +63,7 @@ def write_flux_csv(path, fld: FluxField) -> None:
 
 def read_flux_csv(path, mesh: Mesh) -> FluxField:
     n = mesh.node_count
-    psi = _read_node_csv(path, "node_index,r,z,psi", mesh, np.arange(n), slice(3, 4),
+    psi = _read_node_csv(path, "node_index,r,z,psi", mesh, np.arange(n), 2,
                          f"node index {{}} outside [0, {n})", "missing node values")
     return FluxField(psi[:, 0], mesh)
 
@@ -107,7 +109,7 @@ def write_cauchy_csv(path, mesh: Mesh, data: CauchyData) -> None:
 
 def read_cauchy_csv(path, mesh: Mesh) -> CauchyData:
     fg = _read_node_csv(path, "gamma_v_node,arc_length,f,g", mesh,
-                        mesh.boundary.outer_nodes, slice(2, 4),
+                        mesh.boundary.outer_nodes, 1,
                         "node {} is not on the outer boundary",
                         "missing outer boundary rows")
     return CauchyData(fg[:, 0], fg[:, 1])
@@ -144,8 +146,8 @@ def read_polyline_csv(path) -> np.ndarray:
     lines = [line.replace(",", " ") for line in lines]
     if lines and not any(map(_is_number, lines[0].split())):
         numbers, lines = numbers[1:], lines[1:]
-    pts, = _parse_rows(path, numbers, lines, None, "point", 2,
-                       [(slice(None), float, "bad coordinate")], lambda p: [
+    pts, = _parse_rows(path, numbers, lines, None, "point",
+                       [(float, (2,), "bad coordinate")], lambda p: [
                            (~np.isfinite(p).all(axis=1), "non-finite coordinate", p)])
     if len(pts) < 3:
         raise MeshFormatError(f"{path}: fewer than 3 polyline points")

@@ -10,7 +10,8 @@ Meshes are plain node/triangle/boundary-edge arrays, immutable after
 construction, with a line-oriented text serialization that round-trips
 coordinates bit-exactly.  Its text-format section owns the rules of every
 text file of the package (mesh, CSV, CLI config): a line reader, a block
-parser naming the first bad row as ``path:line``, and a row writer.
+parser in which numpy's C reader alone decides what is a number (one call
+a block, the first bad row named as ``path:line``), and a row writer.
 Validation builds, once per mesh, the table of unique edges with their
 triangles and the edges of each triangle, and chains each boundary loop
 once; the post-processing reads the table instead of rebuilding edge maps.
@@ -28,7 +29,9 @@ module of the package, and needs numpy alone.
 
 from __future__ import annotations
 
+import bisect
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -654,50 +657,56 @@ def _read_lines(path, comment: str | None = None) -> tuple[list[int], list[str]]
     return [i for i, line in enumerate(lines, start=1) if line], list(filter(None, lines))
 
 
-def _parse_rows(path, numbers, lines, sep, what: str, width: int, groups,
+def _records(lines, fields, sep) -> np.ndarray | None:
+    """`lines` read by numpy's C reader (`np.loadtxt`) as one record of
+    `fields` each, or None where it refuses them or warns: numpy versions
+    once read an integer column's ``1.0`` with only a DeprecationWarning."""
+    dtype = np.dtype([("", kind, shape) for kind, shape, _ in fields])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return (np.loadtxt(lines, dtype, delimiter=sep, comments=None, ndmin=1)
+                    if lines else np.empty(0, dtype))   # loadtxt warns on no lines
+    except (ValueError, OverflowError, Warning):
+        return None
+
+
+def _fault(line, fields, sep, what: str, i: int) -> str:
+    """Why the reader refuses row `i`, `line`: its token count, or else the
+    first field refused when read alone, the other fields as text."""
+    width = sum(math.prod(shape) for _, shape, _ in fields)
+    if len(tokens := line.split(sep)) != width:
+        return f"expected {width} tokens for {what} {i}, got {len(tokens)}"
+    for k, (_, _, message) in enumerate(fields):
+        alone = [(kind if j == k else object, shape, None)
+                 for j, (kind, shape, _) in enumerate(fields)]
+        if _records([line], alone, sep) is None:
+            return message
+
+
+def _parse_rows(path, numbers, lines, sep, what: str, fields,
                 checks=None) -> list[np.ndarray]:
     """Convert a block of stripped lines, fields split at `sep` (None: runs
-    of blanks), with one numpy call per column group.
+    of blanks), by one call of numpy's C reader, which alone decides what
+    is a number.
 
-    A group is (columns, dtype, message): field columns (a slice, or an
-    index for a 1-D array) and the error if one does not convert.  `checks`
-    maps the arrays to (mask, format, values) triples flagging bad rows.
-    Raises MeshFormatError as ``path:line`` at the first row without `width`
-    fields, with a field that does not convert, or flagged (reported as
-    ``format.format(value)``); within a row the earlier group or check wins.
-
-    Each group is first read by numpy's C reader (`np.loadtxt`) with its
-    warnings raised as errors: numpy versions differ on some rows that
-    ``int`` rejects (an integer column's ``1.0`` was once read with only a
-    DeprecationWarning), so the C reader never accepts a row that the token
-    path rejects.  An error, a warning or a wrong shape sends the block down
-    the token path (split each line, convert the token columns, find the
-    first faulty row), which is kept to name that row.  A flagged row is
-    named from whichever arrays were read.
+    A field is (dtype, shape, message): its columns' type, their shape in a
+    row (``()``: one column, read as a 1-D array) and the error if the
+    reader refuses one; an ``object`` field keeps its columns as text,
+    unchecked.  `checks` maps the arrays to (mask, format, values) triples
+    flagging bad rows.  Raises MeshFormatError as ``path:line`` at the
+    first row the reader refuses (`_fault` names why) or that is flagged
+    (reported as ``format.format(value)``); within a row the earlier field
+    or check wins.  Bisection over the block's prefixes finds the first
+    refused row, and the rows before it are checked.
     """
-    arrays, first = _read_block(lines, sep, width, groups), None
-    if arrays is None:
-        rows = [line.split(sep) for line in lines]
-
-        def convert(block, groups):
-            tokens = np.array(block, dtype=object).reshape(len(block), width)
-            return [tokens[:, columns].astype(dtype) for columns, dtype, _ in groups]
-
-        def fault(i, tokens):
-            if len(tokens) != width:
-                return f"expected {width} tokens for {what} {i}, got {len(tokens)}"
-            for group in groups:
-                try:
-                    convert([tokens], [group])
-                except (ValueError, OverflowError):
-                    return group[2]
-
-        try:
-            arrays = convert(rows, groups)
-        except (ValueError, OverflowError):    # error path: find the bad row
-            first = next((i, m) for i, tokens in enumerate(rows)
-                         if (m := fault(i, tokens)))
-            arrays = convert(rows[:first[0]], groups)
+    records, first = _records(lines, fields, sep), None
+    if records is None:             # row i: the first whose prefix is refused
+        i = bisect.bisect_left(range(len(lines)), True,
+                               key=lambda k: _records(lines[:k + 1], fields, sep) is None)
+        records = _records(lines[:i], fields, sep)
+        first = i, _fault(lines[i], fields, sep, what, i)
+    arrays = [records[name] for name in records.dtype.names]
     flags = checks(*arrays) if checks else []
     bad = np.logical_or.reduce([mask for mask, _, _ in flags], initial=False)
     if bad.any():                   # rows before the first fault, so they are earlier
@@ -707,29 +716,6 @@ def _parse_rows(path, numbers, lines, sep, what: str, width: int, groups,
     if first:
         raise MeshFormatError(f"{path}:{numbers[first[0]]}: {first[1]}")
     return arrays
-
-
-def _read_block(lines, sep, width: int, groups) -> list[np.ndarray] | None:
-    """`_parse_rows`' groups read by ``np.loadtxt``, or None where it refuses
-    the block or the shapes show that a row is not `width` fields wide."""
-    spans = [np.arange(width)[columns] for columns, _, _ in groups]
-    partial = [span.size < width for span in spans]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            arrays = [np.loadtxt(lines, dtype, delimiter=sep, comments=None, ndmin=2,
-                                 usecols=np.atleast_1d(span) if cut else None)
-                      for span, cut, (_, dtype, _) in zip(spans, partial, groups)]
-    except (ValueError, OverflowError, Warning):
-        return None
-    if any(a.shape != (len(lines), span.size) for a, span in zip(arrays, spans)):
-        return None
-    if any(partial):    # usecols reads no field past the last used column
-        fields = (len(" ".join(lines).split()) if sep is None
-                  else sep.join(lines).count(sep) + 1)
-        if max(span.max() for span in spans) < width - 1 or fields != width * len(lines):
-            return None
-    return [a.reshape(len(lines), *span.shape) for a, span in zip(arrays, spans)]
 
 
 def _text(values) -> list[str]:
@@ -774,7 +760,7 @@ def load_mesh(path) -> Mesh:
     numbers, lines = _read_lines(path, "#")
     at = 0
 
-    def block(name: str, what: str, width: int, groups, checks=None):
+    def block(name: str, what: str, fields, checks=None):
         """The rows counted by the `name` header, parsed."""
         nonlocal at
         if at == len(lines):
@@ -786,15 +772,17 @@ def load_mesh(path) -> Mesh:
                 f"{where}: expected 2 tokens for '{name}' header, got {len(toks)}")
         if toks[0] != name:
             raise MeshFormatError(f"{where}: expected '{name}', got '{toks[0]}'")
-        try:
-            count = int(toks[1])
-        except ValueError:
+        read = _records(toks[1:], [(np.int64, (), None)], None)
+        if read is None and not re.fullmatch("[+-]?[0-9]+", toks[1]):
             raise MeshFormatError(f"{where}: bad count '{toks[1]}'")
+        # an integer the reader refuses is past int64, and so past the file
+        count = (int(read[0][0]) if read is not None
+                 else -1 if toks[1][0] == "-" else len(lines))
         if count < 0:
             raise MeshFormatError(f"{where}: negative count")
         start, at = at + 1, at + 1 + count        # slices never exceed the file
         arrays = _parse_rows(path, numbers[start:at], lines[start:at], None, what,
-                             width, groups, checks)
+                             fields, checks)
         if at > len(lines):
             raise MeshFormatError(f"{path}: unexpected end of file while reading "
                                   f"{what} {len(lines) - start}")
@@ -803,13 +791,12 @@ def load_mesh(path) -> Mesh:
     def out_of_range(index):
         return ((index < 0) | (index >= len(nodes))).any(axis=1)
 
-    nodes, = block("nodes", "node", 2, [(slice(None), float, "bad coordinate")])
-    tris, = block("triangles", "triangle", 3,
-                  [(slice(None), np.int64, "bad triangle index")],
+    nodes, = block("nodes", "node", [(float, (2,), "bad coordinate")])
+    tris, = block("triangles", "triangle", [(np.int64, (3,), "bad triangle index")],
                   lambda t: [(out_of_range(t), "triangle index out of range", t)])
     edges, labels = block(
-        "boundary_edges", "boundary edge", 3,
-        [(slice(0, 2), np.int64, "bad edge index"), (2, str, None)],
+        "boundary_edges", "boundary edge",
+        [(np.int64, (2,), "bad edge index"), (object, (), None)],
         lambda e, lab: [(out_of_range(e), "edge index out of range", lab),
                         (~np.isin(lab, (OUTER, INNER)), "unknown label '{}'", lab)])
     if at < len(lines):

@@ -599,6 +599,14 @@ def points_in_polygon_by_edge(points, loop) -> np.ndarray:
 # text formats, one token or one value at a time
 # ---------------------------------------------------------------------------
 
+def _number(kind, token: str):
+    """`kind` (``int`` or ``float``) of `token`, refusing the digit-group
+    underscores (``1_0``) that numpy's C reader refuses."""
+    if "_" in token:
+        raise ValueError(f"digit separator in {token!r}")
+    return kind(token)
+
+
 def _tokens(path):
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -631,7 +639,7 @@ def load_mesh_by_token(path) -> Mesh:
         if toks[0] != name:
             raise MeshFormatError(f"{path}:{lineno}: expected '{name}', got '{toks[0]}'")
         try:
-            count = int(toks[1])
+            count = _number(int, toks[1])
         except ValueError:
             raise MeshFormatError(f"{path}:{lineno}: bad count '{toks[1]}'")
         if count < 0:
@@ -640,7 +648,7 @@ def load_mesh_by_token(path) -> Mesh:
 
     def indices(lineno, toks, what):
         try:
-            row = np.array([int(t) for t in toks], dtype=np.int64)
+            row = np.array([_number(int, t) for t in toks], dtype=np.int64)
         except (ValueError, OverflowError):
             raise MeshFormatError(f"{path}:{lineno}: bad {what} index")
         if row.min() < 0 or row.max() >= n:
@@ -652,7 +660,7 @@ def load_mesh_by_token(path) -> Mesh:
     for i in range(n):
         lineno, toks = next_tokens(2, f"node {i}")
         try:
-            nodes.append((float(toks[0]), float(toks[1])))
+            nodes.append((_number(float, toks[0]), _number(float, toks[1])))
         except ValueError:
             raise MeshFormatError(f"{path}:{lineno}: bad coordinate")
 
@@ -700,13 +708,13 @@ def read_node_csv_by_token(path, header: str, nodes, columns: slice, outside: st
             raise MeshFormatError(
                 f"{path}:{lineno}: expected {width} tokens for row {i}, got {len(toks)}")
         try:
-            node = int(toks[0])
+            node = _number(int, toks[0])
             if not -2**63 <= node < 2**63:
                 raise OverflowError
         except (ValueError, OverflowError):
             raise MeshFormatError(f"{path}:{lineno}: bad node index")
         try:
-            row = [float(t) for t in toks[columns]]
+            row = [_number(float, t) for t in toks[columns]]
         except ValueError:
             raise MeshFormatError(f"{path}:{lineno}: bad value")
         if node not in wanted:
@@ -741,7 +749,7 @@ def read_polyline_csv_by_token(path) -> np.ndarray:
             raise MeshFormatError(
                 f"{path}:{lineno}: expected 2 tokens for point {i}, got {len(toks)}")
         try:
-            point = [float(t) for t in toks]
+            point = [_number(float, t) for t in toks]
         except ValueError:
             raise MeshFormatError(f"{path}:{lineno}: bad coordinate")
         if not all(map(math.isfinite, point)):

@@ -528,6 +528,12 @@ def _edit(text, old, new):
     # comments, blank lines and surrounding blanks keep the line numbers
     (lambda t: _edit(_edit(t, "2.0 1.0", " 2.0\t1.0 # c\n\n"), "0 2 3", "0 2 3.5"), 11,
      "bad triangle index"),
+    # numpy's reader, not Python's int or float, decides what is a number:
+    # digit-group underscores are refused in every column and in a count
+    (lambda t: _edit(t, "2.0 1.0", "2.0 1_0"), 5, "bad coordinate"),
+    (lambda t: _edit(t, "0 1 2", "0 1_0 2"), 8, "bad triangle index"),
+    (lambda t: _edit(t, "1 2 outer", "1 1_0 outer"), 12, "bad edge index"),
+    (lambda t: _edit(t, "nodes 4", "nodes 0_4"), 2, "bad count '0_4'"),
 ])
 def test_mesh_format_error_names_line_and_fault(tmp_path, edit, line, message):
     path = tmp_path / "bad.mesh"
