@@ -17,7 +17,12 @@ what belongs to one data set: the load and the closed-form solve.  Every
 data set and eps has the closed (filter-factor) form
 u(eps) = V diag(1 / (1 + eps - lam)) V' l, with no sparse solve: a data
 set costs its dense products and a fixed handful of array calls, listed
-step by step in README's design paragraph.
+step by step in README's design paragraph.  Those products (the load's
+T_f f and T_g g, V'l and u = V a) go through ndarray.dot, not the @
+operator: both make the same BLAS gemv call, so the results are bitwise
+the same, but @ dispatches through the matmul gufunc, about 0.5 us more a
+call, which at the iter mesh's sizes (n_i = 30, n_o = 120) costs more than
+the arithmetic: a stream slice there took 9.7 -> 7.5 us (timeit).
 Only the flux field costs a sparse solve (a Neumann solve), on first read.
 The checks of this closed form by fresh field solves (the misfit as a
 volume integral, the interface quadratic form and the optimality residual)
@@ -149,8 +154,11 @@ def assemble_kv(mesh: Mesh, A: StiffnessMatrix, data: CauchyData,
         raise ValueError("reuse system was assembled with another stiffness matrix")
     data.check(mesh)
     ops = A.interface
-    load = ops.t_f @ data.f
-    load += ops.t_g @ data.g
+    # ndarray.dot, not @, here and for V'l and V a: the same BLAS gemv,
+    # bitwise, without matmul's dispatch, 0.99 -> 0.52 us for a (30 x 30)
+    # product on the iter mesh (timeit), more than its arithmetic
+    load = ops.t_f.dot(data.f)
+    load += ops.t_g.dot(data.g)
     return KVSystem(A, data, load)
 
 
@@ -162,7 +170,7 @@ def _coordinates(system: KVSystem, epsilon):
     one row of a per epsilon.  Screen each epsilon with _resolved first.
     """
     ops = system.stiffness.interface
-    c = ops.eigvecs.T @ system.load
+    c = ops.eigvecs.T.dot(system.load)
     a = 1.0 + epsilon - ops.eigvals
     np.divide(c, a, out=a)
     return c, a
@@ -242,5 +250,5 @@ def solve_completion(system: KVSystem, epsilon: float,
     if not resolved:
         raise NearSingularError(_near_singular(epsilon, d_min, d_max))
     c, a = _coordinates(system, epsilon)
-    u = system.stiffness.interface.eigvecs @ a
+    u = system.stiffness.interface.eigvecs.dot(a)
     return CompletionResult(u, epsilon, system, c, a)

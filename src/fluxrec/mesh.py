@@ -896,6 +896,20 @@ def _stitch_rings(idx_a, ang_a, idx_b, ang_b) -> np.ndarray:
 _MAX_NODES = 10 ** 7
 
 
+def _refuse_repeated_vertex(name: str, loop: np.ndarray) -> None:
+    """MeshGeometryError naming the first vertex of the closed loop that its
+    successor repeats (the last vertex's successor is the first)."""
+    same = np.flatnonzero((loop == np.roll(loop, -1, axis=0)).all(axis=1))
+    if len(same):
+        i = int(same[0])
+        first, second = sorted((i, (i + 1) % len(loop)))
+        r, z = loop[first].tolist()
+        closing = ("; a closed polyline must not repeat its first point"
+                   if i == len(loop) - 1 else "")
+        raise MeshGeometryError(f"{name} loop repeats vertex {first} "
+                                f"({r!r}, {z!r}) as vertex {second}{closing}")
+
+
 def generate_annulus_mesh(outer: np.ndarray, inner: np.ndarray, target_h: float,
                           node_budget: int | None = None) -> Mesh:
     """Mesh the region between two closed polylines with a ring ladder.
@@ -908,7 +922,11 @@ def generate_annulus_mesh(outer: np.ndarray, inner: np.ndarray, target_h: float,
     Parameters
     ----------
     outer, inner : (n, 2) arrays
-        Closed polylines (no repeated endpoint), r > 0.
+        Closed polylines, r > 0, in either orientation: a clockwise loop is
+        taken reversed, so a loop and its reversal give bitwise the same
+        mesh.  A closed polyline must not repeat its first point at its end,
+        nor any vertex as the next: MeshGeometryError names the loop and the
+        repeated vertex.
     target_h : float
         Requested characteristic edge length, finite and positive.
     node_budget : int, optional
@@ -930,6 +948,11 @@ def generate_annulus_mesh(outer: np.ndarray, inner: np.ndarray, target_h: float,
             raise MeshGeometryError(f"{name} loop has a non-finite coordinate")
         if np.any(loop[:, 0] <= 0.0):
             raise MeshGeometryError(f"{name} loop has r <= 0")
+        _refuse_repeated_vertex(name, loop)
+    # a clockwise loop is meshed as its reversal, copied so that its layout,
+    # and so every rounding after, is that of the counter-clockwise input
+    outer, inner = (loop[::-1].copy() if polygon_area(loop) < 0.0 else loop
+                    for loop in (outer, inner))
     # the ladder's first try spaces nodes 0.9 target_h apart both ways; this
     # runs before any array sized by 1 / target_h is made, and multiplies,
     # so a target_h whose square underflows is refused too

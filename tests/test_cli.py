@@ -975,6 +975,36 @@ def test_mesh_from_polyline_csv(tmp_path):
     assert m.max_edge_length <= 1.5 * 0.4
 
 
+def _write_batch_loops(directory, edit):
+    """The batch benchmark's wall and contour polylines, each edited."""
+    directory.mkdir()
+    for name, radius, count in (("outer", 2.9, 220), ("inner", 0.8, 60)):
+        np.savetxt(directory / f"{name}.csv", edit(circle_loop(6.0, 0.0, radius, count)),
+                   delimiter=",", header="r,z", comments="")
+    return ["--outer-csv", str(directory / "outer.csv"),
+            "--inner-csv", str(directory / "inner.csv"), "--target-h", "0.1"]
+
+
+def test_clockwise_polylines_give_the_same_mesh_bytes(tmp_path):
+    ccw = _write_batch_loops(tmp_path / "ccw", lambda loop: loop)
+    cw = _write_batch_loops(tmp_path / "cw", lambda loop: loop[::-1])
+    assert main(["mesh", *ccw, "--output-dir", str(tmp_path / "ccw-out")]) == 0
+    assert main(["mesh", *cw, "--output-dir", str(tmp_path / "cw-out")]) == 0
+    assert ((tmp_path / "cw-out" / "mesh.txt").read_bytes()
+            == (tmp_path / "ccw-out" / "mesh.txt").read_bytes())
+
+
+def test_polyline_repeating_its_first_point_gives_mesh_error(tmp_path, capsys):
+    # the usual export of a closed curve; the outer loop is checked first
+    args = _write_batch_loops(tmp_path / "loops", lambda loop: loop[np.r_[:len(loop), 0]])
+    out = tmp_path / "out"
+    assert main(["mesh", *args, "--output-dir", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "mesh error: outer loop repeats vertex 0 (8.9, 0.0) as vertex 220; "
+        "a closed polyline must not repeat its first point\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header", ["", "r,z\n", "# r z\n"])
 def test_polyline_csv_header_is_optional_and_bad_row_is_named(tmp_path, capsys, header):
     rows = [f"{6 + 2.5 * np.cos(t)} {2.5 * np.sin(t)}"

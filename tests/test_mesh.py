@@ -170,6 +170,39 @@ def test_generate_rejects_non_finite_loop(which, bad):
         generate_annulus_mesh(loops["outer"], loops["inner"], 0.3)
 
 
+@pytest.mark.parametrize("reversed_loops", [("outer",), ("inner",), ("outer", "inner")],
+                         ids=["outer", "inner", "both"])
+@pytest.mark.parametrize("node_budget", [None, 1000])
+def test_generate_takes_a_clockwise_loop_as_its_reversal(reversed_loops, node_budget):
+    loops = {"outer": circle_loop(6.0, 0.0, 2.9, 110),
+             "inner": circle_loop(6.0, 0.0, 0.8, 30)}
+    want = _mesh_or_error(generate_annulus_mesh, loops["outer"], loops["inner"],
+                          0.2, node_budget)
+    assert not isinstance(want, str)
+    for name in reversed_loops:
+        # a contiguous copy, as a polyline file gives
+        loops[name] = loops[name][::-1].copy()
+    assert _mesh_or_error(generate_annulus_mesh, loops["outer"], loops["inner"],
+                          0.2, node_budget) == want
+
+
+@pytest.mark.parametrize("which", ["outer", "inner"])
+@pytest.mark.parametrize("closing", [True, False], ids=["closing", "inside"])
+def test_generate_refuses_a_repeated_vertex(which, closing):
+    loops = {"outer": circle_loop(6.0, 0.0, 2.9, 110),
+             "inner": circle_loop(6.0, 0.0, 0.8, 30)}
+    loop = loops[which]
+    first, second = (0, len(loop)) if closing else (5, 6)
+    loops[which] = np.insert(loop, second, loop[first], axis=0)
+    r, z = loop[first].tolist()
+    want = f"{which} loop repeats vertex {first} ({r!r}, {z!r}) as vertex {second}"
+    if closing:
+        want += "; a closed polyline must not repeat its first point"
+    with pytest.raises(MeshGeometryError) as err:
+        generate_annulus_mesh(loops["outer"], loops["inner"], 0.2)
+    assert str(err.value) == want
+
+
 def _star_loop(r0, z0, a, radii):
     """Star-shaped loop: radius a * radii[k] at evenly spaced angles."""
     t = 2.0 * np.pi * np.arange(len(radii)) / len(radii)
